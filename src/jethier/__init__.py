@@ -13,19 +13,14 @@ Submodules by function:
 """
 
 from .jetcalc import (
-    Fraction,
     HbarSeries,
     JetPoly,
     NotExact,
     dx,
+    evolve,
     formal_integrate,
-    is_homogeneous,
-    partial,
     rat,
     substitute,
-    t_op,
-    var_deriv,
-    weighted_degree,
 )
 from .diffop import (
     DiffOperator,
@@ -38,19 +33,17 @@ from .diffop import (
 )
 from .genus0 import Genus0Data, NotClosed, OmegaTable0, trr_extend
 from .givental import GiventalGen, InconsistentTable, OmegaTable
-from .kdvbase import KdVPoint, OutOfDerivableRange, kdv_omega_table, quasi_miura
+from .kdvbase import OutOfDerivableRange, kdv_omega_table, quasi_miura
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DiffOperator",
-    "Fraction",
     "Genus0Data",
     "GiventalGen",
     "HbarSeries",
     "InconsistentTable",
     "JetPoly",
-    "KdVPoint",
     "MiuraChange",
     "NotClosed",
     "NotExact",
@@ -62,17 +55,13 @@ __all__ = [
     "compose",
     "conjugate_by_miura",
     "dx",
+    "evolve",
     "formal_integrate",
-    "is_homogeneous",
     "is_skew",
     "kdv_omega_table",
-    "partial",
     "quasi_miura",
     "rat",
     "substitute",
-    "t_op",
     "trr_extend",
-    "var_deriv",
-    "weighted_degree",
     "__version__",
 ]

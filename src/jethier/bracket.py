@@ -27,9 +27,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .diffop import DiffOperator, is_skew
-from .givental import GiventalGen, OmegaTable, _sgn, r_deform_omega, s_deform_omega, triple_omega
-from .jetcalc import HbarSeries, JetPoly
+from .diffop import DiffOperator, apply_entry, apply_op, is_skew, leibniz
+from .givental import (
+    GiventalGen,
+    OmegaTable,
+    _sgn,
+    jet_transport,
+    r_deform_omega,
+    s_deform_omega,
+    triple_omega,
+)
+from .jetcalc import HbarSeries, JetPoly, evolve
 
 
 class PoissonOp:
@@ -58,80 +66,38 @@ class PoissonOp:
 
 
 # ---------------------------------------------------------------------------
-# scalar operator helpers: {order: HbarSeries}
-# ---------------------------------------------------------------------------
-
-def _sop_compose(a: dict, b: dict, trunc: int) -> dict:
-    out: dict[int, HbarSeries] = {}
-    for k1, ca in a.items():
-        for k2, cb in b.items():
-            for t in range(k1 + 1):
-                c = ca * cb.dx_pow(t) * math.comb(k1, t)
-                if c.is_zero():
-                    continue
-                k = k1 - t + k2
-                acc = out.get(k)
-                out[k] = c if acc is None else acc + c
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-def _sop_chain(trunc: int, *ops: dict) -> dict:
-    acc = None
-    for op in ops:
-        if not op:
-            return {}
-        acc = op if acc is None else _sop_compose(acc, op, trunc)
-    return acc or {}
-
-
-def _sop_add_into(acc: dict, op: dict, scale=1) -> None:
-    for k, c in op.items():
-        cc = c * scale if scale != 1 else c
-        if cc.is_zero():
-            continue
-        got = acc.get(k)
-        acc[k] = cc if got is None else got + cc
-
-
-def _sop_hbar_half(op: dict) -> dict:
-    return {k: c.hbar_shift() / 2 for k, c in op.items()}
-
-
-def _mult(f: HbarSeries) -> dict:
-    return {} if f.is_zero() else {0: f}
-
-
-def _dxk(k: int, trunc: int, sign: int = 1) -> dict:
-    s = _sgn(k) if sign == -1 else 1
-    return {k: HbarSeries.const(s, trunc)}
-
-
-# ---------------------------------------------------------------------------
 # upper-kind operator deformation
 # ---------------------------------------------------------------------------
+
+def _put(cell: dict, k: int, c: HbarSeries) -> None:
+    """Add c d^k into a cell {order: coefficient}, skipping zeros."""
+    if c:
+        cell[k] = cell[k] + c if k in cell else c
+
 
 def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> DiffOperator:
     """Operator deformation for an upper generator (the twelve-block solution).
 
     The result, together with the table deformation of the same generator,
     satisfies the linearized defining equation; `def_a_residual` certifies
-    this exactly.
+    this exactly.  Blocks 1, 4, 8 and 10 compose a left factor with the
+    operator row A[g, .]; blocks 5, 6 and 11 compose the operator column
+    A[., g] with a right factor; blocks 3 and 7 are products of three
+    factors; blocks 2, 9 and 12 add coefficients directly.  Every
+    composition goes through the one Leibniz rule, `diffop.leibniz`.
     """
     if gen.kind != "r":
         raise ValueError("upper-kind generator required")
     A = pop.op
-    s, H, ell = table.dim, table.trunc, gen.level
+    s, ell = table.dim, gen.level
     colors = range(1, s + 1)
-    acc: dict[tuple[int, int], dict] = {}
-
-    def add(beta, xi, op, scale):
-        if op:
-            cell = acc.setdefault((beta, xi), {})
-            _sop_add_into(cell, op, scale)
-
+    acc = {(b, x): {} for b in colors for x in colors}
     a_cells = {(b, x): A.entry(b, x) for b in colors for x in colors}
     a_vars = sorted({v for cell in a_cells.values() for c in cell.values()
                      for v in c.variables()})
+
+    def top(f, g, default):
+        return max((n for gg, n in f.variables() if gg == g), default=default)
 
     for i in range(-1, ell + 1):
         j = ell - 1 - i
@@ -139,194 +105,110 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
             o_mu_i = table.unit_ext(mu, i)            # (mu,i; unit,0)
             o_mu_i1 = table.unit_ext(mu, i + 1)       # (mu,i+1; unit,0)
             for nu in colors:
-                cfac = _sgn(i + 1) * gen.up_up(mu, nu)
+                cfac = _sgn(i + 1) * gen.matrix[mu - 1][nu - 1]
                 if cfac == 0:
                     continue
                 o_nu_j = table.unit_ext(nu, j)        # (unit,0; nu,j)
-                du_nu_j = {g: o_nu_j.var_deriv(g) for g in colors}
+                # hbar/2 times the triple correlators (z,0; mu,i; nu,j)
+                t3 = {z: triple_omega(table, (z, 0), (mu, i), (nu, j)).hbar_shift() / 2
+                      for z in colors}
 
-                # blocks 1 and 4: first-partial transport through the operator
                 for beta in colors:
+                    # blocks 1, 4, 8 and 10: left factors of the row A[g, .]
                     f1 = table.ext(mu, i, beta, 0)
                     f4 = table.ext(beta, 0, nu, j)
+                    pre = table.ext(beta, 0, nu, j - 1).dx()
+                    left = {g: {} for g in colors}
                     for (g, n) in sorted(f1.variables()):
-                        coeff = o_nu_j * f1.partial(g, n)
-                        if coeff.is_zero():
-                            continue
-                        for xi in colors:
-                            cell = a_cells[(g, xi)]
-                            if cell:
-                                add(beta, xi, _sop_compose({n: coeff}, cell, H), cfac)
-                    if not f4.is_zero():
+                        _put(left[g], n, cfac * (o_nu_j * f1.partial(g, n)))
+                    if f4:
                         for (g, n) in sorted(o_mu_i.variables()):
-                            coeff = f4 * o_mu_i.partial(g, n)
-                            if coeff.is_zero():
+                            _put(left[g], n, cfac * (f4 * o_mu_i.partial(g, n)))
+                    if pre:
+                        for (g, m) in sorted(o_mu_i1.variables()):
+                            dpart = o_mu_i1.partial(g, m)
+                            for u in range(m):
+                                _put(left[g], m - 1 - u,
+                                     -cfac * (pre * dpart.dx_pow(u, sign=-1)))
+                    for (g, n) in sorted(t3[beta].variables()):
+                        leibniz({1: cfac}, {n: t3[beta].partial(g, n)}, left[g])
+                    for g in colors:
+                        for xi in colors:
+                            if left[g] and a_cells[(g, xi)]:
+                                leibniz(left[g], a_cells[(g, xi)], acc[(beta, xi)])
+
+                    # block 9: boundary transport with the shifted index
+                    if pre:
+                        for g in colors:
+                            dgm = o_mu_i1.var_deriv(g)
+                            if dgm.is_zero():
                                 continue
                             for xi in colors:
-                                cell = a_cells[(g, xi)]
-                                if cell:
-                                    add(beta, xi, _sop_compose({n: coeff}, cell, H), cfac)
+                                for k, ac in a_cells[(g, xi)].items():
+                                    prod = ac * dgm
+                                    for f in range(2, k + 1):
+                                        _put(acc[(beta, xi)], f - 1, -cfac * (
+                                            pre * prod.dx_pow(k - f, sign=-1)))
 
                 # block 2: derivative of the operator coefficients
                 for (g, n) in a_vars:
-                    inner = HbarSeries.zero(H)
-                    lead = table.ext(g, 0, mu, i)
-                    for aa in range(n + 1):
-                        inner = inner + math.comb(n + 1, aa) * (
-                            lead.dx_pow(aa) * o_nu_j.dx_pow(n - aa))
+                    inner = jet_transport(table.ext(g, 0, mu, i), o_nu_j, n)
                     if inner.is_zero():
                         continue
                     for (beta, xi), cell in a_cells.items():
                         for k, ac in cell.items():
-                            d = ac.partial(g, n)
-                            if not d.is_zero():
-                                add(beta, xi, {k: inner * d}, -cfac)
+                            _put(acc[(beta, xi)], k, -cfac * (inner * ac.partial(g, n)))
 
-                # blocks 3, 5, 6, 7: compositions through the operator columns
-                for beta in colors:
-                    for g in colors:
-                        cell = a_cells[(beta, g)]
-                        if not cell:
-                            continue
-                        for xi in colors:
-                            f_xi = table.ext(mu, i, xi, 0)
-                            g_top = max((n for (gg, n) in f_xi.variables()
-                                         if gg == g), default=-1)
-                            # block 3
-                            t_parts = {}
-                            for n in range(g_top + 1):
-                                tn = f_xi.t_op(g, n)
-                                if not tn.is_zero():
-                                    t_parts[n] = tn
-                            if t_parts and not o_nu_j.is_zero():
+                # block 12: the triple correlators evolve the operator coefficients
+                flows = {z: t3[z].dx() for z in colors}
+                for (beta, xi), cell in a_cells.items():
+                    for k, ac in cell.items():
+                        _put(acc[(beta, xi)], k, -cfac * evolve(ac, flows))
+
+                for g in colors:
+                    dg = o_nu_j.var_deriv(g)
+                    for xi in colors:
+                        f_xi = table.ext(mu, i, xi, 0)
+                        # blocks 5, 6 and 11: right factors of the column A[., g]
+                        vt = {}
+                        for v in range(top(o_nu_j, g, 0)):
+                            _put(vt, v, _sgn(v + 1) * cfac * o_nu_j.t_op(g, v + 1))
+                        right = leibniz(vt, {1: f_xi})
+                        # block 6 is the commutator [d^(v+1), P] o d with dx P = o_nu_j,
+                        # which has no Leibniz form without P itself
+                        for v in range(top(f_xi, g, 0)):
+                            tv = f_xi.t_op(g, v + 1)
+                            if tv.is_zero():
+                                continue
+                            for u in range(v + 1):
+                                _put(right, u + 1, _sgn(v) * cfac * math.comb(v + 1, u) * (
+                                    o_nu_j.dx_pow(v - u) * tv))
+                        for m in range(top(t3[xi], g, -1) + 1):
+                            _put(right, m + 1, _sgn(m + 1) * cfac * t3[xi].t_op(g, m))
+                        # block 3 right factor: f_xi's higher Euler operators
+                        t_parts = {}
+                        if o_nu_j:
+                            for n in range(top(f_xi, g, -1) + 1):
+                                _put(t_parts, n + 1, _sgn(n + 1) * cfac * f_xi.t_op(g, n))
+                        for beta in colors:
+                            cell = a_cells[(beta, g)]
+                            if not cell:
+                                continue
+                            out = acc[(beta, xi)]
+                            if right:
+                                leibniz(cell, right, out)
+                            if t_parts:   # block 3: A[beta,g]_k d^f o_nu_j d^e, f + e = k - 1
+                                chain = {}
                                 for k, ac in cell.items():
                                     for f in range(k):
-                                        e = k - 1 - f
-                                        for n, tn in t_parts.items():
-                                            op = _sop_chain(
-                                                H, _mult(ac), _dxk(f, H),
-                                                _mult(o_nu_j), _dxk(e, H),
-                                                _mult(tn), _dxk(n + 1, H, sign=-1))
-                                            add(beta, xi, op, cfac)
-                            # block 5
-                            for v in range(max((vv[1] for vv in o_nu_j.variables()
-                                                if vv[0] == g), default=0)):
-                                tv = o_nu_j.t_op(g, v + 1)
-                                if tv.is_zero():
-                                    continue
-                                for u in range(v + 1):
-                                    coeff = tv * f_xi.dx_pow(v - u, sign=-1)
-                                    if coeff.is_zero():
-                                        continue
-                                    op = _sop_chain(
-                                        H, cell, _mult(coeff * math.comb(v, u)),
-                                        _dxk(u + 1, H, sign=-1))
-                                    add(beta, xi, op, cfac)
-                            # block 6
-                            for v in range(max((vv[1] for vv in f_xi.variables()
-                                                if vv[0] == g), default=0)):
-                                tv = f_xi.t_op(g, v + 1)
-                                if tv.is_zero():
-                                    continue
-                                for u in range(v + 1):
-                                    coeff = o_nu_j.dx_pow(v - u, sign=-1) * tv
-                                    if coeff.is_zero():
-                                        continue
-                                    op = _sop_chain(
-                                        H, cell, _mult(coeff * math.comb(v + 1, u)),
-                                        _dxk(u + 1, H, sign=-1))
-                                    add(beta, xi, op, -cfac)
-                            # block 7
-                            dg = du_nu_j[g]
-                            if not dg.is_zero() and not f_xi.is_zero():
-                                for k, ac in cell.items():
-                                    for e in range(k):
-                                        f = k - 1 - e
-                                        coeff = ac * dg.dx_pow(e) * math.comb(k, e)
-                                        if coeff.is_zero():
-                                            continue
-                                        op = _sop_chain(
-                                            H, {f: coeff}, _mult(f_xi), _dxk(1, H))
-                                        add(beta, xi, op, cfac)
+                                        leibniz({f: ac}, {k - 1 - f: o_nu_j}, chain)
+                                leibniz(chain, t_parts, out)
+                            if dg and f_xi:   # block 7: (A[beta,g] o dg minus order 0) d^-1 f_xi d
+                                lead = {k - 1: c for k, c in leibniz(cell, {0: dg}).items()
+                                        if k > 0}
+                                leibniz(lead, {1: cfac * f_xi}, out)
 
-                # blocks 8 and 9: boundary transport with the shifted index
-                for beta in colors:
-                    pre = table.ext(beta, 0, nu, j - 1).dx()
-                    if pre.is_zero():
-                        continue
-                    for (g, m) in sorted(o_mu_i1.variables()):
-                        if m < 1:
-                            continue
-                        dpart = o_mu_i1.partial(g, m)
-                        for u in range(m):
-                            coeff = pre * dpart.dx_pow(u, sign=-1)
-                            if coeff.is_zero():
-                                continue
-                            for xi in colors:
-                                cell = a_cells[(g, xi)]
-                                if cell:
-                                    add(beta, xi,
-                                        _sop_compose({m - 1 - u: coeff}, cell, H), -cfac)
-                    for g in colors:
-                        dgm = o_mu_i1.var_deriv(g)
-                        if dgm.is_zero():
-                            continue
-                        for xi in colors:
-                            cell = a_cells[(g, xi)]
-                            for k, ac in cell.items():
-                                prod = ac * dgm
-                                for f in range(2, k + 1):
-                                    coeff = pre * prod.dx_pow(k - f, sign=-1)
-                                    if not coeff.is_zero():
-                                        add(beta, xi, {f - 1: coeff}, -cfac)
-
-                # hbar/2 blocks 10-12: triple-correlator transport
-                if i >= 0 and j >= 0:
-                    for beta in colors:
-                        t3 = triple_omega(table, (beta, 0), (mu, i), (nu, j))
-                        for (g, n) in sorted(t3.variables()):
-                            coeff = t3.partial(g, n)
-                            if coeff.is_zero():
-                                continue
-                            for xi in colors:
-                                cell = a_cells[(g, xi)]
-                                if cell:
-                                    op = _sop_chain(H, _dxk(1, H), {n: coeff}, cell)
-                                    add(beta, xi, _sop_hbar_half(op), cfac)
-                    for xi in colors:
-                        t3 = triple_omega(table, (xi, 0), (mu, i), (nu, j))
-                        for beta in colors:
-                            for g in colors:
-                                cell = a_cells[(beta, g)]
-                                if not cell:
-                                    continue
-                                for m in range(max((vv[1] for vv in t3.variables()
-                                                    if vv[0] == g), default=-1) + 1):
-                                    tm = t3.t_op(g, m)
-                                    if tm.is_zero():
-                                        continue
-                                    op = _sop_chain(H, cell, _mult(tm),
-                                                    _dxk(m + 1, H, sign=-1))
-                                    add(beta, xi, _sop_hbar_half(op), cfac)
-                    for z in colors:
-                        t3 = triple_omega(table, (z, 0), (mu, i), (nu, j))
-                        if t3.is_zero():
-                            continue
-                        for (beta, xi), cell in a_cells.items():
-                            for k, ac in cell.items():
-                                for n in sorted({vv[1] for vv in ac.variables()
-                                                 if vv[0] == z}):
-                                    d = ac.partial(z, n)
-                                    coeff = t3.dx_pow(n + 1) * d
-                                    if not coeff.is_zero():
-                                        add(beta, xi, _sop_hbar_half({k: coeff}), -cfac)
-
-    entries = {}
-    for (beta, xi), cell in acc.items():
-        clean = {k: c for k, c in cell.items() if not c.is_zero()}
-        if clean:
-            entries[(beta, xi)] = clean
-    return DiffOperator(s, H, entries)
+    return DiffOperator(s, table.trunc, acc)
 
 
 def s_deform_bracket(pop: PoissonOp, gen: GiventalGen) -> DiffOperator:
@@ -336,28 +218,16 @@ def s_deform_bracket(pop: PoissonOp, gen: GiventalGen) -> DiffOperator:
     A = pop.op
     if gen.level != 1:
         return DiffOperator.zero(A.dim, A.trunc)
+    shift = gen.unit_shift(A.trunc)
     entries: dict[tuple[int, int], dict] = {}
     for (beta, xi), k, coeff in A.entries():
-        out = HbarSeries.zero(A.trunc)
-        for g in range(1, A.dim + 1):
-            c = gen.low_low_unit(g)
-            if c != 0:
-                out = out - c * coeff.partial(g, 0)
-        if not out.is_zero():
-            entries.setdefault((beta, xi), {})[k] = out
+        entries.setdefault((beta, xi), {})[k] = -evolve(coeff, shift)
     return DiffOperator(A.dim, A.trunc, entries)
 
 
 # ---------------------------------------------------------------------------
 # defining-equation residual
 # ---------------------------------------------------------------------------
-
-def _apply_cell(cell: dict, f: HbarSeries, trunc: int) -> HbarSeries:
-    out = HbarSeries.zero(trunc)
-    for k, c in cell.items():
-        out = out + c * f.dx_pow(k)
-    return out
-
 
 def def_a_residual(table: OmegaTable, pop: PoissonOp, deformed: dict,
                    dP: DiffOperator, a: int, p: int, b: int) -> HbarSeries:
@@ -377,21 +247,38 @@ def def_a_residual(table: OmegaTable, pop: PoissonOp, deformed: dict,
     for g in range(1, s + 1):
         cell_dp = dP.entry(b, g)
         if cell_dp:
-            res = res - _apply_cell(cell_dp, undeformed_u.var_deriv(g), H)
+            res = res - apply_entry(cell_dp, undeformed_u.var_deriv(g))
         cell_p = pop.op.entry(b, g)
         if cell_p:
-            res = res - _apply_cell(cell_p, deformed_u.var_deriv(g), H)
+            res = res - apply_entry(cell_p, deformed_u.var_deriv(g))
     return res
 
 
 def deformed_entries_for_residual(table: OmegaTable, gen: GiventalGen,
-                                  a: int, p: int) -> dict:
-    """Table deformations needed by `def_a_residual` at fixed (a, p)."""
+                                  a: int, pmax: int) -> dict:
+    """Table deformations `def_a_residual` needs at (a, p) for every p <= pmax.
+
+    Each entry (a, p', b, 0), p' <= pmax + 1, is computed once.
+    """
     deform = r_deform_omega if gen.kind == "r" else s_deform_omega
-    out = {}
-    for b in range(1, table.dim + 1):
-        out[(a, p, b, 0)] = deform(table, gen, a, p, b, 0)
-        out[(a, p + 1, b, 0)] = deform(table, gen, a, p + 1, b, 0)
+    return {(a, p, b, 0): deform(table, gen, a, p, b, 0)
+            for p in range(pmax + 2) for b in range(1, table.dim + 1)}
+
+
+def defining_equation_residuals(table: OmegaTable, pop: PoissonOp,
+                                gen: GiventalGen, dP: DiffOperator,
+                                pmax: int) -> list:
+    """[((a, p, b), residual)] of `def_a_residual` for every color pair, p <= pmax.
+
+    All-zero residuals certify that dP and the table deformation of `gen`
+    together satisfy the linearized defining equation.
+    """
+    out = []
+    for a in range(1, table.dim + 1):
+        ent = deformed_entries_for_residual(table, gen, a, pmax)
+        for p in range(pmax + 1):
+            for b in range(1, table.dim + 1):
+                out.append(((a, p, b), def_a_residual(table, pop, ent, dP, a, p, b)))
     return out
 
 
@@ -446,15 +333,6 @@ def check_operator_homogeneity(op: DiffOperator, offset: int = 1) -> Homogeneity
     return HomogeneityVerdict(not failures, tuple(failures))
 
 
-def check_hbar_homogeneity(x, offset: int | None = None) -> HomogeneityVerdict:
-    """Dispatching checker for series (offset 0) and operators (offset 1)."""
-    if isinstance(x, HbarSeries):
-        return check_series_homogeneity(x, 0 if offset is None else offset)
-    if isinstance(x, DiffOperator):
-        return check_operator_homogeneity(x, 1 if offset is None else offset)
-    raise TypeError("expected an HbarSeries or a DiffOperator")
-
-
 # ---------------------------------------------------------------------------
 # genus-0 uniqueness residuals
 # ---------------------------------------------------------------------------
@@ -471,18 +349,15 @@ def uniqueness_residuals(table0, B: DiffOperator, pmax: int) -> list:
     operators must produce nonzero residuals.
     """
     H = B.trunc
+    colors = range(1, table0.dim + 1)
     out = []
-    for a in range(1, table0.dim + 1):
+    for a in colors:
         for p in range(0, pmax + 1):
             target = HbarSeries.of(table0.unit_entry(a, p + 1), H)
-            for b in range(1, table0.dim + 1):
-                acc = HbarSeries.zero(H)
-                for xi in range(1, table0.dim + 1):
-                    cell = B.entry(b, xi)
-                    if cell:
-                        acc = acc + _apply_cell(cell, target.var_deriv(xi), H)
-                acc = acc - HbarSeries.of(table0.entry(a, p, b, 0).dx(), H)
-                out.append(((a, p, b), acc))
+            applied = apply_op(B, [target.var_deriv(xi) for xi in colors])
+            for b in colors:
+                res = applied[b - 1] - HbarSeries.of(table0.entry(a, p, b, 0).dx(), H)
+                out.append(((a, p, b), res))
     return out
 
 
@@ -492,17 +367,8 @@ def uniqueness_residuals(table0, B: DiffOperator, pmax: int) -> list:
 
 def dx_commutator_residual(bfun: JetPoly, zeta: int, test: JetPoly) -> JetPoly:
     """Residual of  [dx, sum_n dx^n(B) d/dw[zeta,n]]  applied to a test function."""
-    nmax = max([n for _, n in test.variables()] + [n for _, n in test.dx().variables()],
-               default=-1)
-    lhs = JetPoly.zero()
-    for n in range(nmax + 1):
-        lhs = lhs + bfun.dx_pow(n) * test.partial(zeta, n)
-    lhs = lhs.dx()
-    rhs = JetPoly.zero()
-    dtest = test.dx()
-    for n in range(nmax + 1):
-        rhs = rhs + bfun.dx_pow(n) * dtest.partial(zeta, n)
-    return lhs - rhs
+    flow = {zeta: bfun}
+    return evolve(test, flow).dx() - evolve(test.dx(), flow)
 
 
 def euler_commutator_residual(afun: JetPoly, s_ord: int, gamma: int,
@@ -511,10 +377,7 @@ def euler_commutator_residual(afun: JetPoly, s_ord: int, gamma: int,
     """Residual of the commutator identity for A d^s delta_gamma against
     sum_n dx^n(B) d/dw[zeta,n], applied to a test function."""
     def bop(f):
-        out = JetPoly.zero()
-        for n in sorted({n for _, n in f.variables()}):
-            out = out + bfun.dx_pow(n) * f.partial(zeta, n)
-        return out
+        return evolve(f, {zeta: bfun})
 
     def aop(f):
         return afun * f.var_deriv(gamma).dx_pow(s_ord)
@@ -527,10 +390,7 @@ def euler_commutator_residual(afun: JetPoly, s_ord: int, gamma: int,
         tj = bfun.t_op(gamma, jj)
         if tj:
             rhs = rhs + afun * (tj * dzeta.dx_pow(jj, sign=-1)).dx_pow(s_ord)
-    corr = JetPoly.zero()
-    for n in sorted({n for z, n in afun.variables() if z == zeta}):
-        corr = corr + bfun.dx_pow(n) * afun.partial(zeta, n)
-    rhs = rhs - corr * test.var_deriv(gamma).dx_pow(s_ord)
+    rhs = rhs - bop(afun) * test.var_deriv(gamma).dx_pow(s_ord)
     return lhs - rhs
 
 

@@ -18,8 +18,7 @@ from .bracket import (
     PoissonOp,
     check_operator_homogeneity,
     check_series_homogeneity,
-    def_a_residual,
-    deformed_entries_for_residual,
+    defining_equation_residuals,
     r_deform_bracket,
     s_deform_bracket,
 )
@@ -204,11 +203,7 @@ def _load_generator(path: str) -> GiventalGen:
 def cmd_generate(args) -> int:
     fmt = args.format
     if args.what == "kdv":
-        trunc = args.hbar
-        try:
-            table = kdv_omega_table(args.pmax, args.qmax, trunc)
-        except OutOfDerivableRange as exc:
-            raise InputError(str(exc)) from exc
+        table = kdv_omega_table(args.pmax, args.qmax, args.hbar)
         if args.tensor > 1:
             table = tensor_power(table, args.tensor)
         for key, series in table.items():
@@ -302,12 +297,9 @@ def cmd_deform(args) -> int:
                                for x in range(1, table.dim + 1))
         report.homogeneity_ok = check_operator_homogeneity(dP, 1).ok
         report.entries.append({"operator": operator_to_obj(dP)})
-        for a in range(1, table.dim + 1):
-            for p in range(args.pmax + 1):
-                ent = deformed_entries_for_residual(table, gen, a, p)
-                for b in range(1, table.dim + 1):
-                    res = def_a_residual(table, pop, ent, dP, a, p, b)
-                    report.residuals.append(((a, p, b), res.num_terms()))
+        report.residuals = [
+            (index, res.num_terms())
+            for index, res in defining_equation_residuals(table, pop, gen, dP, args.pmax)]
     else:
         raise InputError(f"unknown deform target {args.what!r}")
     report.elapsed = time.monotonic() - started
@@ -383,41 +375,52 @@ def build_parser() -> argparse.ArgumentParser:
                     "identity verification at the KdV base point.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pmax=2, qmax=2, hbar=1):
-        p.add_argument("--dim", type=int, default=1)
-        p.add_argument("--pmax", type=int, default=pmax)
-        p.add_argument("--qmax", type=int, default=qmax)
-        p.add_argument("--hbar", type=int, default=hbar)
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--count", type=int, default=100)
-        p.add_argument("--tensor", type=int, default=1)
+    kinds = {"pmax": _at_least(0), "qmax": _at_least(0), "hbar": _at_least(0),
+             "dim": _at_least(1), "tensor": _at_least(1), "count": _at_least(1),
+             "seed": int}
+
+    def flags(p, defaults):
+        """Add the flags one subcommand reads, with their defaults."""
+        for name, default in defaults.items():
+            p.add_argument(f"--{name}", type=kinds[name], default=default)
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     g = sub.add_parser("generate", help="build and verify hierarchy tables")
     g.add_argument("what", choices=("kdv", "principal"))
     g.add_argument("--hessian", help="JSON array of polynomial strings")
-    common(g, hbar=2)
+    flags(g, {"dim": 1, "pmax": 2, "qmax": 2, "hbar": 2, "tensor": 1})
     g.set_defaults(func=cmd_generate)
 
     d = sub.add_parser("deform", help="apply a symmetry generator")
     d.add_argument("what", choices=("omega", "bracket"))
     d.add_argument("--generator", required=True, help="generator JSON file")
-    common(d, pmax=1, qmax=0)
+    flags(d, {"pmax": 1, "qmax": 0, "hbar": 1, "seed": 7, "tensor": 1})
     d.set_defaults(func=cmd_deform)
 
     v = sub.add_parser("verify", help="run a named verification suite")
     v.add_argument("suite", choices=("lemmas", "commutation", "quasimiura",
                                      "homogeneity", "uniqueness",
                                      "defining-equation", "all"))
-    common(v, pmax=3)
+    flags(v, {"pmax": 3, "hbar": 1, "seed": 7, "count": 100})
     v.set_defaults(func=cmd_verify)
 
     du = sub.add_parser("dump", help="print built-in base-point data")
     du.add_argument("what", choices=("kdv-table", "flows", "hamiltonians",
                                      "quasi-miura"))
-    common(du, hbar=2)
+    flags(du, {"pmax": 2, "qmax": 2, "hbar": 2})
     du.set_defaults(func=cmd_dump)
     return parser
+
+
+def _at_least(least: int):
+    """argparse type: an integer no smaller than `least`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    parse.__name__ = f"integer >= {least}"
+    return parse
 
 
 def main(argv=None) -> int:
@@ -425,7 +428,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OutOfDerivableRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -2,7 +2,8 @@
 
 An operator is an s-by-s matrix whose (row, col) entry is a finite sum of
 terms  coeff * d^k  with HbarSeries coefficients and k >= 0.  Composition
-expands d^k o f by the Leibniz rule; the adjoint sends f d^k to (-d)^k o f
+and application go through one cell-level Leibniz rule (`leibniz`), which
+expands d^k o f; the adjoint sends f d^k to (-d)^k o f
 and transposes the matrix.  Conjugation under a coordinate change
 
     w_a = m_a(v, v_1, ...)        (identity at hbar^0)
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .jetcalc import HbarSeries, JetPoly, rat, substitute
+from .jetcalc import HbarSeries, JetPoly, evolve, rat, substitute
 
 Entry = dict  # {order k: HbarSeries}
 
@@ -64,12 +65,6 @@ class DiffOperator:
         """scale * d^k times the identity matrix."""
         c = HbarSeries.const(rat(scale), trunc)
         return DiffOperator(dim, trunc, {(a, a): {k: c} for a in range(1, dim + 1)})
-
-    @staticmethod
-    def mult_op(dim: int, trunc: int, f, row: int = 1, col: int = 1) -> "DiffOperator":
-        """Multiplication by f placed in a single (row, col) slot."""
-        s = f if isinstance(f, HbarSeries) else HbarSeries.of(f, trunc)
-        return DiffOperator(dim, trunc, {(row, col): {0: s}})
 
     # -- queries ------------------------------------------------------
 
@@ -148,25 +143,46 @@ class DiffOperator:
         return f"DiffOperator(dim={self.dim}, entries={len(self._entries)}, order<={self.max_order()})"
 
 
+def leibniz(a: Entry, b: Entry, out: Entry | None = None,
+            top: int | None = None) -> Entry:
+    """Add the scalar composition a o b into the cell `out`, and return it.
+
+    Cells map orders to coefficients, {k: c} standing for sum_k c d^k; the
+    Leibniz rule  d^k1 o (f d^k2) = sum_i C(k1,i) dx^i(f) d^(k1-i+k2)  expands
+    the product.  Orders above `top`, when given, are not computed.
+    """
+    if out is None:
+        out = {}
+    for k2, cb in b.items():
+        jets = [cb]  # jets[i] = dx^i(cb), grown on demand
+        for k1, ca in a.items():
+            lo = 0 if top is None else max(0, k1 + k2 - top)
+            for i in range(lo, k1 + 1):
+                while len(jets) <= i:
+                    jets.append(jets[-1].dx())
+                c = ca * jets[i]
+                if 0 < i < k1:
+                    c = c * math.comb(k1, i)
+                k = k1 - i + k2
+                out[k] = out[k] + c if k in out else c
+    return out
+
+
+def apply_entry(cell: Entry, f):
+    """The scalar operator `cell` applied to f: the order-0 part of cell o f."""
+    return leibniz(cell, {0: f}, top=0).get(0, f * 0)
+
+
 def compose(p: DiffOperator, q: DiffOperator) -> DiffOperator:
     """Operator composition p o q with matrix contraction over the inner color."""
     p._require_same_shape(q)
-    trunc = min(p.trunc, q.trunc)
     out: dict[tuple[int, int], Entry] = {}
     for (row, mid), cell_p in p._entries.items():
         for col in range(1, q.dim + 1):
             cell_q = q._entries.get((mid, col))
-            if not cell_q:
-                continue
-            dst = out.setdefault((row, col), {})
-            for k1, a in cell_p.items():
-                for k2, b in cell_q.items():
-                    # d^k1 o (b d^k2) = sum_i C(k1,i) dx^i(b) d^(k1-i+k2)
-                    for i in range(k1 + 1):
-                        coeff = a * b.dx_pow(i) * math.comb(k1, i)
-                        k = k1 - i + k2
-                        dst[k] = dst.get(k, HbarSeries.zero(trunc)) + coeff
-    return DiffOperator(p.dim, trunc, out)
+            if cell_q:
+                leibniz(cell_p, cell_q, out.setdefault((row, col), {}))
+    return DiffOperator(p.dim, min(p.trunc, q.trunc), out)
 
 
 def compose_chain(*ops: DiffOperator) -> DiffOperator:
@@ -182,11 +198,7 @@ def adjoint(p: DiffOperator) -> DiffOperator:
     for (row, col), cell in p._entries.items():
         dst = out.setdefault((col, row), {})
         for k, a in cell.items():
-            sign = -1 if k % 2 else 1
-            for i in range(k + 1):
-                coeff = a.dx_pow(i) * (math.comb(k, i) * sign)
-                kk = k - i
-                dst[kk] = dst.get(kk, HbarSeries.zero(p.trunc)) + coeff
+            leibniz({k: -1 if k % 2 else 1}, {0: a}, dst)
     return DiffOperator(p.dim, p.trunc, out)
 
 
@@ -196,9 +208,7 @@ def apply_op(p: DiffOperator, vec) -> list:
         raise ValueError("vector length does not match operator dimension")
     out = [HbarSeries.zero(p.trunc) for _ in range(p.dim)]
     for (row, col), cell in p._entries.items():
-        target = vec[col - 1]
-        for k, a in cell.items():
-            out[row - 1] = out[row - 1] + a * target.dx_pow(k)
+        out[row - 1] = out[row - 1] + apply_entry(cell, vec[col - 1])
     return out
 
 
@@ -316,10 +326,6 @@ class MiuraChange:
         images = {a: img for a, img in enumerate(self.inverse_images(), start=1)}
         return substitute(x, images, self.trunc)
 
-    def express_in_source(self, x):
-        images = {a: f for a, f in enumerate(self.forward, start=1)}
-        return substitute(x, images, self.trunc)
-
     def jacobian(self) -> DiffOperator:
         """L[a,mu] = sum_e (dm_a/dv[mu,e]) d^e, in source jets."""
         out: dict[tuple[int, int], Entry] = {}
@@ -334,13 +340,8 @@ class MiuraChange:
         """Transport a flow v_t = rhs (source jets) to the target coordinates."""
         if len(rhs) != self.dim:
             raise ValueError("flow length does not match dimension")
-        out = []
-        for alpha, f in enumerate(self.forward, start=1):
-            acc = HbarSeries.zero(self.trunc)
-            for (mu, e) in sorted(f.variables()):
-                acc = acc + f.partial(mu, e) * rhs[mu - 1].dx_pow(e)
-            out.append(self.express_in_target(acc))
-        return out
+        fields = dict(enumerate(rhs, start=1))
+        return [self.express_in_target(evolve(f, fields)) for f in self.forward]
 
 
 def conjugate_by_miura(p: DiffOperator, m: MiuraChange) -> DiffOperator:

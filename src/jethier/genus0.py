@@ -18,7 +18,7 @@ sum_nu hessian[a][nu] = v_a.
 
 from __future__ import annotations
 
-from .jetcalc import JetPoly, dx
+from .jetcalc import JetPoly, dx, evolve
 
 
 class NotClosed(ValueError):
@@ -173,11 +173,7 @@ def check_commutation(table: OmegaTable0, a: int, p: int, b: int, q: int) -> Jet
 
 def flow_derivative(table: OmegaTable0, f: JetPoly, b: int, q: int) -> JetPoly:
     """Time derivative of a jet function along the (b,q) flow."""
-    rhs = principal_rhs(table, b, q)
-    out = JetPoly.zero()
-    for (g, n) in sorted(f.variables()):
-        out = out + f.partial(g, n) * rhs[g - 1].dx_pow(n)
-    return out
+    return evolve(f, dict(enumerate(principal_rhs(table, b, q), start=1)))
 
 
 def table0_to_obj(table: OmegaTable0) -> dict:

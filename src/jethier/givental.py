@@ -23,17 +23,17 @@ convention for negative descendant indices
 
 The module computes triple correlators and the first-order (in the group
 parameter) deformations of table entries for both generator kinds.  The
-upper-kind deformation is implemented twice: a simplified form whose single
-sum runs over the finite extension window, and an unsimplified long form;
-the two are independent transcriptions and must agree.
+upper-kind deformation is the simplified form, whose single sum runs over
+the finite extension window; the tests keep the unsimplified long form as
+an independent oracle that it must agree with.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .jetcalc import HbarSeries, rat
+from .diffop import apply_entry, leibniz
+from .jetcalc import HbarSeries, evolve, rat
 
 
 def _sgn(k: int) -> int:
@@ -75,27 +75,21 @@ class GiventalGen:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.matrix for x in row)
 
-    # index-position accessors (1-based colors)
-
-    def up_up(self, a: int, b: int) -> Fraction:
-        return self.matrix[a - 1][b - 1]
-
-    def low_up(self, a: int, b: int) -> Fraction:
-        return self.matrix[a - 1][b - 1]
+    # index-position accessors (1-based colors); with both indices up, both
+    # down, or the first one down, an entry is matrix[a-1][b-1] itself
 
     def up_low(self, a: int, b: int) -> Fraction:
         return self.matrix[b - 1][a - 1]
-
-    def low_low(self, a: int, b: int) -> Fraction:
-        return self.matrix[a - 1][b - 1]
 
     def low_low_unit(self, a: int) -> Fraction:
         """Contraction of the second lowered index with the unit direction."""
         return sum(self.matrix[a - 1], Fraction(0))
 
-    def up_low_unit(self, a: int) -> Fraction:
-        """X^a with the lowered index contracted with the unit direction."""
-        return sum((self.matrix[c][a - 1] for c in range(self.dim)), Fraction(0))
+    def unit_shift(self, trunc: int) -> dict:
+        """The constant shift w_g -> w_g + low_low_unit(g) of a level-1 lower
+        generator, as a flow for `evolve`."""
+        return {g: HbarSeries.const(self.low_low_unit(g), trunc)
+                for g in range(1, self.dim + 1)}
 
 
 def gen_from_obj(obj: dict) -> GiventalGen:
@@ -158,15 +152,6 @@ class OmegaTable:
     def items(self):
         return sorted(self._entries.items())
 
-    def is_graded(self) -> bool:
-        """True iff every hbar^g coefficient is polynomial of degree 2g."""
-        for series in self._entries.values():
-            for g, c in enumerate(series.coeffs):
-                if not c.is_zero() and not (c.is_polynomial()
-                                            and c.is_homogeneous(2 * g)):
-                    return False
-        return True
-
 
 def table_to_obj(table: OmegaTable) -> dict:
     from .jetcalc import series_to_obj
@@ -223,10 +208,9 @@ def triple_omega(table: OmegaTable, i1, i2, i3) -> HbarSeries:
         (ga, ka) = idx[pick]
         (gb, kb), (gc, kc) = (idx[(pick + 1) % 3], idx[(pick + 2) % 3])
         other = table.entry(gb, kb, gc, kc)
-        acc = HbarSeries.zero(table.trunc)
-        for (xi, n) in sorted(other.variables()):
-            acc = acc + table.entry(ga, ka, xi, 0).dx_pow(n + 1) * other.partial(xi, n)
-        vals.append(acc)
+        colors = {xi for xi, _ in other.variables()}
+        vals.append(evolve(other, {xi: table.entry(ga, ka, xi, 0).dx()
+                                   for xi in colors}))
     if not (vals[0] == vals[1] and vals[1] == vals[2]):
         raise InconsistentTable(
             f"triple correlator {idx} differs across distinguished-index choices"
@@ -238,25 +222,28 @@ def triple_omega(table: OmegaTable, i1, i2, i3) -> HbarSeries:
 # upper-kind deformation of table entries
 # ---------------------------------------------------------------------------
 
+def jet_transport(lead: HbarSeries, tail: HbarSeries, n: int) -> HbarSeries:
+    """sum_{k=0..n} C(n+1,k) dx^k(lead) dx^(n-k)(tail).
+
+    The change of the jet variable of order n under the coordinate change
+    that a generator induces; both the table and the operator deformations
+    weight the partial derivatives by it.  It is d^(n+1) o lead with its
+    order-0 term dropped, one order lower, applied to tail.
+    """
+    expanded = leibniz({n + 1: 1}, {0: lead})
+    return apply_entry({k - 1: c for k, c in expanded.items() if k > 0}, tail)
+
+
 def r_deform_omega(table: OmegaTable, gen: GiventalGen, a: int, p: int,
-                   b: int, q: int, form: str = "simplified") -> HbarSeries:
+                   b: int, q: int) -> HbarSeries:
     """First-order change of the (a,p;b,q) entry under an upper generator.
 
-    `form` picks the transcription: "simplified" sums one product block over
-    the finite extension window d in [-p-1, l+q]; "long" is the unsimplified
-    display with explicit linear terms.  Both give the same answer and are
-    cross-checked in the tests.
+    One product block is summed over the finite extension window
+    d in [-p-1, l+q], where the linear terms of the unsimplified display
+    come from the boundary values of d.
     """
     if gen.kind != "r":
         raise ValueError("upper-kind generator required")
-    if form == "simplified":
-        return _r_deform_simplified(table, gen, a, p, b, q)
-    if form == "long":
-        return _r_deform_long(table, gen, a, p, b, q)
-    raise ValueError(f"unknown form {form!r}")
-
-
-def _r_deform_simplified(table, gen, a, p, b, q):
     ell = gen.level
     s = table.dim
     H = table.trunc
@@ -267,7 +254,7 @@ def _r_deform_simplified(table, gen, a, p, b, q):
         sign = _sgn(d + 1)
         for mu in range(1, s + 1):
             for nu in range(1, s + 1):
-                c = gen.up_up(mu, nu) * sign
+                c = gen.matrix[mu - 1][nu - 1] * sign
                 if c == 0:
                     continue
                 term = table.ext(a, p, mu, d) * table.ext(nu, ell - 1 - d, b, q)
@@ -275,13 +262,8 @@ def _r_deform_simplified(table, gen, a, p, b, q):
                     dbase = base.partial(g, n)
                     if not dbase:
                         continue
-                    inner = HbarSeries.zero(H)
-                    lead = table.ext(g, 0, mu, d)
-                    tailf = table.unit_ext(nu, ell - 1 - d)
-                    for k in range(n + 1):
-                        inner = inner + math.comb(n + 1, k) * (
-                            lead.dx_pow(k) * tailf.dx_pow(n - k))
-                    term = term - dbase * inner
+                    term = term - dbase * jet_transport(
+                        table.ext(g, 0, mu, d), table.unit_ext(nu, ell - 1 - d), n)
                 hterm = HbarSeries.zero(H)
                 for (g, n) in base_vars:
                     for (z, m) in base_vars:
@@ -294,76 +276,6 @@ def _r_deform_simplified(table, gen, a, p, b, q):
                 term = term + hterm.hbar_shift() / 2
                 out = out + c * term
     return out
-
-
-def _r_deform_long(table, gen, a, p, b, q):
-    ell = gen.level
-    s = table.dim
-    H = table.trunc
-    base = table.entry(a, p, b, q)
-    base_vars = sorted(base.variables())
-    out = HbarSeries.zero(H)
-    # linear terms with the level added to one descendant index
-    for mu in range(1, s + 1):
-        out = out + gen.low_up(a, mu) * table.entry(mu, p + ell, b, q)
-        out = out + gen.low_up(b, mu) * table.entry(a, p, mu, q + ell)
-    # interior product terms
-    for i in range(ell):
-        sign = _sgn(i + 1)
-        for mu in range(1, s + 1):
-            for nu in range(1, s + 1):
-                c = gen.up_up(mu, nu) * sign
-                if c == 0:
-                    continue
-                out = out + c * (table.entry(a, p, mu, i)
-                                 * table.entry(nu, ell - 1 - i, b, q))
-    # transport of the coordinate change, through first partials
-    for (g, n) in base_vars:
-        dbase = base.partial(g, n)
-        if not dbase:
-            continue
-        inner = HbarSeries.zero(H)
-        for mu in range(1, s + 1):
-            cu = gen.up_low(mu, g)
-            if cu != 0:
-                inner = inner + cu * table.unit_ext(mu, ell).dx_pow(n)
-            cl = gen.up_low_unit(mu)
-            if cl != 0:
-                inner = inner + (n + 1) * cl * table.entry(g, 0, mu, ell).dx_pow(n)
-            for nu in range(1, s + 1):
-                c = gen.up_up(mu, nu)
-                if c == 0:
-                    continue
-                for i in range(ell):
-                    si = _sgn(i + 1)
-                    for k in range(n):
-                        inner = inner + (c * si * math.comb(n, k)) * (
-                            table.entry(g, 0, mu, i).dx_pow(k + 1)
-                            * table.unit_ext(nu, ell - 1 - i).dx_pow(n - k - 1))
-                    inner = inner + (c * si) * (
-                        table.entry(g, 0, mu, i)
-                        * table.unit_ext(nu, ell - 1 - i)).dx_pow(n)
-        out = out - dbase * inner
-    # second-derivative block, weighted by hbar/2
-    hterm = HbarSeries.zero(H)
-    for (g, n) in base_vars:
-        for (z, m) in base_vars:
-            second = base.partial(g, n).partial(z, m)
-            if not second:
-                continue
-            inner = HbarSeries.zero(H)
-            for i in range(ell):
-                si = _sgn(i + 1)
-                for mu in range(1, s + 1):
-                    for nu in range(1, s + 1):
-                        c = gen.up_up(mu, nu) * si
-                        if c == 0:
-                            continue
-                        inner = inner + c * (
-                            table.entry(g, 0, mu, i).dx_pow(n + 1)
-                            * table.entry(nu, ell - 1 - i, z, 0).dx_pow(m + 1))
-            hterm = hterm + second * inner
-    return out + hterm.hbar_shift() / 2
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +303,7 @@ def s_deform_omega(table: OmegaTable, gen: GiventalGen, a: int, p: int,
         for mu in range(1, s + 1):
             out = out + gen.up_low(mu, b) * table.entry(a, p, mu, q - ell)
     if ell == p + q + 1:
-        out = out + HbarSeries.const(_sgn(p) * gen.low_low(a, b), H)
+        out = out + HbarSeries.const(_sgn(p) * gen.matrix[a - 1][b - 1], H)
     if ell == 1:
-        base = table.entry(a, p, b, q)
-        for g in range(1, s + 1):
-            c = gen.low_low_unit(g)
-            if c != 0:
-                out = out - c * base.partial(g, 0)
+        out = out - evolve(table.entry(a, p, b, q), gen.unit_shift(H))
     return out

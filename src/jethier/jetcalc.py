@@ -12,14 +12,17 @@ Representation is sparse and exact:
   Mono    = tuple[(alpha, n, exp), ...]   sorted by (alpha, n), exp != 0
   JetPoly = { Mono: Fraction }            no zero coefficients stored
 
-The module provides the four derivations of the variational calculus:
+The module provides the derivations of the variational calculus:
 
   dx           total x-derivative (each w[a,n] -> w[a,n+1] by the chain rule)
   partial      formal partial derivative with respect to one jet variable
   var_deriv    variational (Euler) derivative  sum_n (-dx)^n d/dw[xi,n]
   t_op         higher Euler operators  T[xi,k] = sum_n C(n,k) (-dx)^(n-k) d/dw[xi,n]
+  evolve       evolutionary derivation  sum_{g,n} dx^n(X_g) d/dw[g,n]
 
-together with a formal left inverse of dx, weighted-degree bookkeeping
+the first four as methods of JetPoly and HbarSeries, `evolve` as the one
+function every flow, transport and commutator of the package goes through.
+It also has a formal left inverse of dx, weighted-degree bookkeeping
 (deg w[a,n] = n), truncated power series in hbar with JetPoly coefficients,
 substitution of series into jet variables, and a canonical JSON form.
 
@@ -384,24 +387,23 @@ def dx(p):
     return p.dx()
 
 
-def partial(p, alpha: int, n: int):
-    return p.partial(alpha, n)
+def evolve(f, fields: dict):
+    """Evolutionary derivation  sum_{g,n} dx^n(fields[g]) * df/dw[g,n].
 
-
-def var_deriv(p, alpha: int):
-    return p.var_deriv(alpha)
-
-
-def t_op(p, alpha: int, k: int):
-    return p.t_op(alpha, k)
-
-
-def weighted_degree(p: JetPoly):
-    return p.weighted_degree()
-
-
-def is_homogeneous(p: JetPoly, d: int) -> bool:
-    return p.is_homogeneous(d)
+    `fields` maps colors to the flow of each; colors it omits do not move.
+    Works on JetPoly and HbarSeries alike, in `f` and in the fields.
+    """
+    out = f * 0  # the zero of f's type and truncation
+    jets: dict[int, list] = {}
+    for g, n in sorted(f.variables()):
+        if g not in fields:
+            continue
+        row = jets.setdefault(g, [fields[g]])  # row[n] = dx^n(fields[g])
+        while len(row) <= n:
+            row.append(row[-1].dx())
+        if row[n]:
+            out = out + f.partial(g, n) * row[n]
+    return out
 
 
 def formal_integrate(p: JetPoly) -> JetPoly:
@@ -513,9 +515,6 @@ class HbarSeries:
 
     def is_polynomial(self) -> bool:
         return all(c.is_polynomial() for c in self.coeffs)
-
-    def constant_series(self) -> bool:
-        return all(not c.variables() for c in self.coeffs)
 
     # -- arithmetic ---------------------------------------------------
 

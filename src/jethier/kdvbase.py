@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .diffop import MiuraChange
 from .givental import OmegaTable
-from .jetcalc import HbarSeries, JetPoly, NotExact, dx, formal_integrate
+from .jetcalc import HbarSeries, JetPoly, NotExact, dx, evolve, formal_integrate
 
 V1 = 1  # the single color of the base point
 
@@ -74,11 +74,7 @@ def _flow_vector(p: int) -> JetPoly:
 
 def flow_derivation(f: JetPoly, p: int) -> JetPoly:
     """Derivative of a jet function along the dispersionless p-th flow."""
-    x = _flow_vector(p)
-    out = JetPoly.zero()
-    for (_, n) in sorted(f.variables()):
-        out = out + f.partial(V1, n) * x.dx_pow(n)
-    return out
+    return evolve(f, {V1: _flow_vector(p)})
 
 
 def genus1_flow_derivative(p: int) -> JetPoly:
@@ -147,11 +143,7 @@ def _first_row(q: int, trunc: int) -> HbarSeries:
 
 def _transport(p: int, q: int, trunc: int) -> HbarSeries:
     """Mixed entry from first-row data: integrate the p-flow image of (0;q)."""
-    src = _first_row(q, trunc)
-    left = _first_row(p, trunc)
-    integrand = HbarSeries.zero(trunc)
-    for (_, n) in sorted(src.variables()):
-        integrand = integrand + left.dx_pow(n + 1) * src.partial(V1, n)
+    integrand = evolve(_first_row(q, trunc), {V1: _first_row(p, trunc).dx()})
     try:
         return formal_integrate(integrand)
     except NotExact as exc:  # theory guarantees exactness; failure is a bug
@@ -201,20 +193,6 @@ def kdv_omega_table(pmax: int, qmax: int, trunc: int = 2) -> OmegaTable:
     return OmegaTable(1, pmax, qmax, trunc, entries, prov)
 
 
-class KdVPoint:
-    """Bundle of base-point data: table, transform, genus-1 derivatives."""
-
-    __slots__ = ("trunc", "table", "miura")
-
-    def __init__(self, pmax: int = 2, qmax: int = 2, trunc: int = 2):
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "table", kdv_omega_table(pmax, qmax, trunc))
-        object.__setattr__(self, "miura", quasi_miura("forward", min(trunc, 2)))
-
-    def genus1_flow_derivative(self, p: int) -> JetPoly:
-        return genus1_flow_derivative(p)
-
-
 def _recolor(p: JetPoly, color: int) -> JetPoly:
     return JetPoly({
         tuple((color, n, e) for _, n, e in mono): c
@@ -222,14 +200,13 @@ def _recolor(p: JetPoly, color: int) -> JetPoly:
     })
 
 
-def tensor_power(source, dim: int) -> OmegaTable:
+def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
     """Block-diagonal table of `dim` decoupled copies of the base point.
 
     Diagonal color blocks repeat the one-color entries in that color's jet
     variables; mixed-color entries vanish (product partition functions have
     no mixed second derivatives).
     """
-    table = source.table if isinstance(source, KdVPoint) else source
     if table.dim != 1:
         raise ValueError("tensor_power expects a one-color source table")
     if dim < 1:

@@ -14,8 +14,7 @@ from .bracket import (
     PoissonOp,
     check_operator_homogeneity,
     check_series_homogeneity,
-    def_a_residual,
-    deformed_entries_for_residual,
+    defining_equation_residuals,
     dx_commutator_residual,
     euler_commutator_residual,
     r_deform_bracket,
@@ -39,10 +38,6 @@ class CheckResult:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, ok, detail)
-
-
 def suite_lemmas(seed: int = 7, count: int = 100) -> list[CheckResult]:
     """The two operator-commutation identities on seeded random polynomials."""
     rng = random.Random(seed)
@@ -53,8 +48,8 @@ def suite_lemmas(seed: int = 7, count: int = 100) -> list[CheckResult]:
         zeta = rng.randint(1, 3)
         if not dx_commutator_residual(b, zeta, f).is_zero():
             bad_dx += 1
-    out = [_result("total-derivative-commutes-with-evolution",
-                   bad_dx == 0, f"{count - bad_dx}/{count} zero residuals")]
+    out = [CheckResult("total-derivative-commutes-with-evolution",
+                       bad_dx == 0, f"{count - bad_dx}/{count} zero residuals")]
     bad_mixed = 0
     for _ in range(count):
         a = random_jetpoly(rng, n_terms=2)
@@ -64,8 +59,8 @@ def suite_lemmas(seed: int = 7, count: int = 100) -> list[CheckResult]:
                 a, rng.randint(0, 3), rng.randint(1, 3),
                 b, rng.randint(1, 3), f).is_zero():
             bad_mixed += 1
-    out.append(_result("euler-operator-commutator-expansion",
-                       bad_mixed == 0, f"{count - bad_mixed}/{count} zero residuals"))
+    out.append(CheckResult("euler-operator-commutator-expansion",
+                           bad_mixed == 0, f"{count - bad_mixed}/{count} zero residuals"))
     return out
 
 
@@ -77,9 +72,9 @@ def suite_commutation(pmax: int = 3) -> list[CheckResult]:
         for q in range(pmax + 1):
             if not check_commutation(table, 1, p, 1, q).is_zero():
                 bad.append((p, q))
-    return [_result("hamiltonian-commutation-residuals", not bad,
-                    f"all ({pmax + 1}x{pmax + 1}) residuals zero" if not bad
-                    else f"nonzero at {bad}")]
+    return [CheckResult("hamiltonian-commutation-residuals", not bad,
+                        f"all ({pmax + 1}x{pmax + 1}) residuals zero" if not bad
+                        else f"nonzero at {bad}")]
 
 
 def suite_quasimiura() -> list[CheckResult]:
@@ -88,16 +83,16 @@ def suite_quasimiura() -> list[CheckResult]:
     m = quasi_miura("forward", 2)
     d = DiffOperator.dx_op(1, 2)
     conj = conjugate_by_miura(d, m)
-    out.append(_result("bracket-invariance-under-coordinate-change",
-                       conj == d, "conjugate of d equals d through hbar^2"))
+    out.append(CheckResult("bracket-invariance-under-coordinate-change",
+                           conj == d, "conjugate of d equals d through hbar^2"))
     riemann = [HbarSeries.of(JetPoly.var(1, 0) * JetPoly.var(1, 1), 2)]
     pushed = m.push_flow(riemann)[0]
-    out.append(_result("dispersionless-flow-maps-to-dispersive-flow",
-                       pushed == kdv_flow(1),
-                       "rational terms cancel through hbar^2"))
+    out.append(CheckResult("dispersionless-flow-maps-to-dispersive-flow",
+                           pushed == kdv_flow(1),
+                           "rational terms cancel through hbar^2"))
     roundtrip = m.express_in_target(m.forward[0])
-    out.append(_result("forward-inverse-roundtrip",
-                       roundtrip == HbarSeries.var(1, 0, 2), ""))
+    out.append(CheckResult("forward-inverse-roundtrip",
+                           roundtrip == HbarSeries.var(1, 0, 2), ""))
     return out
 
 
@@ -107,12 +102,12 @@ def suite_homogeneity(pmax: int = 5) -> list[CheckResult]:
     table = kdv_omega_table(pmax, pmax, 1)
     bad = [key for key, series in table.items()
            if not check_series_homogeneity(series, 0).ok]
-    out.append(_result("table-entry-grading", not bad,
-                       f"{(pmax + 1) ** 2} entries at degree 2g"))
+    out.append(CheckResult("table-entry-grading", not bad,
+                           f"{(pmax + 1) ** 2} entries at degree 2g"))
     table2 = kdv_omega_table(2, 2, 2)
     bad2 = [key for key, series in table2.items()
             if not check_series_homogeneity(series, 0).ok]
-    out.append(_result("table-entry-grading-hbar2", not bad2, ""))
+    out.append(CheckResult("table-entry-grading-hbar2", not bad2, ""))
     gen = GiventalGen("r", 1, [[1]])
     bad3 = []
     for p in range(3):
@@ -120,17 +115,17 @@ def suite_homogeneity(pmax: int = 5) -> list[CheckResult]:
             if not check_series_homogeneity(
                     r_deform_omega(table, gen, 1, p, 1, q), 0).ok:
                 bad3.append((p, q))
-    out.append(_result("deformed-entry-grading", not bad3, ""))
+    out.append(CheckResult("deformed-entry-grading", not bad3, ""))
     dP = r_deform_bracket(table, PoissonOp.dx(1, 1), gen)
-    out.append(_result("deformed-operator-grading",
-                       check_operator_homogeneity(dP, 1).ok,
-                       "order-k coefficient at hbar^g has degree 2g-k+1"))
+    out.append(CheckResult("deformed-operator-grading",
+                           check_operator_homogeneity(dP, 1).ok,
+                           "order-k coefficient at hbar^g has degree 2g-k+1"))
     bad4 = []
     for k in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 1)]:
         t = triple_omega(table, (1, k[0]), (1, k[1]), (1, k[2]))
         if not check_series_homogeneity(t, 1).ok:
             bad4.append(k)
-    out.append(_result("triple-correlator-grading", not bad4, "degree 2g+1"))
+    out.append(CheckResult("triple-correlator-grading", not bad4, "degree 2g+1"))
     return out
 
 
@@ -141,18 +136,18 @@ def suite_uniqueness(pmax: int = 3) -> list[CheckResult]:
                         pmax + 1, pmax)
     ok = all(r.is_zero() for _, r in
              uniqueness_residuals(table0, DiffOperator.dx_op(1, 0), pmax))
-    out.append(_result("defining-relation-accepts-d", ok, f"p <= {pmax}"))
+    out.append(CheckResult("defining-relation-accepts-d", ok, f"p <= {pmax}"))
     scaled = DiffOperator.dx_op(1, 0, scale=2)
     ok = any(not r.is_zero() for _, r in uniqueness_residuals(table0, scaled, 0))
-    out.append(_result("defining-relation-rejects-scaled-d", ok, ""))
+    out.append(CheckResult("defining-relation-rejects-scaled-d", ok, ""))
     pert = DiffOperator(1, 0, {(1, 1): {1: HbarSeries.const(1, 0),
                                         2: HbarSeries.of(JetPoly.var(1, 1), 0)}})
     ok = any(not r.is_zero() for _, r in uniqueness_residuals(table0, pert, 2))
-    out.append(_result("defining-relation-rejects-perturbed-d", ok, ""))
+    out.append(CheckResult("defining-relation-rejects-perturbed-d", ok, ""))
     conj = conjugate_by_miura(DiffOperator.dx_op(1, 2), quasi_miura("inverse", 2))
-    out.append(_result("inverse-change-keeps-zero-order0",
-                       conj.coeff(1, 1, 0).is_zero(),
-                       "no constant term through hbar^2"))
+    out.append(CheckResult("inverse-change-keeps-zero-order0",
+                           conj.coeff(1, 1, 0).is_zero(),
+                           "no constant term through hbar^2"))
     return out
 
 
@@ -164,33 +159,24 @@ def suite_defining_equation(levels=(1, 2, 3), pmax: int = 2,
     table = kdv_omega_table(bound, bound, min(trunc, 1))
     pop = PoissonOp.dx(1, table.trunc)
     for level in levels:
-        gen = GiventalGen("r", level, [[0]] if level % 2 == 0 else [[1]])
-        dP = r_deform_bracket(table, pop, gen)
-        bad = []
-        for p in range(pmax + 1):
-            ent = deformed_entries_for_residual(table, gen, 1, p)
-            if not def_a_residual(table, pop, ent, dP, 1, p, 1).is_zero():
-                bad.append(p)
-        out.append(_result(f"upper-bracket-defining-equation-level-{level}",
-                           not bad, f"p <= {pmax}, hbar^{table.trunc}"))
-        sgen = GiventalGen("s", level, [[0]] if level % 2 == 0 else [[1]])
-        dPs = s_deform_bracket(pop, sgen)
-        bad = []
-        for p in range(pmax + 1):
-            ent = deformed_entries_for_residual(table, sgen, 1, p)
-            if not def_a_residual(table, pop, ent, dPs, 1, p, 1).is_zero():
-                bad.append(p)
-        out.append(_result(f"lower-bracket-defining-equation-level-{level}",
-                           not bad, f"p <= {pmax}, hbar^{table.trunc}"))
+        matrix = [[0]] if level % 2 == 0 else [[1]]
+        for kind, name in (("r", "upper"), ("s", "lower")):
+            gen = GiventalGen(kind, level, matrix)
+            dP = (r_deform_bracket(table, pop, gen) if kind == "r"
+                  else s_deform_bracket(pop, gen))
+            ok = all(res.is_zero() for _, res in
+                     defining_equation_residuals(table, pop, gen, dP, pmax))
+            out.append(CheckResult(f"{name}-bracket-defining-equation-level-{level}",
+                                   ok, f"p <= {pmax}, hbar^{table.trunc}"))
     if trunc >= 2:
         table2 = kdv_omega_table(2, 2, 2)
         pop2 = PoissonOp.dx(1, 2)
         gen = GiventalGen("r", 1, [[1]])
         dP2 = r_deform_bracket(table2, pop2, gen)
-        ent = deformed_entries_for_residual(table2, gen, 1, 0)
-        res = def_a_residual(table2, pop2, ent, dP2, 1, 0, 1)
-        out.append(_result("upper-bracket-defining-equation-hbar2",
-                           res.is_zero(), "level 1, p = 0, paper-sourced entries"))
+        ok = all(res.is_zero() for _, res in
+                 defining_equation_residuals(table2, pop2, gen, dP2, 0))
+        out.append(CheckResult("upper-bracket-defining-equation-hbar2",
+                               ok, "level 1, p = 0, paper-sourced entries"))
     return out
 
 

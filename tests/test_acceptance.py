@@ -19,7 +19,7 @@ from jethier.bracket import (
     PoissonOp,
     check_operator_homogeneity,
     check_series_homogeneity,
-    def_a_residual,
+    defining_equation_residuals,
     deformed_entries_for_residual,
     dx_commutator_residual,
     euler_commutator_residual,
@@ -58,25 +58,18 @@ def genus0_table():
 
 @pytest.fixture(scope="module")
 def upper_runs(kdv_h1, kdv_h2):
-    """Criterion-6 data: operator deformations and residuals, both truncations."""
+    """Criterion-6 data: operator deformations, deformed entries and residuals
+    at both truncations, as (tag, level, gen, dP, entries, residuals)."""
     runs = []
-    pop1 = PoissonOp.dx(1, 1)
-    for level in (1, 2, 3):
-        gen = GiventalGen("r", level, [[0]] if level % 2 == 0 else [[1]])
-        dP = r_deform_bracket(kdv_h1, pop1, gen)
-        per_p = {}
-        residuals = {}
-        for p in range(3):
-            ents = deformed_entries_for_residual(kdv_h1, gen, 1, p)
-            per_p[p] = ents
-            residuals[p] = def_a_residual(kdv_h1, pop1, ents, dP, 1, p, 1)
-        runs.append(("hbar1", level, gen, dP, per_p, residuals))
-    pop2 = PoissonOp.dx(1, 2)
-    gen = GiventalGen("r", 1, [[1]])
-    dP2 = r_deform_bracket(kdv_h2, pop2, gen)
-    ents2 = deformed_entries_for_residual(kdv_h2, gen, 1, 0)
-    res2 = def_a_residual(kdv_h2, pop2, ents2, dP2, 1, 0, 1)
-    runs.append(("hbar2", 1, gen, dP2, {0: ents2}, {0: res2}))
+    for tag, table, levels, pmax in (("hbar1", kdv_h1, (1, 2, 3), 2),
+                                     ("hbar2", kdv_h2, (1,), 0)):
+        pop = PoissonOp.dx(1, table.trunc)
+        for level in levels:
+            gen = GiventalGen("r", level, [[0]] if level % 2 == 0 else [[1]])
+            dP = r_deform_bracket(table, pop, gen)
+            runs.append((tag, level, gen, dP,
+                         deformed_entries_for_residual(table, gen, 1, pmax),
+                         defining_equation_residuals(table, pop, gen, dP, pmax)))
     return runs
 
 
@@ -150,9 +143,9 @@ def test_criterion_05_commutation_lemmas():
 
 def test_criterion_06_defining_equation_consistency(upper_runs):
     started = time.monotonic()
-    for tag, level, gen, dP, per_p, residuals in upper_runs:
-        for p, res in residuals.items():
-            assert res.is_zero(), (tag, level, p)
+    for tag, level, gen, dP, _, residuals in upper_runs:
+        for index, res in residuals:
+            assert res.is_zero(), (tag, level, index)
         assert is_skew(dP), (tag, level)
     record(6, "defining-equation-consistency", started, 600.0)
 
@@ -164,21 +157,18 @@ def test_criterion_07_lower_triangular_consistency(kdv_h1):
         gen = GiventalGen("s", level, [[0]] if level % 2 == 0 else [[1]])
         dP = s_deform_bracket(pop, gen)
         assert dP.is_zero()  # constant-coefficient base operator
-        for p in range(3):
-            ents = deformed_entries_for_residual(kdv_h1, gen, 1, p)
-            res = def_a_residual(kdv_h1, pop, ents, dP, 1, p, 1)
-            assert res.is_zero(), (level, p)
+        for index, res in defining_equation_residuals(kdv_h1, pop, gen, dP, 2):
+            assert res.is_zero(), (level, index)
     record(7, "lower-triangular-consistency", started, 60.0)
 
 
 def test_criterion_08_hbar_homogeneity(upper_runs):
     started = time.monotonic()
-    for tag, level, gen, dP, per_p, _ in upper_runs:
-        for ents in per_p.values():
-            for key, series in ents.items():
-                verdict = check_series_homogeneity(series, 0)
-                assert verdict.ok, (tag, level, key, verdict.failures)
-                assert series.is_polynomial()
+    for tag, level, gen, dP, entries, _ in upper_runs:
+        for key, series in entries.items():
+            verdict = check_series_homogeneity(series, 0)
+            assert verdict.ok, (tag, level, key, verdict.failures)
+            assert series.is_polynomial()
         # operator coefficients follow the degree law 2g - k + 1: the
         # constant-coefficient blocks land exactly at orders k = 2g + 1
         verdict = check_operator_homogeneity(dP, 1)

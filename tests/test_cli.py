@@ -225,3 +225,55 @@ def test_verify_every_suite_passes(capsys, suite):
     code, out = run(capsys, "verify", suite, "--count", "5", "--pmax", "2")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# bad input: every case exits 2 without a traceback
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("dump", "flows", "--hbar", "3"),
+    ("dump", "kdv-table", "--pmax", "3", "--qmax", "3", "--hbar", "2"),
+    ("dump", "hamiltonians", "--hbar", "3"),
+])
+def test_out_of_derivable_range_exit2(capsys, argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def parse_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    capsys.readouterr()
+    return info.value.code
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "kdv", "--pmax", "-1"),
+    ("generate", "kdv", "--qmax", "-1"),
+    ("generate", "kdv", "--hbar", "-1"),
+    ("dump", "flows", "--hbar", "-1"),
+    ("generate", "kdv", "--tensor", "0"),
+    ("generate", "principal", "--dim", "0", "--hessian", '[["v"]]'),
+    ("verify", "lemmas", "--count", "-5"),
+    ("verify", "lemmas", "--count", "0"),
+])
+def test_out_of_range_sizes_rejected(capsys, argv):
+    assert parse_exit_code(capsys, argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("dump", "flows", "--tensor", "2"),
+    ("dump", "flows", "--seed", "1"),
+    ("generate", "kdv", "--seed", "1"),
+    ("generate", "kdv", "--count", "1"),
+    ("deform", "bracket", "--generator", "g.json", "--dim", "1"),
+    ("deform", "bracket", "--generator", "g.json", "--count", "1"),
+    ("verify", "lemmas", "--dim", "1"),
+    ("verify", "lemmas", "--qmax", "1"),
+    ("verify", "lemmas", "--tensor", "1"),
+])
+def test_flags_nothing_reads_rejected(capsys, argv):
+    assert parse_exit_code(capsys, argv) == 2

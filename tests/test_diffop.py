@@ -9,10 +9,12 @@ from jethier.diffop import (
     DiffOperator,
     MiuraChange,
     adjoint,
+    apply_entry,
     apply_op,
     compose,
     conjugate_by_miura,
     is_skew,
+    leibniz,
     operator_from_obj,
     operator_to_obj,
 )
@@ -38,6 +40,19 @@ def test_compose_leibniz():
     p = DiffOperator.dx_op(1, 2)
     q = sop(2, {0: w(0)})
     assert compose(p, q) == sop(2, {1: w(0), 0: w(1)})
+
+
+def test_leibniz_cells_and_top():
+    # (w d^2 + 3) o (f d) = w f d^3 + 2 w f_x d^2 + (w f_xx + 3 f) d
+    f = HbarSeries.of(w(0) * w(1), 1)
+    cell = {2: HbarSeries.of(w(0), 1), 0: HbarSeries.const(3, 1)}
+    full = leibniz(cell, {1: f})
+    assert full == {3: f * w(0), 2: f.dx() * w(0) * 2, 1: f.dx_pow(2) * w(0) + f * 3}
+    assert leibniz(cell, {1: f}, top=2) == {k: c for k, c in full.items() if k <= 2}
+    acc = leibniz(cell, {1: f})
+    assert leibniz(cell, {1: -f}, acc) is acc
+    assert all(c.is_zero() for c in acc.values())
+    assert apply_entry(cell, f) == f.dx_pow(2) * w(0) + f * 3
 
 
 def test_compose_identity():

@@ -1,0 +1,61 @@
+"""Byte-identity guard: replay pinned benchmark jobs against their goldens.
+
+`perfbench/goldens.json` holds the SHA-256 of the stdout of every job of the
+benchmark's seed-1 mixes (or of the canonical JSON of the conjugated
+operator, for library jobs).  This replays a subset of a few seconds through
+the benchmark's own job runner, so a refactor that changes any printed byte
+fails here first.
+"""
+
+import json
+import os
+import re
+import sys
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+import jobs as jobmod  # noqa: E402  (modules of perfbench/)
+from workloads import mix  # noqa: E402
+
+
+def _deform_small(job):
+    m = re.fullmatch(r"[rs]\d-t(\d)-p(\d)-h\d", job.size)
+    return int(m.group(1)) <= 2 and int(m.group(2)) <= 1
+
+
+def _miura_small(job):
+    return (job.size.startswith(("1c-", "2c-diag-", "quasi-"))
+            or job.size == "2c-cross")
+
+
+SUBSETS = {
+    "tables": lambda job: True,
+    "deform-bracket": _deform_small,
+    "verify-suites": lambda job: job.size != "all",
+    "miura-conjugate": _miura_small,
+}
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    with open(os.path.join(PERFBENCH, "goldens.json")) as fh:
+        table = json.load(fh)
+    assert table["pinned_seed"] == 1
+    return table["workloads"]
+
+
+@pytest.mark.parametrize("workload", sorted(SUBSETS))
+def test_pinned_jobs_match_goldens(goldens, tmp_path, workload):
+    jobs = [job for job in mix(workload, 1) if SUBSETS[workload](job)]
+    assert jobs
+    jobmod.prepare(jobs, str(tmp_path))
+    bad = []
+    for job in jobs:
+        outcome = jobmod.execute(job, str(tmp_path))
+        if outcome.error or outcome.digest != goldens[workload][job.key]:
+            bad.append((job.size, job.key, outcome.error))
+    assert not bad, bad

@@ -13,6 +13,7 @@ from jethier.jetcalc import (
     JetPoly,
     NotExact,
     dx,
+    evolve,
     formal_integrate,
     jetpoly_from_obj,
     jetpoly_to_obj,
@@ -156,6 +157,23 @@ def test_t_op_shift_under_dx():
         p = random_jetpoly(rng)
         for k in range(-2, 5):
             assert dx(p).t_op(1, k) == p.t_op(1, k - 1)
+
+
+def test_evolve_examples():
+    assert evolve(w(0) * w(2), {1: w(1)}) == w(1) * w(2) + w(0) * w(3)
+    assert evolve(W(2, 1), {1: w(0)}).is_zero()  # colors without a flow stay
+    s = HbarSeries(1, [w(0) ** 2, w(2)])
+    got = evolve(s, {1: HbarSeries.of(w(1), 1)})
+    assert got == HbarSeries(1, [2 * w(0) * w(1), w(3)])
+
+
+def test_evolve_is_a_derivation_commuting_with_dx():
+    rng = random.Random(5)
+    for _ in range(20):
+        f, g, x1, x2 = (random_jetpoly(rng, colors=2) for _ in range(4))
+        flows = {1: x1, 2: x2}
+        assert evolve(f * g, flows) == evolve(f, flows) * g + f * evolve(g, flows)
+        assert evolve(dx(f), flows) == dx(evolve(f, flows))
 
 
 def test_delta_leibniz_product_rule():

@@ -8,7 +8,6 @@ import pytest
 from jethier.jetcalc import HbarSeries, JetPoly, dx, formal_integrate
 from jethier.diffop import DiffOperator, conjugate_by_miura
 from jethier.kdvbase import (
-    KdVPoint,
     OutOfDerivableRange,
     flow_derivation,
     genus1_entry_correction,
@@ -213,10 +212,10 @@ def test_tensor_power_blocks():
 
 
 def test_kdv_point_bundle():
-    pt = KdVPoint(2, 2, 2)
-    assert pt.table.entry(1, 0, 1, 0) == HbarSeries.of(w(0), 2)
-    assert pt.miura.dim == 1
-    assert pt.genus1_flow_derivative(0) == w(2) * w(1, -1) / 24
+    # the base-point data the package exposes, one function each
+    assert kdv_omega_table(2, 2, 2).entry(1, 0, 1, 0) == HbarSeries.of(w(0), 2)
+    assert quasi_miura("forward", 2).dim == 1
+    assert genus1_flow_derivative(0) == w(2) * w(1, -1) / 24
 
 
 def test_flow_derivation_leibniz():
