@@ -24,7 +24,6 @@ load-bearing: dropping the boundary terms breaks the defining equation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .diffop import DiffOperator, apply_entry, apply_op, is_skew, leibniz
@@ -167,22 +166,22 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
 
                 for g in colors:
                     dg = o_nu_j.var_deriv(g)
+                    vt = {}   # block 5: o_nu_j's higher Euler operators, before f_xi d
+                    for v in range(top(o_nu_j, g, 0)):
+                        _put(vt, v, _sgn(v + 1) * cfac * o_nu_j.t_op(g, v + 1))
+                    chains = {}   # block 3: A[beta,g]_k d^f o_nu_j d^e, f + e = k - 1
                     for xi in colors:
                         f_xi = table.ext(mu, i, xi, 0)
-                        # blocks 5, 6 and 11: right factors of the column A[., g]
-                        vt = {}
-                        for v in range(top(o_nu_j, g, 0)):
-                            _put(vt, v, _sgn(v + 1) * cfac * o_nu_j.t_op(g, v + 1))
+                        # blocks 5, 6 and 11: right factors of the column A[., g];
+                        # block 6 is [d^(v+1), P] o d with dx P = o_nu_j, that is
+                        # sum_e d^e o o_nu_j o d^(v+1-e)
                         right = leibniz(vt, {1: f_xi})
-                        # block 6 is the commutator [d^(v+1), P] o d with dx P = o_nu_j,
-                        # which has no Leibniz form without P itself
                         for v in range(top(f_xi, g, 0)):
                             tv = f_xi.t_op(g, v + 1)
                             if tv.is_zero():
                                 continue
-                            for u in range(v + 1):
-                                _put(right, u + 1, _sgn(v) * cfac * math.comb(v + 1, u) * (
-                                    o_nu_j.dx_pow(v - u) * tv))
+                            for e in range(v + 1):
+                                leibniz({e: _sgn(v) * cfac * tv}, {v + 1 - e: o_nu_j}, right)
                         for m in range(top(t3[xi], g, -1) + 1):
                             _put(right, m + 1, _sgn(m + 1) * cfac * t3[xi].t_op(g, m))
                         # block 3 right factor: f_xi's higher Euler operators
@@ -197,12 +196,13 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                             out = acc[(beta, xi)]
                             if right:
                                 leibniz(cell, right, out)
-                            if t_parts:   # block 3: A[beta,g]_k d^f o_nu_j d^e, f + e = k - 1
-                                chain = {}
-                                for k, ac in cell.items():
-                                    for f in range(k):
-                                        leibniz({f: ac}, {k - 1 - f: o_nu_j}, chain)
-                                leibniz(chain, t_parts, out)
+                            if t_parts:
+                                if beta not in chains:
+                                    chains[beta] = {}
+                                    for k, ac in cell.items():
+                                        for f in range(k):
+                                            leibniz({f: ac}, {k - 1 - f: o_nu_j}, chains[beta])
+                                leibniz(chains[beta], t_parts, out)
                             if dg and f_xi:   # block 7: (A[beta,g] o dg minus order 0) d^-1 f_xi d
                                 lead = {k - 1: c for k, c in leibniz(cell, {0: dg}).items()
                                         if k > 0}
