@@ -272,13 +272,21 @@ def cmd_deform(args) -> int:
                                                      for row in gen.matrix]},
                                target=args.what, seed=args.seed)
     if args.what == "omega":
+        values: dict[tuple, object] = {}
+
+        def entry(*index):
+            # an entry and its symmetric partner may both be listed: compute once
+            if index not in values:
+                values[index] = deform(table, gen, *index)
+            return values[index]
+
         for a in range(1, table.dim + 1):
             for b in range(1, table.dim + 1):
                 for p in range(args.pmax + 1):
                     for q in range(args.qmax + 1):
-                        series = deform(table, gen, a, p, b, q)
+                        series = entry(a, p, b, q)
                         hom = check_series_homogeneity(series, 0)
-                        sym = series == deform(table, gen, b, q, a, p)
+                        sym = series == entry(b, q, a, p)
                         report.homogeneity_ok &= hom.ok
                         report.symmetric_ok &= sym
                         report.entries.append({
@@ -347,7 +355,7 @@ def cmd_dump(args) -> int:
         _emit(obj, fmt, sys.stdout)
         return 0
     if args.what == "quasi-miura":
-        m = quasi_miura("forward", min(args.hbar, 2))
+        m = quasi_miura("forward", args.hbar)
         inv = m.inverse_images()
         if fmt == "text":
             obj = {"forward": render_series(m.forward[0], "v"),
@@ -368,6 +376,36 @@ def cmd_dump(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Given(argparse.Action):
+    """Store a flag's value and record, in `given`, that the flag was passed."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
+# Flags a subcommand takes that one of its targets does not read.
+UNREAD = {
+    ("generate", "kdv"): ("dim", "hessian"),
+    ("generate", "principal"): ("tensor", "hbar"),
+    ("verify", "lemmas"): ("pmax", "hbar"),
+    ("verify", "commutation"): ("hbar",),
+    ("verify", "quasimiura"): ("pmax", "hbar"),
+    ("verify", "homogeneity"): ("pmax", "hbar"),
+    ("verify", "uniqueness"): ("hbar",),
+    ("dump", "flows"): ("pmax", "qmax"),
+    ("dump", "hamiltonians"): ("pmax", "qmax"),
+    ("dump", "quasi-miura"): ("pmax", "qmax"),
+}
+
+
+def _reject_unread(args) -> None:
+    target = args.suite if args.command == "verify" else args.what
+    for name in UNREAD.get((args.command, target), ()):
+        if name in args.given:
+            raise InputError(f"{args.command} {target} does not read --{name}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jethier",
@@ -382,12 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     def flags(p, defaults):
         """Add the flags one subcommand reads, with their defaults."""
         for name, default in defaults.items():
-            p.add_argument(f"--{name}", type=kinds[name], default=default)
+            p.add_argument(f"--{name}", type=kinds[name], default=default,
+                           action=_Given)
         p.add_argument("--format", choices=("json", "text"), default="json")
+        p.set_defaults(given=frozenset())
 
     g = sub.add_parser("generate", help="build and verify hierarchy tables")
     g.add_argument("what", choices=("kdv", "principal"))
-    g.add_argument("--hessian", help="JSON array of polynomial strings")
+    g.add_argument("--hessian", action=_Given,
+                   help="JSON array of polynomial strings")
     flags(g, {"dim": 1, "pmax": 2, "qmax": 2, "hbar": 2, "tensor": 1})
     g.set_defaults(func=cmd_generate)
 
@@ -427,6 +468,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _reject_unread(args)
         return args.func(args)
     except (InputError, OutOfDerivableRange) as exc:
         print(f"error: {exc}", file=sys.stderr)

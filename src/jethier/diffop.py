@@ -10,7 +10,11 @@ and transposes the matrix.  Conjugation under a coordinate change
 
 follows the standard transformation law  L o P o adjoint(L)  with
 L[a,mu] = sum_e (dm_a/dv[mu,e]) d^e, after which coefficients are
-re-expressed in the target jets through the inverse change.
+re-expressed in the target jets through the inverse change.  A change keeps
+what it derives: its inverse images, solved once (and not solved at all for
+a change made by `inverse()`, whose inverse is the known forward map), and
+one `Substitution` by them that caches the prolonged jets and their powers
+across every coefficient it rewrites.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .jetcalc import HbarSeries, JetPoly, evolve, rat, substitute
+from .jetcalc import HbarSeries, JetPoly, Substitution, evolve, rat
 
 Entry = dict  # {order k: HbarSeries}
 
@@ -260,10 +264,13 @@ class MiuraChange:
     The hbar^0 part must be an invertible constant-coefficient linear map of
     the order-0 coordinates (the identity for the weak quasi-Miura class).
     The inverse is computed on demand by fixed-point substitution, which is
-    triangular in the hbar grading.
+    triangular in the hbar grading.  The inverse modulo hbar^(trunc+1) is
+    unique, so `inverse()` hands its result the forward map as its inverse
+    instead of solving for it again.  `express_in_target` substitutes through
+    one `Substitution` by the inverse images, built on first use and kept.
     """
 
-    __slots__ = ("dim", "trunc", "forward", "_linear", "_inverse")
+    __slots__ = ("dim", "trunc", "forward", "_linear", "_inverse", "_to_target")
 
     def __init__(self, forward, trunc: int | None = None):
         fwd = tuple(forward)
@@ -287,6 +294,7 @@ class MiuraChange:
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "_linear", linear)
         object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_to_target", None)
 
     @staticmethod
     def identity(dim: int, trunc: int) -> "MiuraChange":
@@ -312,19 +320,23 @@ class MiuraChange:
         wvars = [HbarSeries.var(a, 0, h) for a in range(1, self.dim + 1)]
         cur = solve(wvars)
         for _ in range(h):
-            images = {a: cur[a - 1] for a in range(1, self.dim + 1)}
-            cur = solve([wvars[a] - substitute(tails[a], images, h)
-                         for a in range(self.dim)])
+            sub = Substitution(dict(enumerate(cur, start=1)), h)
+            cur = solve([wvars[a] - sub(tails[a]) for a in range(self.dim)])
         object.__setattr__(self, "_inverse", tuple(cur))
         return self._inverse
 
     def inverse(self) -> "MiuraChange":
-        return MiuraChange(self.inverse_images())
+        """The inverse change; its own inverse is this change's forward map."""
+        inv = MiuraChange(self.inverse_images())
+        object.__setattr__(inv, "_inverse", self.forward)
+        return inv
 
     def express_in_target(self, x):
         """Rewrite a source-jet JetPoly or HbarSeries in the target jets."""
-        images = {a: img for a, img in enumerate(self.inverse_images(), start=1)}
-        return substitute(x, images, self.trunc)
+        if self._to_target is None:
+            images = dict(enumerate(self.inverse_images(), start=1))
+            object.__setattr__(self, "_to_target", Substitution(images, self.trunc))
+        return self._to_target(x)
 
     def jacobian(self) -> DiffOperator:
         """L[a,mu] = sum_e (dm_a/dv[mu,e]) d^e, in source jets."""

@@ -624,16 +624,26 @@ class HbarSeries:
 # substitution of series into jet variables
 # ---------------------------------------------------------------------------
 
-class _Prolongation:
-    """Caches x-derivatives and inverse powers of substitution images."""
+class Substitution:
+    """The substitution w[alpha,n] -> dx^n(images[alpha]), modulo hbar^(trunc+1).
+
+    Calling it maps a JetPoly or HbarSeries to an HbarSeries.  It keeps the
+    prolonged jets and their powers (inverse powers included) as it computes
+    them, so one instance serves every polynomial substituted with the same
+    images.  Negative exponents require the prolonged image to be invertible
+    (its hbar^0 part a single monomial).
+    """
+
+    __slots__ = ("images", "trunc", "_jets", "_powers")
 
     def __init__(self, images: dict[int, HbarSeries], trunc: int):
         self.images = images
         self.trunc = trunc
         self._jets: dict[tuple[int, int], HbarSeries] = {}
-        self._inv: dict[tuple[int, int], HbarSeries] = {}
+        self._powers: dict[tuple[int, int, int], HbarSeries] = {}
 
     def jet(self, alpha: int, n: int) -> HbarSeries:
+        """dx^n(images[alpha])."""
         key = (alpha, n)
         got = self._jets.get(key)
         if got is None:
@@ -645,50 +655,65 @@ class _Prolongation:
         return got
 
     def power(self, alpha: int, n: int, exp: int) -> HbarSeries:
-        if exp >= 0:
-            base = self.jet(alpha, n)
-            out = HbarSeries.const(1, self.trunc)
-            for _ in range(exp):
-                out = out * base
-            return out
-        key = (alpha, n)
-        inv = self._inv.get(key)
-        if inv is None:
-            inv = self.jet(alpha, n).inverse()
-            self._inv[key] = inv
-        out = HbarSeries.const(1, self.trunc)
-        for _ in range(-exp):
-            out = out * inv
+        """dx^n(images[alpha]) ** exp, for exp != 0."""
+        key = (alpha, n, exp)
+        got = self._powers.get(key)
+        if got is None:
+            if exp == 1:
+                got = self.jet(alpha, n)
+            elif exp == -1:
+                got = self.jet(alpha, n).inverse()
+            else:
+                unit = 1 if exp > 0 else -1
+                got = self.power(alpha, n, exp - unit) * self.power(alpha, n, unit)
+            self._powers[key] = got
+        return got
+
+    def monomial(self, mono: Mono, trunc: int) -> HbarSeries:
+        """The image of one monomial, modulo hbar^(trunc+1)."""
+        if not mono:
+            return HbarSeries.const(1, trunc)
+        (alpha, n, exp), *rest = mono
+        out = self.power(alpha, n, exp).truncate(trunc)
+        for alpha, n, exp in rest:
+            out = out * self.power(alpha, n, exp)
         return out
+
+    def __call__(self, p) -> HbarSeries:
+        h = self.trunc
+        parts = enumerate(p.coeffs[: h + 1]) if isinstance(p, HbarSeries) else ((0, p),)
+        acc: list[dict[Mono, Fraction]] = [{} for _ in range(h + 1)]
+        for g, c in parts:
+            for mono, coeff in c._terms.items():
+                # the hbar^g part is only needed modulo hbar^(h-g+1)
+                for k, part in enumerate(self.monomial(mono, h - g).coeffs):
+                    _add_scaled(acc[g + k], part._terms, coeff)
+        return HbarSeries(h, [JetPoly._raw(t) for t in acc])
+
+
+def _add_scaled(dst: dict, terms: dict, scale: Fraction) -> None:
+    """dst += scale * terms, in place, dropping coefficients that cancel."""
+    for mono, c in terms.items():
+        c = c * scale
+        acc = dst.get(mono)
+        if acc is None:
+            dst[mono] = c
+        else:
+            acc = acc + c
+            if acc == 0:
+                del dst[mono]
+            else:
+                dst[mono] = acc
 
 
 def substitute(p, images: dict[int, HbarSeries], trunc: int) -> HbarSeries:
     """Substitute images[alpha] for w[alpha,0], prolonging derivatives by dx.
 
-    Every jet variable w[alpha,n] is replaced by dx^n(images[alpha]).
-    Negative exponents require the prolonged image to be invertible (its
-    hbar^0 part a single monomial).
+    Every jet variable w[alpha,n] is replaced by dx^n(images[alpha]).  A
+    one-shot `Substitution`; build that once to substitute many polynomials
+    with the same images.
     """
-    pro = _Prolongation(images, trunc)
-    if isinstance(p, HbarSeries):
-        out = HbarSeries.zero(trunc)
-        for g, c in enumerate(p.coeffs):
-            if g > trunc:
-                break
-            if c:
-                out = out + _subs_poly(c, pro).hbar_shift(g)
-        return out
-    return _subs_poly(p, pro)
-
-
-def _subs_poly(p: JetPoly, pro: _Prolongation) -> HbarSeries:
-    out = HbarSeries.zero(pro.trunc)
-    for mono, coeff in p._terms.items():
-        term = HbarSeries.const(coeff, pro.trunc)
-        for alpha, n, exp in mono:
-            term = term * pro.power(alpha, n, exp)
-        out = out + term
-    return out
+    return Substitution(images, trunc)(p)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from jethier import cli
 from jethier.cli import InputError, main, parse_poly
+from jethier.givental import r_deform_omega
 from jethier.jetcalc import JetPoly
 
 V = JetPoly.var
@@ -116,6 +118,22 @@ def test_deform_omega_symmetric(tmp_path, capsys):
     assert obj["symmetric_ok"] and obj["homogeneity_ok"]
 
 
+def test_deform_omega_computes_each_entry_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return r_deform_omega(*args)
+
+    monkeypatch.setattr(cli, "r_deform_omega", counted)
+    path = write_gen(tmp_path, {"kind": "r", "level": 1, "matrix": [[1]]})
+    code, out = run(capsys, "deform", "omega", "--generator", path,
+                    "--pmax", "2", "--qmax", "2", "--hbar", "1")
+    assert code == 0
+    assert len(json.loads(out)["entries"]) == 9
+    assert len(calls) == 9 and len(set(calls)) == 9
+
+
 def test_deform_lower_zero_deformation(tmp_path, capsys):
     path = write_gen(tmp_path, {"kind": "s", "level": 1, "matrix": [[1]]})
     code, out = run(capsys, "deform", "bracket", "--generator", path,
@@ -222,7 +240,8 @@ def test_deform_byte_determinism(tmp_path, capsys):
                                    "homogeneity", "uniqueness",
                                    "defining-equation", "all"])
 def test_verify_every_suite_passes(capsys, suite):
-    code, out = run(capsys, "verify", suite, "--count", "5", "--pmax", "2")
+    pmax = () if suite in ("lemmas", "quasimiura", "homogeneity") else ("--pmax", "2")
+    code, out = run(capsys, "verify", suite, "--count", "5", *pmax)
     assert code == 0
     assert json.loads(out)["ok"] is True
 
@@ -235,6 +254,7 @@ def test_verify_every_suite_passes(capsys, suite):
     ("dump", "flows", "--hbar", "3"),
     ("dump", "kdv-table", "--pmax", "3", "--qmax", "3", "--hbar", "2"),
     ("dump", "hamiltonians", "--hbar", "3"),
+    ("dump", "quasi-miura", "--hbar", "3"),
 ])
 def test_out_of_derivable_range_exit2(capsys, argv):
     code = main(list(argv))
@@ -277,3 +297,29 @@ def test_out_of_range_sizes_rejected(capsys, argv):
 ])
 def test_flags_nothing_reads_rejected(capsys, argv):
     assert parse_exit_code(capsys, argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "kdv", "--dim", "2"),
+    ("generate", "kdv", "--hessian", '[["v"]]'),
+    ("generate", "principal", "--hessian", '[["v"]]', "--tensor", "2"),
+    ("generate", "principal", "--hessian", '[["v"]]', "--hbar", "1"),
+    ("verify", "lemmas", "--pmax", "2"),
+    ("verify", "lemmas", "--hbar", "1"),
+    ("verify", "commutation", "--hbar", "1"),
+    ("verify", "quasimiura", "--pmax", "2"),
+    ("verify", "quasimiura", "--hbar", "1"),
+    ("verify", "homogeneity", "--pmax", "9"),
+    ("verify", "homogeneity", "--hbar", "1"),
+    ("verify", "uniqueness", "--hbar", "1"),
+    ("dump", "flows", "--pmax", "1"),
+    ("dump", "hamiltonians", "--qmax", "1"),
+    ("dump", "quasi-miura", "--pmax", "1"),
+])
+def test_flags_the_target_does_not_read_rejected(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"does not read {argv[-2]}" in captured.err
+

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from jethier.jetcalc import HbarSeries, JetPoly, dx, random_jetpoly
+from jethier.jetcalc import HbarSeries, JetPoly, dx, random_jetpoly, substitute
 from jethier.diffop import (
     DiffOperator,
     MiuraChange,
@@ -18,6 +18,7 @@ from jethier.diffop import (
     operator_from_obj,
     operator_to_obj,
 )
+from jethier.kdvbase import quasi_miura
 
 W = JetPoly.var
 
@@ -233,14 +234,19 @@ def test_two_color_apply_consistent_with_compose():
         assert direct == staged
 
 
-def test_two_color_coupled_miura_conjugation():
+def coupled_change():
+    """Two-color change w_a = v_a + hbar dx(g_a) with g_a coupling both colors."""
     rng = random.Random(14)
     g1 = random_jetpoly(rng, colors=2, max_order=1, n_terms=2)
     g2 = random_jetpoly(rng, colors=2, max_order=1, n_terms=2)
-    m = MiuraChange([
+    return MiuraChange([
         HbarSeries(2, [W(1, 0), dx(g1), JetPoly.zero()]),
         HbarSeries(2, [W(2, 0), dx(g2), JetPoly.zero()]),
     ])
+
+
+def test_two_color_coupled_miura_conjugation():
+    m = coupled_change()
     d2 = DiffOperator.dx_op(2, 2)
     conj = conjugate_by_miura(d2, m)
     for row in (1, 2):
@@ -248,3 +254,50 @@ def test_two_color_coupled_miura_conjugation():
             assert conj.coeff(row, col, 0).is_zero()
     assert is_skew(conj)
     assert conjugate_by_miura(conj, m.inverse()) == d2
+
+
+# ---------------------------------------------------------------------------
+# what a change keeps: the known inverse and one cached substitution
+# ---------------------------------------------------------------------------
+
+def naive_substitute(p, images, trunc):
+    """Reference substitution: every factor prolonged and powered afresh."""
+    series = p if isinstance(p, HbarSeries) else HbarSeries.of(p, trunc)
+    out = HbarSeries.zero(trunc)
+    for g, c in enumerate(series.coeffs[: trunc + 1]):
+        for mono, coeff in c.terms():
+            term = HbarSeries.const(coeff, trunc)
+            for alpha, n, exp in mono:
+                jet = images[alpha].truncate(trunc).dx_pow(n)
+                base = jet if exp > 0 else jet.inverse()
+                for _ in range(abs(exp)):
+                    term = term * base
+            out = out + term.hbar_shift(g)
+    return out
+
+
+@pytest.mark.parametrize("change", [lambda: quasi_miura("forward", 1),
+                                    lambda: quasi_miura("forward", 2),
+                                    coupled_change])
+def test_fixed_point_inverse_of_inverse_is_forward(change):
+    m = change()
+    # built directly, so the fixed point runs rather than inverse()'s shortcut
+    again = MiuraChange(m.inverse_images()).inverse_images()
+    assert len(again) == m.dim
+    for got, want in zip(again, m.forward):
+        assert got.trunc == want.trunc and got == want
+    assert m.inverse().inverse_images() == m.forward
+
+
+def test_express_in_target_reuses_its_substitution():
+    m = quasi_miura("forward", 2)
+    images = dict(enumerate(m.inverse_images(), start=1))
+    laurent = m.forward[0]  # its hbar^1 and hbar^2 parts have w[1,1]^-k
+    assert not laurent.is_polynomial()
+    mixed = w(3) * w(1, -2) + w(1) ** 2 * w(2) + w(1, -1)  # w[1,1] to both signs
+    inputs = [laurent, laurent.coeffs[2], mixed, laurent]
+    for x in inputs + inputs:
+        got = m.express_in_target(x)
+        assert got == substitute(x, images, m.trunc)
+        assert got == naive_substitute(x, images, m.trunc)
+    assert m.express_in_target(laurent) == HbarSeries.var(1, 0, 2)

@@ -27,16 +27,11 @@ def _deform_small(job):
     return int(m.group(1)) <= 2 and int(m.group(2)) <= 1
 
 
-def _miura_small(job):
-    return (job.size.startswith(("1c-", "2c-diag-", "quasi-"))
-            or job.size == "2c-cross")
-
-
 SUBSETS = {
     "tables": lambda job: True,
     "deform-bracket": _deform_small,
     "verify-suites": lambda job: job.size != "all",
-    "miura-conjugate": _miura_small,
+    "miura-conjugate": lambda job: True,
 }
 
 
