@@ -31,7 +31,7 @@ from .diffop import (
     conjugate_by_miura,
     is_skew,
 )
-from .genus0 import Genus0Data, NotClosed, OmegaTable0, trr_extend
+from .genus0 import Genus0Data, NotClosed, trr_extend
 from .givental import GiventalGen, InconsistentTable, OmegaTable
 from .kdvbase import OutOfDerivableRange, kdv_omega_table, quasi_miura
 
@@ -48,7 +48,6 @@ __all__ = [
     "NotClosed",
     "NotExact",
     "OmegaTable",
-    "OmegaTable0",
     "OutOfDerivableRange",
     "adjoint",
     "apply_op",

@@ -308,14 +308,12 @@ def check_series_homogeneity(x: HbarSeries, offset: int = 0) -> HomogeneityVerdi
     return HomogeneityVerdict(not failures, tuple(failures))
 
 
-def check_operator_homogeneity(op: DiffOperator, offset: int = 1) -> HomogeneityVerdict:
-    """Order-k coefficient at hbar^g homogeneous of degree 2g - k + offset.
+def check_operator_homogeneity(op: DiffOperator) -> HomogeneityVerdict:
+    """Order-k coefficient at hbar^g homogeneous of degree 2g - k + 1.
 
-    The offset defaults to 1, the degree rule satisfied by conjugates of the
-    constant operator d (constant coefficients then sit exactly at orders
-    k = 2g + 1 and need no special casing).  offset=0 reproduces the stricter
-    bookkeeping under which only the undeformed hydrodynamic term (g, k) =
-    (0, 1) is admitted with constant coefficient.
+    This is the degree rule satisfied by conjugates of the constant operator
+    d: constant coefficients sit exactly at orders k = 2g + 1 and need no
+    special casing.
     """
     failures = []
     for (row, col), k, coeff in op.entries():
@@ -325,10 +323,7 @@ def check_operator_homogeneity(op: DiffOperator, offset: int = 1) -> Homogeneity
             if not c.is_polynomial():
                 failures.append(((row, col), k, g, "laurent"))
                 continue
-            want = 2 * g - k + offset
-            if offset == 0 and (g, k) == (0, 1) and c.weighted_degree() == 0:
-                continue
-            if not c.is_homogeneous(want):
+            if not c.is_homogeneous(2 * g - k + 1):
                 failures.append(((row, col), k, g, "degree"))
     return HomogeneityVerdict(not failures, tuple(failures))
 
@@ -337,26 +332,25 @@ def check_operator_homogeneity(op: DiffOperator, offset: int = 1) -> Homogeneity
 # genus-0 uniqueness residuals
 # ---------------------------------------------------------------------------
 
-def uniqueness_residuals(table0, B: DiffOperator, pmax: int) -> list:
+def uniqueness_residuals(table, B: DiffOperator, pmax: int) -> list:
     """Residuals certifying that only d solves the dispersionless relation.
 
     For each (a, p <= pmax, b) evaluates
 
         sum_{xi,k} B_k[b,xi] dx^k delta_xi (a,p+1; unit,0)  -  dx (a,p; b,0)
 
-    on a dispersionless table.  All-zero residuals for B = d together with
-    the nondegeneracy of the jet coordinates certify uniqueness; perturbed
-    operators must produce nonzero residuals.
+    on a dispersionless table (`trr_extend`).  All-zero residuals for B = d
+    together with the nondegeneracy of the jet coordinates certify
+    uniqueness; perturbed operators must produce nonzero residuals.
     """
-    H = B.trunc
-    colors = range(1, table0.dim + 1)
+    colors = range(1, table.dim + 1)
     out = []
     for a in colors:
         for p in range(0, pmax + 1):
-            target = HbarSeries.of(table0.unit_entry(a, p + 1), H)
+            target = table.unit_ext(a, p + 1)
             applied = apply_op(B, [target.var_deriv(xi) for xi in colors])
             for b in colors:
-                res = applied[b - 1] - HbarSeries.of(table0.entry(a, p, b, 0).dx(), H)
+                res = applied[b - 1] - table.entry(a, p, b, 0).dx()
                 out.append(((a, p, b), res))
     return out
 

@@ -23,7 +23,7 @@ from .bracket import (
     s_deform_bracket,
 )
 from .diffop import is_skew, operator_to_obj
-from .genus0 import Genus0Data, NotClosed, check_commutation, table0_to_obj, trr_extend
+from .genus0 import Genus0Data, NotClosed, check_commutation, trr_extend
 from .givental import (
     GiventalGen,
     gen_from_obj,
@@ -31,7 +31,7 @@ from .givental import (
     s_deform_omega,
     table_to_obj,
 )
-from .jetcalc import JetPoly, render, render_series, series_to_obj
+from .jetcalc import JetPoly, jetpoly_to_obj, render, render_series, series_to_obj
 from .kdvbase import (
     OutOfDerivableRange,
     kdv_flow,
@@ -224,27 +224,35 @@ def cmd_generate(args) -> int:
             raise InputError("generate principal requires --hessian")
         try:
             rows = json.loads(args.hessian)
+            if not (isinstance(rows, list) and len(rows) == args.dim
+                    and all(isinstance(row, list) and len(row) == args.dim
+                            and all(isinstance(cell, str) for cell in row)
+                            for row in rows)):
+                raise InputError(f"expected a {args.dim}x{args.dim} array of strings")
             hess = {(i + 1, j + 1): parse_poly(cell)
                     for i, row in enumerate(rows)
                     for j, cell in enumerate(row)}
             data = Genus0Data(args.dim, hess)
+        except RecursionError as exc:
+            raise InputError("invalid Hessian: nested too deeply") from exc
         except (ValueError, TypeError) as exc:
             raise InputError(f"invalid Hessian: {exc}") from exc
         try:
             table = trr_extend(data, args.pmax, args.qmax)
         except NotClosed as exc:
             raise InputError(f"Hessian is not integrable: {exc}") from exc
+        # the residual at (p, q) reads the entries (1, p+1; ., q) and
+        # (1, q+1; ., 0), so both p and q stay below pmax
         for p in range(min(args.pmax - 1, 2) + 1):
-            for q in range(min(args.qmax, 2) + 1):
+            for q in range(min(args.qmax, args.pmax - 1, 2) + 1):
                 if not check_commutation(table, 1, p, 1, q).is_zero():
                     print("internal verification failed: commutation residual",
                           file=sys.stderr)
                     return 1
-        obj = table0_to_obj(table)
-        if fmt == "text":
-            obj = {"dim": table.dim, "pmax": table.pmax, "qmax": table.qmax,
-                   "entries": {f"{a}.{p}.{b}.{q}": render(v)
-                               for (a, p, b, q), v in table.items()}}
+        show = jetpoly_to_obj if fmt == "json" else render
+        obj = {"dim": table.dim, "pmax": table.pmax, "qmax": table.qmax,
+               "entries": {f"{a}.{p}.{b}.{q}": show(v.coeffs[0])
+                           for (a, p, b, q), v in table.items()}}
         _emit(obj, fmt, sys.stdout)
         return 0
     raise InputError(f"unknown generate target {args.what!r}")
@@ -303,7 +311,7 @@ def cmd_deform(args) -> int:
         report.order0_ok = all(dP.coeff(b, x, 0).is_zero()
                                for b in range(1, table.dim + 1)
                                for x in range(1, table.dim + 1))
-        report.homogeneity_ok = check_operator_homogeneity(dP, 1).ok
+        report.homogeneity_ok = check_operator_homogeneity(dP).ok
         report.entries.append({"operator": operator_to_obj(dP)})
         report.residuals = [
             (index, res.num_terms())

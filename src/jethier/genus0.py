@@ -14,11 +14,16 @@ fabricating an inconsistent table.
 The unit direction is the sum of all basis vectors, so index contraction
 with the unit means summation over colors; the input must satisfy
 sum_nu hessian[a][nu] = v_a.
+
+The recursion runs on JetPoly; the finished table is an OmegaTable whose
+entries are hbar-series truncated at hbar^0, the genus-0 part of the
+dispersive two-point functions.
 """
 
 from __future__ import annotations
 
-from .jetcalc import JetPoly, dx, evolve
+from .givental import OmegaTable
+from .jetcalc import HbarSeries, JetPoly
 
 
 class NotClosed(ValueError):
@@ -79,36 +84,9 @@ class Genus0Data:
         object.__setattr__(self, "hessian", hess)
 
 
-class OmegaTable0:
-    """Indexed family of dispersionless two-point functions, symmetric."""
-
-    __slots__ = ("dim", "pmax", "qmax", "_entries")
-
-    def __init__(self, dim: int, pmax: int, qmax: int, entries: dict):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "pmax", pmax)
-        object.__setattr__(self, "qmax", qmax)
-        object.__setattr__(self, "_entries", dict(entries))
-
-    def entry(self, a: int, p: int, b: int, q: int) -> JetPoly:
-        got = self._entries.get((a, p, b, q))
-        if got is None:
-            raise IndexError(f"table entry ({a},{p};{b},{q}) outside stored bounds")
-        return got
-
-    def unit_entry(self, a: int, p: int) -> JetPoly:
-        """Entry contracted with the unit direction in the second slot."""
-        out = JetPoly.zero()
-        for nu in range(1, self.dim + 1):
-            out = out + self.entry(a, p, nu, 0)
-        return out
-
-    def items(self):
-        return sorted(self._entries.items())
-
-
-def trr_extend(data: Genus0Data, pmax: int, qmax: int) -> OmegaTable0:
-    """Build the table for 0 <= p <= pmax, 0 <= q <= qmax from the Hessian."""
+def trr_extend(data: Genus0Data, pmax: int, qmax: int) -> OmegaTable:
+    """Build the table for 0 <= p <= pmax, 0 <= q <= qmax from the Hessian,
+    as an OmegaTable truncated at hbar^0."""
     s = data.dim
     ent: dict[tuple, JetPoly] = {}
     for a in range(1, s + 1):
@@ -135,18 +113,12 @@ def trr_extend(data: Genus0Data, pmax: int, qmax: int) -> OmegaTable0:
             for a in range(1, s + 1):
                 for b in range(1, s + 1):
                     ent[(a, 0, b, q + 1)] = ent[(b, q + 1, a, 0)]
-    keep = {k: v for k, v in ent.items() if k[1] <= pmax and k[3] <= qmax}
-    return OmegaTable0(s, pmax, qmax, keep)
+    keep = {k: HbarSeries(0, [v]) for k, v in ent.items()
+            if k[1] <= pmax and k[3] <= qmax}
+    return OmegaTable(s, pmax, qmax, 0, keep)
 
 
-def principal_rhs(table: OmegaTable0, b: int, q: int) -> list[JetPoly]:
-    """Flow right-hand sides dv_a/dt[b,q] = dx of entry (a,0;b,q)."""
-    if not (1 <= b <= table.dim and 0 <= q <= table.qmax):
-        raise IndexError(f"flow index ({b},{q}) outside table bounds")
-    return [dx(table.entry(a, 0, b, q)) for a in range(1, table.dim + 1)]
-
-
-def hamiltonian_density0(table: OmegaTable0, a: int, p: int) -> JetPoly:
+def hamiltonian_density0(table: OmegaTable, a: int, p: int) -> HbarSeries:
     """Density of the (a,p) Hamiltonian: the unit-contracted (a,p+1) entry.
 
     The index p = -1 is allowed and returns the unit-contracted (a,0) entry,
@@ -154,37 +126,18 @@ def hamiltonian_density0(table: OmegaTable0, a: int, p: int) -> JetPoly:
     """
     if p < -1:
         raise IndexError("Hamiltonian index must be >= -1")
-    return table.unit_entry(a, p + 1)
+    return table.unit_ext(a, p + 1)
 
 
-def check_commutation(table: OmegaTable0, a: int, p: int, b: int, q: int) -> JetPoly:
+def check_commutation(table: OmegaTable, a: int, p: int, b: int, q: int) -> HbarSeries:
     """Residual of the commutation identity; zero certifies Poisson commuting.
 
     Evaluates  sum_g  delta(h[a,p])/dv_g * dx( delta(h[b,q])/dv_g )
     minus dx of the (a,p+1; b,q) entry.
     """
-    lhs = JetPoly.zero()
+    lhs = HbarSeries.zero(table.trunc)
     ha = hamiltonian_density0(table, a, p)
     hb = hamiltonian_density0(table, b, q)
     for g in range(1, table.dim + 1):
-        lhs = lhs + ha.var_deriv(g) * dx(hb.var_deriv(g))
-    return lhs - dx(table.entry(a, p + 1, b, q))
-
-
-def flow_derivative(table: OmegaTable0, f: JetPoly, b: int, q: int) -> JetPoly:
-    """Time derivative of a jet function along the (b,q) flow."""
-    return evolve(f, dict(enumerate(principal_rhs(table, b, q), start=1)))
-
-
-def table0_to_obj(table: OmegaTable0) -> dict:
-    from .jetcalc import jetpoly_to_obj
-
-    return {
-        "dim": table.dim,
-        "pmax": table.pmax,
-        "qmax": table.qmax,
-        "entries": {
-            f"{a}.{p}.{b}.{q}": jetpoly_to_obj(v)
-            for (a, p, b, q), v in table.items()
-        },
-    }
+        lhs = lhs + ha.var_deriv(g) * hb.var_deriv(g).dx()
+    return lhs - table.entry(a, p + 1, b, q).dx()

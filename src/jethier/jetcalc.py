@@ -363,13 +363,6 @@ class JetPoly:
     def degrees(self) -> set[int]:
         return {_mono_degree(m) for m in self._terms}
 
-    def weighted_degree(self):
-        """Common weighted degree, or None if zero or non-homogeneous."""
-        degs = self.degrees()
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     def is_homogeneous(self, d: int) -> bool:
         """True iff every monomial has weighted degree d (vacuous for zero)."""
         return all(_mono_degree(m) == d for m in self._terms)

@@ -118,7 +118,7 @@ def suite_homogeneity(pmax: int = 5) -> list[CheckResult]:
     out.append(CheckResult("deformed-entry-grading", not bad3, ""))
     dP = r_deform_bracket(table, PoissonOp.dx(1, 1), gen)
     out.append(CheckResult("deformed-operator-grading",
-                           check_operator_homogeneity(dP, 1).ok,
+                           check_operator_homogeneity(dP).ok,
                            "order-k coefficient at hbar^g has degree 2g-k+1"))
     bad4 = []
     for k in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 1)]:
@@ -132,8 +132,9 @@ def suite_homogeneity(pmax: int = 5) -> list[CheckResult]:
 def suite_uniqueness(pmax: int = 3) -> list[CheckResult]:
     """Only d solves the dispersionless defining relation."""
     out = []
+    # the perturbed operator is checked at p <= 2, which reads (1, 3; 1, 0)
     table0 = trr_extend(Genus0Data(1, {(1, 1): JetPoly.var(1, 0)}),
-                        pmax + 1, pmax)
+                        max(pmax, 2) + 1, pmax)
     ok = all(r.is_zero() for _, r in
              uniqueness_residuals(table0, DiffOperator.dx_op(1, 0), pmax))
     out.append(CheckResult("defining-relation-accepts-d", ok, f"p <= {pmax}"))

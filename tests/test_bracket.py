@@ -39,6 +39,17 @@ def s_gen(level, matrix):
     return GiventalGen("s", level, matrix)
 
 
+def level_points(table):
+    """(level, table, matrix) for levels 1-3 over a one-color table.
+
+    Level 2 runs on the two-color tensor square: [[0]] is the only skew 1x1
+    matrix, and a zero generator certifies nothing.
+    """
+    return [(1, table, [[1]]),
+            (2, tensor_power(table, 2), [[0, 1], [-1, 0]]),
+            (3, table, [[1]])]
+
+
 def minus_hbar_d3(trunc):
     return DiffOperator(1, trunc, {
         (1, 1): {3: HbarSeries(trunc, [JetPoly.zero(), JetPoly.const(-1)])}})
@@ -100,11 +111,12 @@ def test_nonconstant_operator_blocks_pinned():
 
 
 def test_def_a_residuals_vanish_kdv():
-    table = kdv_omega_table(6, 6, 1)
-    pop = PoissonOp.dx(1, 1)
-    for level in (1, 2, 3):
-        g = r_gen(level, [[0]] if level == 2 else [[1]])
+    for level, table, matrix in level_points(kdv_omega_table(6, 6, 1)):
+        pop = PoissonOp.dx(table.dim, 1)
+        g = r_gen(level, matrix)
         dP = r_deform_bracket(table, pop, g)
+        if level == 2:
+            assert not dP.is_zero()
         for index, res in defining_equation_residuals(table, pop, g, dP, 2):
             assert res.is_zero(), (level, index)
 
@@ -153,7 +165,7 @@ def test_two_color_level2_residuals_and_structure():
     dP = r_deform_bracket(table, pop, g)
     assert not dP.is_zero()
     assert is_skew(dP)
-    assert check_operator_homogeneity(dP, 1).ok
+    assert check_operator_homogeneity(dP).ok
     residuals = defining_equation_residuals(table, pop, g, dP, 1)
     assert [index for index, _ in residuals] == [
         (a, p, b) for a in (1, 2) for p in range(2) for b in (1, 2)]
@@ -185,10 +197,9 @@ def test_s_deform_higher_level_contributes_nothing():
 
 
 def test_s_def_a_residuals_vanish_kdv():
-    table = kdv_omega_table(6, 6, 1)
-    pop = PoissonOp.dx(1, 1)
-    for level in (1, 2, 3):
-        g = s_gen(level, [[0]] if level == 2 else [[1]])
+    for level, table, matrix in level_points(kdv_omega_table(6, 6, 1)):
+        pop = PoissonOp.dx(table.dim, 1)
+        g = s_gen(level, matrix)
         dP = s_deform_bracket(pop, g)
         assert dP.is_zero()
         for index, res in defining_equation_residuals(table, pop, g, dP, 2):
@@ -214,14 +225,11 @@ def test_series_homogeneity_examples():
 
 
 def test_operator_homogeneity_examples():
-    d = DiffOperator.dx_op(1, 2)
-    assert check_operator_homogeneity(d, 1).ok
-    assert check_operator_homogeneity(d, 0).ok  # hydrodynamic exception
-    # -hbar d^3 sits at order 2g+1: passes offset 1, fails the strict rule
-    assert check_operator_homogeneity(minus_hbar_d3(1), 1).ok
-    assert not check_operator_homogeneity(minus_hbar_d3(1), 0).ok
+    assert check_operator_homogeneity(DiffOperator.dx_op(1, 2)).ok
+    # -hbar d^3 sits at order 2g+1, the degree 2g-k+1 of a constant
+    assert check_operator_homogeneity(minus_hbar_d3(1)).ok
     bad = DiffOperator(1, 1, {(1, 1): {1: HbarSeries.of(w(1), 1)}})
-    assert not check_operator_homogeneity(bad, 1).ok
+    assert not check_operator_homogeneity(bad).ok
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,32 @@ def test_generate_malformed_hessian_exit2(capsys):
     assert code == 2  # unit normalization fails
 
 
+@pytest.mark.parametrize("sizes", [(), ("--pmax", "1"), ("--pmax", "0", "--qmax", "3")])
+def test_generate_principal_small_pmax(capsys, sizes):
+    # the self-check reads (1, q+1; ., 0), so it stops at q = pmax - 1
+    code, out = run(capsys, "generate", "principal", "--dim", "1",
+                    "--hessian", '[["v"]]', *sizes)
+    assert code == 0
+    assert json.loads(out)["entries"]["1.0.1.0"] == [
+        {"coeff": "1", "mono": [[1, 0, 1]]}]
+
+
+@pytest.mark.parametrize("hessian", [
+    '[["' + "(" * 3000 + "v" + ")" * 3000 + '"]]',
+    "[" * 5000 + "]" * 5000,
+    "[[[1]]]",
+    '[["v", "0"], ["0", "v2"]]',
+    '{"v": "v"}',
+], ids=["parens-overflow-parse_poly", "arrays-overflow-json", "cell-not-string",
+        "2x2-for-dim-1", "object"])
+def test_generate_principal_bad_hessian_exit2(capsys, hessian):
+    code = main(["generate", "principal", "--dim", "1", "--hessian", hessian])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: invalid Hessian")
+    assert captured.err.count("\n") == 1
+
+
 def test_generate_out_of_range_exit2(capsys):
     code, _ = run(capsys, "generate", "kdv", "--pmax", "5", "--qmax", "5",
                   "--hbar", "2")
@@ -192,6 +218,15 @@ def test_verify_commutation(capsys):
 
 def test_verify_uniqueness(capsys):
     code, out = run(capsys, "verify", "uniqueness")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("suite,pmax", [("uniqueness", "0"), ("uniqueness", "1"),
+                                        ("all", "1")])
+def test_verify_small_pmax(capsys, suite, pmax):
+    # the perturbed-operator check reads p = 3 whatever --pmax is
+    code, out = run(capsys, "verify", suite, "--pmax", pmax)
     assert code == 0
     assert json.loads(out)["ok"] is True
 

@@ -4,16 +4,15 @@ import math
 
 import pytest
 
-from jethier.jetcalc import JetPoly, dx
+from jethier.jetcalc import HbarSeries, JetPoly, dx, evolve
 from jethier.genus0 import (
     Genus0Data,
     NotClosed,
     check_commutation,
-    flow_derivative,
     hamiltonian_density0,
-    principal_rhs,
     trr_extend,
 )
+from jethier.givental import OmegaTable
 
 V = JetPoly.var
 
@@ -24,6 +23,18 @@ def v(n=0, exp=1):
 
 def kdv_data():
     return Genus0Data(1, {(1, 1): v()})
+
+
+def principal_rhs(table, b, q):
+    """Flow right-hand sides dv_a/dt[b,q] = dx of entry (a,0;b,q)."""
+    if not (1 <= b <= table.dim and 0 <= q <= table.qmax):
+        raise IndexError(f"flow index ({b},{q}) outside table bounds")
+    return [table.entry(a, 0, b, q).dx() for a in range(1, table.dim + 1)]
+
+
+def flow_derivative(table, f, b, q):
+    """Time derivative of a jet function along the (b,q) flow."""
+    return evolve(f, dict(enumerate(principal_rhs(table, b, q), start=1)))
 
 
 def closed_form(p, q):
@@ -48,7 +59,8 @@ def test_closed_form_monomials():
 
 def test_one_step():
     table = trr_extend(kdv_data(), 1, 0)
-    assert table.entry(1, 1, 1, 0) == v() ** 2 / 2
+    assert isinstance(table, OmegaTable) and table.trunc == 0
+    assert table.entry(1, 1, 1, 0) == HbarSeries(0, [v() ** 2 / 2])
 
 
 def test_symmetry():
