@@ -30,13 +30,13 @@ from .diffop import DiffOperator, apply_entry, apply_op, is_skew, leibniz
 from .givental import (
     GiventalGen,
     OmegaTable,
+    UpperDeformation,
     _sgn,
-    jet_transport,
-    r_deform_omega,
-    s_deform_omega,
+    entry_deformation,
+    r_deform_omega,  # noqa: F401  (perfbench's tracer test reads bracket.r_deform_omega)
     triple_omega,
 )
-from .jetcalc import HbarSeries, JetPoly, evolve
+from .jetcalc import HbarSeries, JetPoly, evolve, jetpoly_to_obj
 
 
 class PoissonOp:
@@ -149,15 +149,6 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                                         _put(acc[(beta, xi)], f - 1, -cfac * (
                                             pre * prod.dx_pow(k - f, sign=-1)))
 
-                # block 2: derivative of the operator coefficients
-                for (g, n) in a_vars:
-                    inner = jet_transport(table.ext(g, 0, mu, i), o_nu_j, n)
-                    if inner.is_zero():
-                        continue
-                    for (beta, xi), cell in a_cells.items():
-                        for k, ac in cell.items():
-                            _put(acc[(beta, xi)], k, -cfac * (inner * ac.partial(g, n)))
-
                 # block 12: the triple correlators evolve the operator coefficients
                 flows = {z: t3[z].dx() for z in colors}
                 for (beta, xi), cell in a_cells.items():
@@ -208,6 +199,17 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                                         if k > 0}
                                 leibniz(lead, {1: cfac * f_xi}, out)
 
+    # block 2: the operator coefficients move along the generator's linear
+    # transport field, the one the table entries move along
+    deform = UpperDeformation(table, gen)
+    for (g, n) in a_vars:
+        field = deform.lin(g, n)
+        if field.is_zero():
+            continue
+        for (beta, xi), cell in a_cells.items():
+            for k, ac in cell.items():
+                _put(acc[(beta, xi)], k, -(field * ac.partial(g, n)))
+
     return DiffOperator(s, table.trunc, acc)
 
 
@@ -255,14 +257,16 @@ def def_a_residual(table: OmegaTable, pop: PoissonOp, deformed: dict,
 
 
 def deformed_entries_for_residual(table: OmegaTable, gen: GiventalGen,
-                                  a: int, pmax: int) -> dict:
-    """Table deformations `def_a_residual` needs at (a, p) for every p <= pmax.
+                                  pmax: int) -> dict:
+    """Table deformations `def_a_residual` needs at every (a, p <= pmax).
 
-    Each entry (a, p', b, 0), p' <= pmax + 1, is computed once.
+    Each entry (a, p', b, 0), p' <= pmax + 1, is computed once, by one entry
+    deformation of the table for all of them.
     """
-    deform = r_deform_omega if gen.kind == "r" else s_deform_omega
-    return {(a, p, b, 0): deform(table, gen, a, p, b, 0)
-            for p in range(pmax + 2) for b in range(1, table.dim + 1)}
+    deform = entry_deformation(table, gen)
+    colors = range(1, table.dim + 1)
+    return {(a, p, b, 0): deform(a, p, b, 0)
+            for a in colors for p in range(pmax + 2) for b in colors}
 
 
 def defining_equation_residuals(table: OmegaTable, pop: PoissonOp,
@@ -273,13 +277,10 @@ def defining_equation_residuals(table: OmegaTable, pop: PoissonOp,
     All-zero residuals certify that dP and the table deformation of `gen`
     together satisfy the linearized defining equation.
     """
-    out = []
-    for a in range(1, table.dim + 1):
-        ent = deformed_entries_for_residual(table, gen, a, pmax)
-        for p in range(pmax + 1):
-            for b in range(1, table.dim + 1):
-                out.append(((a, p, b), def_a_residual(table, pop, ent, dP, a, p, b)))
-    return out
+    ent = deformed_entries_for_residual(table, gen, pmax)
+    colors = range(1, table.dim + 1)
+    return [((a, p, b), def_a_residual(table, pop, ent, dP, a, p, b))
+            for a in colors for p in range(pmax + 1) for b in colors]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +395,12 @@ def euler_commutator_residual(afun: JetPoly, s_ord: int, gamma: int,
 
 @dataclass
 class DeformationReport:
-    """Summary of a deformation run: residual sizes and verdicts."""
+    """Summary of a deformation run: residuals and verdicts.
+
+    `residuals` holds ((a, p, b), residual) pairs; the report gives each
+    residual's monomial count and, when it is nonzero, its first monomial in
+    canonical order (lowest hbar power first).
+    """
 
     generator: dict
     target: str
@@ -410,7 +416,7 @@ class DeformationReport:
     def all_pass(self) -> bool:
         return (self.homogeneity_ok and self.skew_ok and self.order0_ok
                 and self.symmetric_ok
-                and all(n == 0 for _, n in self.residuals))
+                and all(res.is_zero() for _, res in self.residuals))
 
     def to_obj(self, include_timing: bool = False) -> dict:
         # timing is excluded by default so reports are byte-deterministic
@@ -419,8 +425,7 @@ class DeformationReport:
             "target": self.target,
             "seed": self.seed,
             "entries": self.entries,
-            "residuals": [{"index": list(ix), "nonzero_monomials": n}
-                          for ix, n in self.residuals],
+            "residuals": [_residual_to_obj(ix, res) for ix, res in self.residuals],
             "homogeneity_ok": self.homogeneity_ok,
             "skew_ok": self.skew_ok,
             "order0_ok": self.order0_ok,
@@ -430,3 +435,12 @@ class DeformationReport:
         if include_timing:
             out["elapsed_seconds"] = round(self.elapsed, 6)
         return out
+
+
+def _residual_to_obj(index: tuple, res: HbarSeries) -> dict:
+    out = {"index": list(index), "nonzero_monomials": res.num_terms()}
+    for g, c in enumerate(res.coeffs):
+        if c:
+            out["first_nonzero_monomial"] = {"hbar": g, **jetpoly_to_obj(c)[0]}
+            break
+    return out

@@ -26,9 +26,10 @@ from .diffop import is_skew, operator_to_obj
 from .genus0 import Genus0Data, NotClosed, check_commutation, trr_extend
 from .givental import (
     GiventalGen,
+    entry_deformation,
     gen_from_obj,
-    r_deform_omega,
-    s_deform_omega,
+    gen_to_obj,
+    r_deform_omega,  # noqa: F401  (perfbench's tracer test reads cli.r_deform_omega)
     table_to_obj,
 )
 from .jetcalc import JetPoly, jetpoly_to_obj, render, render_series, series_to_obj
@@ -274,18 +275,16 @@ def cmd_deform(args) -> int:
         raise InputError(
             f"generator dimension {gen.dim} does not match table dimension "
             f"{table.dim} (use --tensor {gen.dim})")
-    deform = r_deform_omega if gen.kind == "r" else s_deform_omega
-    report = DeformationReport(generator={"kind": gen.kind, "level": gen.level,
-                                          "matrix": [[str(x) for x in row]
-                                                     for row in gen.matrix]},
-                               target=args.what, seed=args.seed)
+    report = DeformationReport(generator=gen_to_obj(gen), target=args.what,
+                               seed=args.seed)
     if args.what == "omega":
+        deform = entry_deformation(table, gen)
         values: dict[tuple, object] = {}
 
         def entry(*index):
             # an entry and its symmetric partner may both be listed: compute once
             if index not in values:
-                values[index] = deform(table, gen, *index)
+                values[index] = deform(*index)
             return values[index]
 
         for a in range(1, table.dim + 1):
@@ -313,9 +312,7 @@ def cmd_deform(args) -> int:
                                for x in range(1, table.dim + 1))
         report.homogeneity_ok = check_operator_homogeneity(dP).ok
         report.entries.append({"operator": operator_to_obj(dP)})
-        report.residuals = [
-            (index, res.num_terms())
-            for index, res in defining_equation_residuals(table, pop, gen, dP, args.pmax)]
+        report.residuals = defining_equation_residuals(table, pop, gen, dP, args.pmax)
     else:
         raise InputError(f"unknown deform target {args.what!r}")
     report.elapsed = time.monotonic() - started

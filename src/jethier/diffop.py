@@ -391,15 +391,3 @@ def operator_to_obj(p: DiffOperator) -> dict:
             for (row, col), k, c in p.entries()
         ],
     }
-
-
-def operator_from_obj(obj: dict) -> DiffOperator:
-    from .jetcalc import series_from_obj
-
-    dim = int(obj["rows"])
-    trunc = int(obj["trunc"])
-    entries: dict[tuple[int, int], Entry] = {}
-    for item in obj["entries"]:
-        key = (int(item["row"]), int(item["col"]))
-        entries.setdefault(key, {})[int(item["order"])] = series_from_obj(item["coeff"])
-    return DiffOperator(dim, trunc, entries)

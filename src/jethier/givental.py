@@ -26,13 +26,24 @@ parameter) deformations of table entries for both generator kinds.  The
 upper-kind deformation is the simplified form, whose single sum runs over
 the finite extension window; the tests keep the unsimplified long form as
 an independent oracle that it must agree with.
+
+Of its three blocks only the product block (a,p;mu,d)(nu,l-1-d;b,q) depends
+on the entry, and its window d in [-p-1, l+q] with it.  The other two weight
+the entry's partials by transport factors built from (g,0;mu,d) and
+(nu,l-1-d;.,0).  By the extension convention the first vanishes for d < -1
+and the second for d > l, so their sums run over d in [-1, l] for every
+entry; at d = -1 and d = l one of them is a delta constant, whose
+x-derivatives vanish, which leaves d in [0, l-1] for the second-order
+factors.  So the factors depend on the table and the generator only, and
+`UpperDeformation` builds them once for all entries.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import partial
 
-from .diffop import apply_entry, leibniz
 from .jetcalc import HbarSeries, evolve, rat
 
 
@@ -174,21 +185,6 @@ def table_to_obj(table: OmegaTable) -> dict:
     return out
 
 
-def table_from_obj(obj: dict) -> OmegaTable:
-    from .jetcalc import series_from_obj
-
-    entries = {}
-    for key, val in obj["entries"].items():
-        a, p, b, q = (int(x) for x in key.split("."))
-        entries[(a, p, b, q)] = series_from_obj(val)
-    prov = {}
-    for key, tag in obj.get("provenance", {}).items():
-        a, p, b, q = (int(x) for x in key.split("."))
-        prov[(a, p, b, q)] = tag
-    return OmegaTable(int(obj["dim"]), int(obj["pmax"]), int(obj["qmax"]),
-                      int(obj["trunc"]), entries, prov)
-
-
 # ---------------------------------------------------------------------------
 # triple correlators
 # ---------------------------------------------------------------------------
@@ -222,60 +218,161 @@ def triple_omega(table: OmegaTable, i1, i2, i3) -> HbarSeries:
 # upper-kind deformation of table entries
 # ---------------------------------------------------------------------------
 
-def jet_transport(lead: HbarSeries, tail: HbarSeries, n: int) -> HbarSeries:
-    """sum_{k=0..n} C(n+1,k) dx^k(lead) dx^(n-k)(tail).
+class UpperDeformation:
+    """First-order change of the table entries under one upper generator.
 
-    The change of the jet variable of order n under the coordinate change
-    that a generator induces; both the table and the operator deformations
-    weight the partial derivatives by it.  It is d^(n+1) o lead with its
-    order-0 term dropped, one order lower, applied to tail.
+    Calling it with (a, p, b, q) gives the change of that entry.  Of the
+    three blocks of the deformation only the product block depends on the
+    entry; the other two weight the entry's first and second partials by
+    transport factors that depend on the table and the generator alone:
+
+        lin[g,n]          sum_{d,mu,nu} (-1)^(d+1) M[mu][nu]
+                              T_n((g,0;mu,d), (nu,l-1-d;unit,0))
+        quad[(g,n),(z,m)] sum_{d,mu,nu} (-1)^(d+1) M[mu][nu]
+                              dx^(n+1) (g,0;mu,d) * dx^(m+1) (nu,l-1-d;z,0)
+
+    with the jet transport T_n of `lin`.  These are built on first use and
+    kept, with the x-derivatives they use, so one instance serves every
+    entry of the table: build it once for the many entries of one table and
+    generator.  Nothing is kept beyond the instance.
     """
-    expanded = leibniz({n + 1: 1}, {0: lead})
-    return apply_entry({k - 1: c for k, c in expanded.items() if k > 0}, tail)
+
+    __slots__ = ("table", "gen", "_right", "_lin", "_quad", "_jets")
+
+    def __init__(self, table: OmegaTable, gen: GiventalGen):
+        if gen.kind != "r":
+            raise ValueError("upper-kind generator required")
+        self.table = table
+        self.gen = gen
+        self._right: dict[tuple, HbarSeries] = {}
+        self._lin: dict[tuple, HbarSeries] = {}
+        self._quad: dict[tuple, HbarSeries] = {}
+        self._jets: dict[tuple, list] = {}
+
+    def right(self, mu: int, j: int, b: int, q: int) -> HbarSeries:
+        """sum_nu M[mu][nu] (nu,j;b,q): the second factor, contracted over nu."""
+        key = (mu, j, b, q)
+        got = self._right.get(key)
+        if got is None:
+            got = HbarSeries.zero(self.table.trunc)
+            for nu, c in enumerate(self.gen.matrix[mu - 1], 1):
+                if c != 0:
+                    got = got + c * self.table.ext(nu, j, b, q)
+            self._right[key] = got
+        return got
+
+    def unit_right(self, mu: int, j: int) -> HbarSeries:
+        """sum_nu M[mu][nu] (nu,j;unit,0)."""
+        key = (mu, j)
+        got = self._right.get(key)
+        if got is None:
+            got = HbarSeries.zero(self.table.trunc)
+            for z in range(1, self.table.dim + 1):
+                got = got + self.right(mu, j, z, 0)
+            self._right[key] = got
+        return got
+
+    def _dx(self, key: tuple, f: HbarSeries, n: int) -> HbarSeries:
+        """dx^n(f), where `key` names f; the jets of f are kept."""
+        row = self._jets.setdefault(key, [f])
+        while len(row) <= n:
+            row.append(row[-1].dx())
+        return row[n]
+
+    def lin(self, g: int, n: int) -> HbarSeries:
+        """The linear transport field lin[g,n].
+
+        Its jet transport
+
+            T_n(lead, tail) = sum_{k=0..n} C(n+1,k) dx^k(lead) dx^(n-k)(tail)
+
+        is the change of the jet variable of order n under the coordinate
+        change the generator induces: d^(n+1) o lead with its order-0 term
+        dropped, one order lower, applied to tail.  Table entries and
+        operator coefficients both move along this field.
+        """
+        key = (g, n)
+        got = self._lin.get(key)
+        if got is None:
+            table, ell = self.table, self.gen.level
+            got = HbarSeries.zero(table.trunc)
+            for d in range(-1, ell + 1):
+                j = ell - 1 - d
+                for mu in range(1, table.dim + 1):
+                    lead = table.ext(g, 0, mu, d)
+                    tail = self.unit_right(mu, j)
+                    if not (lead and tail):
+                        continue
+                    for k in range(n + 1):
+                        got = got + (_sgn(d + 1) * math.comb(n + 1, k)) * (
+                            self._dx(("ext", g, mu, d), lead, k)
+                            * self._dx(("unit", mu, j), tail, n - k))
+            self._lin[key] = got
+        return got
+
+    def quad(self, g: int, n: int, z: int, m: int) -> HbarSeries:
+        """The quadratic factor quad[(g,n),(z,m)]."""
+        key = (g, n, z, m)
+        got = self._quad.get(key)
+        if got is None:
+            table, ell = self.table, self.gen.level
+            got = HbarSeries.zero(table.trunc)
+            # at d = -1 and d = l one factor is constant, so its dx vanishes
+            for d in range(ell):
+                for mu in range(1, table.dim + 1):
+                    lead = table.ext(g, 0, mu, d)
+                    tail = self.right(mu, ell - 1 - d, z, 0)
+                    if lead and tail:
+                        got = got + _sgn(d + 1) * (
+                            self._dx(("ext", g, mu, d), lead, n + 1)
+                            * self._dx(("right", mu, ell - 1 - d, z), tail, m + 1))
+            self._quad[key] = got
+        return got
+
+    def __call__(self, a: int, p: int, b: int, q: int) -> HbarSeries:
+        """The change of the (a,p;b,q) entry.
+
+        The product block is summed over the finite extension window
+        d in [-p-1, l+q], where the linear terms of the unsimplified display
+        come from the boundary values of d.
+        """
+        table, ell = self.table, self.gen.level
+        base = table.entry(a, p, b, q)
+        out = HbarSeries.zero(table.trunc)
+        for d in range(-p - 1, ell + q + 1):
+            for mu in range(1, table.dim + 1):
+                right = self.right(mu, ell - 1 - d, b, q)
+                if right:
+                    out = out + _sgn(d + 1) * (table.ext(a, p, mu, d) * right)
+        base_vars = sorted(base.variables())
+        hterm = HbarSeries.zero(table.trunc)
+        for (g, n) in base_vars:
+            dbase = base.partial(g, n)
+            if not dbase:
+                continue
+            out = out - dbase * self.lin(g, n)
+            for (z, m) in base_vars:
+                second = dbase.partial(z, m)
+                if second:
+                    hterm = hterm + second * self.quad(g, n, z, m)
+        return out + hterm.hbar_shift() / 2
 
 
 def r_deform_omega(table: OmegaTable, gen: GiventalGen, a: int, p: int,
                    b: int, q: int) -> HbarSeries:
     """First-order change of the (a,p;b,q) entry under an upper generator.
 
-    One product block is summed over the finite extension window
-    d in [-p-1, l+q], where the linear terms of the unsimplified display
-    come from the boundary values of d.
+    A one-shot `UpperDeformation`; build that once to deform many entries
+    of the same table along the same generator.
     """
-    if gen.kind != "r":
-        raise ValueError("upper-kind generator required")
-    ell = gen.level
-    s = table.dim
-    H = table.trunc
-    base = table.entry(a, p, b, q)
-    base_vars = sorted(base.variables())
-    out = HbarSeries.zero(H)
-    for d in range(-p - 1, ell + q + 1):
-        sign = _sgn(d + 1)
-        for mu in range(1, s + 1):
-            for nu in range(1, s + 1):
-                c = gen.matrix[mu - 1][nu - 1] * sign
-                if c == 0:
-                    continue
-                term = table.ext(a, p, mu, d) * table.ext(nu, ell - 1 - d, b, q)
-                for (g, n) in base_vars:
-                    dbase = base.partial(g, n)
-                    if not dbase:
-                        continue
-                    term = term - dbase * jet_transport(
-                        table.ext(g, 0, mu, d), table.unit_ext(nu, ell - 1 - d), n)
-                hterm = HbarSeries.zero(H)
-                for (g, n) in base_vars:
-                    for (z, m) in base_vars:
-                        second = base.partial(g, n).partial(z, m)
-                        if not second:
-                            continue
-                        hterm = hterm + second * (
-                            table.ext(g, 0, mu, d).dx_pow(n + 1)
-                            * table.ext(nu, ell - 1 - d, z, 0).dx_pow(m + 1))
-                term = term + hterm.hbar_shift() / 2
-                out = out + c * term
-    return out
+    return UpperDeformation(table, gen)(a, p, b, q)
+
+
+def entry_deformation(table: OmegaTable, gen: GiventalGen):
+    """(a, p, b, q) -> the first-order change of that entry under `gen`."""
+    if gen.kind == "r":
+        return UpperDeformation(table, gen)
+    return partial(s_deform_omega, table, gen)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Mono = tuple  # tuple[tuple[int, int, int], ...]
 
@@ -721,20 +721,8 @@ def jetpoly_to_obj(p: JetPoly) -> list:
     ]
 
 
-def jetpoly_from_obj(obj: Iterable) -> JetPoly:
-    terms: dict[Mono, Fraction] = {}
-    for item in obj:
-        mono = tuple(tuple(int(x) for x in f) for f in item["mono"])
-        terms[mono] = terms.get(mono, Fraction(0)) + rat(item["coeff"])
-    return JetPoly(terms)
-
-
 def series_to_obj(s: HbarSeries) -> dict:
     return {"trunc": s.trunc, "coeffs": [jetpoly_to_obj(c) for c in s.coeffs]}
-
-
-def series_from_obj(obj: dict) -> HbarSeries:
-    return HbarSeries(int(obj["trunc"]), [jetpoly_from_obj(c) for c in obj["coeffs"]])
 
 
 def render(p: JetPoly, letter: str = "w") -> str:

@@ -23,7 +23,7 @@ from .bracket import (
 )
 from .diffop import DiffOperator, conjugate_by_miura
 from .genus0 import Genus0Data, check_commutation, trr_extend
-from .givental import GiventalGen, r_deform_omega, triple_omega
+from .givental import GiventalGen, UpperDeformation, triple_omega
 from .jetcalc import HbarSeries, JetPoly, random_jetpoly
 from .kdvbase import kdv_flow, kdv_omega_table, quasi_miura
 
@@ -109,12 +109,9 @@ def suite_homogeneity(pmax: int = 5) -> list[CheckResult]:
             if not check_series_homogeneity(series, 0).ok]
     out.append(CheckResult("table-entry-grading-hbar2", not bad2, ""))
     gen = GiventalGen("r", 1, [[1]])
-    bad3 = []
-    for p in range(3):
-        for q in range(3):
-            if not check_series_homogeneity(
-                    r_deform_omega(table, gen, 1, p, 1, q), 0).ok:
-                bad3.append((p, q))
+    deform = UpperDeformation(table, gen)
+    bad3 = [(p, q) for p in range(3) for q in range(3)
+            if not check_series_homogeneity(deform(1, p, 1, q), 0).ok]
     out.append(CheckResult("deformed-entry-grading", not bad3, ""))
     dP = r_deform_bracket(table, PoissonOp.dx(1, 1), gen)
     out.append(CheckResult("deformed-operator-grading",

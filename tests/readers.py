@@ -1,0 +1,42 @@
+"""Readers for the canonical JSON forms the package writes.
+
+The package only writes these forms; the round-trip tests read them back
+with the functions here, to check that what is written determines the value.
+"""
+
+from fractions import Fraction
+
+from jethier.diffop import DiffOperator
+from jethier.givental import OmegaTable
+from jethier.jetcalc import HbarSeries, JetPoly, rat
+
+
+def jetpoly_from_obj(obj) -> JetPoly:
+    terms = {}
+    for item in obj:
+        mono = tuple(tuple(int(x) for x in f) for f in item["mono"])
+        terms[mono] = terms.get(mono, Fraction(0)) + rat(item["coeff"])
+    return JetPoly(terms)
+
+
+def series_from_obj(obj: dict) -> HbarSeries:
+    return HbarSeries(int(obj["trunc"]), [jetpoly_from_obj(c) for c in obj["coeffs"]])
+
+
+def _index(key: str) -> tuple:
+    return tuple(int(x) for x in key.split("."))
+
+
+def table_from_obj(obj: dict) -> OmegaTable:
+    entries = {_index(key): series_from_obj(val) for key, val in obj["entries"].items()}
+    prov = {_index(key): tag for key, tag in obj.get("provenance", {}).items()}
+    return OmegaTable(int(obj["dim"]), int(obj["pmax"]), int(obj["qmax"]),
+                      int(obj["trunc"]), entries, prov)
+
+
+def operator_from_obj(obj: dict) -> DiffOperator:
+    entries = {}
+    for item in obj["entries"]:
+        key = (int(item["row"]), int(item["col"]))
+        entries.setdefault(key, {})[int(item["order"])] = series_from_obj(item["coeff"])
+    return DiffOperator(int(obj["rows"]), int(obj["trunc"]), entries)

@@ -79,9 +79,7 @@ def upper_runs(kdv_h1, kdv_h2):
             pop = PoissonOp.dx(point.dim, point.trunc)
             gen = GiventalGen("r", level, matrix)
             dP = r_deform_bracket(point, pop, gen)
-            entries = {}
-            for a in range(1, point.dim + 1):
-                entries.update(deformed_entries_for_residual(point, gen, a, pmax))
+            entries = deformed_entries_for_residual(point, gen, pmax)
             runs.append((tag, level, gen, dP, entries,
                          defining_equation_residuals(point, pop, gen, dP, pmax)))
     return runs

@@ -134,10 +134,18 @@ def test_def_a_nonzero_without_operator_deformation():
 def test_deformed_entries_cover_every_p():
     table = kdv_omega_table(4, 4, 1)
     g = r_gen(1, [[1]])
-    ent = deformed_entries_for_residual(table, g, 1, 2)
+    ent = deformed_entries_for_residual(table, g, 2)
     assert sorted(ent) == [(1, p, 1, 0) for p in range(4)]
     for (a, p, b, q), series in ent.items():
         assert series == r_deform_omega(table, g, a, p, b, q)
+    # every color a, through one deformation of the table
+    table2 = tensor_power(table, 2)
+    g2 = r_gen(2, [[0, 1], [-1, 0]])
+    ent = deformed_entries_for_residual(table2, g2, 1)
+    assert sorted(ent) == [(a, p, b, 0) for a in (1, 2) for p in range(3)
+                           for b in (1, 2)]
+    for (a, p, b, q), series in ent.items():
+        assert series == r_deform_omega(table2, g2, a, p, b, q)
 
 
 def test_def_a_trivial_all_zero():
@@ -288,8 +296,14 @@ def test_mixed_commutator_identity_seeded():
 def test_report_roundtrip():
     rep = DeformationReport(generator={"kind": "r", "level": 1, "matrix": [["1"]]},
                             target="bracket", seed=7,
-                            residuals=[((1, 0, 1), 0)])
+                            residuals=[((1, 0, 1), HbarSeries.zero(1))])
     obj = rep.to_obj()
     assert obj["all_pass"] is True
-    rep.residuals.append(((1, 1, 1), 3))
-    assert rep.to_obj()["all_pass"] is False
+    assert obj["residuals"] == [{"index": [1, 0, 1], "nonzero_monomials": 0}]
+    bad = HbarSeries(1, [JetPoly.zero(), w(3) / 2 - w(0) * w(1) + 3])
+    rep.residuals.append(((1, 1, 1), bad))
+    obj = rep.to_obj()
+    assert obj["all_pass"] is False
+    assert obj["residuals"][1] == {
+        "index": [1, 1, 1], "nonzero_monomials": 3,
+        "first_nonzero_monomial": {"hbar": 1, "coeff": "3", "mono": []}}

@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
 from jethier import cli
 from jethier.cli import InputError, main, parse_poly
-from jethier.givental import r_deform_omega
+from jethier.bracket import PoissonOp, defining_equation_residuals
+from jethier.diffop import DiffOperator
+from jethier.givental import GiventalGen, UpperDeformation
 from jethier.jetcalc import JetPoly
+from jethier.kdvbase import kdv_omega_table
 
 V = JetPoly.var
 
@@ -146,18 +150,74 @@ def test_deform_omega_symmetric(tmp_path, capsys):
 
 def test_deform_omega_computes_each_entry_once(tmp_path, capsys, monkeypatch):
     calls = []
+    deform_entry = UpperDeformation.__call__
 
-    def counted(*args):
-        calls.append(args[2:])
-        return r_deform_omega(*args)
+    def counted(self, *index):
+        calls.append(index)
+        return deform_entry(self, *index)
 
-    monkeypatch.setattr(cli, "r_deform_omega", counted)
+    monkeypatch.setattr(UpperDeformation, "__call__", counted)
     path = write_gen(tmp_path, {"kind": "r", "level": 1, "matrix": [[1]]})
     code, out = run(capsys, "deform", "omega", "--generator", path,
                     "--pmax", "2", "--qmax", "2", "--hbar", "1")
     assert code == 0
     assert len(json.loads(out)["entries"]) == 9
     assert len(calls) == 9 and len(set(calls)) == 9
+
+
+def test_deform_bracket_names_first_bad_monomial(tmp_path, capsys, monkeypatch):
+    # with the zero operator deformation the defining equation fails
+    monkeypatch.setattr(cli, "r_deform_bracket",
+                        lambda table, pop, gen: DiffOperator.zero(table.dim, table.trunc))
+    path = write_gen(tmp_path, {"kind": "r", "level": 1, "matrix": [["1"]]})
+    code, out = run(capsys, "deform", "bracket", "--generator", path,
+                    "--pmax", "1", "--hbar", "1")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["all_pass"] is False
+    table = kdv_omega_table(3, 3, 1)
+    want = defining_equation_residuals(table, PoissonOp.dx(1, 1), GiventalGen("r", 1, [[1]]),
+                                       DiffOperator.zero(1, 1), 1)
+    assert [r["index"] for r in obj["residuals"]] == [list(ix) for ix, _ in want]
+    for got, (_, res) in zip(obj["residuals"], want):
+        assert got["nonzero_monomials"] == res.num_terms() > 0
+        g = min(k for k, c in enumerate(res.coeffs) if c)
+        mono, coeff = next(res.coeffs[g].terms())
+        assert got["first_nonzero_monomial"] == {
+            "hbar": g, "coeff": str(coeff), "mono": [list(f) for f in mono]}
+
+
+# stdout of `deform omega` is pinned: no benchmark job prints deformed entries
+DEFORM_OMEGA_SHA256 = [
+    (1, [["1"]], "json", ("--pmax", "2", "--qmax", "2", "--hbar", "1"),
+     "5ae06f1d895b8f2bce144e8767d43de768137fea4e0d317179086a90c4b5a7f0"),
+    (2, [["0", "1"], ["-1", "0"]], "json",
+     ("--tensor", "2", "--pmax", "2", "--qmax", "1", "--hbar", "1"),
+     "eeb32b333c3909678d98dd295e873be9071df5894a1e9bdd1bfdfe8bf9d636c9"),
+    (1, [["1", "2"], ["2", "-1"]], "text",
+     ("--tensor", "2", "--pmax", "0", "--qmax", "0", "--hbar", "2"),
+     "d997de91d14a3005ecdae049f355021a649f4b45e7842e87e3efe43675d62594"),
+    (1, [["1", "2", "0"], ["2", "-1", "1/2"], ["0", "1/2", "3"]], "json",
+     ("--tensor", "3", "--pmax", "1", "--qmax", "1", "--hbar", "1"),
+     "a237e4bf06c954f2ec3c6e7f7cc27f2bca6980ab6d80b5da1ab59aa033e6a977"),
+    (3, [["2", "-1", "1"], ["-1", "0", "3"], ["1", "3", "1"]], "text",
+     ("--tensor", "3", "--pmax", "1", "--qmax", "0", "--hbar", "1"),
+     "d6dd1fe09b5e50628e6613b0d56a0b8b0d92ca157f518fd6db11335a66e33f63"),
+    (3, [["1"]], "text", ("--pmax", "2", "--qmax", "1", "--hbar", "1"),
+     "6c38b0ee2899dabf9edfdc225038c2b3370a42371c9023733637f26b953e6a31"),
+]
+
+
+@pytest.mark.parametrize("level, matrix, fmt, flags, digest", DEFORM_OMEGA_SHA256,
+                         ids=["r1-t1-h1-json", "r2-t2-h1-json", "r1-t2-h2-text",
+                              "r1-t3-h1-json", "r3-t3-h1-text", "r3-t1-h1-text"])
+def test_deform_omega_stdout_pinned(tmp_path, capsys, level, matrix, fmt, flags,
+                                    digest):
+    path = write_gen(tmp_path, {"kind": "r", "level": level, "matrix": matrix})
+    code, out = run(capsys, "deform", "omega", "--generator", path,
+                    "--format", fmt, *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_deform_lower_zero_deformation(tmp_path, capsys):

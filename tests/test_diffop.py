@@ -15,10 +15,10 @@ from jethier.diffop import (
     conjugate_by_miura,
     is_skew,
     leibniz,
-    operator_from_obj,
     operator_to_obj,
 )
 from jethier.kdvbase import quasi_miura
+from readers import operator_from_obj
 
 W = JetPoly.var
 

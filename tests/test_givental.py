@@ -9,16 +9,17 @@ from jethier.givental import (
     GiventalGen,
     InconsistentTable,
     OmegaTable,
+    UpperDeformation,
     gen_from_obj,
     gen_to_obj,
     r_deform_omega,
     s_deform_omega,
-    table_from_obj,
     table_to_obj,
     triple_omega,
 )
 from jethier.bracket import check_series_homogeneity
 from jethier.kdvbase import kdv_omega_table, tensor_power
+from readers import table_from_obj
 
 W = JetPoly.var
 
@@ -283,6 +284,33 @@ def test_r_deform_two_color_even_level():
         assert lhs.is_polynomial()
         assert lhs.coeffs[0].is_homogeneous(0)
         assert lhs.coeffs[1].is_homogeneous(2)
+
+
+@pytest.mark.parametrize("colors, level, matrix, hbar", [
+    (2, 1, [[1, 2], [2, -3]], 1),
+    (2, 1, [[1, 2], [2, -3]], 2),
+    (2, 2, [[0, "3/2"], ["-3/2", 0]], 1),
+    (3, 1, [[1, 2, 0], [2, -1, "1/2"], [0, "1/2", 3]], 1),
+    (3, 3, [[2, -1, 1], [-1, 0, 3], [1, 3, 1]], 1),
+], ids=["2c-level1-h1", "2c-level1-h2", "2c-level2-h1", "3c-level1-h1", "3c-level3-h1"])
+def test_r_deform_dense_generators_match_long_form(colors, level, matrix, hbar):
+    # off-diagonal entries of a dense matrix reach the contraction over nu in
+    # every block: mixed-color entries (zero on a tensor power) see it in the
+    # product block, diagonal ones in the transport factors too.  One
+    # deformation serves every entry, so its kept factors are reused across
+    # entries; at hbar^2 they are reached at jet orders above 0
+    if hbar == 1:
+        table = kdv_omega_table(5, 5, 1)
+        indices = [(1, 0, 2, 1), (2, 1, 1, 2), (1, 2, colors, 1), (colors, 2, 1, 2),
+                   (1, 1, 1, 2), (2, 2, 2, 1), (colors, 0, colors, 2)]
+    else:
+        table = kdv_omega_table(2, 2, 2)
+        indices = [(1, 0, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1), (2, 0, 2, 1), (1, 1, 1, 0)]
+    table = tensor_power(table, colors)
+    g = r_gen(level, matrix)
+    deform = UpperDeformation(table, g)
+    for (a, p, b, q) in indices:
+        assert deform(a, p, b, q) == r_deform_long(table, g, a, p, b, q), (a, p, b, q)
 
 
 def test_r_deform_first_order_recursion_preserved():

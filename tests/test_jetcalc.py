@@ -15,14 +15,13 @@ from jethier.jetcalc import (
     dx,
     evolve,
     formal_integrate,
-    jetpoly_from_obj,
     jetpoly_to_obj,
     random_jetpoly,
     render,
-    series_from_obj,
     series_to_obj,
     substitute,
 )
+from readers import jetpoly_from_obj, series_from_obj
 
 W = JetPoly.var  # W(alpha, order[, exp])
 
