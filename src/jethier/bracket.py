@@ -231,28 +231,45 @@ def s_deform_bracket(pop: PoissonOp, gen: GiventalGen) -> DiffOperator:
 # defining-equation residual
 # ---------------------------------------------------------------------------
 
-def def_a_residual(table: OmegaTable, pop: PoissonOp, deformed: dict,
-                   dP: DiffOperator, a: int, p: int, b: int) -> HbarSeries:
+def unit_sum_grads(table: OmegaTable, pop: PoissonOp, deformed: dict,
+                   dP: DiffOperator, a: int, p: int) -> tuple[dict, dict]:
+    """Variational derivatives of the unit sums (a, p+1; unit, 0) at (a, p).
+
+    Returns ({g: delta_g undeformed}, {g: delta_g deformed}), the first for
+    every color g whose column of dP has a nonzero cell, the second likewise
+    for the column of the undeformed operator.  `deformed` must supply
+    (a, p+1, c, 0) for every color c.  They do not depend on the color b of
+    a residual, so `defining_equation_residuals` builds them once per (a, p).
+    """
+    colors = range(1, table.dim + 1)
+    undeformed_u = table.unit_ext(a, p + 1)
+    deformed_u = HbarSeries.zero(table.trunc)
+    for c in colors:
+        deformed_u = deformed_u + deformed[(a, p + 1, c, 0)]
+
+    def used(op: DiffOperator, g: int) -> bool:
+        return any(op.entry(b, g) for b in colors)
+
+    return ({g: undeformed_u.var_deriv(g) for g in colors if used(dP, g)},
+            {g: deformed_u.var_deriv(g) for g in colors if used(pop.op, g)})
+
+
+def def_a_residual(pop: PoissonOp, dP: DiffOperator, d_entry: HbarSeries,
+                   grads: tuple[dict, dict], b: int) -> HbarSeries:
     """Linearized defining-equation residual at (a, p, b); zero certifies.
 
-    `deformed` maps (alpha, p', beta, q') to the deformed table entries; it
-    must supply (a, p, b, 0) and (a, p+1, c, 0) for every color c.
+    `d_entry` is the deformed table entry (a, p, b, 0) and `grads` the
+    `unit_sum_grads` at (a, p).
     """
-    H = table.trunc
-    s = table.dim
-    d_entry = deformed[(a, p, b, 0)]
-    undeformed_u = table.unit_ext(a, p + 1)
-    deformed_u = HbarSeries.zero(H)
-    for c in range(1, s + 1):
-        deformed_u = deformed_u + deformed[(a, p + 1, c, 0)]
+    d_undeformed, d_deformed = grads
     res = d_entry.dx()
-    for g in range(1, s + 1):
+    for g in range(1, dP.dim + 1):
         cell_dp = dP.entry(b, g)
         if cell_dp:
-            res = res - apply_entry(cell_dp, undeformed_u.var_deriv(g))
+            res = res - apply_entry(cell_dp, d_undeformed[g])
         cell_p = pop.op.entry(b, g)
         if cell_p:
-            res = res - apply_entry(cell_p, deformed_u.var_deriv(g))
+            res = res - apply_entry(cell_p, d_deformed[g])
     return res
 
 
@@ -279,8 +296,13 @@ def defining_equation_residuals(table: OmegaTable, pop: PoissonOp,
     """
     ent = deformed_entries_for_residual(table, gen, pmax)
     colors = range(1, table.dim + 1)
-    return [((a, p, b), def_a_residual(table, pop, ent, dP, a, p, b))
-            for a in colors for p in range(pmax + 1) for b in colors]
+    out = []
+    for a in colors:
+        for p in range(pmax + 1):
+            grads = unit_sum_grads(table, pop, ent, dP, a, p)
+            out += [((a, p, b), def_a_residual(pop, dP, ent[(a, p, b, 0)], grads, b))
+                    for b in colors]
+    return out
 
 
 # ---------------------------------------------------------------------------

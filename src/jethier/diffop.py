@@ -148,23 +148,27 @@ class DiffOperator:
 
 
 def leibniz(a: Entry, b: Entry, out: Entry | None = None,
-            top: int | None = None) -> Entry:
+            top: int | None = None, jets: dict | None = None) -> Entry:
     """Add the scalar composition a o b into the cell `out`, and return it.
 
     Cells map orders to coefficients, {k: c} standing for sum_k c d^k; the
     Leibniz rule  d^k1 o (f d^k2) = sum_i C(k1,i) dx^i(f) d^(k1-i+k2)  expands
-    the product.  Orders above `top`, when given, are not computed.
+    the product.  Orders above `top`, when given, are not computed.  `jets`
+    maps each order k2 of b to [dx^i(b[k2]), i = 0, 1, ...], grown on demand;
+    calls that compose with the same b pass the same dict to share them.
     """
     if out is None:
         out = {}
+    if jets is None:
+        jets = {}
     for k2, cb in b.items():
-        jets = [cb]  # jets[i] = dx^i(cb), grown on demand
+        row = jets.setdefault(k2, [cb])  # row[i] = dx^i(cb)
         for k1, ca in a.items():
             lo = 0 if top is None else max(0, k1 + k2 - top)
             for i in range(lo, k1 + 1):
-                while len(jets) <= i:
-                    jets.append(jets[-1].dx())
-                c = ca * jets[i]
+                while len(row) <= i:
+                    row.append(row[-1].dx())
+                c = ca * row[i]
                 if 0 < i < k1:
                     c = c * math.comb(k1, i)
                 k = k1 - i + k2
@@ -181,11 +185,13 @@ def compose(p: DiffOperator, q: DiffOperator) -> DiffOperator:
     """Operator composition p o q with matrix contraction over the inner color."""
     p._require_same_shape(q)
     out: dict[tuple[int, int], Entry] = {}
+    jets: dict[tuple[int, int], dict] = {}  # x-derivatives of q's cells, shared by rows
     for (row, mid), cell_p in p._entries.items():
         for col in range(1, q.dim + 1):
             cell_q = q._entries.get((mid, col))
             if cell_q:
-                leibniz(cell_p, cell_q, out.setdefault((row, col), {}))
+                leibniz(cell_p, cell_q, out.setdefault((row, col), {}),
+                        jets=jets.setdefault((mid, col), {}))
     return DiffOperator(p.dim, min(p.trunc, q.trunc), out)
 
 

@@ -46,7 +46,7 @@ def _grad_integrate(grads: dict[int, JetPoly], dim: int) -> JetPoly:
     for g in range(1, dim + 1):
         euler = euler + JetPoly.var(g, 0) * grads[g]
     terms = {}
-    for mono, c in euler._terms.items():
+    for mono, c in euler.terms():
         total = sum(e for _, _, e in mono)
         terms[mono] = c / total
     return JetPoly(terms)

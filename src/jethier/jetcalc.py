@@ -10,7 +10,13 @@ polynomial.
 Representation is sparse and exact:
 
   Mono    = tuple[(alpha, n, exp), ...]   sorted by (alpha, n), exp != 0
-  JetPoly = { Mono: Fraction }            no zero coefficients stored
+  JetPoly = { Mono: int } / den           integer numerators over one shared
+                                          denominator den >= 1, no zero
+                                          numerator, gcd(den, *numerators) == 1
+
+The form is canonical, so equal polynomials have equal storage.  Rationals
+appear only at the edges: constructor input, `terms()`, `constant_term()`
+and the serializers, which all speak `Fraction`.
 
 The module provides the derivations of the variational calculus:
 
@@ -100,20 +106,27 @@ def _mono_degree(mono: Mono) -> int:
 
 
 class JetPoly:
-    """Immutable exact-rational Laurent differential polynomial."""
+    """Immutable exact-rational Laurent differential polynomial.
 
-    __slots__ = ("_terms",)
+    Integer numerators `_num` over one denominator `_den`, in the canonical
+    form of the module docstring; every operation returns that form.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: dict | None = None):
-        clean: dict[Mono, Fraction] = {}
+        coeffs: dict[Mono, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
                 c = rat(coeff)
                 if c == 0:
                     continue
                 _validate_mono(mono)
-                clean[mono] = c
-        object.__setattr__(self, "_terms", clean)
+                coeffs[mono] = c
+        # with den the lcm of reduced denominators, gcd(den, *numerators) == 1
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+        self._den = den
 
     # -- constructors -------------------------------------------------
 
@@ -126,42 +139,56 @@ class JetPoly:
         c = rat(c)
         if c == 0:
             return _ZERO
-        p = JetPoly.__new__(JetPoly)
-        object.__setattr__(p, "_terms", {(): c})
-        return p
+        return JetPoly._raw({(): c.numerator}, c.denominator)
 
     @staticmethod
     def var(alpha: int, n: int, exp: int = 1) -> "JetPoly":
         if exp == 0:
             return JetPoly.const(1)
-        return JetPoly({((alpha, n, exp),): Fraction(1)})
+        mono = ((alpha, n, exp),)
+        _validate_mono(mono)
+        return JetPoly._raw({mono: 1}, 1)
 
     @staticmethod
-    def _raw(terms: dict) -> "JetPoly":
-        """Internal: wrap an already-normalized term dict without checks."""
+    def _raw(num: dict, den: int) -> "JetPoly":
+        """Internal: wrap numerators already in canonical form, without checks."""
         p = JetPoly.__new__(JetPoly)
-        object.__setattr__(p, "_terms", terms)
+        p._num = num
+        p._den = den
         return p
+
+    @staticmethod
+    def _reduced(num: dict, den: int) -> "JetPoly":
+        """Internal: wrap nonzero numerators over den >= 1, dividing out their
+        common factor with den (in place)."""
+        if den != 1:
+            g = math.gcd(den, *num.values()) if num else den
+            if g != 1:
+                den //= g
+                for mono in num:
+                    num[mono] //= g
+        return JetPoly._raw(num, den)
 
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def terms(self) -> Iterator[tuple[Mono, Fraction]]:
         """Iterate (monomial, coefficient) in the canonical order."""
-        return iter(sorted(self._terms.items()))
+        den = self._den
+        return ((mono, Fraction(c, den)) for mono, c in sorted(self._num.items()))
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._num.get((), 0), self._den)
 
     def variables(self) -> set[tuple[int, int]]:
         """All (alpha, n) pairs occurring in some monomial."""
         out = set()
-        for mono in self._terms:
+        for mono in self._num:
             for alpha, n, _ in mono:
                 out.add((alpha, n))
         return out
@@ -169,7 +196,7 @@ class JetPoly:
     def max_order(self) -> int:
         """Largest jet order present; -1 for a constant or zero polynomial."""
         best = -1
-        for mono in self._terms:
+        for mono in self._num:
             for _, n, _ in mono:
                 if n > best:
                     best = n
@@ -180,10 +207,10 @@ class JetPoly:
 
     def is_polynomial(self) -> bool:
         """True iff no negative exponent occurs (no Laurent sector)."""
-        return all(exp > 0 for mono in self._terms for _, _, exp in mono)
+        return all(exp > 0 for mono in self._num for _, _, exp in mono)
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -192,12 +219,19 @@ class JetPoly:
             other = JetPoly.const(other)
         if not isinstance(other, JetPoly):
             return NotImplemented
-        if not self._terms:
+        if not self._num:
             return other
-        if not other._terms:
+        if not other._num:
             return self
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
+        da, db = self._den, other._den
+        if da == db:
+            den, out, scale = da, dict(self._num), 1
+        else:
+            den = math.lcm(da, db)
+            sa, scale = den // da, den // db
+            out = {m: c * sa for m, c in self._num.items()}
+        for mono, c in other._num.items():
+            c *= scale
             acc = out.get(mono)
             if acc is None:
                 out[mono] = c
@@ -207,12 +241,12 @@ class JetPoly:
                     del out[mono]
                 else:
                     out[mono] = acc
-        return JetPoly._raw(out)
+        return JetPoly._reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return JetPoly._raw({m: -c for m, c in self._terms.items()})
+        return JetPoly._raw({m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -226,17 +260,18 @@ class JetPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            if c == 0:
+            if other == 0:
                 return _ZERO
-            return JetPoly._raw({m: cc * c for m, cc in self._terms.items()})
+            k = other.numerator
+            return JetPoly._reduced({m: c * k for m, c in self._num.items()},
+                                    self._den * other.denominator)
         if not isinstance(other, JetPoly):
             return NotImplemented
-        if not self._terms or not other._terms:
+        if not self._num or not other._num:
             return _ZERO
-        out: dict[Mono, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
+        out: dict[Mono, int] = {}
+        for ma, ca in self._num.items():
+            for mb, cb in other._num.items():
                 mono = _mono_mul(ma, mb)
                 c = ca * cb
                 acc = out.get(mono)
@@ -248,7 +283,7 @@ class JetPoly:
                         del out[mono]
                     else:
                         out[mono] = acc
-        return JetPoly._raw(out)
+        return JetPoly._reduced(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -261,10 +296,10 @@ class JetPoly:
         if k == 0:
             return JetPoly.const(1)
         if k < 0:
-            if len(self._terms) != 1:
+            if len(self._num) != 1:
                 raise ValueError("negative power of a non-monomial polynomial")
-            (mono, coeff), = self._terms.items()
-            inv = JetPoly({tuple((a, n, -e) for a, n, e in mono): Fraction(1) / coeff})
+            (mono, c), = self._num.items()
+            inv = JetPoly({tuple((a, n, -e) for a, n, e in mono): Fraction(self._den, c)})
             return inv ** (-k)
         acc = self
         for _ in range(k - 1):
@@ -276,10 +311,10 @@ class JetPoly:
             other = JetPoly.const(other)
         if not isinstance(other, JetPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._num.items()), self._den))
 
     def __repr__(self):
         return f"JetPoly({render(self)})"
@@ -288,8 +323,8 @@ class JetPoly:
 
     def dx(self) -> "JetPoly":
         """Total x-derivative: chain rule, each w[a,n] -> w[a,n+1]."""
-        out: dict[Mono, Fraction] = {}
-        for mono, coeff in self._terms.items():
+        out: dict[Mono, int] = {}
+        for mono, coeff in self._num.items():
             for idx, (alpha, n, exp) in enumerate(mono):
                 if exp == 1:
                     rest = mono[:idx] + mono[idx + 1:]
@@ -306,7 +341,7 @@ class JetPoly:
                         del out[new]
                     else:
                         out[new] = acc
-        return JetPoly._raw(out)
+        return JetPoly._reduced(out, self._den)
 
     def dx_pow(self, k: int, sign: int = 1) -> "JetPoly":
         """Apply dx k times; sign=-1 gives (-dx)^k."""
@@ -319,8 +354,8 @@ class JetPoly:
 
     def partial(self, alpha: int, n: int) -> "JetPoly":
         """Formal partial derivative with respect to w[alpha, n]."""
-        out: dict[Mono, Fraction] = {}
-        for mono, coeff in self._terms.items():
+        out: dict[Mono, int] = {}
+        for mono, coeff in self._num.items():
             for idx, (a, m, exp) in enumerate(mono):
                 if a == alpha and m == n:
                     if exp == 1:
@@ -338,7 +373,7 @@ class JetPoly:
                         else:
                             out[rest] = acc
                     break
-        return JetPoly._raw(out)
+        return JetPoly._reduced(out, self._den)
 
     def var_deriv(self, alpha: int) -> "JetPoly":
         """Variational derivative  sum_n (-dx)^n  d/dw[alpha,n]."""
@@ -361,15 +396,14 @@ class JetPoly:
     # -- grading ------------------------------------------------------
 
     def degrees(self) -> set[int]:
-        return {_mono_degree(m) for m in self._terms}
+        return {_mono_degree(m) for m in self._num}
 
     def is_homogeneous(self, d: int) -> bool:
         """True iff every monomial has weighted degree d (vacuous for zero)."""
-        return all(_mono_degree(m) == d for m in self._terms)
+        return all(_mono_degree(m) == d for m in self._num)
 
 
-_ZERO = JetPoly.__new__(JetPoly)
-object.__setattr__(_ZERO, "_terms", {})
+_ZERO = JetPoly._raw({}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +438,16 @@ def formal_integrate(p: JetPoly) -> JetPoly:
 
     Works slice by slice: the top-order jets of an exact polynomial occur
     linearly, and their coefficients form a gradient in the next-lower
-    slice, which an Euler homotopy reconstructs.  The result q is verified
-    to satisfy dx(q) == p; failure of any step raises NotExact.  Inputs
-    whose preimage would need a logarithm (d log sectors such as
-    w[1,2]/w[1,1]) are rejected the same way.
+    slice, which an Euler homotopy reconstructs.  Each pass strictly lowers
+    the top jet order, so the loop ends.  The result q is verified to satisfy
+    dx(q) == p, which is the certificate; failure of any step raises
+    NotExact.  Inputs whose preimage would need a logarithm (d log sectors
+    such as w[1,2]/w[1,1]) are rejected the same way.
     """
     if isinstance(p, HbarSeries):
         return HbarSeries(p.trunc, [formal_integrate(c) for c in p.coeffs])
     if p.constant_term() != 0:
         raise NotExact("nonzero constant term has no dx-preimage")
-    for alpha in sorted(p.colors()):
-        if p.var_deriv(alpha):
-            raise NotExact(f"variational derivative in color {alpha} does not vanish")
     result = _ZERO
     rem = p
     while rem:
@@ -430,7 +462,7 @@ def formal_integrate(p: JetPoly) -> JetPoly:
                 raise NotExact("top jet slice occurs nonlinearly")
             euler = euler + JetPoly.var(alpha, top - 1) * coeff
         psi_terms: dict[Mono, Fraction] = {}
-        for mono, c in euler._terms.items():
+        for mono, c in euler.terms():
             ydeg = sum(e for a, n, e in mono if n == top - 1)
             if ydeg == 0:
                 raise NotExact("slice potential needs a logarithm or is not closed")
@@ -536,10 +568,7 @@ class HbarSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return HbarSeries(self.trunc, [p * c for p in self.coeffs])
-        if isinstance(other, JetPoly):
+        if isinstance(other, (int, Fraction, JetPoly)):
             return HbarSeries(self.trunc, [p * other for p in self.coeffs])
         if not isinstance(other, HbarSeries):
             return NotImplemented
@@ -570,7 +599,7 @@ class HbarSeries:
     def inverse(self) -> "HbarSeries":
         """Multiplicative inverse; the hbar^0 part must be a single monomial."""
         lead = self.coeffs[0]
-        if len(lead._terms) != 1:
+        if lead.num_terms() != 1:
             raise ValueError("inverse needs a single-monomial leading coefficient")
         lead_inv = lead ** (-1)
         # (m + r)^-1 = m^-1 sum_k (-r m^-1)^k   with r the hbar-positive tail
@@ -675,18 +704,35 @@ class Substitution:
     def __call__(self, p) -> HbarSeries:
         h = self.trunc
         parts = enumerate(p.coeffs[: h + 1]) if isinstance(p, HbarSeries) else ((0, p),)
-        acc: list[dict[Mono, Fraction]] = [{} for _ in range(h + 1)]
+        # numerators of each hbar^g part of the result, over a running denominator
+        nums: list[dict[Mono, int]] = [{} for _ in range(h + 1)]
+        dens = [1] * (h + 1)
         for g, c in parts:
-            for mono, coeff in c._terms.items():
+            for mono, coeff in c._num.items():
                 # the hbar^g part is only needed modulo hbar^(h-g+1)
                 for k, part in enumerate(self.monomial(mono, h - g).coeffs):
-                    _add_scaled(acc[g + k], part._terms, coeff)
-        return HbarSeries(h, [JetPoly._raw(t) for t in acc])
+                    if part:
+                        dens[g + k] = _add_scaled(nums[g + k], dens[g + k],
+                                                  part, coeff, c._den)
+        return HbarSeries(h, [JetPoly._reduced(n, d) for n, d in zip(nums, dens)])
 
 
-def _add_scaled(dst: dict, terms: dict, scale: Fraction) -> None:
-    """dst += scale * terms, in place, dropping coefficients that cancel."""
-    for mono, c in terms.items():
+def _add_scaled(dst: dict, dst_den: int, src: JetPoly, scale: int, scale_den: int) -> int:
+    """dst/dst_den += (scale/scale_den) * src, in place, dropping numerators
+    that cancel; returns the new denominator, the lcm of the two.
+
+    The common factor of the result is not divided out here but once, by
+    `JetPoly._reduced`, when the sum is complete.
+    """
+    den = scale_den * src._den
+    if dst_den % den:
+        new = math.lcm(dst_den, den)
+        f = new // dst_den
+        for mono in dst:
+            dst[mono] *= f
+        dst_den = new
+    scale *= dst_den // den
+    for mono, c in src._num.items():
         c = c * scale
         acc = dst.get(mono)
         if acc is None:
@@ -697,6 +743,7 @@ def _add_scaled(dst: dict, terms: dict, scale: Fraction) -> None:
                 del dst[mono]
             else:
                 dst[mono] = acc
+    return dst_den
 
 
 def substitute(p, images: dict[int, HbarSeries], trunc: int) -> HbarSeries:

@@ -196,7 +196,7 @@ def kdv_omega_table(pmax: int, qmax: int, trunc: int = 2) -> OmegaTable:
 def _recolor(p: JetPoly, color: int) -> JetPoly:
     return JetPoly({
         tuple((color, n, e) for _, n, e in mono): c
-        for mono, c in p._terms.items()
+        for mono, c in p.terms()
     })
 
 

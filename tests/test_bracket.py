@@ -22,6 +22,7 @@ from jethier.bracket import (
     r_deform_bracket,
     s_deform_bracket,
     uniqueness_residuals,
+    unit_sum_grads,
 )
 
 W = JetPoly.var
@@ -153,8 +154,33 @@ def test_def_a_trivial_all_zero():
     pop = PoissonOp.dx(1, 1)
     zeros = {key: HbarSeries.zero(1) for key in
              [(1, 0, 1, 0), (1, 1, 1, 0)]}
-    res = def_a_residual(table, pop, zeros, DiffOperator.zero(1, 1), 1, 0, 1)
+    dP = DiffOperator.zero(1, 1)
+    grads = unit_sum_grads(table, pop, zeros, dP, 1, 0)
+    res = def_a_residual(pop, dP, zeros[(1, 0, 1, 0)], grads, 1)
     assert res.is_zero()
+
+
+def test_unit_sum_grads_built_once_per_a_p(monkeypatch):
+    # the unit sums depend on (a, p) only: 3 colors x 3 values of p, each
+    # with one variational derivative per color of the undeformed and of the
+    # deformed sum, not one set per residual color b
+    table = tensor_power(kdv_omega_table(6, 6, 1), 3)
+    pop = PoissonOp.dx(3, 1)
+    g = r_gen(3, [[1, 2, 3], [2, 1, 1], [3, 1, 2]])
+    dP = r_deform_bracket(table, pop, g)
+    calls = []
+    var_deriv = HbarSeries.var_deriv
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return var_deriv(self, alpha)
+
+    monkeypatch.setattr(HbarSeries, "var_deriv", counted)
+    residuals = defining_equation_residuals(table, pop, g, dP, 2)
+    assert len(residuals) == 27
+    assert len(calls) == 54
+    for index, res in residuals:
+        assert res.is_zero(), index
 
 
 def test_bracket_deformation_skew_and_no_order0():

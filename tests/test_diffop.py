@@ -12,6 +12,7 @@ from jethier.diffop import (
     apply_entry,
     apply_op,
     compose,
+    compose_chain,
     conjugate_by_miura,
     is_skew,
     leibniz,
@@ -243,6 +244,26 @@ def coupled_change():
         HbarSeries(2, [W(1, 0), dx(g1), JetPoly.zero()]),
         HbarSeries(2, [W(2, 0), dx(g2), JetPoly.zero()]),
     ])
+
+
+def test_compose_differentiates_each_right_coefficient_once(monkeypatch):
+    # the jets dx^i of a right-hand coefficient are shared by every left row
+    L = coupled_change().jacobian()
+    right = compose(DiffOperator.dx_op(2, 2), adjoint(L))
+    differentiated = []  # the series themselves, so no id is reused
+    series_dx = HbarSeries.dx
+
+    def counted(self):
+        differentiated.append(self)
+        return series_dx(self)
+
+    monkeypatch.setattr(HbarSeries, "dx", counted)
+    got = compose(L, right)
+    monkeypatch.undo()
+    assert differentiated
+    assert len({id(s) for s in differentiated}) == len(differentiated)
+    want = compose_chain(L, DiffOperator.dx_op(2, 2), adjoint(L))
+    assert got == want
 
 
 def test_two_color_coupled_miura_conjugation():

@@ -1,6 +1,7 @@
 """Core calculus: derivations, grading, integration, series, serialization."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -81,7 +82,7 @@ def test_dx_raises_degree_by_one():
     for _ in range(20):
         p = random_jetpoly(rng)
         for d in p.degrees():
-            comp = JetPoly({m: c for m, c in p._terms.items()
+            comp = JetPoly({m: c for m, c in p.terms()
                             if sum(n * e for _, n, e in m) == d})
             degs = dx(comp).degrees()
             assert degs <= {d + 1}
@@ -224,6 +225,29 @@ def test_integrate_constant_rejected():
         formal_integrate(JetPoly.const(1))
 
 
+def test_integrate_rejects_nonzero_variational_derivative():
+    # no pre-check of var_deriv: the slice steps and the final dx check reject
+    for p in (w(0) * w(2), w(0) ** 2 * w(1) ** 2, W(1, 0) * W(2, 1),
+              w(1) ** 3 * w(2, -1), w(0) * w(1) + w(0) * w(2)):
+        assert any(p.var_deriv(alpha) for alpha in p.colors())
+        with pytest.raises(NotExact):
+            formal_integrate(p)
+
+
+def test_integrate_exact_iff_variational_derivative_vanishes():
+    # on polynomials without constant term, exact = kernel of var_deriv
+    rng = random.Random(37)
+    for _ in range(30):
+        p = random_jetpoly(rng, colors=2, max_order=2, n_terms=3)
+        p = dx(p) + rng.randint(0, 1) * random_jetpoly(rng, colors=2, max_order=2, n_terms=1)
+        p = p - JetPoly.const(p.constant_term())
+        if any(p.var_deriv(alpha) for alpha in (1, 2)):
+            with pytest.raises(NotExact):
+                formal_integrate(p)
+        else:
+            assert dx(formal_integrate(p)) == p
+
+
 def test_integrate_log_sector_rejected():
     # w2/w1 = dx(log w1) is outside the Laurent ring
     with pytest.raises(NotExact):
@@ -364,3 +388,215 @@ def test_series_json_roundtrip():
 def test_render_fixed_order():
     p = w(0) ** 2 - w(2) / 2
     assert render(p) == "w[1,0]^2 - 1/2*w[1,2]"
+
+
+# ---------------------------------------------------------------------------
+# the coefficient layer against a {Mono: Fraction} oracle
+# ---------------------------------------------------------------------------
+
+def rational_jetpoly(rng, n_terms=3, colors=2, max_order=3):
+    """Random polynomial with fractional coefficients and Laurent monomials."""
+    terms = {}
+    for _ in range(n_terms):
+        exps = {}
+        for _ in range(rng.randint(0, 3)):
+            a, n = rng.randint(1, colors), rng.randint(0, max_order)
+            e = rng.choice((1, 2) if n == 0 else (-2, -1, 1, 2))
+            exps[(a, n)] = exps.get((a, n), 0) + e
+        mono = tuple((a, n, e) for (a, n), e in sorted(exps.items()) if e)
+        terms[mono] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return JetPoly(terms)
+
+
+def model(p):
+    """The oracle form {mono: Fraction} of p, after checking p's storage is
+    canonical: int numerators, never zero, over an int denominator >= 1 with
+    gcd(den, *numerators) == 1."""
+    num, den = p._num, p._den
+    assert type(den) is int and den >= 1
+    assert all(type(c) is int and c != 0 for c in num.values())
+    assert math.gcd(den, *num.values()) == 1
+    out = dict(p.terms())
+    assert all(type(c) is Fraction for c in out.values())
+    return out
+
+
+def o_clean(a):
+    return {m: c for m, c in a.items() if c}
+
+
+def o_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return o_clean(out)
+
+
+def o_scale(a, k):
+    return o_clean({m: c * k for m, c in a.items()})
+
+
+def o_mono(exps):
+    return tuple((a, n, e) for (a, n), e in sorted(exps.items()) if e)
+
+
+def o_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            exps = {}
+            for al, n, e in ma + mb:
+                exps[(al, n)] = exps.get((al, n), 0) + e
+            m = o_mono(exps)
+            out[m] = out.get(m, 0) + ca * cb
+    return o_clean(out)
+
+
+def o_partial(a, alpha, n):
+    out = {}
+    for m, c in a.items():
+        exps = {(al, k): e for al, k, e in m}
+        e = exps.get((alpha, n), 0)
+        if e:
+            exps[(alpha, n)] = e - 1
+            mm = o_mono(exps)
+            out[mm] = out.get(mm, 0) + c * e
+    return o_clean(out)
+
+
+def o_vars(a):
+    return {(al, n) for m in a for al, n, _ in m}
+
+
+def o_dx(a):
+    out = {}
+    for alpha, n in o_vars(a):
+        out = o_add(out, o_mul(o_partial(a, alpha, n), {((alpha, n + 1, 1),): Fraction(1)}))
+    return out
+
+
+def o_dx_pow(a, k):
+    for _ in range(k):
+        a = o_dx(a)
+    return a
+
+
+def o_t_op(a, alpha, k):
+    out = {}
+    for n in {n for al, n in o_vars(a) if al == alpha and n >= k}:
+        term = o_dx_pow(o_partial(a, alpha, n), n - k)
+        out = o_add(out, o_scale(term, math.comb(n, k) * (-1) ** (n - k)))
+    return out
+
+
+def o_series_mul(a, b):
+    h = len(a) - 1
+    out = [{} for _ in range(h + 1)]
+    for i in range(h + 1):
+        for j in range(h + 1 - i):
+            out[i + j] = o_add(out[i + j], o_mul(a[i], b[j]))
+    return out
+
+
+def o_series_inverse(a):
+    (m, c), = a[0].items()
+    lead_inv = {tuple((al, n, -e) for al, n, e in m): 1 / c}
+    tail = [{}] + [o_scale(o_mul(x, lead_inv), -1) for x in a[1:]]
+    out = [{(): Fraction(1)}] + [{} for _ in a[1:]]
+    power = list(out)
+    for _ in a[1:]:
+        power = o_series_mul(power, tail)
+        out = [o_add(x, y) for x, y in zip(out, power)]
+    return [o_mul(x, lead_inv) for x in out]
+
+
+def o_substitute(series, images, h):
+    """sum hbar^g c * prod dx^n(images[alpha])^exp, modulo hbar^(h+1)."""
+    out = [{} for _ in range(h + 1)]
+    for g, a in enumerate(series[: h + 1]):
+        for m, c in a.items():
+            term = [{}] * g + [{(): c}] + [{} for _ in range(h - g)]
+            for alpha, n, e in m:
+                jet = [o_dx_pow(x, n) for x in images[alpha]]
+                base = jet if e > 0 else o_series_inverse(jet)
+                for _ in range(abs(e)):
+                    term = o_series_mul(term, base)
+            out = [o_add(x, y) for x, y in zip(out, term)]
+    return out
+
+
+def test_coefficient_layer_against_oracle():
+    rng = random.Random(41)
+    for _ in range(40):
+        p, q = rational_jetpoly(rng), rational_jetpoly(rng)
+        mp, mq = model(p), model(q)
+        assert model(p + q) == o_add(mp, mq)
+        assert model(p - q) == o_add(mp, o_scale(mq, -1))
+        assert model(-p) == o_scale(mp, -1)
+        assert model(p * q) == o_mul(mp, mq)
+        k = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        assert model(p * k) == o_scale(mp, k)
+        assert model(p * 6) == o_scale(mp, 6)
+        if k:
+            assert model(p / k) == o_scale(mp, 1 / k)
+        assert model(p ** 2) == o_mul(mp, mp)
+        assert model(p.dx()) == o_dx(mp)
+        for alpha, n in sorted(p.variables()):
+            assert model(p.partial(alpha, n)) == o_partial(mp, alpha, n)
+        for alpha in (1, 2):
+            assert model(p.var_deriv(alpha)) == o_t_op(mp, alpha, 0)
+            for kk in (1, 2, 3):
+                assert model(p.t_op(alpha, kk)) == o_t_op(mp, alpha, kk)
+        assert p.constant_term() == mp.get((), 0)
+        for mono, c in mp.items():
+            term = JetPoly({mono: c})
+            if all(n > 0 for _, n, _ in mono):
+                inv = {tuple((a, n, -e) for a, n, e in mono): 1 / c}
+                assert model(term ** -2) == o_mul(inv, inv)
+
+
+def test_integrate_against_oracle():
+    rng = random.Random(43)
+    for _ in range(30):
+        p = rational_jetpoly(rng)
+        p = p - JetPoly.const(p.constant_term())
+        q = formal_integrate(dx(p))
+        assert o_dx(model(q)) == model(dx(p))
+        assert () not in model(q)
+
+
+def test_substitution_against_oracle():
+    rng = random.Random(47)
+    h = 2
+    for _ in range(12):
+        # hbar^0 part a fractional multiple of w[a,0], so every prolonged
+        # image is invertible and Laurent monomials substitute
+        images = {a: HbarSeries(h, [JetPoly.var(a, 0) * Fraction(rng.randint(1, 5), rng.randint(1, 5))]
+                                + [rational_jetpoly(rng, n_terms=2) for _ in range(h)])
+                  for a in (1, 2)}
+        oracle_images = {a: [model(c) for c in s.coeffs] for a, s in images.items()}
+        p = rational_jetpoly(rng, n_terms=4)
+        got = substitute(p, images, h)
+        assert [model(c) for c in got.coeffs] == o_substitute([model(p)], oracle_images, h)
+        s = HbarSeries(h, [p, rational_jetpoly(rng), rational_jetpoly(rng)])
+        got = substitute(s, images, h)
+        assert [model(c) for c in got.coeffs] == o_substitute(
+            [model(c) for c in s.coeffs], oracle_images, h)
+
+
+def test_equal_values_built_differently_are_equal_and_hash_equal():
+    rng = random.Random(53)
+    for _ in range(30):
+        p, q, r = (rational_jetpoly(rng) for _ in range(3))
+        pairs = [((p * q) * r, p * (q * r)),
+                 ((p + q) - q, p),
+                 (p * Fraction(2, 3) * Fraction(3, 2), p),
+                 ((p + q) * r, p * r + q * r),
+                 (p.dx() + q.dx(), (p + q).dx()),
+                 (JetPoly(dict(p.terms())), p)]
+        for a, b in pairs:
+            model(a)
+            model(b)
+            assert a == b
+            assert hash(a) == hash(b)
+    assert JetPoly.const(Fraction(4, 2)) == 2 and hash(JetPoly.const(2)) == hash(2 * JetPoly.const(1))
