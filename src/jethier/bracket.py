@@ -43,18 +43,16 @@ class PoissonOp:
     """Skew operator defining a local Poisson bracket.
 
     Operators arising from hierarchy data carry no order-0 term; that is
-    enforced by default.  Synthetic test operators of hydrodynamic type
-    (such as w d + w_x/2) may opt out with allow_order0=True.
+    enforced.  The deformations and residuals read only `op`.
     """
 
     __slots__ = ("op",)
 
-    def __init__(self, op: DiffOperator, allow_order0: bool = False):
-        if not allow_order0:
-            for a in range(1, op.dim + 1):
-                for b in range(1, op.dim + 1):
-                    if not op.coeff(a, b, 0).is_zero():
-                        raise ValueError("Poisson operator must have no order-0 term")
+    def __init__(self, op: DiffOperator):
+        for a in range(1, op.dim + 1):
+            for b in range(1, op.dim + 1):
+                if not op.coeff(a, b, 0).is_zero():
+                    raise ValueError("Poisson operator must have no order-0 term")
         if not is_skew(op):
             raise ValueError("Poisson operator must be skew-adjoint")
         object.__setattr__(self, "op", op)

@@ -13,8 +13,10 @@ L[a,mu] = sum_e (dm_a/dv[mu,e]) d^e, after which coefficients are
 re-expressed in the target jets through the inverse change.  A change keeps
 what it derives: its inverse images, solved once (and not solved at all for
 a change made by `inverse()`, whose inverse is the known forward map), and
-one `Substitution` by them that caches the prolonged jets and their powers
-across every coefficient it rewrites.
+one `Substitution` by them that caches the powers of the prolonged jets
+across every coefficient it rewrites.  The x-derivatives the Leibniz rule
+reads are kept by the coefficients themselves (`HbarSeries.dx`), so every
+row of a composition reads the same ones.
 """
 
 from __future__ import annotations
@@ -58,11 +60,6 @@ class DiffOperator:
     @staticmethod
     def zero(dim: int, trunc: int) -> "DiffOperator":
         return DiffOperator(dim, trunc, {})
-
-    @staticmethod
-    def identity(dim: int, trunc: int) -> "DiffOperator":
-        one = HbarSeries.const(1, trunc)
-        return DiffOperator(dim, trunc, {(a, a): {0: one} for a in range(1, dim + 1)})
 
     @staticmethod
     def dx_op(dim: int, trunc: int, k: int = 1, scale=1) -> "DiffOperator":
@@ -148,27 +145,21 @@ class DiffOperator:
 
 
 def leibniz(a: Entry, b: Entry, out: Entry | None = None,
-            top: int | None = None, jets: dict | None = None) -> Entry:
+            top: int | None = None) -> Entry:
     """Add the scalar composition a o b into the cell `out`, and return it.
 
     Cells map orders to coefficients, {k: c} standing for sum_k c d^k; the
     Leibniz rule  d^k1 o (f d^k2) = sum_i C(k1,i) dx^i(f) d^(k1-i+k2)  expands
-    the product.  Orders above `top`, when given, are not computed.  `jets`
-    maps each order k2 of b to [dx^i(b[k2]), i = 0, 1, ...], grown on demand;
-    calls that compose with the same b pass the same dict to share them.
+    the product.  Orders above `top`, when given, are not computed.  The
+    jets dx^i(f) are the ones f keeps, so calls with the same b share them.
     """
     if out is None:
         out = {}
-    if jets is None:
-        jets = {}
     for k2, cb in b.items():
-        row = jets.setdefault(k2, [cb])  # row[i] = dx^i(cb)
         for k1, ca in a.items():
             lo = 0 if top is None else max(0, k1 + k2 - top)
             for i in range(lo, k1 + 1):
-                while len(row) <= i:
-                    row.append(row[-1].dx())
-                c = ca * row[i]
+                c = ca * cb.dx_pow(i)
                 if 0 < i < k1:
                     c = c * math.comb(k1, i)
                 k = k1 - i + k2
@@ -185,13 +176,11 @@ def compose(p: DiffOperator, q: DiffOperator) -> DiffOperator:
     """Operator composition p o q with matrix contraction over the inner color."""
     p._require_same_shape(q)
     out: dict[tuple[int, int], Entry] = {}
-    jets: dict[tuple[int, int], dict] = {}  # x-derivatives of q's cells, shared by rows
     for (row, mid), cell_p in p._entries.items():
         for col in range(1, q.dim + 1):
             cell_q = q._entries.get((mid, col))
             if cell_q:
-                leibniz(cell_p, cell_q, out.setdefault((row, col), {}),
-                        jets=jets.setdefault((mid, col), {}))
+                leibniz(cell_p, cell_q, out.setdefault((row, col), {}))
     return DiffOperator(p.dim, min(p.trunc, q.trunc), out)
 
 
@@ -301,10 +290,6 @@ class MiuraChange:
         object.__setattr__(self, "_linear", linear)
         object.__setattr__(self, "_inverse", None)
         object.__setattr__(self, "_to_target", None)
-
-    @staticmethod
-    def identity(dim: int, trunc: int) -> "MiuraChange":
-        return MiuraChange([HbarSeries.var(a, 0, trunc) for a in range(1, dim + 1)])
 
     def inverse_images(self) -> tuple:
         """Components of the inverse change, expressed in the target jets."""

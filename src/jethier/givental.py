@@ -232,12 +232,13 @@ class UpperDeformation:
                               dx^(n+1) (g,0;mu,d) * dx^(m+1) (nu,l-1-d;z,0)
 
     with the jet transport T_n of `lin`.  These are built on first use and
-    kept, with the x-derivatives they use, so one instance serves every
-    entry of the table: build it once for the many entries of one table and
-    generator.  Nothing is kept beyond the instance.
+    kept, so one instance serves every entry of the table: build it once for
+    the many entries of one table and generator.  The x-derivatives they use
+    are the ones the table entries and the contracted factors keep
+    themselves (`HbarSeries.dx`).  Nothing is kept beyond the instance.
     """
 
-    __slots__ = ("table", "gen", "_right", "_lin", "_quad", "_jets")
+    __slots__ = ("table", "gen", "_right", "_lin", "_quad")
 
     def __init__(self, table: OmegaTable, gen: GiventalGen):
         if gen.kind != "r":
@@ -247,7 +248,6 @@ class UpperDeformation:
         self._right: dict[tuple, HbarSeries] = {}
         self._lin: dict[tuple, HbarSeries] = {}
         self._quad: dict[tuple, HbarSeries] = {}
-        self._jets: dict[tuple, list] = {}
 
     def right(self, mu: int, j: int, b: int, q: int) -> HbarSeries:
         """sum_nu M[mu][nu] (nu,j;b,q): the second factor, contracted over nu."""
@@ -271,13 +271,6 @@ class UpperDeformation:
                 got = got + self.right(mu, j, z, 0)
             self._right[key] = got
         return got
-
-    def _dx(self, key: tuple, f: HbarSeries, n: int) -> HbarSeries:
-        """dx^n(f), where `key` names f; the jets of f are kept."""
-        row = self._jets.setdefault(key, [f])
-        while len(row) <= n:
-            row.append(row[-1].dx())
-        return row[n]
 
     def lin(self, g: int, n: int) -> HbarSeries:
         """The linear transport field lin[g,n].
@@ -305,8 +298,7 @@ class UpperDeformation:
                         continue
                     for k in range(n + 1):
                         got = got + (_sgn(d + 1) * math.comb(n + 1, k)) * (
-                            self._dx(("ext", g, mu, d), lead, k)
-                            * self._dx(("unit", mu, j), tail, n - k))
+                            lead.dx_pow(k) * tail.dx_pow(n - k))
             self._lin[key] = got
         return got
 
@@ -324,8 +316,7 @@ class UpperDeformation:
                     tail = self.right(mu, ell - 1 - d, z, 0)
                     if lead and tail:
                         got = got + _sgn(d + 1) * (
-                            self._dx(("ext", g, mu, d), lead, n + 1)
-                            * self._dx(("right", mu, ell - 1 - d, z), tail, m + 1))
+                            lead.dx_pow(n + 1) * tail.dx_pow(m + 1))
             self._quad[key] = got
         return got
 

@@ -18,12 +18,17 @@ The form is canonical, so equal polynomials have equal storage.  Rationals
 appear only at the edges: constructor input, `terms()`, `constant_term()`
 and the serializers, which all speak `Fraction`.
 
+The x-derivative is a property of the value: `dx()` of a JetPoly or an
+HbarSeries is computed once and kept by the value that owns it, so
+dx^n(f) costs n derivatives once however often it is read, and lives
+exactly as long as f.  Equality and hashing ignore it.
+
 The module provides the derivations of the variational calculus:
 
   dx           total x-derivative (each w[a,n] -> w[a,n+1] by the chain rule)
   partial      formal partial derivative with respect to one jet variable
-  var_deriv    variational (Euler) derivative  sum_n (-dx)^n d/dw[xi,n]
   t_op         higher Euler operators  T[xi,k] = sum_n C(n,k) (-dx)^(n-k) d/dw[xi,n]
+  var_deriv    variational (Euler) derivative  T[xi,0] = sum_n (-dx)^n d/dw[xi,n]
   evolve       evolutionary derivation  sum_{g,n} dx^n(X_g) d/dw[g,n]
 
 the first four as methods of JetPoly and HbarSeries, `evolve` as the one
@@ -109,10 +114,11 @@ class JetPoly:
     """Immutable exact-rational Laurent differential polynomial.
 
     Integer numerators `_num` over one denominator `_den`, in the canonical
-    form of the module docstring; every operation returns that form.
+    form of the module docstring; every operation returns that form.  `_dx`
+    keeps the x-derivative once `dx()` has computed it.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_dx")
 
     def __init__(self, terms: dict | None = None):
         coeffs: dict[Mono, Fraction] = {}
@@ -127,6 +133,7 @@ class JetPoly:
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         self._num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
         self._den = den
+        self._dx = None
 
     # -- constructors -------------------------------------------------
 
@@ -155,6 +162,7 @@ class JetPoly:
         p = JetPoly.__new__(JetPoly)
         p._num = num
         p._den = den
+        p._dx = None
         return p
 
     @staticmethod
@@ -202,8 +210,14 @@ class JetPoly:
                     best = n
         return best
 
-    def colors(self) -> set[int]:
-        return {alpha for alpha, _ in self.variables()}
+    def recolor(self, color: int) -> "JetPoly":
+        """The same polynomial with every factor relabelled to `color`.
+
+        For a polynomial in one color only, so that the relabelled monomials
+        stay sorted and distinct.
+        """
+        return JetPoly._raw({tuple((color, n, e) for _, n, e in mono): c
+                             for mono, c in self._num.items()}, self._den)
 
     def is_polynomial(self) -> bool:
         """True iff no negative exponent occurs (no Laurent sector)."""
@@ -322,7 +336,13 @@ class JetPoly:
     # -- derivations --------------------------------------------------
 
     def dx(self) -> "JetPoly":
-        """Total x-derivative: chain rule, each w[a,n] -> w[a,n+1]."""
+        """Total x-derivative: chain rule, each w[a,n] -> w[a,n+1].
+
+        Computed on the first call and kept; later calls return that object.
+        """
+        got = self._dx
+        if got is not None:
+            return got
         out: dict[Mono, int] = {}
         for mono, coeff in self._num.items():
             for idx, (alpha, n, exp) in enumerate(mono):
@@ -341,10 +361,11 @@ class JetPoly:
                         del out[new]
                     else:
                         out[new] = acc
-        return JetPoly._reduced(out, self._den)
+        got = self._dx = JetPoly._reduced(out, self._den) if out else _ZERO
+        return got
 
-    def dx_pow(self, k: int, sign: int = 1) -> "JetPoly":
-        """Apply dx k times; sign=-1 gives (-dx)^k."""
+    def dx_pow(self, k: int, sign: int = 1):
+        """Apply dx k times, along the kept derivatives; sign=-1 gives (-dx)^k."""
         p = self
         for _ in range(k):
             p = p.dx()
@@ -376,21 +397,18 @@ class JetPoly:
         return JetPoly._reduced(out, self._den)
 
     def var_deriv(self, alpha: int) -> "JetPoly":
-        """Variational derivative  sum_n (-dx)^n  d/dw[alpha,n]."""
-        out = _ZERO
-        for n in sorted({m for a, m in self.variables() if a == alpha}):
-            out = out + self.partial(alpha, n).dx_pow(n, sign=-1)
-        return out
+        """Variational derivative  sum_n (-dx)^n  d/dw[alpha,n] = T[alpha,0]."""
+        return self.t_op(alpha, 0)
 
     def t_op(self, alpha: int, k: int) -> "JetPoly":
         """Higher Euler operator T[alpha,k]; zero for k < 0, T[.,0] = var_deriv."""
         if k < 0:
             return _ZERO
         out = _ZERO
-        for n in sorted({m for a, m in self.variables() if a == alpha}):
-            if n < k:
-                continue
-            out = out + math.comb(n, k) * self.partial(alpha, n).dx_pow(n - k, sign=-1)
+        for n in sorted({m for a, m in self.variables() if a == alpha and m >= k}):
+            term = self.partial(alpha, n).dx_pow(n - k, sign=-1)
+            c = math.comb(n, k)
+            out = out + (term if c == 1 else c * term)
         return out
 
     # -- grading ------------------------------------------------------
@@ -421,15 +439,11 @@ def evolve(f, fields: dict):
     Works on JetPoly and HbarSeries alike, in `f` and in the fields.
     """
     out = f * 0  # the zero of f's type and truncation
-    jets: dict[int, list] = {}
     for g, n in sorted(f.variables()):
-        if g not in fields:
-            continue
-        row = jets.setdefault(g, [fields[g]])  # row[n] = dx^n(fields[g])
-        while len(row) <= n:
-            row.append(row[-1].dx())
-        if row[n]:
-            out = out + f.partial(g, n) * row[n]
+        if g in fields:
+            jet = fields[g].dx_pow(n)
+            if jet:
+                out = out + f.partial(g, n) * jet
     return out
 
 
@@ -487,10 +501,11 @@ class HbarSeries:
 
     coeffs[g] is the coefficient of hbar^g, g = 0..trunc.  Arithmetic never
     silently exceeds the truncation order: sums and products truncate at the
-    minimum of the operand truncations.
+    minimum of the operand truncations.  Like a JetPoly, a series keeps its
+    x-derivative in `_dx` once `dx()` has computed it.
     """
 
-    __slots__ = ("trunc", "coeffs")
+    __slots__ = ("trunc", "coeffs", "_dx")
 
     def __init__(self, trunc: int, coeffs: Sequence[JetPoly] = ()):
         if trunc < 0:
@@ -502,6 +517,7 @@ class HbarSeries:
             cs.append(_ZERO)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_dx", None)
 
     # -- constructors -------------------------------------------------
 
@@ -627,16 +643,20 @@ class HbarSeries:
     # -- derivations (coefficient-wise) --------------------------------
 
     def dx(self) -> "HbarSeries":
-        return HbarSeries(self.trunc, [c.dx() for c in self.coeffs])
+        """Coefficient-wise x-derivative, computed on the first call and kept."""
+        got = self._dx
+        if got is None:
+            got = HbarSeries(self.trunc, [c.dx() for c in self.coeffs])
+            object.__setattr__(self, "_dx", got)
+        return got
 
-    def dx_pow(self, k: int, sign: int = 1) -> "HbarSeries":
-        return HbarSeries(self.trunc, [c.dx_pow(k, sign) for c in self.coeffs])
+    dx_pow = JetPoly.dx_pow
 
     def partial(self, alpha: int, n: int) -> "HbarSeries":
         return HbarSeries(self.trunc, [c.partial(alpha, n) for c in self.coeffs])
 
     def var_deriv(self, alpha: int) -> "HbarSeries":
-        return HbarSeries(self.trunc, [c.var_deriv(alpha) for c in self.coeffs])
+        return self.t_op(alpha, 0)
 
     def t_op(self, alpha: int, k: int) -> "HbarSeries":
         return HbarSeries(self.trunc, [c.t_op(alpha, k) for c in self.coeffs])
@@ -650,31 +670,19 @@ class Substitution:
     """The substitution w[alpha,n] -> dx^n(images[alpha]), modulo hbar^(trunc+1).
 
     Calling it maps a JetPoly or HbarSeries to an HbarSeries.  It keeps the
-    prolonged jets and their powers (inverse powers included) as it computes
+    powers of the prolonged jets (inverse powers included) as it computes
     them, so one instance serves every polynomial substituted with the same
+    images; the jets themselves are the kept x-derivatives of the truncated
     images.  Negative exponents require the prolonged image to be invertible
     (its hbar^0 part a single monomial).
     """
 
-    __slots__ = ("images", "trunc", "_jets", "_powers")
+    __slots__ = ("images", "trunc", "_powers")
 
     def __init__(self, images: dict[int, HbarSeries], trunc: int):
         self.images = images
         self.trunc = trunc
-        self._jets: dict[tuple[int, int], HbarSeries] = {}
         self._powers: dict[tuple[int, int, int], HbarSeries] = {}
-
-    def jet(self, alpha: int, n: int) -> HbarSeries:
-        """dx^n(images[alpha])."""
-        key = (alpha, n)
-        got = self._jets.get(key)
-        if got is None:
-            if n == 0:
-                got = self.images[alpha].truncate(self.trunc)
-            else:
-                got = self.jet(alpha, n - 1).dx()
-            self._jets[key] = got
-        return got
 
     def power(self, alpha: int, n: int, exp: int) -> HbarSeries:
         """dx^n(images[alpha]) ** exp, for exp != 0."""
@@ -682,9 +690,10 @@ class Substitution:
         got = self._powers.get(key)
         if got is None:
             if exp == 1:
-                got = self.jet(alpha, n)
+                got = (self.power(alpha, 0, 1).dx_pow(n) if n
+                       else self.images[alpha].truncate(self.trunc))
             elif exp == -1:
-                got = self.jet(alpha, n).inverse()
+                got = self.power(alpha, n, 1).inverse()
             else:
                 unit = 1 if exp > 0 else -1
                 got = self.power(alpha, n, exp - unit) * self.power(alpha, n, unit)

@@ -193,13 +193,6 @@ def kdv_omega_table(pmax: int, qmax: int, trunc: int = 2) -> OmegaTable:
     return OmegaTable(1, pmax, qmax, trunc, entries, prov)
 
 
-def _recolor(p: JetPoly, color: int) -> JetPoly:
-    return JetPoly({
-        tuple((color, n, e) for _, n, e in mono): c
-        for mono, c in p.terms()
-    })
-
-
 def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
     """Block-diagonal table of `dim` decoupled copies of the base point.
 
@@ -217,7 +210,7 @@ def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
     for (_, p, _, q), series in table.items():
         for a in range(1, dim + 1):
             entries[(a, p, a, q)] = HbarSeries(
-                table.trunc, [_recolor(c, a) for c in series.coeffs])
+                table.trunc, [c.recolor(a) for c in series.coeffs])
             tag = table.provenance.get((V1, p, V1, q))
             if tag:
                 prov[(a, p, a, q)] = tag

@@ -1,13 +1,20 @@
 """Operator deformations, defining-equation residuals, homogeneity, uniqueness."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from jethier.jetcalc import HbarSeries, JetPoly, random_jetpoly
+from jethier.jetcalc import HbarSeries, JetPoly, Substitution, random_jetpoly
 from jethier.diffop import DiffOperator, is_skew
 from jethier.genus0 import Genus0Data, trr_extend
-from jethier.givental import GiventalGen, r_deform_omega
+from jethier.givental import (
+    GiventalGen,
+    InconsistentTable,
+    OmegaTable,
+    r_deform_omega,
+    triple_omega,
+)
 from jethier.kdvbase import kdv_omega_table, tensor_power
 from jethier.bracket import (
     DeformationReport,
@@ -51,6 +58,16 @@ def level_points(table):
             (3, table, [[1]])]
 
 
+class SkewOp:
+    """Stand-in for PoissonOp on a synthetic skew operator with an order-0
+    term, such as w d + w_x/2, which PoissonOp rejects; the bracket
+    deformations and residuals read only `.op`."""
+
+    def __init__(self, op):
+        assert is_skew(op)
+        self.op = op
+
+
 def minus_hbar_d3(trunc):
     return DiffOperator(1, trunc, {
         (1, 1): {3: HbarSeries(trunc, [JetPoly.zero(), JetPoly.const(-1)])}})
@@ -69,8 +86,9 @@ def test_poisson_op_invariants():
     # hydrodynamic synthetic operator: skew but with an order-0 term
     syn = DiffOperator(1, 1, {(1, 1): {1: HbarSeries.of(w(0), 1),
                                        0: HbarSeries.of(w(1) / 2, 1)}})
-    assert is_skew(syn)
-    PoissonOp(syn, allow_order0=True)
+    with pytest.raises(ValueError):
+        PoissonOp(syn)
+    SkewOp(syn)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +119,7 @@ def test_nonconstant_operator_blocks_pinned():
     cell = {3: HbarSeries(1, [z, w(0)]), 2: HbarSeries(1, [z, 3 * w(1) / 2]),
             1: HbarSeries(1, [w(0), 3 * w(2) / 2]),
             0: HbarSeries(1, [w(1) / 2, w(3) / 2])}
-    pop = PoissonOp(DiffOperator(1, 1, {(1, 1): cell}), allow_order0=True)
+    pop = SkewOp(DiffOperator(1, 1, {(1, 1): cell}))
     dP = r_deform_bracket(kdv_omega_table(4, 4, 1), pop, r_gen(1, [[1]]))
     want = {0: -5 * w(1) * w(2) / 2 - w(3) / 24,
             1: -2 * w(1) ** 2 - w(2) / 3,
@@ -208,6 +226,81 @@ def test_two_color_level2_residuals_and_structure():
 
 
 # ---------------------------------------------------------------------------
+# coupled tables: a tensor power in rotated coordinates
+# ---------------------------------------------------------------------------
+
+# rational orthogonal, fixing the unit vector (1, 1, 1): the Cayley transform
+# of the skew K = 1/2 [[0,-1,1],[1,0,-1],[-1,1,0]]
+ROT = tuple(tuple(Fraction(x, 7) for x in row)
+            for row in ((3, -2, 6), (6, 3, -2), (-2, 6, 3)))
+
+
+def rotate(table, rot, change=None):
+    """The same point in the coordinates u of the jet change w = change u,
+    by default change = rot^T:
+
+        Omega'(a,p;b,q) = sum rot[a][al] rot[b][be] Omega(al,p;be,q)(w(u)).
+
+    `rot` preserves the metric, the unit and the operator d, so every
+    certificate of `table` must hold on the result; on a tensor power its
+    mixed-color entries no longer vanish.
+    """
+    s, h = table.dim, table.trunc
+    colors = range(1, s + 1)
+    if change is None:
+        change = [[rot[c][al] for c in range(s)] for al in range(s)]
+    sub = Substitution({al: sum((HbarSeries.var(c, 0, h) * change[al - 1][c - 1]
+                                 for c in colors), HbarSeries.zero(h))
+                        for al in colors}, h)
+    moved = {key: sub(v) for key, v in table.items()}
+    entries = {
+        (a, p, b, q): sum((moved[(al, p, be, q)] * (rot[a - 1][al - 1] * rot[b - 1][be - 1])
+                           for al in colors for be in colors), HbarSeries.zero(h))
+        for (a, p, b, q) in moved}
+    return OmegaTable(s, table.pmax, table.qmax, h, entries)
+
+
+@pytest.fixture(scope="module")
+def rotated():
+    """(tensor power, the same rotated), three colors, p, q <= 4, hbar^1."""
+    base = tensor_power(kdv_omega_table(4, 4, 1), 3)
+    return base, rotate(base, ROT)
+
+
+def test_rotated_table_is_coupled_and_consistent(rotated):
+    base, table = rotated
+    mixed = [v for (a, _, b, _), v in table.items() if a != b]
+    assert len(mixed) == 150 and all(mixed)
+    assert all(not v for (a, _, b, _), v in base.items() if a != b)
+    for (p, q) in ((0, 0), (1, 0), (1, 1), (2, 1)):
+        assert triple_omega(table, (1, p), (2, q), (3, 1))
+    # the other convention, w = rot u, is not the same point
+    wrong = rotate(base, ROT, change=ROT)
+    with pytest.raises(InconsistentTable):
+        triple_omega(wrong, (1, 0), (2, 0), (3, 1))
+
+
+@pytest.mark.parametrize("kind, level, matrix", [
+    ("r", 1, [[1, 2, 3], [2, -1, 5], [3, 5, 2]]),
+    ("r", 2, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]),
+    ("s", 1, [[1, 2, 3], [2, -1, 5], [3, 5, 2]]),
+])
+def test_rotated_table_defining_equation(rotated, kind, level, matrix):
+    # mixed-color terms of the transport factors and of dP only show here:
+    # every entry the residuals read at p <= 1 is coupled
+    _, table = rotated
+    pop = PoissonOp.dx(3, 1)
+    g = GiventalGen(kind, level, matrix)
+    dP = r_deform_bracket(table, pop, g) if kind == "r" else s_deform_bracket(pop, g)
+    assert is_skew(dP)
+    assert check_operator_homogeneity(dP).ok
+    residuals = defining_equation_residuals(table, pop, g, dP, 1)
+    assert len(residuals) == 18
+    for index, res in residuals:
+        assert res.is_zero(), index
+
+
+# ---------------------------------------------------------------------------
 # lower-kind bracket deformation
 # ---------------------------------------------------------------------------
 
@@ -219,14 +312,14 @@ def test_s_deform_constant_operator_is_zero():
 def test_s_deform_synthetic_operator():
     syn = DiffOperator(1, 1, {(1, 1): {1: HbarSeries.of(w(0), 1),
                                        0: HbarSeries.of(w(1) / 2, 1)}})
-    got = s_deform_bracket(PoissonOp(syn, allow_order0=True), s_gen(1, [["3"]]))
+    got = s_deform_bracket(SkewOp(syn), s_gen(1, [["3"]]))
     assert got == DiffOperator.dx_op(1, 1, k=1, scale=-3)
 
 
 def test_s_deform_higher_level_contributes_nothing():
     syn = DiffOperator(1, 1, {(1, 1): {1: HbarSeries.of(w(0), 1),
                                        0: HbarSeries.of(w(1) / 2, 1)}})
-    got = s_deform_bracket(PoissonOp(syn, allow_order0=True), s_gen(3, [[5]]))
+    got = s_deform_bracket(SkewOp(syn), s_gen(3, [[5]]))
     assert got.is_zero()
 
 

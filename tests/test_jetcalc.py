@@ -88,6 +88,49 @@ def test_dx_raises_degree_by_one():
             assert degs <= {d + 1}
 
 
+def fresh(p):
+    """An equal polynomial that has not been differentiated."""
+    return JetPoly(dict(p.terms()))
+
+
+def test_dx_is_kept_by_the_value():
+    rng = random.Random(17)
+    for _ in range(10):
+        p = random_jetpoly(rng)
+        assert p.dx() is p.dx()
+        assert p.dx_pow(3) is p.dx().dx().dx()
+        s = HbarSeries(2, [p, random_jetpoly(rng), JetPoly.zero()])
+        assert s.dx() is s.dx()
+        assert s.dx_pow(2) is s.dx().dx()
+        # a rewrapped series reads the derivatives its coefficients keep
+        assert all(a is b for a, b in zip(s.truncate(1).dx().coeffs, s.dx().coeffs))
+    assert JetPoly.zero().dx() is JetPoly.zero()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_dx_pow_is_repeated_dx(sign):
+    rng = random.Random(19)
+    for _ in range(10):
+        p = random_jetpoly(rng)
+        s = HbarSeries(1, [p, random_jetpoly(rng)])
+        want_p, want_s = fresh(p), HbarSeries(1, [fresh(c) for c in s.coeffs])
+        for k in range(5):
+            assert p.dx_pow(k, sign) == want_p * sign ** k
+            assert s.dx_pow(k, sign) == want_s * sign ** k
+            want_p = fresh(want_p).dx()
+            want_s = HbarSeries(1, [fresh(c).dx() for c in want_s.coeffs])
+
+
+def test_hash_ignores_the_kept_derivative():
+    rng = random.Random(23)
+    for _ in range(10):
+        p = random_jetpoly(rng)
+        q = fresh(p)
+        p.dx_pow(2)
+        assert p == q and hash(p) == hash(q)
+        assert p.dx() == q.dx() and hash(p.dx()) == hash(q.dx())
+
+
 # ---------------------------------------------------------------------------
 # partial
 # ---------------------------------------------------------------------------
@@ -229,7 +272,7 @@ def test_integrate_rejects_nonzero_variational_derivative():
     # no pre-check of var_deriv: the slice steps and the final dx check reject
     for p in (w(0) * w(2), w(0) ** 2 * w(1) ** 2, W(1, 0) * W(2, 1),
               w(1) ** 3 * w(2, -1), w(0) * w(1) + w(0) * w(2)):
-        assert any(p.var_deriv(alpha) for alpha in p.colors())
+        assert any(p.var_deriv(alpha) for alpha, _ in p.variables())
         with pytest.raises(NotExact):
             formal_integrate(p)
 
