@@ -9,7 +9,8 @@ an upper-triangular generator and linearizing yields an inhomogeneous
 equation for the operator deformation; this module implements its explicit
 solution (a twelve-block operator expression built from table entries,
 triple correlators, higher Euler operators, and the undeformed operator),
-the one-block solution for lower-triangular generators, and the residual
+the one-block solution for lower-triangular generators, the dispatch
+between them by generator kind (`bracket_deformation`), and the residual
 evaluator that certifies both against the defining equation.  It also
 houses the weighted-degree homogeneity checker, the genus-0 uniqueness
 residuals, and the two operator-commutation identities used by the
@@ -55,7 +56,7 @@ class PoissonOp:
                     raise ValueError("Poisson operator must have no order-0 term")
         if not is_skew(op):
             raise ValueError("Poisson operator must be skew-adjoint")
-        object.__setattr__(self, "op", op)
+        self.op = op
 
     @staticmethod
     def dx(dim: int, trunc: int) -> "PoissonOp":
@@ -225,6 +226,14 @@ def s_deform_bracket(pop: PoissonOp, gen: GiventalGen) -> DiffOperator:
     return DiffOperator(A.dim, A.trunc, entries)
 
 
+def bracket_deformation(table: OmegaTable, pop: PoissonOp,
+                        gen: GiventalGen) -> DiffOperator:
+    """The operator deformation along `gen`, of either kind."""
+    if gen.kind == "r":
+        return r_deform_bracket(table, pop, gen)
+    return s_deform_bracket(pop, gen)
+
+
 # ---------------------------------------------------------------------------
 # defining-equation residual
 # ---------------------------------------------------------------------------
@@ -334,19 +343,13 @@ def check_operator_homogeneity(op: DiffOperator) -> HomogeneityVerdict:
 
     This is the degree rule satisfied by conjugates of the constant operator
     d: constant coefficients sit exactly at orders k = 2g + 1 and need no
-    special casing.
+    special casing.  Each coefficient is checked by `check_series_homogeneity`
+    at offset 1 - k; a failure reads ((row, col), k, g, "laurent"/"degree").
     """
-    failures = []
-    for (row, col), k, coeff in op.entries():
-        for g, c in enumerate(coeff.coeffs):
-            if c.is_zero():
-                continue
-            if not c.is_polynomial():
-                failures.append(((row, col), k, g, "laurent"))
-                continue
-            if not c.is_homogeneous(2 * g - k + 1):
-                failures.append(((row, col), k, g, "degree"))
-    return HomogeneityVerdict(not failures, tuple(failures))
+    failures = tuple(((row, col), k, g, why)
+                     for (row, col), k, coeff in op.entries()
+                     for g, why, _ in check_series_homogeneity(coeff, 1 - k).failures)
+    return HomogeneityVerdict(not failures, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,10 @@ from fractions import Fraction
 from .bracket import (
     DeformationReport,
     PoissonOp,
+    bracket_deformation,
     check_operator_homogeneity,
     check_series_homogeneity,
     defining_equation_residuals,
-    r_deform_bracket,
-    s_deform_bracket,
 )
 from .diffop import is_skew, operator_to_obj
 from .genus0 import Genus0Data, NotClosed, check_commutation, trr_extend
@@ -304,8 +303,7 @@ def cmd_deform(args) -> int:
                         })
     elif args.what == "bracket":
         pop = PoissonOp.dx(table.dim, trunc)
-        dP = (r_deform_bracket(table, pop, gen) if gen.kind == "r"
-              else s_deform_bracket(pop, gen))
+        dP = bracket_deformation(table, pop, gen)
         report.skew_ok = is_skew(dP)
         report.order0_ok = all(dP.coeff(b, x, 0).is_zero()
                                for b in range(1, table.dim + 1)

@@ -2,9 +2,11 @@
 
 An operator is an s-by-s matrix whose (row, col) entry is a finite sum of
 terms  coeff * d^k  with HbarSeries coefficients and k >= 0.  Composition
-and application go through one cell-level Leibniz rule (`leibniz`), which
-expands d^k o f; the adjoint sends f d^k to (-d)^k o f
-and transposes the matrix.  Conjugation under a coordinate change
+and the adjoint go through one cell-level Leibniz rule (`leibniz`), which
+expands d^k o f; the adjoint sends f d^k to (-d)^k o f and transposes the
+matrix.  Applying a cell to a function f is  sum_k coeff_k dx^k(f)
+(`apply_entry`).  Every coefficient of an operator is known to the
+operator's own hbar order.  Conjugation under a coordinate change
 
     w_a = m_a(v, v_1, ...)        (identity at hbar^0)
 
@@ -46,14 +48,17 @@ class DiffOperator:
                 for k, coeff in orders.items():
                     if k < 0:
                         raise ValueError("negative operator order")
-                    c = coeff.truncate(min(trunc, coeff.trunc))
+                    if coeff.trunc < trunc:
+                        raise ValueError(f"order-{k} coefficient of ({row},{col}) "
+                                         f"stops at hbar^{coeff.trunc} < hbar^{trunc}")
+                    c = coeff.truncate(trunc)
                     if c:
-                        cell[k] = HbarSeries(trunc, c.coeffs)
+                        cell[k] = c
                 if cell:
                     clean[(row, col)] = cell
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_entries", clean)
+        self.dim = dim
+        self.trunc = trunc
+        self._entries = clean
 
     # -- constructors -------------------------------------------------
 
@@ -62,10 +67,10 @@ class DiffOperator:
         return DiffOperator(dim, trunc, {})
 
     @staticmethod
-    def dx_op(dim: int, trunc: int, k: int = 1, scale=1) -> "DiffOperator":
-        """scale * d^k times the identity matrix."""
+    def dx_op(dim: int, trunc: int, scale=1) -> "DiffOperator":
+        """scale * d times the identity matrix."""
         c = HbarSeries.const(rat(scale), trunc)
-        return DiffOperator(dim, trunc, {(a, a): {k: c} for a in range(1, dim + 1)})
+        return DiffOperator(dim, trunc, {(a, a): {1: c} for a in range(1, dim + 1)})
 
     # -- queries ------------------------------------------------------
 
@@ -76,9 +81,6 @@ class DiffOperator:
         got = self._entries.get((row, col), {}).get(k)
         return got if got is not None else HbarSeries.zero(self.trunc)
 
-    def max_order(self) -> int:
-        return max((k for cell in self._entries.values() for k in cell), default=-1)
-
     def is_zero(self) -> bool:
         return not self._entries
 
@@ -88,40 +90,13 @@ class DiffOperator:
             for k in sorted(self._entries[(row, col)]):
                 yield (row, col), k, self._entries[(row, col)][k]
 
-    # -- ring operations ----------------------------------------------
-
-    def _require_same_shape(self, other: "DiffOperator"):
-        if self.dim != other.dim:
-            raise ValueError("operator dimensions do not match")
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        self._require_same_shape(other)
-        trunc = min(self.trunc, other.trunc)
-        out: dict[tuple[int, int], Entry] = {}
-        for src in (self._entries, other._entries):
-            for key, cell in src.items():
-                dst = out.setdefault(key, {})
-                for k, c in cell.items():
-                    dst[k] = dst.get(k, HbarSeries.zero(trunc)) + c
-        return DiffOperator(self.dim, trunc, out)
+    # -- negation and equality (for is_skew) --------------------------
 
     def __neg__(self) -> "DiffOperator":
         return DiffOperator(
             self.dim, self.trunc,
             {key: {k: -c for k, c in cell.items()} for key, cell in self._entries.items()},
         )
-
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "DiffOperator":
-        c = rat(scalar)
-        return DiffOperator(
-            self.dim, self.trunc,
-            {key: {k: v * c for k, v in cell.items()} for key, cell in self._entries.items()},
-        )
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOperator):
@@ -141,24 +116,22 @@ class DiffOperator:
         return True
 
     def __repr__(self):
-        return f"DiffOperator(dim={self.dim}, entries={len(self._entries)}, order<={self.max_order()})"
+        return f"DiffOperator(dim={self.dim}, trunc={self.trunc}, entries={len(self._entries)})"
 
 
-def leibniz(a: Entry, b: Entry, out: Entry | None = None,
-            top: int | None = None) -> Entry:
+def leibniz(a: Entry, b: Entry, out: Entry | None = None) -> Entry:
     """Add the scalar composition a o b into the cell `out`, and return it.
 
     Cells map orders to coefficients, {k: c} standing for sum_k c d^k; the
     Leibniz rule  d^k1 o (f d^k2) = sum_i C(k1,i) dx^i(f) d^(k1-i+k2)  expands
-    the product.  Orders above `top`, when given, are not computed.  The
-    jets dx^i(f) are the ones f keeps, so calls with the same b share them.
+    the product.  The jets dx^i(f) are the ones f keeps, so calls with the
+    same b share them.
     """
     if out is None:
         out = {}
     for k2, cb in b.items():
         for k1, ca in a.items():
-            lo = 0 if top is None else max(0, k1 + k2 - top)
-            for i in range(lo, k1 + 1):
+            for i in range(k1 + 1):
                 c = ca * cb.dx_pow(i)
                 if 0 < i < k1:
                     c = c * math.comb(k1, i)
@@ -168,13 +141,14 @@ def leibniz(a: Entry, b: Entry, out: Entry | None = None,
 
 
 def apply_entry(cell: Entry, f):
-    """The scalar operator `cell` applied to f: the order-0 part of cell o f."""
-    return leibniz(cell, {0: f}, top=0).get(0, f * 0)
+    """The scalar operator `cell` applied to f: sum_k c_k dx^k(f)."""
+    return sum((c * f.dx_pow(k) for k, c in cell.items()), f * 0)
 
 
 def compose(p: DiffOperator, q: DiffOperator) -> DiffOperator:
     """Operator composition p o q with matrix contraction over the inner color."""
-    p._require_same_shape(q)
+    if p.dim != q.dim:
+        raise ValueError("operator dimensions do not match")
     out: dict[tuple[int, int], Entry] = {}
     for (row, mid), cell_p in p._entries.items():
         for col in range(1, q.dim + 1):
@@ -182,13 +156,6 @@ def compose(p: DiffOperator, q: DiffOperator) -> DiffOperator:
             if cell_q:
                 leibniz(cell_p, cell_q, out.setdefault((row, col), {}))
     return DiffOperator(p.dim, min(p.trunc, q.trunc), out)
-
-
-def compose_chain(*ops: DiffOperator) -> DiffOperator:
-    acc = ops[0]
-    for op in ops[1:]:
-        acc = compose(acc, op)
-    return acc
 
 
 def adjoint(p: DiffOperator) -> DiffOperator:
@@ -284,12 +251,12 @@ class MiuraChange:
             rows.append(row)
         linear = tuple(rows)
         _mat_inverse(linear)  # invertibility check
-        object.__setattr__(self, "dim", len(fwd))
-        object.__setattr__(self, "trunc", h)
-        object.__setattr__(self, "forward", fwd)
-        object.__setattr__(self, "_linear", linear)
-        object.__setattr__(self, "_inverse", None)
-        object.__setattr__(self, "_to_target", None)
+        self.dim = len(fwd)
+        self.trunc = h
+        self.forward = fwd
+        self._linear = linear
+        self._inverse = None
+        self._to_target = None
 
     def inverse_images(self) -> tuple:
         """Components of the inverse change, expressed in the target jets."""
@@ -313,20 +280,20 @@ class MiuraChange:
         for _ in range(h):
             sub = Substitution(dict(enumerate(cur, start=1)), h)
             cur = solve([wvars[a] - sub(tails[a]) for a in range(self.dim)])
-        object.__setattr__(self, "_inverse", tuple(cur))
+        self._inverse = tuple(cur)
         return self._inverse
 
     def inverse(self) -> "MiuraChange":
         """The inverse change; its own inverse is this change's forward map."""
         inv = MiuraChange(self.inverse_images())
-        object.__setattr__(inv, "_inverse", self.forward)
+        inv._inverse = self.forward
         return inv
 
     def express_in_target(self, x):
         """Rewrite a source-jet JetPoly or HbarSeries in the target jets."""
         if self._to_target is None:
             images = dict(enumerate(self.inverse_images(), start=1))
-            object.__setattr__(self, "_to_target", Substitution(images, self.trunc))
+            self._to_target = Substitution(images, self.trunc)
         return self._to_target(x)
 
     def jacobian(self) -> DiffOperator:
@@ -356,7 +323,7 @@ def conjugate_by_miura(p: DiffOperator, m: MiuraChange) -> DiffOperator:
     if p.dim != m.dim:
         raise ValueError("operator and coordinate change dimensions differ")
     jac = m.jacobian()
-    raw = compose_chain(jac, p, adjoint(jac))
+    raw = compose(compose(jac, p), adjoint(jac))
     trunc = min(p.trunc, m.trunc)
     out: dict[tuple[int, int], Entry] = {}
     for (key, k, coeff) in raw.entries():

@@ -8,8 +8,9 @@ entries are produced by integrating the topological recursion
     d/dv_gamma  T[a,p+1; b,q]  =  sum_xi  T[a,p; xi,0] * d/dv_gamma T[xi,0; b,q]
 
 with the normalization T(v=0) = 0.  Every integration step first checks
-that the right-hand side is a closed gradient; failure aborts rather than
-fabricating an inconsistent table.
+that the right-hand side is a closed gradient, failing rather than
+fabricating an inconsistent table, and then takes its potential by the
+package's one Euler homotopy, `jetcalc.potential`.
 
 The unit direction is the sum of all basis vectors, so index contraction
 with the unit means summation over colors; the input must satisfy
@@ -17,13 +18,14 @@ sum_nu hessian[a][nu] = v_a.
 
 The recursion runs on JetPoly; the finished table is an OmegaTable whose
 entries are hbar-series truncated at hbar^0, the genus-0 part of the
-dispersive two-point functions.
+dispersive two-point functions.  The density of the (a,p) Hamiltonian is
+the unit-contracted entry `table.unit_ext(a, p + 1)`, for p >= -1.
 """
 
 from __future__ import annotations
 
 from .givental import OmegaTable
-from .jetcalc import HbarSeries, JetPoly
+from .jetcalc import HbarSeries, JetPoly, potential
 
 
 class NotClosed(ValueError):
@@ -31,25 +33,15 @@ class NotClosed(ValueError):
 
 
 def _grad_integrate(grads: dict[int, JetPoly], dim: int) -> JetPoly:
-    """Polynomial potential of a closed gradient, normalized to vanish at 0.
-
-    Uses the Euler homotopy: group sum_g v_g * grads[g] by total degree and
-    divide each monomial by its degree.
-    """
+    """Polynomial potential of a closed gradient in the order-0 jets,
+    normalized to vanish at 0."""
     for g in range(1, dim + 1):
         for h in range(g + 1, dim + 1):
             if grads[g].partial(h, 0) != grads[h].partial(g, 0):
                 raise NotClosed(
                     f"cross-derivatives in colors ({g},{h}) disagree"
                 )
-    euler = JetPoly.zero()
-    for g in range(1, dim + 1):
-        euler = euler + JetPoly.var(g, 0) * grads[g]
-    terms = {}
-    for mono, c in euler.terms():
-        total = sum(e for _, _, e in mono)
-        terms[mono] = c / total
-    return JetPoly(terms)
+    return potential(grads, 0)
 
 
 class Genus0Data:
@@ -80,8 +72,8 @@ class Genus0Data:
                     f"unit normalization fails in color {a}: "
                     "sum_nu hessian[a][nu] must equal v_a"
                 )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "hessian", hess)
+        self.dim = dim
+        self.hessian = hess
 
 
 def trr_extend(data: Genus0Data, pmax: int, qmax: int) -> OmegaTable:
@@ -118,26 +110,16 @@ def trr_extend(data: Genus0Data, pmax: int, qmax: int) -> OmegaTable:
     return OmegaTable(s, pmax, qmax, 0, keep)
 
 
-def hamiltonian_density0(table: OmegaTable, a: int, p: int) -> HbarSeries:
-    """Density of the (a,p) Hamiltonian: the unit-contracted (a,p+1) entry.
-
-    The index p = -1 is allowed and returns the unit-contracted (a,0) entry,
-    which is the coordinate v_a itself.
-    """
-    if p < -1:
-        raise IndexError("Hamiltonian index must be >= -1")
-    return table.unit_ext(a, p + 1)
-
-
 def check_commutation(table: OmegaTable, a: int, p: int, b: int, q: int) -> HbarSeries:
     """Residual of the commutation identity; zero certifies Poisson commuting.
 
     Evaluates  sum_g  delta(h[a,p])/dv_g * dx( delta(h[b,q])/dv_g )
-    minus dx of the (a,p+1; b,q) entry.
+    minus dx of the (a,p+1; b,q) entry, with the Hamiltonian densities
+    h[a,p] = (a,p+1; unit,0).
     """
     lhs = HbarSeries.zero(table.trunc)
-    ha = hamiltonian_density0(table, a, p)
-    hb = hamiltonian_density0(table, b, q)
+    ha = table.unit_ext(a, p + 1)
+    hb = table.unit_ext(b, q + 1)
     for g in range(1, table.dim + 1):
         lhs = lhs + ha.var_deriv(g) * hb.var_deriv(g).dx()
     return lhs - table.entry(a, p + 1, b, q).dx()

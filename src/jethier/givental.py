@@ -78,13 +78,10 @@ class GiventalGen:
                     raise ValueError(
                         f"level-{level} generator matrix must be {want}"
                     )
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", rows)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.matrix for x in row)
+        self.kind = kind
+        self.level = level
+        self.dim = dim
+        self.matrix = rows
 
     # index-position accessors (1-based colors); with both indices up, both
     # down, or the first one down, an entry is matrix[a-1][b-1] itself
@@ -125,12 +122,12 @@ class OmegaTable:
 
     def __init__(self, dim: int, pmax: int, qmax: int, trunc: int,
                  entries: dict, provenance: dict | None = None):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "pmax", pmax)
-        object.__setattr__(self, "qmax", qmax)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_entries", dict(entries))
-        object.__setattr__(self, "provenance", dict(provenance or {}))
+        self.dim = dim
+        self.pmax = pmax
+        self.qmax = qmax
+        self.trunc = trunc
+        self._entries = dict(entries)
+        self.provenance = dict(provenance or {})
 
     def entry(self, a: int, p: int, b: int, q: int) -> HbarSeries:
         got = self._entries.get((a, p, b, q))

@@ -33,7 +33,9 @@ The module provides the derivations of the variational calculus:
 
 the first four as methods of JetPoly and HbarSeries, `evolve` as the one
 function every flow, transport and commutator of the package goes through.
-It also has a formal left inverse of dx, weighted-degree bookkeeping
+It also has the one Euler homotopy of the package (`potential`, the
+potential of a closed gradient in the jets of one order), the formal left
+inverse of dx built on it (`formal_integrate`), weighted-degree bookkeeping
 (deg w[a,n] = n), truncated power series in hbar with JetPoly coefficients,
 substitution of series into jet variables, and a canonical JSON form.
 
@@ -447,12 +449,31 @@ def evolve(f, fields: dict):
     return out
 
 
+def potential(grads: dict, n: int) -> JetPoly:
+    """Euler homotopy: a potential psi with d psi / d w[g,n] = grads[g].
+
+    Sums  w[g,n] * grads[g]  and divides each monomial by its degree in the
+    order-n jets.  The gradient must be closed, which the caller checks; a
+    monomial of degree 0 would need a logarithm and raises NotExact.
+    """
+    euler = _ZERO
+    for g, grad in grads.items():
+        euler = euler + JetPoly.var(g, n) * grad
+    terms: dict[Mono, Fraction] = {}
+    for mono, c in euler.terms():
+        deg = sum(e for _, m, e in mono if m == n)
+        if deg == 0:
+            raise NotExact("potential needs a logarithm or is not closed")
+        terms[mono] = c / deg
+    return JetPoly(terms)
+
+
 def formal_integrate(p: JetPoly) -> JetPoly:
     """Formal left inverse of dx, normalized with no pure constant term.
 
     Works slice by slice: the top-order jets of an exact polynomial occur
     linearly, and their coefficients form a gradient in the next-lower
-    slice, which an Euler homotopy reconstructs.  Each pass strictly lowers
+    slice, whose `potential` the step subtracts.  Each pass strictly lowers
     the top jet order, so the loop ends.  The result q is verified to satisfy
     dx(q) == p, which is the certificate; failure of any step raises
     NotExact.  Inputs whose preimage would need a logarithm (d log sectors
@@ -469,19 +490,13 @@ def formal_integrate(p: JetPoly) -> JetPoly:
         if top < 1:
             raise NotExact("residue depends on order-0 variables only")
         # linear coefficients of the top slice, one per color present
-        euler = _ZERO
+        grads = {}
         for alpha in sorted({a for a, n in rem.variables() if n == top}):
             coeff = rem.partial(alpha, top)
             if coeff.max_order() >= top:
                 raise NotExact("top jet slice occurs nonlinearly")
-            euler = euler + JetPoly.var(alpha, top - 1) * coeff
-        psi_terms: dict[Mono, Fraction] = {}
-        for mono, c in euler.terms():
-            ydeg = sum(e for a, n, e in mono if n == top - 1)
-            if ydeg == 0:
-                raise NotExact("slice potential needs a logarithm or is not closed")
-            psi_terms[mono] = c / ydeg
-        psi = JetPoly(psi_terms)
+            grads[alpha] = coeff
+        psi = potential(grads, top - 1)
         new_rem = rem - psi.dx()
         if any(n >= top for _, n in new_rem.variables()):
             raise NotExact("top slice is not a gradient")
@@ -515,9 +530,9 @@ class HbarSeries:
             cs = cs[: trunc + 1]
         while len(cs) < trunc + 1:
             cs.append(_ZERO)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_dx", None)
+        self.trunc = trunc
+        self.coeffs = tuple(cs)
+        self._dx = None
 
     # -- constructors -------------------------------------------------
 
@@ -646,8 +661,7 @@ class HbarSeries:
         """Coefficient-wise x-derivative, computed on the first call and kept."""
         got = self._dx
         if got is None:
-            got = HbarSeries(self.trunc, [c.dx() for c in self.coeffs])
-            object.__setattr__(self, "_dx", got)
+            got = self._dx = HbarSeries(self.trunc, [c.dx() for c in self.coeffs])
         return got
 
     dx_pow = JetPoly.dx_pow

@@ -44,12 +44,15 @@ def record(number: int, name: str, started: float, budget: float) -> None:
 def level_point(table, level):
     """The table and generator matrix a level-`level` check runs on.
 
-    Level 2 runs on the two-color tensor square: [[0]] is the only skew 1x1
-    matrix, and a zero generator certifies nothing.
+    Levels 2 and 3 run on the two-color tensor square: [[0]] is the only
+    skew 1x1 matrix, and on one color the level-3 operator deformation is
+    zero at hbar^1, so neither would certify an operator block.
     """
-    if level % 2 == 0:
+    if level == 1:
+        return table, [[1]]
+    if level == 2:
         return tensor_power(table, 2), [[0, 1], [-1, 0]]
-    return table, [[1]]
+    return tensor_power(table, 2), [[1, 2], [2, 3]]
 
 
 @pytest.fixture(scope="module")
@@ -158,8 +161,7 @@ def test_criterion_06_defining_equation_consistency(upper_runs):
     for tag, level, gen, dP, _, residuals in upper_runs:
         for index, res in residuals:
             assert res.is_zero(), (tag, level, index)
-        if level == 2:
-            assert not dP.is_zero(), tag
+        assert not dP.is_zero(), (tag, level)
         assert is_skew(dP), (tag, level)
     record(6, "defining-equation-consistency", started, 600.0)
 

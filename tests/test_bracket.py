@@ -50,12 +50,14 @@ def s_gen(level, matrix):
 def level_points(table):
     """(level, table, matrix) for levels 1-3 over a one-color table.
 
-    Level 2 runs on the two-color tensor square: [[0]] is the only skew 1x1
-    matrix, and a zero generator certifies nothing.
+    Levels 2 and 3 run on the two-color tensor square: [[0]] is the only
+    skew 1x1 matrix, and on one color the level-3 operator deformation is
+    zero at hbar^1, so neither would certify an operator block.
     """
+    square = tensor_power(table, 2)
     return [(1, table, [[1]]),
-            (2, tensor_power(table, 2), [[0, 1], [-1, 0]]),
-            (3, table, [[1]])]
+            (2, square, [[0, 1], [-1, 0]]),
+            (3, square, [[1, 2], [2, 3]])]
 
 
 class SkewOp:
@@ -134,8 +136,7 @@ def test_def_a_residuals_vanish_kdv():
         pop = PoissonOp.dx(table.dim, 1)
         g = r_gen(level, matrix)
         dP = r_deform_bracket(table, pop, g)
-        if level == 2:
-            assert not dP.is_zero()
+        assert not dP.is_zero(), level
         for index, res in defining_equation_residuals(table, pop, g, dP, 2):
             assert res.is_zero(), (level, index)
 
@@ -313,7 +314,7 @@ def test_s_deform_synthetic_operator():
     syn = DiffOperator(1, 1, {(1, 1): {1: HbarSeries.of(w(0), 1),
                                        0: HbarSeries.of(w(1) / 2, 1)}})
     got = s_deform_bracket(SkewOp(syn), s_gen(1, [["3"]]))
-    assert got == DiffOperator.dx_op(1, 1, k=1, scale=-3)
+    assert got == DiffOperator.dx_op(1, 1, scale=-3)
 
 
 def test_s_deform_higher_level_contributes_nothing():

@@ -167,7 +167,7 @@ def test_deform_omega_computes_each_entry_once(tmp_path, capsys, monkeypatch):
 
 def test_deform_bracket_names_first_bad_monomial(tmp_path, capsys, monkeypatch):
     # with the zero operator deformation the defining equation fails
-    monkeypatch.setattr(cli, "r_deform_bracket",
+    monkeypatch.setattr(cli, "bracket_deformation",
                         lambda table, pop, gen: DiffOperator.zero(table.dim, table.trunc))
     path = write_gen(tmp_path, {"kind": "r", "level": 1, "matrix": [["1"]]})
     code, out = run(capsys, "deform", "bracket", "--generator", path,

@@ -9,7 +9,6 @@ from jethier.genus0 import (
     Genus0Data,
     NotClosed,
     check_commutation,
-    hamiltonian_density0,
     trr_extend,
 )
 from jethier.givental import OmegaTable
@@ -101,11 +100,16 @@ def test_principal_rhs_examples():
         principal_rhs(table, 1, 9)
 
 
+def density(table, a, p):
+    """Density of the (a,p) Hamiltonian: the unit-contracted (a,p+1) entry."""
+    return table.unit_ext(a, p + 1)
+
+
 def test_hamiltonian_densities():
     table = trr_extend(kdv_data(), 3, 3)
-    assert hamiltonian_density0(table, 1, 0) == v() ** 2 / 2
-    assert hamiltonian_density0(table, 1, 1) == v() ** 3 / 6
-    assert hamiltonian_density0(table, 1, -1) == v()
+    assert density(table, 1, 0) == v() ** 2 / 2
+    assert density(table, 1, 1) == v() ** 3 / 6
+    assert density(table, 1, -1) == v()
 
 
 def test_commutation_residuals_vanish():
@@ -118,7 +122,7 @@ def test_commutation_residuals_vanish():
 def test_commutation_hand_cases():
     table = trr_extend(kdv_data(), 2, 1)
     # (0,0): v*v_x against dx(v^2/2)
-    h0 = hamiltonian_density0(table, 1, 0)
+    h0 = density(table, 1, 0)
     assert h0.var_deriv(1) * dx(h0.var_deriv(1)) == v() * v(1) * 1  # v * v_x form
     assert check_commutation(table, 1, 0, 1, 0).is_zero()
     assert check_commutation(table, 1, 1, 1, 0).is_zero()
