@@ -18,6 +18,11 @@ The form is canonical, so equal polynomials have equal storage.  Rationals
 appear only at the edges: constructor input, `terms()`, `constant_term()`
 and the serializers, which all speak `Fraction`.
 
+Every product of polynomials runs through one loop, `_mul_into`, which adds
+a*b into a numerator dict in place; `JetPoly * JetPoly` and each hbar^g part
+of an `HbarSeries` product or of a `Substitution` is one such accumulator,
+reduced to canonical form once.
+
 The x-derivative is a property of the value: `dx()` of a JetPoly or an
 HbarSeries is computed once and kept by the value that owns it, so
 dx^n(f) costs n derivatives once however often it is read, and lives
@@ -171,8 +176,10 @@ class JetPoly:
     def _reduced(num: dict, den: int) -> "JetPoly":
         """Internal: wrap nonzero numerators over den >= 1, dividing out their
         common factor with den (in place)."""
+        if not num:
+            return _ZERO
         if den != 1:
-            g = math.gcd(den, *num.values()) if num else den
+            g = math.gcd(den, *num.values())
             if g != 1:
                 den //= g
                 for mono in num:
@@ -231,10 +238,10 @@ class JetPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not JetPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = JetPoly.const(other)
-        if not isinstance(other, JetPoly):
-            return NotImplemented
         if not self._num:
             return other
         if not other._num:
@@ -265,41 +272,26 @@ class JetPoly:
         return JetPoly._raw({m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not JetPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = JetPoly.const(other)
-        if not isinstance(other, JetPoly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return _ZERO
-            k = other.numerator
-            return JetPoly._reduced({m: c * k for m, c in self._num.items()},
-                                    self._den * other.denominator)
-        if not isinstance(other, JetPoly):
+        if type(other) is JetPoly:
+            out: dict[Mono, int] = {}
+            return JetPoly._reduced(out, _mul_into(out, 1, self, other))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if not self._num or not other._num:
+        if other == 0:
             return _ZERO
-        out: dict[Mono, int] = {}
-        for ma, ca in self._num.items():
-            for mb, cb in other._num.items():
-                mono = _mono_mul(ma, mb)
-                c = ca * cb
-                acc = out.get(mono)
-                if acc is None:
-                    out[mono] = c
-                else:
-                    acc = acc + c
-                    if acc == 0:
-                        del out[mono]
-                    else:
-                        out[mono] = acc
-        return JetPoly._reduced(out, self._den * other._den)
+        k = other.numerator
+        return JetPoly._reduced({m: c * k for m, c in self._num.items()},
+                                self._den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -323,10 +315,10 @@ class JetPoly:
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not JetPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = JetPoly.const(other)
-        if not isinstance(other, JetPoly):
-            return NotImplemented
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
@@ -348,11 +340,15 @@ class JetPoly:
         out: dict[Mono, int] = {}
         for mono, coeff in self._num.items():
             for idx, (alpha, n, exp) in enumerate(mono):
-                if exp == 1:
-                    rest = mono[:idx] + mono[idx + 1:]
+                head = mono[:idx] if exp == 1 else mono[:idx] + ((alpha, n, exp - 1),)
+                # w[alpha,n+1] sorts right after w[alpha,n]: bump it if present
+                nxt = mono[idx + 1] if idx + 1 < len(mono) else None
+                if nxt is not None and nxt[0] == alpha and nxt[1] == n + 1:
+                    e = nxt[2] + 1
+                    tail = (((alpha, n + 1, e),) if e else ()) + mono[idx + 2:]
                 else:
-                    rest = mono[:idx] + ((alpha, n, exp - 1),) + mono[idx + 1:]
-                new = _mono_mul(rest, ((alpha, n + 1, 1),))
+                    tail = ((alpha, n + 1, 1),) + mono[idx + 1:]
+                new = head + tail
                 c = coeff * exp
                 acc = out.get(new)
                 if acc is None:
@@ -363,7 +359,7 @@ class JetPoly:
                         del out[new]
                     else:
                         out[new] = acc
-        got = self._dx = JetPoly._reduced(out, self._den) if out else _ZERO
+        got = self._dx = JetPoly._reduced(out, self._den)
         return got
 
     def dx_pow(self, k: int, sign: int = 1):
@@ -424,6 +420,35 @@ class JetPoly:
 
 
 _ZERO = JetPoly._raw({}, 1)
+
+
+def _mul_into(dst: dict, dst_den: int, a: JetPoly, b: JetPoly) -> int:
+    """dst/dst_den += a*b in place, dropping numerators that cancel; returns the
+    new denominator, lcm(dst_den, a._den * b._den).  The module's one product
+    loop: `JetPoly._reduced` divides out the common factor once, at the end."""
+    den = a._den * b._den
+    if dst_den % den:
+        new = math.lcm(dst_den, den)
+        f = new // dst_den
+        for mono in dst:
+            dst[mono] *= f
+        dst_den = new
+    scale = dst_den // den
+    get = dst.get
+    for ma, ca in a._num.items():
+        ca *= scale
+        for mb, cb in b._num.items():
+            mono = _mono_mul(ma, mb)
+            acc = get(mono)
+            if acc is None:
+                dst[mono] = ca * cb
+            else:
+                acc += ca * cb
+                if acc:
+                    dst[mono] = acc
+                else:
+                    del dst[mono]
+    return dst_den
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +562,15 @@ class HbarSeries:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _raw(trunc: int, coeffs: tuple) -> "HbarSeries":
+        """Internal: wrap a tuple of exactly trunc+1 coefficients, without checks."""
+        s = HbarSeries.__new__(HbarSeries)
+        s.trunc = trunc
+        s.coeffs = coeffs
+        s._dx = None
+        return s
+
+    @staticmethod
     def zero(trunc: int) -> "HbarSeries":
         return HbarSeries(trunc)
 
@@ -575,45 +609,54 @@ class HbarSeries:
     # -- arithmetic ---------------------------------------------------
 
     @staticmethod
-    def _lift(x, trunc: int) -> "HbarSeries":
-        if isinstance(x, HbarSeries):
+    def _lift(x, trunc: int):
+        """x as a series: an HbarSeries, JetPoly, int or Fraction, else NotImplemented."""
+        t = type(x)
+        if t is HbarSeries:
             return x
-        if isinstance(x, JetPoly):
+        if t is JetPoly:
             return HbarSeries.of(x, trunc)
-        return HbarSeries.const(rat(x), trunc)
+        if isinstance(x, (int, Fraction)):
+            return HbarSeries.const(x, trunc)
+        return NotImplemented
 
     def __add__(self, other):
         o = HbarSeries._lift(other, self.trunc)
-        h = min(self.trunc, o.trunc)
-        return HbarSeries(h, [self.coeffs[g] + o.coeffs[g] for g in range(h + 1)])
+        if o is NotImplemented:
+            return o
+        # zip stops at the shorter operand: the sum truncates at the minimum
+        return HbarSeries._raw(min(self.trunc, o.trunc),
+                               tuple(map(JetPoly.__add__, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HbarSeries(self.trunc, [-c for c in self.coeffs])
+        return HbarSeries._raw(self.trunc, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-HbarSeries._lift(other, self.trunc))
+        o = HbarSeries._lift(other, self.trunc)
+        return o if o is NotImplemented else self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, JetPoly)):
-            return HbarSeries(self.trunc, [p * other for p in self.coeffs])
-        if not isinstance(other, HbarSeries):
+        if type(other) is not HbarSeries:
+            if type(other) is JetPoly or isinstance(other, (int, Fraction)):
+                return HbarSeries._raw(self.trunc, tuple(p * other for p in self.coeffs))
             return NotImplemented
         h = min(self.trunc, other.trunc)
-        out = [_ZERO] * (h + 1)
-        for g1 in range(min(self.trunc, h) + 1):
-            a = self.coeffs[g1]
-            if not a:
-                continue
-            for g2 in range(min(other.trunc, h - g1) + 1):
-                b = other.coeffs[g2]
-                if b:
-                    out[g1 + g2] = out[g1 + g2] + a * b
-        return HbarSeries(h, out)
+        a, b = self.coeffs, other.coeffs
+        out = []
+        for g in range(h + 1):
+            # the hbar^g part, sum of a[i]*b[g-i], in one accumulator
+            num: dict[Mono, int] = {}
+            den = 1
+            for i in range(g + 1):
+                if a[i]._num and b[g - i]._num:
+                    den = _mul_into(num, den, a[i], b[g - i])
+            out.append(JetPoly._reduced(num, den))
+        return HbarSeries._raw(h, tuple(out))
 
     __rmul__ = __mul__
 
@@ -621,7 +664,9 @@ class HbarSeries:
         return self * (Fraction(1) / rat(other))
 
     def hbar_shift(self, k: int = 1) -> "HbarSeries":
-        """Multiply by hbar^k (coefficients beyond the truncation are dropped)."""
+        """Multiply by hbar^k, k >= 0 (coefficients beyond the truncation are dropped)."""
+        if k < 0:
+            raise ValueError("hbar_shift needs k >= 0")
         return HbarSeries(self.trunc, [_ZERO] * k + list(self.coeffs[: self.trunc + 1 - k]))
 
     def truncate(self, trunc: int) -> "HbarSeries":
@@ -645,12 +690,10 @@ class HbarSeries:
         return out * lead_inv
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, JetPoly)):
-            other = HbarSeries._lift(other, self.trunc)
-        if not isinstance(other, HbarSeries):
-            return NotImplemented
-        h = min(self.trunc, other.trunc)
-        return all(self.coeffs[g] == other.coeffs[g] for g in range(h + 1))
+        o = HbarSeries._lift(other, self.trunc)
+        if o is NotImplemented:
+            return o
+        return all(map(JetPoly.__eq__, self.coeffs, o.coeffs))
 
     def __repr__(self):
         return f"HbarSeries({render_series(self)})"
@@ -661,19 +704,19 @@ class HbarSeries:
         """Coefficient-wise x-derivative, computed on the first call and kept."""
         got = self._dx
         if got is None:
-            got = self._dx = HbarSeries(self.trunc, [c.dx() for c in self.coeffs])
+            got = self._dx = HbarSeries._raw(self.trunc, tuple(c.dx() for c in self.coeffs))
         return got
 
     dx_pow = JetPoly.dx_pow
 
     def partial(self, alpha: int, n: int) -> "HbarSeries":
-        return HbarSeries(self.trunc, [c.partial(alpha, n) for c in self.coeffs])
+        return HbarSeries._raw(self.trunc, tuple(c.partial(alpha, n) for c in self.coeffs))
 
     def var_deriv(self, alpha: int) -> "HbarSeries":
         return self.t_op(alpha, 0)
 
     def t_op(self, alpha: int, k: int) -> "HbarSeries":
-        return HbarSeries(self.trunc, [c.t_op(alpha, k) for c in self.coeffs])
+        return HbarSeries._raw(self.trunc, tuple(c.t_op(alpha, k) for c in self.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -732,41 +775,12 @@ class Substitution:
         dens = [1] * (h + 1)
         for g, c in parts:
             for mono, coeff in c._num.items():
+                term = JetPoly._raw({(): coeff}, c._den)  # one-term factor, not reduced
                 # the hbar^g part is only needed modulo hbar^(h-g+1)
                 for k, part in enumerate(self.monomial(mono, h - g).coeffs):
                     if part:
-                        dens[g + k] = _add_scaled(nums[g + k], dens[g + k],
-                                                  part, coeff, c._den)
-        return HbarSeries(h, [JetPoly._reduced(n, d) for n, d in zip(nums, dens)])
-
-
-def _add_scaled(dst: dict, dst_den: int, src: JetPoly, scale: int, scale_den: int) -> int:
-    """dst/dst_den += (scale/scale_den) * src, in place, dropping numerators
-    that cancel; returns the new denominator, the lcm of the two.
-
-    The common factor of the result is not divided out here but once, by
-    `JetPoly._reduced`, when the sum is complete.
-    """
-    den = scale_den * src._den
-    if dst_den % den:
-        new = math.lcm(dst_den, den)
-        f = new // dst_den
-        for mono in dst:
-            dst[mono] *= f
-        dst_den = new
-    scale *= dst_den // den
-    for mono, c in src._num.items():
-        c = c * scale
-        acc = dst.get(mono)
-        if acc is None:
-            dst[mono] = c
-        else:
-            acc = acc + c
-            if acc == 0:
-                del dst[mono]
-            else:
-                dst[mono] = acc
-    return dst_den
+                        dens[g + k] = _mul_into(nums[g + k], dens[g + k], part, term)
+        return HbarSeries._raw(h, tuple(JetPoly._reduced(n, d) for n, d in zip(nums, dens)))
 
 
 def substitute(p, images: dict[int, HbarSeries], trunc: int) -> HbarSeries:

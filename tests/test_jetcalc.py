@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -75,6 +76,23 @@ def test_dx_constant():
 def test_dx_laurent_chain_rule():
     # d/dx of 1/w1 is -w2/w1^2
     assert dx(w(1, -1)) == -(w(2) * w(1, -2))
+
+
+@pytest.mark.parametrize("p, want", [
+    # w[1,2] present with exponent -1: the bump cancels it
+    (w(1) * w(2, -1), JetPoly.const(1) - w(1) * w(2, -2) * w(3)),
+    (w(1, 2) * w(2, -1), 2 * w(1) - w(1, 2) * w(2, -2) * w(3)),
+    (w(0) * w(1, -1), JetPoly.const(1) - w(0) * w(1, -2) * w(2)),
+    # exponent 1 and 2: the bump raises it
+    (w(1) * w(2), w(2) ** 2 + w(1) * w(3)),
+    (w(1) * w(2, 2), w(2, 3) + 2 * w(1) * w(2) * w(3)),
+    (w(0, 2) * w(1, 2), 2 * w(0) * w(1, 3) + 2 * w(0, 2) * w(1) * w(2)),
+    # w[2,n+1] is not w[1,n+1]: insert, do not merge across colors
+    (W(1, 1) * W(2, 2), W(1, 2) * W(2, 2) + W(1, 1) * W(2, 3)),
+])
+def test_dx_bumps_the_next_factor(p, want):
+    assert p.dx() == want
+    assert model(p.dx()) == o_dx(model(p))
 
 
 def test_dx_raises_degree_by_one():
@@ -370,6 +388,25 @@ def test_series_product_truncates_at_min():
 def test_series_shift_drops_overflow():
     a = HbarSeries(1, [w(0), w(1)])
     assert a.hbar_shift() == HbarSeries(1, [JetPoly.zero(), w(0)])
+    assert a.hbar_shift(0) == a
+    assert a.hbar_shift(3) == HbarSeries.zero(1)
+
+
+def test_series_shift_rejects_negative_power():
+    # hbar^-1 is not a series; it used to return the series unshifted
+    with pytest.raises(ValueError):
+        HbarSeries(1, [w(0), w(1)]).hbar_shift(-1)
+
+
+@pytest.mark.parametrize("bad", ["1/2", "3", 0.5])
+def test_inexact_operands_raise(bad):
+    for x in (w(0) + w(1) / 2, HbarSeries(1, [w(0), w(1) / 3])):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, bad)
+            with pytest.raises(TypeError):
+                op(bad, x)
+    assert JetPoly.const(3) != "3" and HbarSeries.const(3, 1) != "3"
 
 
 def test_series_inverse():
@@ -457,6 +494,9 @@ def model(p):
     gcd(den, *numerators) == 1."""
     num, den = p._num, p._den
     assert type(den) is int and den >= 1
+    for m in num:
+        keys = [(a, n) for a, n, _ in m]
+        assert keys == sorted(set(keys)) and all(e for _, _, e in m)
     assert all(type(c) is int and c != 0 for c in num.values())
     assert math.gcd(den, *num.values()) == 1
     out = dict(p.terms())
@@ -596,6 +636,40 @@ def test_coefficient_layer_against_oracle():
             if all(n > 0 for _, n, _ in mono):
                 inv = {tuple((a, n, -e) for a, n, e in mono): 1 / c}
                 assert model(term ** -2) == o_mul(inv, inv)
+
+
+def random_series(rng, trunc):
+    """Fractional-coefficient series with some hbar parts zero."""
+    return HbarSeries(trunc, [rational_jetpoly(rng) if rng.random() < 0.7 else JetPoly.zero()
+                              for _ in range(trunc + 1)])
+
+
+def test_series_arithmetic_against_oracle():
+    rng = random.Random(59)
+    for _ in range(40):
+        s, t = random_series(rng, rng.randint(0, 3)), random_series(rng, rng.randint(0, 3))
+        ms, mt = [model(c) for c in s.coeffs], [model(c) for c in t.coeffs]
+        h = min(s.trunc, t.trunc)
+        for got, want in ((s * t, o_series_mul(ms[: h + 1], mt[: h + 1])),
+                          (t * s, o_series_mul(mt[: h + 1], ms[: h + 1])),
+                          (s + t, [o_add(a, b) for a, b in zip(ms, mt)]),
+                          (s - t, [o_add(a, o_scale(b, -1)) for a, b in zip(ms, mt)])):
+            assert got.trunc == h
+            assert [model(c) for c in got.coeffs] == want
+        k = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        p = rational_jetpoly(rng)
+        for x, mx in ((p, model(p)), (k, o_clean({(): k})), (rng.randint(-3, 3), None)):
+            if mx is None:
+                mx = o_clean({(): Fraction(x)})
+            lifted = [mx] + [{}] * s.trunc
+            for got, want in ((s * x, [o_mul(a, mx) for a in ms]),
+                              (x * s, [o_mul(mx, a) for a in ms]),
+                              (s + x, [o_add(a, b) for a, b in zip(ms, lifted)]),
+                              (x + s, [o_add(b, a) for a, b in zip(ms, lifted)]),
+                              (s - x, [o_add(a, o_scale(b, -1)) for a, b in zip(ms, lifted)]),
+                              (x - s, [o_add(b, o_scale(a, -1)) for a, b in zip(ms, lifted)])):
+                assert got.trunc == s.trunc
+                assert [model(c) for c in got.coeffs] == want
 
 
 def test_integrate_against_oracle():
