@@ -7,14 +7,16 @@ The defining property of the hierarchy's Hamiltonian operator A is
 for all (a, p, b).  Deforming both the table entries and the operator along
 an upper-triangular generator and linearizing yields an inhomogeneous
 equation for the operator deformation; this module implements its explicit
-solution (a twelve-block operator expression built from table entries,
-triple correlators, higher Euler operators, and the undeformed operator),
-the one-block solution for lower-triangular generators, the dispatch
-between them by generator kind (`bracket_deformation`), and the residual
-evaluator that certifies both against the defining equation.  It also
-houses the weighted-degree homogeneity checker, the genus-0 uniqueness
-residuals, and the two operator-commutation identities used by the
-derivation, exposed as seeded property checks.
+solution (the paper's twelve blocks, built from table entries, triple
+correlators and the undeformed operator; the right-hand blocks read the
+higher Euler operators only through one cell, E_g of `diffop.euler_cell`,
+and blocks 5 and 7, and 3 and 6, are one term each), the one-block
+solution for lower-triangular generators, the dispatch between them by
+generator kind (`bracket_deformation`), and the residual evaluator that
+certifies both against the defining equation.  It also houses the
+weighted-degree homogeneity checker, the genus-0 uniqueness residuals, and
+the two operator-commutation identities used by the derivation, exposed as
+seeded property checks.
 
 The block sum of the upper deformation runs over all integer splittings
 i + j = level - 1; the extension convention for negative descendant indices
@@ -27,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diffop import DiffOperator, apply_entry, apply_op, is_skew, leibniz
+from .diffop import (DiffOperator, apply_entry, apply_op, commutator, euler_cell,
+                     is_skew, leibniz)
 from .givental import (
     GiventalGen,
     OmegaTable,
@@ -78,11 +81,17 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
 
     The result, together with the table deformation of the same generator,
     satisfies the linearized defining equation; `def_a_residual` certifies
-    this exactly.  Blocks 1, 4, 8 and 10 compose a left factor with the
-    operator row A[g, .]; blocks 5, 6 and 11 compose the operator column
-    A[., g] with a right factor; blocks 3 and 7 are products of three
-    factors; blocks 2, 9 and 12 add coefficients directly.  Every
-    composition goes through the one Leibniz rule, `diffop.leibniz`.
+    this exactly.  Per splitting (i, j) and colors (mu, nu), with factor c,
+    f_xi = (mu,i; xi,0), o = (unit,0; nu,j) = dx P, triple correlators t3
+    and the higher-Euler cell E_g of `diffop.euler_cell`: blocks 1, 4, 8
+    and 10 compose left factors with the operator row A[g, .], and block 9
+    adds directly; blocks 5 and 7 are one term, c (A[beta,g] o E_g(o)
+    without its order-0 term, every order lowered by one) o f_xi d; blocks
+    3 and 6 are one term, -c [A[beta,g] o E_g(f_xi), P] o d
+    (`diffop.commutator`); block 11 is -c A[beta,g] o E_g(t3[xi]) o d.
+    Blocks 2 and 12 move A's coefficients along the linear transport field
+    and dx of c t3; both are linear in their fields, so they run once, on
+    fields summed over the window.  Every composition is `diffop.leibniz`.
     """
     if gen.kind != "r":
         raise ValueError("upper-kind generator required")
@@ -91,17 +100,15 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     colors = range(1, s + 1)
     acc = {(b, x): {} for b in colors for x in colors}
     a_cells = {(b, x): A.entry(b, x) for b in colors for x in colors}
-    a_vars = sorted({v for cell in a_cells.values() for c in cell.values()
-                     for v in c.variables()})
-
-    def top(f, g, default):
-        return max((n for gg, n in f.variables() if gg == g), default=default)
+    t3_sum = {z: HbarSeries.zero(table.trunc) for z in colors}
 
     for i in range(-1, ell + 1):
         j = ell - 1 - i
         for mu in colors:
             o_mu_i = table.unit_ext(mu, i)            # (mu,i; unit,0)
             o_mu_i1 = table.unit_ext(mu, i + 1)       # (mu,i+1; unit,0)
+            fs = {xi: table.ext(mu, i, xi, 0) for xi in colors}
+            e_f = {(g, xi): euler_cell(fs[xi], g) for g in colors for xi in colors}
             for nu in colors:
                 cfac = _sgn(i + 1) * gen.matrix[mu - 1][nu - 1]
                 if cfac == 0:
@@ -110,10 +117,12 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                 # hbar/2 times the triple correlators (z,0; mu,i; nu,j)
                 t3 = {z: triple_omega(table, (z, 0), (mu, i), (nu, j)).hbar_shift() / 2
                       for z in colors}
+                for z in colors:
+                    t3_sum[z] = t3_sum[z] + cfac * t3[z]
 
                 for beta in colors:
                     # blocks 1, 4, 8 and 10: left factors of the row A[g, .]
-                    f1 = table.ext(mu, i, beta, 0)
+                    f1 = fs[beta]
                     f4 = table.ext(beta, 0, nu, j)
                     pre = table.ext(beta, 0, nu, j - 1).dx()
                     left = {g: {} for g in colors}
@@ -148,66 +157,33 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                                         _put(acc[(beta, xi)], f - 1, -cfac * (
                                             pre * prod.dx_pow(k - f, sign=-1)))
 
-                # block 12: the triple correlators evolve the operator coefficients
-                flows = {z: t3[z].dx() for z in colors}
-                for (beta, xi), cell in a_cells.items():
-                    for k, ac in cell.items():
-                        _put(acc[(beta, xi)], k, -cfac * evolve(ac, flows))
-
+                # blocks 3, 5, 6, 7 and 11: right factors of the column A[., g]
                 for g in colors:
-                    dg = o_nu_j.var_deriv(g)
-                    vt = {}   # block 5: o_nu_j's higher Euler operators, before f_xi d
-                    for v in range(top(o_nu_j, g, 0)):
-                        _put(vt, v, _sgn(v + 1) * cfac * o_nu_j.t_op(g, v + 1))
-                    chains = {}   # block 3: A[beta,g]_k d^f o_nu_j d^e, f + e = k - 1
-                    for xi in colors:
-                        f_xi = table.ext(mu, i, xi, 0)
-                        # blocks 5, 6 and 11: right factors of the column A[., g];
-                        # block 6 is [d^(v+1), P] o d with dx P = o_nu_j, that is
-                        # sum_e d^e o o_nu_j o d^(v+1-e)
-                        right = leibniz(vt, {1: f_xi})
-                        for v in range(top(f_xi, g, 0)):
-                            tv = f_xi.t_op(g, v + 1)
-                            if tv.is_zero():
-                                continue
-                            for e in range(v + 1):
-                                leibniz({e: _sgn(v) * cfac * tv}, {v + 1 - e: o_nu_j}, right)
-                        for m in range(top(t3[xi], g, -1) + 1):
-                            _put(right, m + 1, _sgn(m + 1) * cfac * t3[xi].t_op(g, m))
-                        # block 3 right factor: f_xi's higher Euler operators
-                        t_parts = {}
-                        if o_nu_j:
-                            for n in range(top(f_xi, g, -1) + 1):
-                                _put(t_parts, n + 1, _sgn(n + 1) * cfac * f_xi.t_op(g, n))
-                        for beta in colors:
-                            cell = a_cells[(beta, g)]
-                            if not cell:
-                                continue
+                    e_o = euler_cell(o_nu_j, g)
+                    e_t = {xi: euler_cell(t3[xi], g) for xi in colors}
+                    for beta in colors:
+                        cell = {k: cfac * a for k, a in a_cells[(beta, g)].items()}
+                        if not cell:
+                            continue
+                        low = {k - 1: c for k, c in leibniz(cell, e_o).items() if k > 0}
+                        for xi in colors:
                             out = acc[(beta, xi)]
-                            if right:
-                                leibniz(cell, right, out)
-                            if t_parts:
-                                if beta not in chains:
-                                    chains[beta] = {}
-                                    for k, ac in cell.items():
-                                        for f in range(k):
-                                            leibniz({f: ac}, {k - 1 - f: o_nu_j}, chains[beta])
-                                leibniz(chains[beta], t_parts, out)
-                            if dg and f_xi:   # block 7: (A[beta,g] o dg minus order 0) d^-1 f_xi d
-                                lead = {k - 1: c for k, c in leibniz(cell, {0: dg}).items()
-                                        if k > 0}
-                                leibniz(lead, {1: cfac * f_xi}, out)
+                            if fs[xi]:   # blocks 5 and 7
+                                leibniz(low, {1: fs[xi]}, out)
+                            # blocks 3 and 6, then 11, before the final d
+                            right = commutator(leibniz(cell, e_f[(g, xi)]), o_nu_j)
+                            for k, c in leibniz(cell, e_t[xi], right).items():
+                                _put(out, k + 1, -c)
 
-    # block 2: the operator coefficients move along the generator's linear
-    # transport field, the one the table entries move along
+    # blocks 2 and 12, once, on the fields summed over the window
     deform = UpperDeformation(table, gen)
-    for (g, n) in a_vars:
-        field = deform.lin(g, n)
-        if field.is_zero():
-            continue
-        for (beta, xi), cell in a_cells.items():
-            for k, ac in cell.items():
-                _put(acc[(beta, xi)], k, -(field * ac.partial(g, n)))
+    flows = {z: t.dx() for z, t in t3_sum.items()}
+    for (beta, xi), cell in a_cells.items():
+        for k, ac in cell.items():
+            move = evolve(ac, flows)
+            for (g, n) in ac.variables():
+                move = move + deform.lin(g, n) * ac.partial(g, n)
+            _put(acc[(beta, xi)], k, -move)
 
     return DiffOperator(s, table.trunc, acc)
 
@@ -393,7 +369,8 @@ def euler_commutator_residual(afun: JetPoly, s_ord: int, gamma: int,
                                     bfun: JetPoly, zeta: int,
                                     test: JetPoly) -> JetPoly:
     """Residual of the commutator identity for A d^s delta_gamma against
-    sum_n dx^n(B) d/dw[zeta,n], applied to a test function."""
+    sum_n dx^n(B) d/dw[zeta,n], applied to a test function; only its right
+    side reads B's higher-Euler cell (`diffop.euler_cell`), so it checks it."""
     def bop(f):
         return evolve(f, {zeta: bfun})
 
@@ -401,14 +378,8 @@ def euler_commutator_residual(afun: JetPoly, s_ord: int, gamma: int,
         return afun * f.var_deriv(gamma).dx_pow(s_ord)
 
     lhs = aop(bop(test)) - bop(aop(test))
-    rhs = JetPoly.zero()
-    dzeta = test.var_deriv(zeta)
-    gmax = max((n for z, n in bfun.variables() if z == gamma), default=-1)
-    for jj in range(gmax + 1):
-        tj = bfun.t_op(gamma, jj)
-        if tj:
-            rhs = rhs + afun * (tj * dzeta.dx_pow(jj, sign=-1)).dx_pow(s_ord)
-    rhs = rhs - bop(afun) * test.var_deriv(gamma).dx_pow(s_ord)
+    rhs = (afun * apply_entry(euler_cell(bfun, gamma), test.var_deriv(zeta)).dx_pow(s_ord)
+           - bop(afun) * test.var_deriv(gamma).dx_pow(s_ord))
     return lhs - rhs
 
 

@@ -392,10 +392,11 @@ UNREAD = {
     ("generate", "kdv"): ("dim", "hessian"),
     ("generate", "principal"): ("tensor", "hbar"),
     ("verify", "lemmas"): ("pmax", "hbar"),
-    ("verify", "commutation"): ("hbar",),
-    ("verify", "quasimiura"): ("pmax", "hbar"),
-    ("verify", "homogeneity"): ("pmax", "hbar"),
-    ("verify", "uniqueness"): ("hbar",),
+    ("verify", "commutation"): ("hbar", "seed", "count"),
+    ("verify", "quasimiura"): ("pmax", "hbar", "seed", "count"),
+    ("verify", "homogeneity"): ("pmax", "hbar", "seed", "count"),
+    ("verify", "uniqueness"): ("hbar", "seed", "count"),
+    ("verify", "defining-equation"): ("seed", "count"),
     ("dump", "flows"): ("pmax", "qmax"),
     ("dump", "hamiltonians"): ("pmax", "qmax"),
     ("dump", "quasi-miura"): ("pmax", "qmax"),

@@ -5,10 +5,13 @@ terms  coeff * d^k  with HbarSeries coefficients and k >= 0.  Composition
 and the adjoint go through one cell-level Leibniz rule (`leibniz`), which
 expands d^k o f; the adjoint sends f d^k to (-d)^k o f and transposes the
 matrix.  Applying a cell to a function f is  sum_k coeff_k dx^k(f)
-(`apply_entry`).  Every coefficient of an operator is known to the
-operator's own hbar order.  Conjugation under a coordinate change
+(`apply_entry`).  The bracket deformation reads two more cells: the
+higher-Euler cell E_g(f) (`euler_cell`) and a commutator [X, P] known
+through o = dx P alone (`commutator`).  Every coefficient of an operator is
+known to the operator's own hbar order.  Conjugation under a coordinate
+change, which must be the identity at hbar^0,
 
-    w_a = m_a(v, v_1, ...)        (identity at hbar^0)
+    w_a = m_a(v, v_1, ...),   m_a = v_a + O(hbar)
 
 follows the standard transformation law  L o P o adjoint(L)  with
 L[a,mu] = sum_e (dm_a/dv[mu,e]) d^e, after which coefficients are
@@ -24,7 +27,6 @@ row of a composition reads the same ones.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .jetcalc import HbarSeries, JetPoly, Substitution, evolve, rat
 
@@ -145,6 +147,31 @@ def apply_entry(cell: Entry, f):
     return sum((c * f.dx_pow(k) for k, c in cell.items()), f * 0)
 
 
+def euler_cell(f, g: int) -> Entry:
+    """E_g(f) = sum_k (-1)^k T[g,k](f) d^k, the adjoint of f's linearization
+    sum_n (df/dw[g,n]) d^n, with T the higher Euler operators (`t_op`)."""
+    top = max((n for gg, n in f.variables() if gg == g), default=-1)
+    cell: Entry = {}
+    for k in range(top + 1):
+        t = f.t_op(g, k)
+        if t:
+            cell[k] = -t if k % 2 else t
+    return cell
+
+
+def commutator(x: Entry, o) -> Entry:
+    """The cell [X, P] for any function P with dx P = o, which need not be
+    in the ring:  [d^k, P] = sum_{i=1..k} C(k,i) dx^(i-1)(o) d^(k-i)."""
+    out: Entry = {}
+    for k, xk in x.items():
+        for i in range(1, k + 1):
+            c = xk * o.dx_pow(i - 1)
+            if i < k:
+                c = c * math.comb(k, i)
+            out[k - i] = out[k - i] + c if k - i in out else c
+    return out
+
+
 def compose(p: DiffOperator, q: DiffOperator) -> DiffOperator:
     """Operator composition p o q with matrix contraction over the inner color."""
     if p.dim != q.dim:
@@ -187,74 +214,33 @@ def is_skew(p: DiffOperator) -> bool:
 # Miura-type coordinate changes
 # ---------------------------------------------------------------------------
 
-def _mat_inverse(mat):
-    """Exact inverse of a square Fraction matrix by Gaussian elimination."""
-    n = len(mat)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("leading coefficient matrix is not invertible")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
-def _linear_part(alpha: int, f: HbarSeries, dim: int):
-    """Row of the leading-coefficient matrix, or None if not linear."""
-    row = [Fraction(0)] * dim
-    for mono, c in f.coeffs[0].terms():
-        if len(mono) != 1:
-            return None
-        mu, n, exp = mono[0]
-        if n != 0 or exp != 1:
-            return None
-        row[mu - 1] = c
-    return tuple(row)
-
-
 class MiuraChange:
-    """Coordinate change w_a = m_a(v, v_1, ...), linear and invertible at hbar^0.
+    """Coordinate change w_a = m_a(v, v_1, ...), the identity at hbar^0.
 
-    `forward` holds one HbarSeries per color, written in the source jets.
-    The hbar^0 part must be an invertible constant-coefficient linear map of
-    the order-0 coordinates (the identity for the weak quasi-Miura class).
-    The inverse is computed on demand by fixed-point substitution, which is
-    triangular in the hbar grading.  The inverse modulo hbar^(trunc+1) is
-    unique, so `inverse()` hands its result the forward map as its inverse
-    instead of solving for it again.  `express_in_target` substitutes through
-    one `Substitution` by the inverse images, built on first use and kept.
+    `forward` holds one HbarSeries per color, written in the source jets,
+    and the hbar^0 part of component a must be v_a itself, as for the weak
+    quasi-Miura class.  The inverse is computed on demand by fixed-point
+    substitution, which is triangular in the hbar grading.  The inverse
+    modulo hbar^(trunc+1) is unique, so `inverse()` hands its result the
+    forward map as its inverse instead of solving for it again.
+    `express_in_target` substitutes through one `Substitution` by the
+    inverse images, built on first use and kept.
     """
 
-    __slots__ = ("dim", "trunc", "forward", "_linear", "_inverse", "_to_target")
+    __slots__ = ("dim", "trunc", "forward", "_inverse", "_to_target")
 
-    def __init__(self, forward, trunc: int | None = None):
+    def __init__(self, forward):
         fwd = tuple(forward)
         if not fwd:
             raise ValueError("empty coordinate change")
-        h = trunc if trunc is not None else min(f.trunc for f in fwd)
+        h = min(f.trunc for f in fwd)
         fwd = tuple(f.truncate(h) for f in fwd)
-        rows = []
         for alpha, f in enumerate(fwd, start=1):
-            row = _linear_part(alpha, f, len(fwd))
-            if row is None:
-                raise ValueError(
-                    f"hbar^0 part of component {alpha} must be linear in the "
-                    "order-0 coordinates"
-                )
-            rows.append(row)
-        linear = tuple(rows)
-        _mat_inverse(linear)  # invertibility check
+            if f.coeffs[0] != JetPoly.var(alpha, 0):
+                raise ValueError(f"hbar^0 part of component {alpha} must be w[{alpha},0]")
         self.dim = len(fwd)
         self.trunc = h
         self.forward = fwd
-        self._linear = linear
         self._inverse = None
         self._to_target = None
 
@@ -263,23 +249,13 @@ class MiuraChange:
         if self._inverse is not None:
             return self._inverse
         h = self.trunc
-        cinv = _mat_inverse(self._linear)
+        # v_a = w_a - tail_a(v), with tail_a the hbar-positive part of m_a
         tails = [HbarSeries(h, (JetPoly.zero(),) + f.coeffs[1:]) for f in self.forward]
-
-        def solve(rhs):
-            # v = C^-1 rhs, component-wise over HbarSeries entries
-            return [
-                sum((HbarSeries.of(JetPoly.const(cinv[a][m]), h) * rhs[m]
-                     for m in range(self.dim) if cinv[a][m] != 0),
-                    HbarSeries.zero(h))
-                for a in range(self.dim)
-            ]
-
         wvars = [HbarSeries.var(a, 0, h) for a in range(1, self.dim + 1)]
-        cur = solve(wvars)
+        cur = wvars
         for _ in range(h):
             sub = Substitution(dict(enumerate(cur, start=1)), h)
-            cur = solve([wvars[a] - sub(tails[a]) for a in range(self.dim)])
+            cur = [wvars[a] - sub(tails[a]) for a in range(self.dim)]
         self._inverse = tuple(cur)
         return self._inverse
 

@@ -296,7 +296,8 @@ class JetPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * (Fraction(1) / rat(other))
+        # Fraction(1, x) takes rationals only: a str or a float raises TypeError
+        return self * Fraction(1, other)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -660,8 +661,7 @@ class HbarSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self * (Fraction(1) / rat(other))
+    __truediv__ = JetPoly.__truediv__
 
     def hbar_shift(self, k: int = 1) -> "HbarSeries":
         """Multiply by hbar^k, k >= 0 (coefficients beyond the truncation are dropped)."""

@@ -25,7 +25,7 @@ from .diffop import DiffOperator, conjugate_by_miura
 from .genus0 import Genus0Data, check_commutation, trr_extend
 from .givental import GiventalGen, UpperDeformation, triple_omega
 from .jetcalc import HbarSeries, JetPoly, random_jetpoly
-from .kdvbase import kdv_flow, kdv_omega_table, quasi_miura
+from .kdvbase import OutOfDerivableRange, kdv_flow, kdv_omega_table, quasi_miura
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,9 @@ def suite_uniqueness(pmax: int = 3) -> list[CheckResult]:
 
 
 def suite_defining_equation(pmax: int = 2, trunc: int = 1) -> list[CheckResult]:
-    """Linearized defining-equation residuals for both generator kinds."""
+    """Linearized defining-equation residuals for both generator kinds, trunc <= 2."""
+    if trunc > 2:
+        raise OutOfDerivableRange("the defining equation is certified through hbar^2 only")
     out = []
     bound = pmax + 4  # level 3 reads entries up to index pmax + 1 + 3
     table = kdv_omega_table(bound, bound, min(trunc, 1))

@@ -16,6 +16,7 @@ from jethier.givental import (
     triple_omega,
 )
 from jethier.kdvbase import kdv_omega_table, tensor_power
+from jethier import bracket
 from jethier.bracket import (
     DeformationReport,
     PoissonOp,
@@ -113,22 +114,38 @@ def test_level1_bracket_deformation_golden():
     assert dP2 == minus_hbar_d3(2)
 
 
-def test_nonconstant_operator_blocks_pinned():
-    # blocks 2, 9 and 12 act only on operators with non-constant
-    # coefficients; pin the full result on the skew operator
-    # w d + w_x/2 + hbar (w d^3 + 3/2 w_x d^2 + 3/2 w_xx d + 1/2 w_xxx)
+def nonconstant_op():
+    """The skew operator
+    w d + w_x/2 + hbar (w d^3 + 3/2 w_x d^2 + 3/2 w_xx d + 1/2 w_xxx)."""
     z = JetPoly.zero()
     cell = {3: HbarSeries(1, [z, w(0)]), 2: HbarSeries(1, [z, 3 * w(1) / 2]),
             1: HbarSeries(1, [w(0), 3 * w(2) / 2]),
             0: HbarSeries(1, [w(1) / 2, w(3) / 2])}
-    pop = SkewOp(DiffOperator(1, 1, {(1, 1): cell}))
-    dP = r_deform_bracket(kdv_omega_table(4, 4, 1), pop, r_gen(1, [[1]]))
+    return SkewOp(DiffOperator(1, 1, {(1, 1): cell}))
+
+
+def test_nonconstant_operator_blocks_pinned():
+    # blocks 2, 9 and 12 act only on operators with non-constant
+    # coefficients; pin the full result on nonconstant_op()
+    z = JetPoly.zero()
+    dP = r_deform_bracket(kdv_omega_table(4, 4, 1), nonconstant_op(), r_gen(1, [[1]]))
     want = {0: -5 * w(1) * w(2) / 2 - w(3) / 24,
             1: -2 * w(1) ** 2 - w(2) / 3,
             2: -3 * w(0) * w(1) - 9 * w(1) / 8,
             3: -w(0)}
     assert dP == DiffOperator(1, 1, {(1, 1): {
         k: HbarSeries(1, [z, c]) for k, c in want.items()}})
+
+
+def test_operator_coefficients_move_once(monkeypatch):
+    # blocks 2 and 12 are linear in their fields, so each of the four
+    # coefficients of the operator moves once, not once per window term
+    moved = []
+    evolve = bracket.evolve
+    monkeypatch.setattr(bracket, "evolve",
+                        lambda f, fields: moved.append(f) or evolve(f, fields))
+    r_deform_bracket(kdv_omega_table(4, 4, 1), nonconstant_op(), r_gen(1, [[1]]))
+    assert len(moved) == 4
 
 
 def test_def_a_residuals_vanish_kdv():

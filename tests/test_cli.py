@@ -336,7 +336,8 @@ def test_deform_byte_determinism(tmp_path, capsys):
                                    "defining-equation", "all"])
 def test_verify_every_suite_passes(capsys, suite):
     pmax = () if suite in ("lemmas", "quasimiura", "homogeneity") else ("--pmax", "2")
-    code, out = run(capsys, "verify", suite, "--count", "5", *pmax)
+    count = ("--count", "5") if suite in ("lemmas", "all") else ()
+    code, out = run(capsys, "verify", suite, *count, *pmax)
     assert code == 0
     assert json.loads(out)["ok"] is True
 
@@ -350,11 +351,14 @@ def test_verify_every_suite_passes(capsys, suite):
     ("dump", "kdv-table", "--pmax", "3", "--qmax", "3", "--hbar", "2"),
     ("dump", "hamiltonians", "--hbar", "3"),
     ("dump", "quasi-miura", "--hbar", "3"),
+    ("verify", "defining-equation", "--hbar", "3"),
+    ("verify", "defining-equation", "--hbar", "7"),
+    ("verify", "all", "--hbar", "3", "--count", "1"),
 ])
 def test_out_of_derivable_range_exit2(capsys, argv):
     code = main(list(argv))
-    err = capsys.readouterr().err
-    assert code == 2
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -402,11 +406,21 @@ def test_flags_nothing_reads_rejected(capsys, argv):
     ("verify", "lemmas", "--pmax", "2"),
     ("verify", "lemmas", "--hbar", "1"),
     ("verify", "commutation", "--hbar", "1"),
+    ("verify", "commutation", "--seed", "1"),
+    ("verify", "commutation", "--count", "2"),
     ("verify", "quasimiura", "--pmax", "2"),
     ("verify", "quasimiura", "--hbar", "1"),
+    ("verify", "quasimiura", "--seed", "1"),
+    ("verify", "quasimiura", "--count", "2"),
     ("verify", "homogeneity", "--pmax", "9"),
     ("verify", "homogeneity", "--hbar", "1"),
+    ("verify", "homogeneity", "--seed", "1"),
+    ("verify", "homogeneity", "--count", "2"),
     ("verify", "uniqueness", "--hbar", "1"),
+    ("verify", "uniqueness", "--seed", "1"),
+    ("verify", "uniqueness", "--count", "2"),
+    ("verify", "defining-equation", "--seed", "1"),
+    ("verify", "defining-equation", "--count", "2"),
     ("dump", "flows", "--pmax", "1"),
     ("dump", "hamiltonians", "--qmax", "1"),
     ("dump", "quasi-miura", "--pmax", "1"),

@@ -12,7 +12,9 @@ from jethier.diffop import (
     apply_entry,
     apply_op,
     compose,
+    commutator,
     conjugate_by_miura,
+    euler_cell,
     is_skew,
     leibniz,
     operator_to_obj,
@@ -64,6 +66,41 @@ def test_leibniz_cells_and_apply():
     assert leibniz(cell, {1: -f}, acc) is acc
     assert all(c.is_zero() for c in acc.values())
     assert apply_entry(cell, f) == f.dx_pow(2) * w(0) + f * 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_euler_cell_is_adjoint_of_linearization(seed):
+    # E_g(f) against the adjoint, through leibniz, of sum_n (df/dw[g,n]) d^n
+    rng = random.Random(seed)
+    poly = random_jetpoly(rng, colors=2, max_order=3, n_terms=4)
+    series = HbarSeries(1, [random_jetpoly(rng, colors=2, max_order=3),
+                            random_jetpoly(rng, colors=2, max_order=3)])
+    for f in (poly, series):
+        for g in (1, 2):
+            orders = sorted(n for gg, n in f.variables() if gg == g)
+            got = euler_cell(f, g)
+            if orders:
+                assert max(got) == orders[-1]
+            else:
+                assert got == {}
+            want = adjoint(sop(1, {n: f.partial(g, n) for n in orders}))
+            assert sop(1, got) == want
+
+
+def test_commutator_with_an_explicit_primitive():
+    # [X, P] = X o P - P X, built with leibniz, from o = dx P alone
+    rng = random.Random(20)
+    for _ in range(4):
+        prim = HbarSeries(1, [random_jetpoly(rng, colors=2, max_order=2),
+                              random_jetpoly(rng, colors=2, max_order=2)])
+        x = {k: HbarSeries.of(random_jetpoly(rng, colors=2, n_terms=2), 1)
+             for k in range(4)}
+        want = leibniz(x, {0: prim})
+        for k, c in leibniz({0: prim}, x).items():
+            want[k] = want[k] - c
+        got = commutator(x, prim.dx())
+        assert 3 not in got
+        assert sop(1, got) == sop(1, want)
 
 
 def identity(dim, trunc):
@@ -142,19 +179,25 @@ def test_dimension_mismatch():
 # Miura changes
 # ---------------------------------------------------------------------------
 
-def test_miura_requires_linear_invertible_leading_part():
+def test_miura_requires_identity_leading_part():
     with pytest.raises(ValueError):
         MiuraChange([HbarSeries.of(w(0) ** 2, 1)])
     with pytest.raises(ValueError):
         MiuraChange([HbarSeries.of(W(2, 0), 1), HbarSeries.of(W(2, 0), 1)])
+    # linear and invertible, but a swap of the colors
+    with pytest.raises(ValueError):
+        MiuraChange([HbarSeries.of(W(2, 0), 1), HbarSeries.of(W(1, 0), 1)])
+    # the identity plus a constant, or plus a term of the other color
+    with pytest.raises(ValueError):
+        MiuraChange([HbarSeries.of(w(0) + 1, 1)])
+    with pytest.raises(ValueError):
+        MiuraChange([HbarSeries.of(W(1, 0) + W(2, 0), 1), HbarSeries.var(2, 0, 1)])
 
 
-def test_miura_constant_rescaling():
-    # w = c v turns d into c^2 d
-    c = 3
-    m = MiuraChange([HbarSeries.of(c * w(0), 2)])
-    got = conjugate_by_miura(DiffOperator.dx_op(1, 2), m)
-    assert got == DiffOperator.dx_op(1, 2, scale=c * c)
+def test_miura_constant_rescaling_rejected():
+    # w = 3 v is linear and invertible but not the identity at hbar^0
+    with pytest.raises(ValueError):
+        MiuraChange([HbarSeries.of(3 * w(0), 2)])
 
 
 def test_miura_identity_conjugation():
@@ -200,8 +243,7 @@ def test_exact_derivative_tail_keeps_zero_constant_term():
         assert conj.coeff(1, 1, 0).is_zero()
 
 
-def test_multicolor_scaling():
-    # with w = c v the operator d becomes c^2 d (per color)
+def test_multicolor_identity_conjugation():
     fwd = [HbarSeries.var(1, 0, 1), HbarSeries.var(2, 0, 1)]
     m = MiuraChange(fwd)
     d2 = DiffOperator.dx_op(2, 1)

@@ -2,9 +2,9 @@
 
 `perfbench/goldens.json` holds the SHA-256 of the stdout of every job of the
 benchmark's seed-1 mixes (or of the canonical JSON of the conjugated
-operator, for library jobs).  This replays a subset of a few seconds through
-the benchmark's own job runner, so a refactor that changes any printed byte
-fails here first.
+operator, for library jobs).  This replays every one of them, a few seconds
+in all, through the benchmark's own job runner, so a refactor that changes
+any printed byte fails here first.
 """
 
 import json
@@ -18,15 +18,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 sys.path.insert(0, PERFBENCH)
 
 import jobs as jobmod  # noqa: E402  (modules of perfbench/)
-from workloads import mix  # noqa: E402
-
-
-SUBSETS = {
-    "tables": lambda job: True,
-    "deform-bracket": lambda job: True,
-    "verify-suites": lambda job: job.size != "all",
-    "miura-conjugate": lambda job: True,
-}
+from workloads import WORKLOADS, mix  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +29,9 @@ def goldens():
     return table["workloads"]
 
 
-@pytest.mark.parametrize("workload", sorted(SUBSETS))
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_pinned_jobs_match_goldens(goldens, tmp_path, workload):
-    jobs = [job for job in mix(workload, 1) if SUBSETS[workload](job)]
+    jobs = mix(workload, 1)
     assert jobs
     jobmod.prepare(jobs, str(tmp_path))
     bad = []

@@ -401,7 +401,7 @@ def test_series_shift_rejects_negative_power():
 @pytest.mark.parametrize("bad", ["1/2", "3", 0.5])
 def test_inexact_operands_raise(bad):
     for x in (w(0) + w(1) / 2, HbarSeries(1, [w(0), w(1) / 3])):
-        for op in (operator.add, operator.sub, operator.mul):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(TypeError):
                 op(x, bad)
             with pytest.raises(TypeError):
