@@ -2,6 +2,9 @@
 
 Outputs are canonical JSON (sorted keys, fixed separators) or fixed-order
 plain text, so identical configuration and seed produce identical bytes.
+An output tree holds JetPoly and HbarSeries values as leaves: `to_json`
+writes them in their canonical JSON form, and the text walk expands them
+to it first.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 malformed input.
 """
 
@@ -31,7 +34,8 @@ from .givental import (
     r_deform_omega,  # noqa: F401  (perfbench's tracer test reads cli.r_deform_omega)
     table_to_obj,
 )
-from .jetcalc import JetPoly, jetpoly_to_obj, render, render_series, series_to_obj
+from .jetcalc import (HbarSeries, JetPoly, jetpoly_to_obj, render, render_series,
+                      series_to_obj, to_json)
 from .kdvbase import (
     OutOfDerivableRange,
     kdv_flow,
@@ -159,26 +163,31 @@ def _parse_atom(tokens, pos):
 
 def _emit(obj: dict, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(obj, sort_keys=True, separators=(",", ": "),
-                             indent=2))
-        out.write("\n")
+        out.write(to_json(obj) + "\n")
     else:
         _emit_text(obj, out)
 
 
+_TREES = (dict, list, JetPoly, HbarSeries)
+
+
 def _emit_text(obj, out, indent=0) -> None:
+    if isinstance(obj, JetPoly):
+        obj = jetpoly_to_obj(obj)
+    elif isinstance(obj, HbarSeries):
+        obj = series_to_obj(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
         for key in obj:
             val = obj[key]
-            if isinstance(val, (dict, list)):
+            if isinstance(val, _TREES):
                 out.write(f"{pad}{key}:\n")
                 _emit_text(val, out, indent + 1)
             else:
                 out.write(f"{pad}{key}: {val}\n")
     elif isinstance(obj, list):
         for val in obj:
-            if isinstance(val, (dict, list)):
+            if isinstance(val, _TREES):
                 _emit_text(val, out, indent)
                 out.write("\n" if indent == 0 else "")
             else:
@@ -249,9 +258,9 @@ def cmd_generate(args) -> int:
                     print("internal verification failed: commutation residual",
                           file=sys.stderr)
                     return 1
-        show = jetpoly_to_obj if fmt == "json" else render
         obj = {"dim": table.dim, "pmax": table.pmax, "qmax": table.qmax,
-               "entries": {f"{a}.{p}.{b}.{q}": show(v.coeffs[0])
+               "entries": {f"{a}.{p}.{b}.{q}":
+                           v.coeffs[0] if fmt == "json" else render(v.coeffs[0])
                            for (a, p, b, q), v in table.items()}}
         _emit(obj, fmt, sys.stdout)
         return 0
@@ -297,7 +306,7 @@ def cmd_deform(args) -> int:
                         report.symmetric_ok &= sym
                         report.entries.append({
                             "index": [a, p, b, q],
-                            "value": series_to_obj(series),
+                            "value": series,
                             "homogeneous": hom.ok,
                             "symmetric": sym,
                         })
@@ -345,7 +354,7 @@ def cmd_dump(args) -> int:
         if fmt == "text":
             obj = {f"dw/dt{q}": render_series(f) for q, f in flows.items()}
         else:
-            obj = {f"t{q}": series_to_obj(f) for q, f in flows.items()}
+            obj = {f"t{q}": f for q, f in flows.items()}
         _emit(obj, fmt, sys.stdout)
         return 0
     if args.what == "hamiltonians":
@@ -354,7 +363,7 @@ def cmd_dump(args) -> int:
         if fmt == "text":
             obj = {f"h{p}": render_series(v) for p, v in dens.items()}
         else:
-            obj = {f"h{p}": series_to_obj(v) for p, v in dens.items()}
+            obj = {f"h{p}": v for p, v in dens.items()}
         _emit(obj, fmt, sys.stdout)
         return 0
     if args.what == "quasi-miura":
@@ -364,8 +373,7 @@ def cmd_dump(args) -> int:
             obj = {"forward": render_series(m.forward[0], "v"),
                    "inverse": render_series(inv[0], "w")}
         else:
-            obj = {"forward": series_to_obj(m.forward[0]),
-                   "inverse": series_to_obj(inv[0])}
+            obj = {"forward": m.forward[0], "inverse": inv[0]}
         _emit(obj, fmt, sys.stdout)
         return 0
     if args.what == "kdv-table":

@@ -162,16 +162,15 @@ class OmegaTable:
 
 
 def table_to_obj(table: OmegaTable) -> dict:
-    from .jetcalc import series_to_obj
-
+    """The table's output tree; its entries are the HbarSeries values, and
+    `json.loads(to_json(...))` gives the plain form (`series_to_obj` entries)."""
     out = {
         "dim": table.dim,
         "pmax": table.pmax,
         "qmax": table.qmax,
         "trunc": table.trunc,
         "entries": {
-            f"{a}.{p}.{b}.{q}": series_to_obj(v)
-            for (a, p, b, q), v in table.items()
+            f"{a}.{p}.{b}.{q}": v for (a, p, b, q), v in table.items()
         },
     }
     if table.provenance:

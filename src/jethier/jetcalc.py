@@ -15,8 +15,8 @@ Representation is sparse and exact:
                                           numerator, gcd(den, *numerators) == 1
 
 The form is canonical, so equal polynomials have equal storage.  Rationals
-appear only at the edges: constructor input, `terms()`, `constant_term()`
-and the serializers, which all speak `Fraction`.
+appear only at the edges: constructor input, `terms()`, `constant_term()`,
+`jetpoly_to_obj` and `render`, which all speak `Fraction`.
 
 Every product of polynomials runs through one loop, `_mul_into`, which adds
 a*b into a numerator dict in place; `JetPoly * JetPoly` and each hbar^g part
@@ -42,7 +42,11 @@ It also has the one Euler homotopy of the package (`potential`, the
 potential of a closed gradient in the jets of one order), the formal left
 inverse of dx built on it (`formal_integrate`), weighted-degree bookkeeping
 (deg w[a,n] = n), truncated power series in hbar with JetPoly coefficients,
-substitution of series into jet variables, and a canonical JSON form.
+substitution of series into jet variables, and a canonical JSON form:
+`to_json` writes a tree whose leaves may be JetPoly or HbarSeries values
+straight from their numerators, byte for byte as `json.dumps(...,
+sort_keys=True, separators=(",", ": "), indent=2)` writes the plain form
+that `jetpoly_to_obj`/`series_to_obj` give.
 
 All arithmetic is exact; there is no floating point anywhere in this module.
 """
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
 
 Mono = tuple  # tuple[tuple[int, int, int], ...]
@@ -807,6 +812,61 @@ def jetpoly_to_obj(p: JetPoly) -> list:
 
 def series_to_obj(s: HbarSeries) -> dict:
     return {"trunc": s.trunc, "coeffs": [jetpoly_to_obj(c) for c in s.coeffs]}
+
+
+def to_json(obj) -> str:
+    """Indented canonical JSON of a tree whose leaves may be values.
+
+    The bytes are `json.dumps(plain, sort_keys=True, separators=(",", ": "),
+    indent=2)`, with `plain` the tree after `jetpoly_to_obj`/`series_to_obj`
+    of each JetPoly/HbarSeries leaf, but values are written straight from
+    their numerators.  Other leaves are str, int, bool or None, keys are
+    str; anything else raises TypeError.
+    """
+    return _json(obj, "\n")
+
+
+def _json(obj, nl: str) -> str:
+    # nl is the newline and indentation that closes obj's brackets
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        # encode_basestring_ascii raises TypeError on a key that is not str
+        items = [f"{inner}{encode_basestring_ascii(key)}: {_json(val, inner)}"
+                 for key, val in sorted(obj.items())]
+        return "{" + ",".join(items) + nl + "}" if items else "{}"
+    if isinstance(obj, list):
+        return "[" + ",".join(inner + _json(val, inner) for val in obj) + nl + "]" if obj else "[]"
+    if isinstance(obj, JetPoly):
+        return _jetpoly_json(obj, nl)
+    if isinstance(obj, HbarSeries):
+        n2 = inner + "  "
+        coeffs = ",".join(n2 + _jetpoly_json(c, n2) for c in obj.coeffs)
+        return f'{{{inner}"coeffs": [{coeffs}{inner}],{inner}"trunc": {obj.trunc}{nl}}}'
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _jetpoly_json(p: JetPoly, nl: str) -> str:
+    """`jetpoly_to_obj(p)` as indented JSON: per term, the numerator and the
+    shared denominator reduced by their gcd, then one factor block."""
+    if not p._num:
+        return "[]"
+    n1, n2, n3, n4 = (nl + "  " * k for k in range(1, 5))
+    sep = "," + n4
+    den = p._den
+    items = []
+    for mono, c in sorted(p._num.items()):
+        g = math.gcd(c, den)
+        coeff = f"{c // g}/{den // g}" if g != den else f"{c // g}"
+        factors = ",".join(f"{n3}[{n4}{a}{sep}{n}{sep}{e}{n3}]" for a, n, e in mono)
+        mono_json = f"[{factors}{n2}]" if mono else "[]"
+        items.append(f'{n1}{{{n2}"coeff": "{coeff}",{n2}"mono": {mono_json}{n1}}}')
+    return "[" + ",".join(items) + nl + "]"
 
 
 def render(p: JetPoly, letter: str = "w") -> str:

@@ -1,7 +1,10 @@
 """Readers for the canonical JSON forms the package writes.
 
-The package only writes these forms; the round-trip tests read them back
-with the functions here, to check that what is written determines the value.
+The package only writes these forms: the `*_to_obj` functions give them as
+plain trees, and `jetcalc.to_json` writes them straight from the values, as
+the tables of `givental.table_to_obj` hold them.  The round-trip tests read
+them back with the functions here, to check that what is written determines
+the value.
 """
 
 from fractions import Fraction

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from jethier import cli
+from jethier import cli, suites
 from jethier.cli import InputError, main, parse_poly
 from jethier.bracket import PoissonOp, defining_equation_residuals
 from jethier.diffop import DiffOperator
@@ -360,6 +360,20 @@ def test_out_of_derivable_range_exit2(capsys, argv):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["defining-equation", "all"])
+def test_hbar_range_refused_before_any_suite_runs(capsys, monkeypatch, suite):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a suite ran before the hbar range was checked")
+
+    for name in ("suite_lemmas", "suite_commutation", "suite_quasimiura",
+                 "suite_homogeneity", "suite_uniqueness", "suite_defining_equation"):
+        monkeypatch.setattr(suites, name, must_not_run)
+    code = main(["verify", suite, "--hbar", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: the defining equation is certified through hbar^2 only\n"
 
 
 def parse_exit_code(capsys, argv):

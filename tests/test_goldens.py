@@ -5,6 +5,13 @@ benchmark's seed-1 mixes (or of the canonical JSON of the conjugated
 operator, for library jobs).  This replays every one of them, a few seconds
 in all, through the benchmark's own job runner, so a refactor that changes
 any printed byte fails here first.
+
+The goldens pin today's bytes; `test_json_jobs_print_the_canonical_form`
+pins the format itself, so it keeps checking after the goldens are recorded
+again: every JSON-printing CLI job of the `tables`, `deform-bracket` and
+`verify-suites` mixes must print what the standard library's encoder writes
+for the same data, `json.dumps(obj, sort_keys=True, separators=(",", ": "),
+indent=2)` and a newline.
 """
 
 import json
@@ -40,3 +47,19 @@ def test_pinned_jobs_match_goldens(goldens, tmp_path, workload):
         if outcome.error or outcome.digest != goldens[workload][job.key]:
             bad.append((job.size, job.key, outcome.error))
     assert not bad, bad
+
+
+@pytest.mark.parametrize("workload", ["tables", "deform-bracket", "verify-suites"])
+def test_json_jobs_print_the_canonical_form(tmp_path, workload):
+    jobs = [job for job in mix(workload, 1)
+            if job.kind == "cli" and "text" not in job.argv]
+    assert jobs
+    jobmod.prepare(jobs, str(tmp_path))
+    for job in jobs:
+        argv = [jobmod.generator_path(str(tmp_path), job.generator)
+                if a == "{generator}" else a for a in job.argv]
+        code, out, err = jobmod.run_cli(argv)
+        assert code == 0, (job.key, err)
+        canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ": "),
+                               indent=2) + "\n"
+        assert out == canonical, job.key

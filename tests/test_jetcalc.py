@@ -22,6 +22,7 @@ from jethier.jetcalc import (
     render,
     series_to_obj,
     substitute,
+    to_json,
 )
 from readers import jetpoly_from_obj, series_from_obj
 
@@ -463,6 +464,87 @@ def test_jetpoly_json_roundtrip_and_determinism():
 def test_series_json_roundtrip():
     s = HbarSeries(2, [w(0) ** 2, w(1) / 2, JetPoly.const(Fraction(-3, 7))])
     assert series_from_obj(series_to_obj(s)) == s
+
+
+def dumps(obj) -> str:
+    """The JSON form the CLI prints, by the standard library's encoder."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2)
+
+
+# quotes, backslashes, control characters, non-ASCII and astral text
+TEXT_CHARS = 'ab /"\\\n\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001f600'
+
+
+def random_text(rng):
+    return "".join(rng.choice(TEXT_CHARS) for _ in range(rng.randint(0, 5)))
+
+
+def random_tree(rng, depth=0):
+    kind = rng.randrange(6 if depth < 4 else 4)
+    if kind == 0:
+        return random_text(rng)
+    if kind == 1:
+        return rng.choice([0, -1, rng.randint(-10**6, 10**6), -(10**40) - 7, 2**70])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([[], {}])
+    if kind == 4:
+        return [random_tree(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {random_text(rng): random_tree(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def test_to_json_plain_trees_match_json_dumps():
+    rng = random.Random(5)
+    for _ in range(300):
+        tree = random_tree(rng)
+        assert to_json(tree) == dumps(tree)
+        tree = {random_text(rng): [tree, random_tree(rng)]}
+        assert to_json(tree) == dumps(tree)
+    assert to_json({"": {}, "a": [[], {}], "b": [True, False, None]}) == \
+        dumps({"": {}, "a": [[], {}], "b": [True, False, None]})
+
+
+def jetpoly_cases():
+    rng = random.Random(17)
+    cases = [random_jetpoly(rng) / rng.randint(1, 12) + Fraction(rng.randint(-5, 5), 6)
+             for _ in range(40)]
+    cases += [
+        # negative exponents at order >= 1
+        JetPoly({((1, 1, -2), (2, 3, 1)): Fraction(-5, 6), ((1, 2, -1),): 3}),
+        JetPoly.const(Fraction(-7, 3)) + w(0),  # a constant term
+        JetPoly.const(4),
+        JetPoly.zero(),
+        # mixed denominators: over the shared 12 the numerators are 6, 4, 15, 72
+        w(0) / 2 + w(1) / 3 + w(2) * Fraction(5, 4) + 6,
+        w(0) * (10**30 + 1) / 7 - w(1) ** 3 / (2 * 10**25),
+    ]
+    return cases
+
+
+def test_to_json_jetpoly_matches_plain_form():
+    for p in jetpoly_cases():
+        assert to_json(p) == dumps(jetpoly_to_obj(p))
+        assert to_json({"k": [p]}) == dumps({"k": [jetpoly_to_obj(p)]})
+
+
+def test_to_json_series_matches_plain_form():
+    polys = jetpoly_cases()
+    rng = random.Random(23)
+    for trunc in range(4):
+        series = [HbarSeries(trunc), HbarSeries(trunc, [JetPoly.zero(), w(1)])]
+        series += [HbarSeries(trunc, rng.sample(polys, trunc + 1)) for _ in range(8)]
+        for s in series:
+            assert to_json(s) == dumps(series_to_obj(s))
+            assert to_json({"k": [s]}) == dumps({"k": [series_to_obj(s)]})
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, Fraction(1, 2), (1, 2), {1: "a"}, {"a": [{"b": 0.0}]}, {"k": {(1,): 1}},
+])
+def test_to_json_rejects_what_json_cannot_hold_exactly(obj):
+    with pytest.raises(TypeError):
+        to_json(obj)
 
 
 def test_render_fixed_order():
