@@ -81,14 +81,20 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
 
     The result, together with the table deformation of the same generator,
     satisfies the linearized defining equation; `def_a_residual` certifies
-    this exactly.  Per splitting (i, j) and colors (mu, nu), with factor c,
-    f_xi = (mu,i; xi,0), o = (unit,0; nu,j) = dx P, triple correlators t3
-    and the higher-Euler cell E_g of `diffop.euler_cell`: blocks 1, 4, 8
-    and 10 compose left factors with the operator row A[g, .], and block 9
-    adds directly; blocks 5 and 7 are one term, c (A[beta,g] o E_g(o)
-    without its order-0 term, every order lowered by one) o f_xi d; blocks
-    3 and 6 are one term, -c [A[beta,g] o E_g(f_xi), P] o d
-    (`diffop.commutator`); block 11 is -c A[beta,g] o E_g(t3[xi]) o d.
+    this exactly.  Every block is linear in the factors that carry the
+    second color nu, so the blocks run once per splitting (i, j) and color
+    mu, on those factors contracted with the row M[mu][.], with factor
+    c = (-1)^(i+1): o = sum_nu M[mu][nu] (unit,0; nu,j) = dx P, the
+    `UpperDeformation.right` factors sum_nu M[mu][nu] (nu,j; beta,0) at j
+    and, under dx, at j-1 (read as (beta,0; nu,j), so the table must be
+    symmetric, as two-point tables are), and hbar/2 times the triple
+    correlators t3[z] = sum_nu M[mu][nu] (z,0; mu,i; nu,j).  With
+    f_xi = (mu,i; xi,0) and the higher-Euler cell E_g of `diffop.euler_cell`:
+    blocks 1, 4, 8 and 10 compose left factors with the operator row
+    A[g, .], and block 9 adds directly; blocks 5 and 7 are one term,
+    c (A[beta,g] o E_g(o) without its order-0 term, every order lowered by
+    one) o f_xi d; blocks 3 and 6 are one term, -c [A[beta,g] o E_g(f_xi), P]
+    o d (`diffop.commutator`); block 11 is -c A[beta,g] o E_g(t3[xi]) o d.
     Blocks 2 and 12 move A's coefficients along the linear transport field
     and dx of c t3; both are linear in their fields, so they run once, on
     fields summed over the window.  Every composition is `diffop.leibniz`.
@@ -98,85 +104,84 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     A = pop.op
     s, ell = table.dim, gen.level
     colors = range(1, s + 1)
+    deform = UpperDeformation(table, gen)
     acc = {(b, x): {} for b in colors for x in colors}
     a_cells = {(b, x): A.entry(b, x) for b in colors for x in colors}
     t3_sum = {z: HbarSeries.zero(table.trunc) for z in colors}
 
     for i in range(-1, ell + 1):
         j = ell - 1 - i
+        cfac = _sgn(i + 1)
         for mu in colors:
+            row = [(nu, m) for nu, m in enumerate(gen.matrix[mu - 1], 1) if m]
+            if not row:
+                continue
             o_mu_i = table.unit_ext(mu, i)            # (mu,i; unit,0)
             o_mu_i1 = table.unit_ext(mu, i + 1)       # (mu,i+1; unit,0)
             fs = {xi: table.ext(mu, i, xi, 0) for xi in colors}
             e_f = {(g, xi): euler_cell(fs[xi], g) for g in colors for xi in colors}
-            for nu in colors:
-                cfac = _sgn(i + 1) * gen.matrix[mu - 1][nu - 1]
-                if cfac == 0:
-                    continue
-                o_nu_j = table.unit_ext(nu, j)        # (unit,0; nu,j)
-                # hbar/2 times the triple correlators (z,0; mu,i; nu,j)
-                t3 = {z: triple_omega(table, (z, 0), (mu, i), (nu, j)).hbar_shift() / 2
-                      for z in colors}
-                for z in colors:
-                    t3_sum[z] = t3_sum[z] + cfac * t3[z]
+            o = deform.unit_right(mu, j)
+            t3 = {z: sum((m * triple_omega(table, (z, 0), (mu, i), (nu, j)) for nu, m in row),
+                         HbarSeries.zero(table.trunc)).hbar_shift() / 2 for z in colors}
+            for z in colors:
+                t3_sum[z] = t3_sum[z] + cfac * t3[z]
 
-                for beta in colors:
-                    # blocks 1, 4, 8 and 10: left factors of the row A[g, .]
-                    f1 = fs[beta]
-                    f4 = table.ext(beta, 0, nu, j)
-                    pre = table.ext(beta, 0, nu, j - 1).dx()
-                    left = {g: {} for g in colors}
-                    for (g, n) in sorted(f1.variables()):
-                        _put(left[g], n, cfac * (o_nu_j * f1.partial(g, n)))
-                    if f4:
-                        for (g, n) in sorted(o_mu_i.variables()):
-                            _put(left[g], n, cfac * (f4 * o_mu_i.partial(g, n)))
-                    if pre:
-                        for (g, m) in sorted(o_mu_i1.variables()):
-                            dpart = o_mu_i1.partial(g, m)
-                            for u in range(m):
-                                _put(left[g], m - 1 - u,
-                                     -cfac * (pre * dpart.dx_pow(u, sign=-1)))
-                    for (g, n) in sorted(t3[beta].variables()):
-                        leibniz({1: cfac}, {n: t3[beta].partial(g, n)}, left[g])
-                    for g in colors:
-                        for xi in colors:
-                            if left[g] and a_cells[(g, xi)]:
-                                leibniz(left[g], a_cells[(g, xi)], acc[(beta, xi)])
-
-                    # block 9: boundary transport with the shifted index
-                    if pre:
-                        for g in colors:
-                            dgm = o_mu_i1.var_deriv(g)
-                            if dgm.is_zero():
-                                continue
-                            for xi in colors:
-                                for k, ac in a_cells[(g, xi)].items():
-                                    prod = ac * dgm
-                                    for f in range(2, k + 1):
-                                        _put(acc[(beta, xi)], f - 1, -cfac * (
-                                            pre * prod.dx_pow(k - f, sign=-1)))
-
-                # blocks 3, 5, 6, 7 and 11: right factors of the column A[., g]
+            for beta in colors:
+                # blocks 1, 4, 8 and 10: left factors of the row A[g, .]
+                f1 = fs[beta]
+                f4 = deform.right(mu, j, beta, 0)
+                pre = deform.right(mu, j - 1, beta, 0).dx()
+                left = {g: {} for g in colors}
+                for (g, n) in sorted(f1.variables()):
+                    _put(left[g], n, cfac * (o * f1.partial(g, n)))
+                if f4:
+                    for (g, n) in sorted(o_mu_i.variables()):
+                        _put(left[g], n, cfac * (f4 * o_mu_i.partial(g, n)))
+                if pre:
+                    for (g, m) in sorted(o_mu_i1.variables()):
+                        dpart = o_mu_i1.partial(g, m)
+                        for u in range(m):
+                            _put(left[g], m - 1 - u,
+                                 -cfac * (pre * dpart.dx_pow(u, sign=-1)))
+                for (g, n) in sorted(t3[beta].variables()):
+                    leibniz({1: cfac}, {n: t3[beta].partial(g, n)}, left[g])
                 for g in colors:
-                    e_o = euler_cell(o_nu_j, g)
-                    e_t = {xi: euler_cell(t3[xi], g) for xi in colors}
-                    for beta in colors:
-                        cell = {k: cfac * a for k, a in a_cells[(beta, g)].items()}
-                        if not cell:
+                    for xi in colors:
+                        if left[g] and a_cells[(g, xi)]:
+                            leibniz(left[g], a_cells[(g, xi)], acc[(beta, xi)])
+
+                # block 9: boundary transport with the shifted index
+                if pre:
+                    for g in colors:
+                        dgm = o_mu_i1.var_deriv(g)
+                        if dgm.is_zero():
                             continue
-                        low = {k - 1: c for k, c in leibniz(cell, e_o).items() if k > 0}
                         for xi in colors:
-                            out = acc[(beta, xi)]
-                            if fs[xi]:   # blocks 5 and 7
-                                leibniz(low, {1: fs[xi]}, out)
-                            # blocks 3 and 6, then 11, before the final d
-                            right = commutator(leibniz(cell, e_f[(g, xi)]), o_nu_j)
-                            for k, c in leibniz(cell, e_t[xi], right).items():
-                                _put(out, k + 1, -c)
+                            for k, ac in a_cells[(g, xi)].items():
+                                prod = ac * dgm
+                                for f in range(2, k + 1):
+                                    _put(acc[(beta, xi)], f - 1, -cfac * (
+                                        pre * prod.dx_pow(k - f, sign=-1)))
+
+            # blocks 3, 5, 6, 7 and 11: right factors of the column A[., g]
+            for g in colors:
+                e_o = euler_cell(o, g)
+                e_t = {xi: euler_cell(t3[xi], g) for xi in colors}
+                for beta in colors:
+                    cell = {k: cfac * a for k, a in a_cells[(beta, g)].items()}
+                    if not cell:
+                        continue
+                    low = {k - 1: c for k, c in leibniz(cell, e_o).items() if k > 0}
+                    for xi in colors:
+                        out = acc[(beta, xi)]
+                        if fs[xi]:   # blocks 5 and 7
+                            leibniz(low, {1: fs[xi]}, out)
+                        # blocks 3 and 6, then 11, before the final d
+                        right = commutator(leibniz(cell, e_f[(g, xi)]), o)
+                        for k, c in leibniz(cell, e_t[xi], right).items():
+                            _put(out, k + 1, -c)
 
     # blocks 2 and 12, once, on the fields summed over the window
-    deform = UpperDeformation(table, gen)
     flows = {z: t.dx() for z, t in t3_sum.items()}
     for (beta, xi), cell in a_cells.items():
         for k, ac in cell.items():

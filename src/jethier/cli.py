@@ -220,12 +220,13 @@ def cmd_generate(args) -> int:
                 print(f"internal verification failed at entry {key}",
                       file=sys.stderr)
                 return 1
-        obj = table_to_obj(table)
         if fmt == "text":
             obj = {"dim": table.dim, "pmax": table.pmax, "qmax": table.qmax,
                    "trunc": table.trunc,
                    "entries": {f"{a}.{p}.{b}.{q}": render_series(v)
                                for (a, p, b, q), v in table.items()}}
+        else:
+            obj = table_to_obj(table)
         _emit(obj, fmt, sys.stdout)
         return 0
     if args.what == "principal":
@@ -405,6 +406,7 @@ UNREAD = {
     ("verify", "homogeneity"): ("pmax", "hbar", "seed", "count"),
     ("verify", "uniqueness"): ("hbar", "seed", "count"),
     ("verify", "defining-equation"): ("seed", "count"),
+    ("deform", "bracket"): ("qmax",),
     ("dump", "flows"): ("pmax", "qmax"),
     ("dump", "hamiltonians"): ("pmax", "qmax"),
     ("dump", "quasi-miura"): ("pmax", "qmax"),

@@ -127,18 +127,21 @@ def leibniz(a: Entry, b: Entry, out: Entry | None = None) -> Entry:
     Cells map orders to coefficients, {k: c} standing for sum_k c d^k; the
     Leibniz rule  d^k1 o (f d^k2) = sum_i C(k1,i) dx^i(f) d^(k1-i+k2)  expands
     the product.  The jets dx^i(f) are the ones f keeps, so calls with the
-    same b share them.
+    same b share them; the walk stops at the first jet that vanishes.
     """
     if out is None:
         out = {}
     for k2, cb in b.items():
         for k1, ca in a.items():
+            jet = cb
             for i in range(k1 + 1):
-                c = ca * cb.dx_pow(i)
-                if 0 < i < k1:
-                    c = c * math.comb(k1, i)
+                if not jet:
+                    break
+                c = ca * jet if i in (0, k1) else ca * jet * math.comb(k1, i)
                 k = k1 - i + k2
                 out[k] = out[k] + c if k in out else c
+                if i < k1:
+                    jet = jet.dx()
     return out
 
 
@@ -149,14 +152,20 @@ def apply_entry(cell: Entry, f):
 
 def euler_cell(f, g: int) -> Entry:
     """E_g(f) = sum_k (-1)^k T[g,k](f) d^k, the adjoint of f's linearization
-    sum_n (df/dw[g,n]) d^n, with T the higher Euler operators (`t_op`)."""
-    top = max((n for gg, n in f.variables() if gg == g), default=-1)
+    sum_n (df/dw[g,n]) d^n, with T the higher Euler operators (`t_op`).
+    Expanded, E_g(f)[k] = sum_{n>=k} (-1)^n C(n,k) dx^(n-k)(df/dw[g,n]): each
+    partial is taken once, and its kept jets are read until one vanishes."""
     cell: Entry = {}
-    for k in range(top + 1):
-        t = f.t_op(g, k)
-        if t:
-            cell[k] = -t if k % 2 else t
-    return cell
+    for n in sorted({m for gg, m in f.variables() if gg == g}):
+        jet = f.partial(g, n)
+        for k in range(n, -1, -1):
+            if not jet:
+                break
+            c = jet * ((-1) ** n * math.comb(n, k))
+            cell[k] = cell[k] + c if k in cell else c
+            if k:
+                jet = jet.dx()
+    return {k: c for k, c in cell.items() if c}
 
 
 def commutator(x: Entry, o) -> Entry:
@@ -164,11 +173,14 @@ def commutator(x: Entry, o) -> Entry:
     in the ring:  [d^k, P] = sum_{i=1..k} C(k,i) dx^(i-1)(o) d^(k-i)."""
     out: Entry = {}
     for k, xk in x.items():
+        jet = o
         for i in range(1, k + 1):
-            c = xk * o.dx_pow(i - 1)
-            if i < k:
-                c = c * math.comb(k, i)
+            if not jet:
+                break
+            c = xk * jet if i == k else xk * jet * math.comb(k, i)
             out[k - i] = out[k - i] + c if k - i in out else c
+            if i < k:
+                jet = jet.dx()
     return out
 
 

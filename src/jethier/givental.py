@@ -35,12 +35,13 @@ and the second for d > l, so their sums run over d in [-1, l] for every
 entry; at d = -1 and d = l one of them is a delta constant, whose
 x-derivatives vanish, which leaves d in [0, l-1] for the second-order
 factors.  So the factors depend on the table and the generator only, and
-`UpperDeformation` builds them once for all entries.
+`UpperDeformation` builds them once for all entries.  The same instance
+serves the operator deformation of `bracket.r_deform_bracket`: its blocks
+read the contracted second factors and the linear transport field.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import partial
 
@@ -227,9 +228,10 @@ class UpperDeformation:
         quad[(g,n),(z,m)] sum_{d,mu,nu} (-1)^(d+1) M[mu][nu]
                               dx^(n+1) (g,0;mu,d) * dx^(m+1) (nu,l-1-d;z,0)
 
-    with the jet transport T_n of `lin`.  These are built on first use and
-    kept, so one instance serves every entry of the table: build it once for
-    the many entries of one table and generator.  The x-derivatives they use
+    with the jet transport T_n of `lin`, which recurses in n.  These and the
+    second factors contracted over nu (`right`, `unit_right`) are built on
+    first use and kept, so one instance serves every entry of the table and
+    the operator deformation: build it once per table and generator.  The x-derivatives they use
     are the ones the table entries and the contracted factors keep
     themselves (`HbarSeries.dx`).  Nothing is kept beyond the instance.
     """
@@ -278,23 +280,25 @@ class UpperDeformation:
         is the change of the jet variable of order n under the coordinate
         change the generator induces: d^(n+1) o lead with its order-0 term
         dropped, one order lower, applied to tail.  Table entries and
-        operator coefficients both move along this field.
+        operator coefficients both move along this field.  Pascal's rule
+        C(n+1,k) = C(n,k-1) + C(n,k) gives the recursion
+
+            T_n = dx T_(n-1) + dx^n(lead) tail,      T_0 = lead tail,
+
+        and dx is linear, so lin[g,n] is dx lin[g,n-1] plus one product per
+        (d, mu); that dx is the one lin[g,n-1] keeps.
         """
         key = (g, n)
         got = self._lin.get(key)
         if got is None:
             table, ell = self.table, self.gen.level
-            got = HbarSeries.zero(table.trunc)
+            got = self.lin(g, n - 1).dx() if n else HbarSeries.zero(table.trunc)
             for d in range(-1, ell + 1):
-                j = ell - 1 - d
                 for mu in range(1, table.dim + 1):
-                    lead = table.ext(g, 0, mu, d)
-                    tail = self.unit_right(mu, j)
-                    if not (lead and tail):
-                        continue
-                    for k in range(n + 1):
-                        got = got + (_sgn(d + 1) * math.comb(n + 1, k)) * (
-                            lead.dx_pow(k) * tail.dx_pow(n - k))
+                    lead = table.ext(g, 0, mu, d).dx_pow(n)
+                    tail = self.unit_right(mu, ell - 1 - d)
+                    if lead and tail:
+                        got = got + _sgn(d + 1) * (lead * tail)
             self._lin[key] = got
         return got
 
@@ -328,9 +332,10 @@ class UpperDeformation:
         out = HbarSeries.zero(table.trunc)
         for d in range(-p - 1, ell + q + 1):
             for mu in range(1, table.dim + 1):
+                left = table.ext(a, p, mu, d)
                 right = self.right(mu, ell - 1 - d, b, q)
-                if right:
-                    out = out + _sgn(d + 1) * (table.ext(a, p, mu, d) * right)
+                if left and right:
+                    out = out + _sgn(d + 1) * (left * right)
         base_vars = sorted(base.variables())
         hterm = HbarSeries.zero(table.trunc)
         for (g, n) in base_vars:

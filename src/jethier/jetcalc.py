@@ -292,6 +292,8 @@ class JetPoly:
             return JetPoly._reduced(out, _mul_into(out, 1, self, other))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
+        if other == 1 or not self._num:
+            return self
         if other == 0:
             return _ZERO
         k = other.numerator
@@ -648,9 +650,14 @@ class HbarSeries:
 
     def __mul__(self, other):
         if type(other) is not HbarSeries:
-            if type(other) is JetPoly or isinstance(other, (int, Fraction)):
-                return HbarSeries._raw(self.trunc, tuple(p * other for p in self.coeffs))
-            return NotImplemented
+            if isinstance(other, (int, Fraction)):
+                if other == 1 or not self:
+                    return self
+                if other == 0:
+                    return HbarSeries.zero(self.trunc)
+            elif type(other) is not JetPoly:
+                return NotImplemented
+            return HbarSeries._raw(self.trunc, tuple(p * other for p in self.coeffs))
         h = min(self.trunc, other.trunc)
         a, b = self.coeffs, other.coeffs
         out = []

@@ -72,11 +72,6 @@ def _flow_vector(p: int) -> JetPoly:
     return _v(0, p) * _v(1) / math.factorial(p) if p else _v(1)
 
 
-def flow_derivation(f: JetPoly, p: int) -> JetPoly:
-    """Derivative of a jet function along the dispersionless p-th flow."""
-    return evolve(f, {V1: _flow_vector(p)})
-
-
 def genus1_flow_derivative(p: int) -> JetPoly:
     """Derivative of the genus-1 density along the p-th flow (Laurent).
 
@@ -84,11 +79,6 @@ def genus1_flow_derivative(p: int) -> JetPoly:
     derivative (1/24) dx(flow)/v_x stays in the Laurent ring.
     """
     return dx(_flow_vector(p)) * _v(1, -1) / 24
-
-
-def genus1_second_derivative(p: int, q: int) -> JetPoly:
-    """Second flow derivative of the genus-1 density."""
-    return flow_derivation(genus1_flow_derivative(p), q)
 
 
 def quasi_miura_h1() -> JetPoly:
@@ -117,20 +107,31 @@ def quasi_miura(direction: str = "forward", trunc: int = 2) -> MiuraChange:
     raise ValueError("direction must be 'forward' or 'inverse'")
 
 
-def genus1_entry_correction(p: int, q: int) -> JetPoly:
-    """hbar coefficient of the (p;q) entry, from the genus-1 completion.
+def genus1_completion():
+    """(p, q) -> hbar coefficient of the (p;q) entry, from the genus-1 completion.
 
-    Combines the second flow derivative of the genus-1 density with the
-    coordinate-change correction; the rational parts cancel and the result
-    must be a polynomial of weighted degree 2, which is asserted.
+    Combines the second flow derivative of the genus-1 density (its p-th
+    flow derivative along the q-th flow) with the coordinate-change
+    correction; the rational parts cancel and each result must be a
+    polynomial of weighted degree 2, which is checked.  The returned function
+    builds each flow vector (with its jets), each genus-1 flow derivative
+    and `quasi_miura_h1` once and keeps them: build one per table.
     """
-    lead = kdv_dispersionless_omega(p, q).partial(V1, 0)
-    out = genus1_second_derivative(p, q) - lead * quasi_miura_h1()
-    if not out.is_polynomial():
-        raise NotExact(
-            f"genus-1 completion of entry ({p};{q}) left rational terms"
-        )
-    return out
+    flows, firsts, h1 = {}, {}, quasi_miura_h1()
+
+    def correction(p: int, q: int) -> JetPoly:
+        for k in (p, q):
+            if k not in flows:
+                flows[k], firsts[k] = _flow_vector(k), genus1_flow_derivative(k)
+        lead = kdv_dispersionless_omega(p, q).partial(V1, 0)
+        out = evolve(firsts[p], {V1: flows[q]}) - lead * h1
+        if not out.is_polynomial():
+            raise NotExact(
+                f"genus-1 completion of entry ({p};{q}) left rational terms"
+            )
+        return out
+
+    return correction
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +159,11 @@ def kdv_full_omega(p: int, q: int, trunc: int = 2):
     the genus-1 completion; mixed entries with p,q <= 2 at truncation 2 via
     flow transport.  Anything else raises OutOfDerivableRange.
     """
+    return _full_omega(p, q, trunc, genus1_completion())
+
+
+def _full_omega(p: int, q: int, trunc: int, genus1):
+    """`kdv_full_omega`, with the genus-1 completion `genus1` of its table."""
     if p < 0 or q < 0:
         raise ValueError("descendant indices must be >= 0")
     if trunc > 2:
@@ -168,7 +174,7 @@ def kdv_full_omega(p: int, q: int, trunc: int = 2):
     if trunc <= 1:
         coeffs = [kdv_dispersionless_omega(p, q)]
         if trunc == 1:
-            coeffs.append(genus1_entry_correction(p, q))
+            coeffs.append(genus1(p, q))
         return HbarSeries(trunc, coeffs), "genus1-completion"
     if max(p, q) <= 2:
         return _transport(p, q, trunc), "flow-transport"
@@ -178,7 +184,9 @@ def kdv_full_omega(p: int, q: int, trunc: int = 2):
 
 
 def kdv_omega_table(pmax: int, qmax: int, trunc: int = 2) -> OmegaTable:
-    """Full table on 0..pmax x 0..qmax; symmetric pairs computed once."""
+    """Full table on 0..pmax x 0..qmax; symmetric pairs computed once, and
+    the genus-1 completion's factors once for the table."""
+    genus1 = genus1_completion()
     entries = {}
     prov = {}
     for p in range(pmax + 1):
@@ -187,7 +195,7 @@ def kdv_omega_table(pmax: int, qmax: int, trunc: int = 2) -> OmegaTable:
                 entries[(V1, p, V1, q)] = entries[(V1, q, V1, p)]
                 prov[(V1, p, V1, q)] = prov[(V1, q, V1, p)]
                 continue
-            series, tag = kdv_full_omega(p, q, trunc)
+            series, tag = _full_omega(p, q, trunc, genus1)
             entries[(V1, p, V1, q)] = series
             prov[(V1, p, V1, q)] = tag
     return OmegaTable(1, pmax, qmax, trunc, entries, prov)

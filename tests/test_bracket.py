@@ -318,6 +318,33 @@ def test_rotated_table_defining_equation(rotated, kind, level, matrix):
         assert res.is_zero(), index
 
 
+@pytest.mark.parametrize("matrix", [[[1, 2, 3], [2, 1, 1], [3, 1, 2]],
+                                    [[0, 0, 0], [0, 1, 2], [0, 2, 1]]])
+def test_upper_bracket_runs_once_per_generator_row(rotated, monkeypatch, matrix):
+    # the blocks are linear in the factors that carry nu, so they run once per
+    # (i, mu) on the contracted row, and not at all for a zero row; each
+    # triple correlator with M[mu][nu] != 0 is still evaluated, and its three
+    # picks checked, once per z.  With A = d, each run makes one commutator
+    # per (g = beta, xi)
+    base, _ = rotated
+    calls = {"triple_omega": 0, "commutator": 0}
+    for name in calls:
+        real = getattr(bracket, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(bracket, name, counted)
+    dP = r_deform_bracket(base, PoissonOp.dx(3, 1), r_gen(3, matrix))
+    splittings = 5  # i in [-1, 3]
+    rows = sum(1 for row in matrix if any(row))
+    nonzero = sum(1 for row in matrix for m in row if m)
+    assert calls == {"triple_omega": splittings * nonzero * 3,
+                     "commutator": splittings * rows * 3 * 3}
+    assert is_skew(dP) and not dP.is_zero()
+
+
 # ---------------------------------------------------------------------------
 # lower-kind bracket deformation
 # ---------------------------------------------------------------------------

@@ -52,6 +52,19 @@ def test_generate_kdv_contains_tabulated_entry(capsys):
            " + hbar^2*(1/240*w[1,4])" in out
 
 
+def test_generate_kdv_text_builds_no_json_tree(capsys, monkeypatch):
+    built = []
+    table_to_obj = cli.table_to_obj
+    monkeypatch.setattr(cli, "table_to_obj",
+                        lambda table: built.append(table) or table_to_obj(table))
+    code, _ = run(capsys, "generate", "kdv", "--pmax", "2", "--qmax", "2",
+                  "--hbar", "1", "--format", "text")
+    assert code == 0 and built == []
+    code, _ = run(capsys, "generate", "kdv", "--pmax", "2", "--qmax", "2",
+                  "--hbar", "1")
+    assert code == 0 and len(built) == 1
+
+
 def test_generate_principal_monomial_table(capsys):
     code, out = run(capsys, "generate", "principal", "--dim", "1",
                     "--hessian", '[["v"]]', "--pmax", "3", "--qmax", "0",
@@ -438,6 +451,7 @@ def test_flags_nothing_reads_rejected(capsys, argv):
     ("dump", "flows", "--pmax", "1"),
     ("dump", "hamiltonians", "--qmax", "1"),
     ("dump", "quasi-miura", "--pmax", "1"),
+    ("deform", "bracket", "--generator", "g.json", "--qmax", "2"),
 ])
 def test_flags_the_target_does_not_read_rejected(capsys, argv):
     code = main(list(argv))

@@ -85,6 +85,31 @@ def test_euler_cell_is_adjoint_of_linearization(seed):
                 assert got == {}
             want = adjoint(sop(1, {n: f.partial(g, n) for n in orders}))
             assert sop(1, got) == want
+            # the definition through the higher Euler operators
+            for k in range(orders[-1] + 1 if orders else 0):
+                assert got.get(k, f * 0) == (-1) ** k * f.t_op(g, k), (g, k)
+
+
+def test_leibniz_and_commutator_multiply_by_no_vanishing_jet(monkeypatch):
+    # with a constant right factor, as every coefficient of d is, each jet
+    # past the factor itself vanishes, and so does every product with it
+    x = {k: HbarSeries.of(w(0) * w(k), 1) for k in range(4)}
+    vanishing = []
+    mul = HbarSeries.__mul__
+
+    def counted(self, other):
+        if not (self and other):
+            vanishing.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(HbarSeries, "__mul__", counted)
+    monkeypatch.setattr(HbarSeries, "__rmul__", counted)
+    composed = leibniz(x, {1: HbarSeries.const(1, 1)})
+    bracket = commutator(x, HbarSeries.const(2, 1))
+    monkeypatch.undo()
+    assert vanishing == []
+    assert composed == {k + 1: c for k, c in x.items()}
+    assert bracket == {k - 1: c * (2 * k) for k, c in x.items() if k}
 
 
 def test_commutator_with_an_explicit_primitive():

@@ -314,6 +314,52 @@ def test_r_deform_dense_generators_match_long_form(colors, level, matrix, hbar):
         assert deform(a, p, b, q) == r_deform_long(table, g, a, p, b, q), (a, p, b, q)
 
 
+def transport_closed_form(table, gen, g, n):
+    """lin[g,n] from its definition: the sum over d and mu of
+    (-1)^(d+1) T_n((g,0;mu,d), sum_nu M[mu][nu] (nu,l-1-d;unit,0)), with
+    T_n(lead, tail) = sum_{k=0..n} C(n+1,k) dx^k(lead) dx^(n-k)(tail)."""
+    colors = range(1, table.dim + 1)
+    ell = gen.level
+    out = HbarSeries.zero(table.trunc)
+    for d in range(-1, ell + 1):
+        for mu in colors:
+            lead = table.ext(g, 0, mu, d)
+            tail = sum((gen.matrix[mu - 1][nu - 1] * table.unit_ext(nu, ell - 1 - d)
+                        for nu in colors), HbarSeries.zero(table.trunc))
+            for k in range(n + 1):
+                out = out + (-1) ** (d + 1) * math.comb(n + 1, k) * (
+                    lead.dx_pow(k) * tail.dx_pow(n - k))
+    return out
+
+
+@pytest.fixture(scope="module")
+def transport_points():
+    from test_bracket import ROT, rotate  # the coupled three-color point
+
+    one = kdv_omega_table(5, 5, 1)
+    square = tensor_power(one, 2)
+    cube = tensor_power(kdv_omega_table(4, 4, 1), 3)
+    sym3, skew3 = [[1, 2, 3], [2, -1, 5], [3, 5, 2]], [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]
+    points = [(one, 1, [[1]]), (one, 3, [[1]]), (kdv_omega_table(2, 2, 2), 1, [[1]]),
+              (square, 1, [[1, 2], [2, -3]]), (square, 2, [[0, 1], [-1, 0]]),
+              (square, 3, [[2, 1], [1, 0]])]
+    for table in (cube, rotate(cube, ROT)):
+        points += [(table, 1, sym3), (table, 2, skew3), (table, 3, sym3)]
+    return points
+
+
+def test_lin_recursion_matches_closed_form(transport_points):
+    # lin[g,n] = dx lin[g,n-1] + sum (-1)^(d+1) dx^n(lead) tail, by Pascal's
+    # rule, against the binomial sum it replaces
+    for table, level, matrix in transport_points:
+        g = r_gen(level, matrix)
+        deform = UpperDeformation(table, g)
+        for color in range(1, table.dim + 1):
+            for n in range(6):
+                assert deform.lin(color, n) == transport_closed_form(table, g, color, n), (
+                    table.dim, table.trunc, level, color, n)
+
+
 def test_r_deform_first_order_recursion_preserved():
     # linearized descendant recursion at the dispersionless level:
     # d/dv of the deformed (a,p+1;b,q) entry stays consistent with the

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from jethier.jetcalc import HbarSeries, JetPoly, dx, formal_integrate
+from jethier import kdvbase
+from jethier.jetcalc import HbarSeries, JetPoly, dx, evolve, formal_integrate
 from jethier.diffop import DiffOperator, conjugate_by_miura
 from jethier.kdvbase import (
     OutOfDerivableRange,
-    flow_derivation,
-    genus1_entry_correction,
+    genus1_completion,
     genus1_flow_derivative,
     kdv_dispersionless_omega,
     kdv_flow,
@@ -72,7 +72,7 @@ def test_transport_entry_1_1():
 def test_genus1_completion_matches_flow_route():
     for (p, q) in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
         via_g1 = kdv_dispersionless_omega(p, q) + 0  # hbar^0
-        corr = genus1_entry_correction(p, q)
+        corr = genus1_completion()(p, q)
         full, _ = kdv_full_omega(p, q, 2)
         assert full.coeffs[0] == via_g1
         assert full.coeffs[1] == corr, (p, q)
@@ -98,7 +98,7 @@ def test_genus1_completion_closed_form():
             if c2:
                 want = want + c2 * w(0, p + q - 1) * w(2) / 24 if p + q >= 1 \
                     else want + c2 * w(2) / 24
-            assert genus1_entry_correction(p, q) == want, (p, q)
+            assert genus1_completion()(p, q) == want, (p, q)
 
 
 def test_full_omega_derivable_range():
@@ -216,6 +216,28 @@ def test_kdv_point_bundle():
     assert kdv_omega_table(2, 2, 2).entry(1, 0, 1, 0) == HbarSeries.of(w(0), 2)
     assert quasi_miura("forward", 2).dim == 1
     assert genus1_flow_derivative(0) == w(2) * w(1, -1) / 24
+
+
+def test_genus1_factors_built_once_per_table(monkeypatch):
+    # 12 entries of kdv_omega_table(4, 4, 1) go through the genus-1
+    # completion; each flow derivative and h1 is built once for all of them
+    built = []
+    for name in ("genus1_flow_derivative", "quasi_miura_h1"):
+        real = getattr(kdvbase, name)
+        monkeypatch.setattr(kdvbase, name,
+                            lambda *a, real=real, name=name: built.append(name) or real(*a))
+    table = kdv_omega_table(4, 4, 1)
+    assert sorted(built) == ["genus1_flow_derivative"] * 5 + ["quasi_miura_h1"]
+    assert table.provenance[(1, 2, 1, 3)] == "genus1-completion"
+    for p in range(5):
+        for q in range(5):
+            if table.provenance[(1, p, 1, q)] == "genus1-completion":
+                assert table.entry(1, p, 1, q).coeffs[1] == genus1_completion()(p, q)
+
+
+def flow_derivation(f, p):
+    """Derivative along the dispersionless p-th flow v^p v_1 / p!."""
+    return evolve(f, {1: w(0, p) * w(1) / math.factorial(p)})
 
 
 def test_flow_derivation_leibniz():
