@@ -107,6 +107,10 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     deform = UpperDeformation(table, gen)
     acc = {(b, x): {} for b in colors for x in colors}
     a_cells = {(b, x): A.entry(b, x) for b in colors for x in colors}
+    # block 9 reads the cells of A of order >= 2 only
+    high = [(g, xi, k, ac) for (g, xi), cell in a_cells.items()
+            for k, ac in cell.items() if k >= 2]
+    high_colors = sorted({g for g, _, _, _ in high})
     t3_sum = {z: HbarSeries.zero(table.trunc) for z in colors}
 
     for i in range(-1, ell + 1):
@@ -125,6 +129,9 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                          HbarSeries.zero(table.trunc)).hbar_shift() / 2 for z in colors}
             for z in colors:
                 t3_sum[z] = t3_sum[z] + cfac * t3[z]
+            # block 9's products A_k[g,xi] delta_g (mu,i+1; unit,0), k >= 2
+            grads = {g: o_mu_i1.var_deriv(g) for g in high_colors}
+            b9 = [(xi, k, ac * grads[g]) for g, xi, k, ac in high if grads[g]]
 
             for beta in colors:
                 # blocks 1, 4, 8 and 10: left factors of the row A[g, .]
@@ -152,16 +159,10 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
 
                 # block 9: boundary transport with the shifted index
                 if pre:
-                    for g in colors:
-                        dgm = o_mu_i1.var_deriv(g)
-                        if dgm.is_zero():
-                            continue
-                        for xi in colors:
-                            for k, ac in a_cells[(g, xi)].items():
-                                prod = ac * dgm
-                                for f in range(2, k + 1):
-                                    _put(acc[(beta, xi)], f - 1, -cfac * (
-                                        pre * prod.dx_pow(k - f, sign=-1)))
+                    for xi, k, prod in b9:
+                        for f in range(2, k + 1):
+                            _put(acc[(beta, xi)], f - 1, -cfac * (
+                                pre * prod.dx_pow(k - f, sign=-1)))
 
             # blocks 3, 5, 6, 7 and 11: right factors of the column A[., g]
             for g in colors:
@@ -309,13 +310,11 @@ class HomogeneityVerdict:
 def check_series_homogeneity(x: HbarSeries, offset: int = 0) -> HomogeneityVerdict:
     """Each hbar^g coefficient polynomial and homogeneous of degree 2g+offset."""
     failures = []
-    for g, c in enumerate(x.coeffs):
-        if c.is_zero():
-            continue
-        if not c.is_polynomial():
-            failures.append((g, "laurent", sorted(c.degrees())))
-        elif not c.is_homogeneous(2 * g + offset):
-            failures.append((g, "degree", sorted(c.degrees())))
+    for g, polynomial, degrees in x.gradings():
+        if not polynomial:
+            failures.append((g, "laurent", sorted(degrees)))
+        elif degrees != {2 * g + offset}:
+            failures.append((g, "degree", sorted(degrees)))
     return HomogeneityVerdict(not failures, tuple(failures))
 
 

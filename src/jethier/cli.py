@@ -420,12 +420,21 @@ def _reject_unread(args) -> None:
             raise InputError(f"{args.command} {target} does not read --{name}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("generate", "deform", "verify", "dump")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser.  Given one of COMMANDS, it adds only that
+    subcommand's subparser, which parses and fails byte for byte as in the
+    full parser; otherwise it adds all of them."""
     parser = argparse.ArgumentParser(
         prog="jethier",
         description="Exact hierarchy tables, symmetry deformations, and "
                     "identity verification at the KdV base point.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    lazy = command in COMMANDS
+    # the usage line lists every command either way
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if lazy else None)
 
     kinds = {"pmax": _at_least(0), "qmax": _at_least(0), "hbar": _at_least(0),
              "dim": _at_least(1), "tensor": _at_least(1), "count": _at_least(1),
@@ -439,31 +448,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.set_defaults(given=frozenset())
 
-    g = sub.add_parser("generate", help="build and verify hierarchy tables")
-    g.add_argument("what", choices=("kdv", "principal"))
-    g.add_argument("--hessian", action=_Given,
-                   help="JSON array of polynomial strings")
-    flags(g, {"dim": 1, "pmax": 2, "qmax": 2, "hbar": 2, "tensor": 1})
-    g.set_defaults(func=cmd_generate)
+    if not lazy or command == "generate":
+        g = sub.add_parser("generate", help="build and verify hierarchy tables")
+        g.add_argument("what", choices=("kdv", "principal"))
+        g.add_argument("--hessian", action=_Given,
+                       help="JSON array of polynomial strings")
+        flags(g, {"dim": 1, "pmax": 2, "qmax": 2, "hbar": 2, "tensor": 1})
+        g.set_defaults(func=cmd_generate)
 
-    d = sub.add_parser("deform", help="apply a symmetry generator")
-    d.add_argument("what", choices=("omega", "bracket"))
-    d.add_argument("--generator", required=True, help="generator JSON file")
-    flags(d, {"pmax": 1, "qmax": 0, "hbar": 1, "seed": 7, "tensor": 1})
-    d.set_defaults(func=cmd_deform)
+    if not lazy or command == "deform":
+        d = sub.add_parser("deform", help="apply a symmetry generator")
+        d.add_argument("what", choices=("omega", "bracket"))
+        d.add_argument("--generator", required=True, help="generator JSON file")
+        flags(d, {"pmax": 1, "qmax": 0, "hbar": 1, "seed": 7, "tensor": 1})
+        d.set_defaults(func=cmd_deform)
 
-    v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("suite", choices=("lemmas", "commutation", "quasimiura",
-                                     "homogeneity", "uniqueness",
-                                     "defining-equation", "all"))
-    flags(v, {"pmax": 3, "hbar": 1, "seed": 7, "count": 100})
-    v.set_defaults(func=cmd_verify)
+    if not lazy or command == "verify":
+        v = sub.add_parser("verify", help="run a named verification suite")
+        v.add_argument("suite", choices=("lemmas", "commutation", "quasimiura",
+                                         "homogeneity", "uniqueness",
+                                         "defining-equation", "all"))
+        flags(v, {"pmax": 3, "hbar": 1, "seed": 7, "count": 100})
+        v.set_defaults(func=cmd_verify)
 
-    du = sub.add_parser("dump", help="print built-in base-point data")
-    du.add_argument("what", choices=("kdv-table", "flows", "hamiltonians",
-                                     "quasi-miura"))
-    flags(du, {"pmax": 2, "qmax": 2, "hbar": 2})
-    du.set_defaults(func=cmd_dump)
+    if not lazy or command == "dump":
+        du = sub.add_parser("dump", help="print built-in base-point data")
+        du.add_argument("what", choices=("kdv-table", "flows", "hamiltonians",
+                                         "quasi-miura"))
+        flags(du, {"pmax": 2, "qmax": 2, "hbar": 2})
+        du.set_defaults(func=cmd_dump)
     return parser
 
 
@@ -479,8 +492,8 @@ def _at_least(least: int):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _reject_unread(args)
         return args.func(args)

@@ -20,8 +20,9 @@ what it derives: its inverse images, solved once (and not solved at all for
 a change made by `inverse()`, whose inverse is the known forward map), and
 one `Substitution` by them that caches the powers of the prolonged jets
 across every coefficient it rewrites.  The x-derivatives the Leibniz rule
-reads are kept by the coefficients themselves (`HbarSeries.dx`), so every
-row of a composition reads the same ones.
+reads are kept by each coefficient series itself (`HbarSeries.dx`, one
+derivative of the series' numerator store, computed once), so every row of
+a composition reads the same ones.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ class MiuraChange:
             return self._inverse
         h = self.trunc
         # v_a = w_a - tail_a(v), with tail_a the hbar-positive part of m_a
-        tails = [HbarSeries(h, (JetPoly.zero(),) + f.coeffs[1:]) for f in self.forward]
+        tails = [f - JetPoly.var(a, 0) for a, f in enumerate(self.forward, start=1)]
         wvars = [HbarSeries.var(a, 0, h) for a in range(1, self.dim + 1)]
         cur = wvars
         for _ in range(h):

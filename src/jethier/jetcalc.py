@@ -9,24 +9,31 @@ polynomial.
 
 Representation is sparse and exact:
 
-  Mono    = tuple[(alpha, n, exp), ...]   sorted by (alpha, n), exp != 0
-  JetPoly = { Mono: int } / den           integer numerators over one shared
-                                          denominator den >= 1, no zero
-                                          numerator, gcd(den, *numerators) == 1
+  Mono       = tuple[(alpha, n, exp), ...]   sorted by (alpha, n), exp != 0
+  JetPoly    = { Mono: int } / den           integer numerators over one
+                                             shared denominator den >= 1
+  HbarSeries = ({ Mono: int }, ...) / den    one numerator dict per hbar order
+                                             g = 0..trunc (`parts`), all over
+                                             one shared denominator `den`
 
-The form is canonical, so equal polynomials have equal storage.  Rationals
-appear only at the edges: constructor input, `terms()`, `constant_term()`,
-`jetpoly_to_obj` and `render`, which all speak `Fraction`.
+In both, no numerator is zero and gcd(den, every numerator) == 1.  The form
+is canonical, so equal values have equal storage.  Rationals appear only at
+the edges: constructor input, `terms()`, `constant_term()`,
+`jetpoly_to_obj`/`series_to_obj` and `render`, which all speak `Fraction`.
 
-Every product of polynomials runs through one loop, `_mul_into`, which adds
-a*b into a numerator dict in place; `JetPoly * JetPoly` and each hbar^g part
-of an `HbarSeries` product or of a `Substitution` is one such accumulator,
-reduced to canonical form once.
+The loops run on numerator dicts, in module-level kernels that JetPoly and
+HbarSeries both call: `_mul_into` (the one product loop, a*b added into an
+accumulator in place), `_add_into`, `_dx_num` and `_partial_num`.  A series
+operation runs them on every part it touches, over the one denominator, and
+reduces the result to canonical form once; a series product visits only the
+part pairs i + j <= trunc.  A series has no JetPoly per part: `coeffs`
+builds those views on first read, for the few callers that want them.
 
 The x-derivative is a property of the value: `dx()` of a JetPoly or an
 HbarSeries is computed once and kept by the value that owns it, so
 dx^n(f) costs n derivatives once however often it is read, and lives
-exactly as long as f.  Equality and hashing ignore it.
+exactly as long as f; a truncation of a series hands the derivative its
+source keeps on.  Equality and hashing ignore it.
 
 The module provides the derivations of the variational calculus:
 
@@ -41,7 +48,7 @@ function every flow, transport and commutator of the package goes through.
 It also has the one Euler homotopy of the package (`potential`, the
 potential of a closed gradient in the jets of one order), the formal left
 inverse of dx built on it (`formal_integrate`), weighted-degree bookkeeping
-(deg w[a,n] = n), truncated power series in hbar with JetPoly coefficients,
+(deg w[a,n] = n), truncated power series in hbar over these polynomials,
 substitution of series into jet variables, and a canonical JSON form:
 `to_json` writes a tree whose leaves may be JetPoly or HbarSeries values
 straight from their numerators, byte for byte as `json.dumps(...,
@@ -120,6 +127,121 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
 
 def _mono_degree(mono: Mono) -> int:
     return sum(n * exp for _, n, exp in mono)
+
+
+# ---------------------------------------------------------------------------
+# kernels on numerator dicts (shared by JetPoly and HbarSeries)
+# ---------------------------------------------------------------------------
+
+def _add_into(dst: dict, src: dict, k: int = 1) -> None:
+    """dst += k*src in place, dropping numerators that cancel."""
+    get = dst.get
+    for mono, c in src.items():
+        acc = get(mono)
+        if acc is None:
+            dst[mono] = c * k
+        else:
+            acc += c * k
+            if acc:
+                dst[mono] = acc
+            else:
+                del dst[mono]
+
+
+def _mul_into(dst: dict, a: dict, b: dict) -> None:
+    """dst += a*b in place, dropping numerators that cancel: the module's one
+    product loop.  Denominators are the caller's: a*b is over den_a * den_b."""
+    get = dst.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = _mono_mul(ma, mb)
+            acc = get(mono)
+            if acc is None:
+                dst[mono] = ca * cb
+            else:
+                acc += ca * cb
+                if acc:
+                    dst[mono] = acc
+                else:
+                    del dst[mono]
+
+
+def _dx_num(num: dict) -> dict:
+    """Numerators of the total x-derivative, over the same denominator."""
+    out: dict[Mono, int] = {}
+    get = out.get
+    for mono, coeff in num.items():
+        for idx, (alpha, n, exp) in enumerate(mono):
+            head = mono[:idx] if exp == 1 else mono[:idx] + ((alpha, n, exp - 1),)
+            # w[alpha,n+1] sorts right after w[alpha,n]: bump it if present
+            nxt = mono[idx + 1] if idx + 1 < len(mono) else None
+            if nxt is not None and nxt[0] == alpha and nxt[1] == n + 1:
+                e = nxt[2] + 1
+                tail = (((alpha, n + 1, e),) if e else ()) + mono[idx + 2:]
+            else:
+                tail = ((alpha, n + 1, 1),) + mono[idx + 1:]
+            new = head + tail
+            c = coeff * exp
+            acc = get(new)
+            if acc is None:
+                out[new] = c
+            else:
+                acc = acc + c
+                if acc == 0:
+                    del out[new]
+                else:
+                    out[new] = acc
+    return out
+
+
+def _partial_num(num: dict, alpha: int, n: int) -> dict:
+    """Numerators of the partial derivative by w[alpha, n], over the same
+    denominator."""
+    out: dict[Mono, int] = {}
+    for mono, coeff in num.items():
+        for idx, (a, m, exp) in enumerate(mono):
+            if a == alpha and m == n:
+                if exp == 1:
+                    rest = mono[:idx] + mono[idx + 1:]
+                else:
+                    rest = mono[:idx] + ((a, m, exp - 1),) + mono[idx + 1:]
+                c = coeff * exp
+                acc = out.get(rest)
+                if acc is None:
+                    out[rest] = c
+                else:
+                    acc = acc + c
+                    if acc == 0:
+                        del out[rest]
+                    else:
+                        out[rest] = acc
+                break
+    return out
+
+
+def _recolor(num: dict, color: int) -> dict:
+    return {tuple((color, n, e) for _, n, e in mono): c for mono, c in num.items()}
+
+
+def _variables(nums) -> set[tuple[int, int]]:
+    return {(alpha, n) for num in nums for mono in num for alpha, n, _ in mono}
+
+
+def _is_polynomial(nums) -> bool:
+    return all(exp > 0 for num in nums for mono in num for _, _, exp in mono)
+
+
+def _t_op(f, alpha: int, k: int):
+    """T[alpha,k](f) = sum_n C(n,k) (-dx)^(n-k) df/dw[alpha,n] for a JetPoly or
+    HbarSeries f; zero for k < 0."""
+    out = f * 0  # the zero of f's type and truncation
+    if k < 0:
+        return out
+    for n in sorted({m for a, m in f.variables() if a == alpha and m >= k}):
+        term = f.partial(alpha, n).dx_pow(n - k, sign=-1)
+        c = math.comb(n, k)
+        out = out + (term if c == 1 else c * term)
+    return out
 
 
 class JetPoly:
@@ -209,11 +331,7 @@ class JetPoly:
 
     def variables(self) -> set[tuple[int, int]]:
         """All (alpha, n) pairs occurring in some monomial."""
-        out = set()
-        for mono in self._num:
-            for alpha, n, _ in mono:
-                out.add((alpha, n))
-        return out
+        return _variables((self._num,))
 
     def max_order(self) -> int:
         """Largest jet order present; -1 for a constant or zero polynomial."""
@@ -230,12 +348,11 @@ class JetPoly:
         For a polynomial in one color only, so that the relabelled monomials
         stay sorted and distinct.
         """
-        return JetPoly._raw({tuple((color, n, e) for _, n, e in mono): c
-                             for mono, c in self._num.items()}, self._den)
+        return JetPoly._raw(_recolor(self._num, color), self._den)
 
     def is_polynomial(self) -> bool:
         """True iff no negative exponent occurs (no Laurent sector)."""
-        return all(exp > 0 for mono in self._num for _, _, exp in mono)
+        return _is_polynomial((self._num,))
 
     def num_terms(self) -> int:
         return len(self._num)
@@ -258,17 +375,7 @@ class JetPoly:
             den = math.lcm(da, db)
             sa, scale = den // da, den // db
             out = {m: c * sa for m, c in self._num.items()}
-        for mono, c in other._num.items():
-            c *= scale
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = c
-            else:
-                acc = acc + c
-                if acc == 0:
-                    del out[mono]
-                else:
-                    out[mono] = acc
+        _add_into(out, other._num, scale)
         return JetPoly._reduced(out, den)
 
     __radd__ = __add__
@@ -289,7 +396,8 @@ class JetPoly:
     def __mul__(self, other):
         if type(other) is JetPoly:
             out: dict[Mono, int] = {}
-            return JetPoly._reduced(out, _mul_into(out, 1, self, other))
+            _mul_into(out, self._num, other._num)
+            return JetPoly._reduced(out, self._den * other._den)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if other == 1 or not self._num:
@@ -330,6 +438,9 @@ class JetPoly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        # a constant equals its Fraction (see __eq__), so it hashes as one
+        if not self._num or (len(self._num) == 1 and () in self._num):
+            return hash(self.constant_term())
         return hash((frozenset(self._num.items()), self._den))
 
     def __repr__(self):
@@ -343,31 +454,8 @@ class JetPoly:
         Computed on the first call and kept; later calls return that object.
         """
         got = self._dx
-        if got is not None:
-            return got
-        out: dict[Mono, int] = {}
-        for mono, coeff in self._num.items():
-            for idx, (alpha, n, exp) in enumerate(mono):
-                head = mono[:idx] if exp == 1 else mono[:idx] + ((alpha, n, exp - 1),)
-                # w[alpha,n+1] sorts right after w[alpha,n]: bump it if present
-                nxt = mono[idx + 1] if idx + 1 < len(mono) else None
-                if nxt is not None and nxt[0] == alpha and nxt[1] == n + 1:
-                    e = nxt[2] + 1
-                    tail = (((alpha, n + 1, e),) if e else ()) + mono[idx + 2:]
-                else:
-                    tail = ((alpha, n + 1, 1),) + mono[idx + 1:]
-                new = head + tail
-                c = coeff * exp
-                acc = out.get(new)
-                if acc is None:
-                    out[new] = c
-                else:
-                    acc = acc + c
-                    if acc == 0:
-                        del out[new]
-                    else:
-                        out[new] = acc
-        got = self._dx = JetPoly._reduced(out, self._den)
+        if got is None:
+            got = self._dx = JetPoly._reduced(_dx_num(self._num), self._den)
         return got
 
     def dx_pow(self, k: int, sign: int = 1):
@@ -381,26 +469,7 @@ class JetPoly:
 
     def partial(self, alpha: int, n: int) -> "JetPoly":
         """Formal partial derivative with respect to w[alpha, n]."""
-        out: dict[Mono, int] = {}
-        for mono, coeff in self._num.items():
-            for idx, (a, m, exp) in enumerate(mono):
-                if a == alpha and m == n:
-                    if exp == 1:
-                        rest = mono[:idx] + mono[idx + 1:]
-                    else:
-                        rest = mono[:idx] + ((a, m, exp - 1),) + mono[idx + 1:]
-                    c = coeff * exp
-                    acc = out.get(rest)
-                    if acc is None:
-                        out[rest] = c
-                    else:
-                        acc = acc + c
-                        if acc == 0:
-                            del out[rest]
-                        else:
-                            out[rest] = acc
-                    break
-        return JetPoly._reduced(out, self._den)
+        return JetPoly._reduced(_partial_num(self._num, alpha, n), self._den)
 
     def var_deriv(self, alpha: int) -> "JetPoly":
         """Variational derivative  sum_n (-dx)^n  d/dw[alpha,n] = T[alpha,0]."""
@@ -408,14 +477,7 @@ class JetPoly:
 
     def t_op(self, alpha: int, k: int) -> "JetPoly":
         """Higher Euler operator T[alpha,k]; zero for k < 0, T[.,0] = var_deriv."""
-        if k < 0:
-            return _ZERO
-        out = _ZERO
-        for n in sorted({m for a, m in self.variables() if a == alpha and m >= k}):
-            term = self.partial(alpha, n).dx_pow(n - k, sign=-1)
-            c = math.comb(n, k)
-            out = out + (term if c == 1 else c * term)
-        return out
+        return _t_op(self, alpha, k)
 
     # -- grading ------------------------------------------------------
 
@@ -428,35 +490,6 @@ class JetPoly:
 
 
 _ZERO = JetPoly._raw({}, 1)
-
-
-def _mul_into(dst: dict, dst_den: int, a: JetPoly, b: JetPoly) -> int:
-    """dst/dst_den += a*b in place, dropping numerators that cancel; returns the
-    new denominator, lcm(dst_den, a._den * b._den).  The module's one product
-    loop: `JetPoly._reduced` divides out the common factor once, at the end."""
-    den = a._den * b._den
-    if dst_den % den:
-        new = math.lcm(dst_den, den)
-        f = new // dst_den
-        for mono in dst:
-            dst[mono] *= f
-        dst_den = new
-    scale = dst_den // den
-    get = dst.get
-    for ma, ca in a._num.items():
-        ca *= scale
-        for mb, cb in b._num.items():
-            mono = _mono_mul(ma, mb)
-            acc = get(mono)
-            if acc is None:
-                dst[mono] = ca * cb
-            else:
-                acc += ca * cb
-                if acc:
-                    dst[mono] = acc
-                else:
-                    del dst[mono]
-    return dst_den
 
 
 # ---------------------------------------------------------------------------
@@ -545,74 +578,117 @@ def formal_integrate(p: JetPoly) -> JetPoly:
 # ---------------------------------------------------------------------------
 
 class HbarSeries:
-    """Truncated formal series in hbar with JetPoly coefficients.
+    """Truncated formal series in hbar with differential-polynomial coefficients.
 
-    coeffs[g] is the coefficient of hbar^g, g = 0..trunc.  Arithmetic never
-    silently exceeds the truncation order: sums and products truncate at the
-    minimum of the operand truncations.  Like a JetPoly, a series keeps its
-    x-derivative in `_dx` once `dx()` has computed it.
+    `parts[g]` holds the integer numerators of the hbar^g coefficient,
+    g = 0..trunc, all over the one denominator `den`, in the canonical form
+    of the module docstring; every operation returns that form.  Arithmetic
+    never silently exceeds the truncation order: sums and products truncate
+    at the minimum of the operand truncations, and `truncate` only lowers
+    it.  Like a JetPoly, a series keeps its x-derivative in `_dx` once
+    `dx()` has computed it, and `coeffs` keeps the JetPoly views it builds.
     """
 
-    __slots__ = ("trunc", "coeffs", "_dx")
+    __slots__ = ("trunc", "parts", "den", "_dx", "_coeffs")
 
     def __init__(self, trunc: int, coeffs: Sequence[JetPoly] = ()):
         if trunc < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = list(coeffs)
-        if len(cs) > trunc + 1:
-            cs = cs[: trunc + 1]
-        while len(cs) < trunc + 1:
-            cs.append(_ZERO)
+        cs = list(coeffs)[: trunc + 1]
+        cs += [_ZERO] * (trunc + 1 - len(cs))
+        # canonical JetPolys over the lcm of their denominators stay canonical
+        den = math.lcm(*[c._den for c in cs])
         self.trunc = trunc
-        self.coeffs = tuple(cs)
+        self.parts = tuple([c._num if c._den == den else
+                            {m: v * (den // c._den) for m, v in c._num.items()} for c in cs])
+        self.den = den
         self._dx = None
+        self._coeffs = tuple(cs)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def _raw(trunc: int, coeffs: tuple) -> "HbarSeries":
-        """Internal: wrap a tuple of exactly trunc+1 coefficients, without checks."""
+    def _raw(trunc: int, parts: tuple, den: int) -> "HbarSeries":
+        """Internal: wrap trunc+1 numerator dicts already in canonical form."""
         s = HbarSeries.__new__(HbarSeries)
         s.trunc = trunc
-        s.coeffs = coeffs
+        s.parts = parts
+        s.den = den
         s._dx = None
+        s._coeffs = None
         return s
 
     @staticmethod
+    def _reduced(trunc: int, parts: tuple, den: int) -> "HbarSeries":
+        """Internal: wrap trunc+1 numerator dicts over den >= 1, dividing out
+        their common factor with den.  The dicts may be shared with other
+        values, so a reduction builds new ones."""
+        if den != 1:
+            g = den
+            for part in parts:
+                if part:
+                    g = math.gcd(g, *part.values())
+                    if g == 1:
+                        break
+            if g != 1:  # an all-zero series reduces to den 1
+                den //= g
+                parts = tuple([{m: c // g for m, c in part.items()} if part else part
+                               for part in parts])
+        return HbarSeries._raw(trunc, parts, den)
+
+    @staticmethod
     def zero(trunc: int) -> "HbarSeries":
-        return HbarSeries(trunc)
+        return HbarSeries._raw(trunc, ({},) * (trunc + 1), 1)
 
     @staticmethod
     def const(c, trunc: int) -> "HbarSeries":
-        return HbarSeries(trunc, [JetPoly.const(c)])
+        c = rat(c)
+        if c == 0:
+            return HbarSeries.zero(trunc)
+        return HbarSeries._raw(trunc, ({(): c.numerator},) + ({},) * trunc, c.denominator)
 
     @staticmethod
     def of(p: JetPoly, trunc: int) -> "HbarSeries":
-        return HbarSeries(trunc, [p])
+        return HbarSeries._raw(trunc, (p._num,) + ({},) * trunc, p._den)
 
     @staticmethod
     def var(alpha: int, n: int, trunc: int) -> "HbarSeries":
-        return HbarSeries(trunc, [JetPoly.var(alpha, n)])
+        return HbarSeries.of(JetPoly.var(alpha, n), trunc)
 
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.parts)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.parts)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The hbar^g coefficients as JetPolys, built on first read and kept."""
+        got = self._coeffs
+        if got is None:
+            got = self._coeffs = tuple([_view(part, self.den) for part in self.parts])
+        return got
 
     def num_terms(self) -> int:
-        return sum(c.num_terms() for c in self.coeffs)
+        return sum(map(len, self.parts))
 
     def variables(self) -> set[tuple[int, int]]:
-        out = set()
-        for c in self.coeffs:
-            out |= c.variables()
-        return out
+        return _variables(self.parts)
 
     def is_polynomial(self) -> bool:
-        return all(c.is_polynomial() for c in self.coeffs)
+        return _is_polynomial(self.parts)
+
+    def gradings(self) -> list:
+        """(g, polynomial?, weighted degrees) of every nonzero hbar^g part."""
+        return [(g, _is_polynomial((part,)), set(map(_mono_degree, part)))
+                for g, part in enumerate(self.parts) if part]
+
+    def recolor(self, color: int) -> "HbarSeries":
+        """`JetPoly.recolor` of every coefficient."""
+        return HbarSeries._raw(self.trunc, tuple([_recolor(part, color) for part in self.parts]),
+                               self.den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -628,48 +704,85 @@ class HbarSeries:
             return HbarSeries.const(x, trunc)
         return NotImplemented
 
-    def __add__(self, other):
-        o = HbarSeries._lift(other, self.trunc)
+    def _sum(self, other, sign: int) -> "HbarSeries":
+        """self + sign*other, truncated at the minimum of the two truncations."""
+        o = other if type(other) is HbarSeries else HbarSeries._lift(other, self.trunc)
         if o is NotImplemented:
             return o
+        h = min(self.trunc, o.trunc)
+        pa, pb = self.parts, o.parts
+        if not any(pb):
+            return self.truncate(h)
+        if sign == 1 and not any(pa):
+            return o.truncate(h)
+        da, db = self.den, o.den
+        if da == db:
+            den, sa, sb = da, 1, sign
+        else:
+            den = math.lcm(da, db)
+            sa, sb = den // da, sign * (den // db)
+        parts = []
         # zip stops at the shorter operand: the sum truncates at the minimum
-        return HbarSeries._raw(min(self.trunc, o.trunc),
-                               tuple(map(JetPoly.__add__, self.coeffs, o.coeffs)))
+        for a, b in zip(pa, pb):
+            if not b:
+                out = a if sa == 1 else {m: c * sa for m, c in a.items()}
+            elif not a:
+                out = b if sb == 1 else {m: c * sb for m, c in b.items()}
+            else:
+                out = dict(a) if sa == 1 else {m: c * sa for m, c in a.items()}
+                _add_into(out, b, sb)
+            parts.append(out)
+        return HbarSeries._reduced(h, tuple(parts), den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HbarSeries._raw(self.trunc, tuple(-c for c in self.coeffs))
+        return HbarSeries._raw(self.trunc, tuple([{m: -c for m, c in part.items()}
+                                                  for part in self.parts]), self.den)
 
     def __sub__(self, other):
-        o = HbarSeries._lift(other, self.trunc)
-        return o if o is NotImplemented else self + (-o)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._sum(other, 1)
 
     def __mul__(self, other):
-        if type(other) is not HbarSeries:
-            if isinstance(other, (int, Fraction)):
-                if other == 1 or not self:
-                    return self
-                if other == 0:
-                    return HbarSeries.zero(self.trunc)
-            elif type(other) is not JetPoly:
-                return NotImplemented
-            return HbarSeries._raw(self.trunc, tuple(p * other for p in self.coeffs))
-        h = min(self.trunc, other.trunc)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for g in range(h + 1):
-            # the hbar^g part, sum of a[i]*b[g-i], in one accumulator
-            num: dict[Mono, int] = {}
-            den = 1
-            for i in range(g + 1):
-                if a[i]._num and b[g - i]._num:
-                    den = _mul_into(num, den, a[i], b[g - i])
-            out.append(JetPoly._reduced(num, den))
-        return HbarSeries._raw(h, tuple(out))
+        t = type(other)
+        if t is HbarSeries:
+            h = min(self.trunc, other.trunc)
+            pa, pb = self.parts, other.parts
+            out = [{} for _ in range(h + 1)]
+            # the hbar^(i+j) part gets a[i]*b[j], for the pairs i + j <= h only
+            for i in range(h + 1):
+                p = pa[i]
+                if p:
+                    for j in range(h + 1 - i):
+                        q = pb[j]
+                        if q:
+                            _mul_into(out[i + j], p, q)
+            den = self.den * other.den
+        elif t is JetPoly:
+            b = other._num
+            out = [{} for _ in self.parts]
+            for dst, p in zip(out, self.parts):
+                _mul_into(dst, p, b)
+            h, den = self.trunc, self.den * other._den
+        elif isinstance(other, (int, Fraction)):
+            if other == 1 or not any(self.parts):
+                return self
+            if other == -1:
+                return -self
+            if other == 0:
+                return HbarSeries.zero(self.trunc)
+            k = other.numerator
+            out = [{m: c * k for m, c in part.items()} for part in self.parts]
+            h, den = self.trunc, self.den * other.denominator
+        else:
+            return NotImplemented
+        return HbarSeries._reduced(h, tuple(out), den)
 
     __rmul__ = __mul__
 
@@ -679,24 +792,38 @@ class HbarSeries:
         """Multiply by hbar^k, k >= 0 (coefficients beyond the truncation are dropped)."""
         if k < 0:
             raise ValueError("hbar_shift needs k >= 0")
-        return HbarSeries(self.trunc, [_ZERO] * k + list(self.coeffs[: self.trunc + 1 - k]))
+        keep = self.trunc + 1 - k
+        parts = (({},) * k + self.parts)[: self.trunc + 1]
+        wrap = HbarSeries._reduced if any(self.parts[max(keep, 0):]) else HbarSeries._raw
+        return wrap(self.trunc, parts, self.den)
 
     def truncate(self, trunc: int) -> "HbarSeries":
-        return HbarSeries(trunc, self.coeffs[: trunc + 1])
+        """The series modulo hbar^(trunc+1), for trunc <= self.trunc: a series
+        known to hbar^self.trunc says nothing about higher orders.  The
+        result reads the x-derivative this series keeps."""
+        if trunc == self.trunc:
+            return self
+        if not 0 <= trunc < self.trunc:
+            raise ValueError(f"cannot truncate a series known to hbar^{self.trunc} "
+                             f"at hbar^{trunc}")
+        wrap = HbarSeries._reduced if any(self.parts[trunc + 1:]) else HbarSeries._raw
+        out = wrap(trunc, self.parts[: trunc + 1], self.den)
+        out._dx = self._dx  # truncated when it is read
+        return out
 
     def inverse(self) -> "HbarSeries":
         """Multiplicative inverse; the hbar^0 part must be a single monomial."""
-        lead = self.coeffs[0]
-        if lead.num_terms() != 1:
+        if len(self.parts[0]) != 1:
             raise ValueError("inverse needs a single-monomial leading coefficient")
+        lead = _view(self.parts[0], self.den)
         lead_inv = lead ** (-1)
         # (m + r)^-1 = m^-1 sum_k (-r m^-1)^k   with r the hbar-positive tail
-        tail = HbarSeries(self.trunc, [_ZERO] + [-(c * lead_inv) for c in self.coeffs[1:]])
+        tail = (self - lead) * -lead_inv
         out = HbarSeries.const(1, self.trunc)
-        power = HbarSeries.const(1, self.trunc)
+        power = out
         for _ in range(self.trunc):
             power = power * tail
-            if power.is_zero():
+            if not power:
                 break
             out = out + power
         return out * lead_inv
@@ -705,30 +832,46 @@ class HbarSeries:
         o = HbarSeries._lift(other, self.trunc)
         if o is NotImplemented:
             return o
-        return all(map(JetPoly.__eq__, self.coeffs, o.coeffs))
+        a = self
+        if a.trunc != o.trunc:  # compare within the smaller truncation
+            h = min(a.trunc, o.trunc)
+            a, o = a.truncate(h), o.truncate(h)
+        return a.den == o.den and a.parts == o.parts
 
     def __repr__(self):
         return f"HbarSeries({render_series(self)})"
 
-    # -- derivations (coefficient-wise) --------------------------------
+    # -- derivations (part by part) ------------------------------------
 
     def dx(self) -> "HbarSeries":
-        """Coefficient-wise x-derivative, computed on the first call and kept."""
+        """x-derivative of every coefficient, computed on the first call and kept."""
         got = self._dx
         if got is None:
-            got = self._dx = HbarSeries._raw(self.trunc, tuple(c.dx() for c in self.coeffs))
+            got = self._dx = HbarSeries._reduced(
+                self.trunc, tuple(map(_dx_num, self.parts)), self.den)
+        elif got.trunc != self.trunc:  # handed on by `truncate`
+            got = self._dx = got.truncate(self.trunc)
         return got
 
     dx_pow = JetPoly.dx_pow
 
     def partial(self, alpha: int, n: int) -> "HbarSeries":
-        return HbarSeries._raw(self.trunc, tuple(c.partial(alpha, n) for c in self.coeffs))
+        return HbarSeries._reduced(
+            self.trunc, tuple([_partial_num(part, alpha, n) for part in self.parts]), self.den)
 
     def var_deriv(self, alpha: int) -> "HbarSeries":
         return self.t_op(alpha, 0)
 
     def t_op(self, alpha: int, k: int) -> "HbarSeries":
-        return HbarSeries._raw(self.trunc, tuple(c.t_op(alpha, k) for c in self.coeffs))
+        return _t_op(self, alpha, k)
+
+
+def _view(num: dict, den: int) -> JetPoly:
+    """The JetPoly num/den, sharing num when it is already canonical."""
+    if not num:
+        return _ZERO
+    g = math.gcd(den, *num.values()) if den != 1 else 1
+    return JetPoly._raw(num if g == 1 else {m: c // g for m, c in num.items()}, den // g)
 
 
 # ---------------------------------------------------------------------------
@@ -738,17 +881,22 @@ class HbarSeries:
 class Substitution:
     """The substitution w[alpha,n] -> dx^n(images[alpha]), modulo hbar^(trunc+1).
 
-    Calling it maps a JetPoly or HbarSeries to an HbarSeries.  It keeps the
-    powers of the prolonged jets (inverse powers included) as it computes
-    them, so one instance serves every polynomial substituted with the same
-    images; the jets themselves are the kept x-derivatives of the truncated
-    images.  Negative exponents require the prolonged image to be invertible
-    (its hbar^0 part a single monomial).
+    Calling it maps a JetPoly or HbarSeries to an HbarSeries.  The images,
+    and a series it is called on, must be known to hbar^trunc.  It keeps the powers of the prolonged jets
+    (inverse powers included) as it computes them, so one instance serves
+    every polynomial substituted with the same images; the jets themselves
+    are the kept x-derivatives of the truncated images.  Negative exponents
+    require the prolonged image to be invertible (its hbar^0 part a single
+    monomial).
     """
 
     __slots__ = ("images", "trunc", "_powers")
 
     def __init__(self, images: dict[int, HbarSeries], trunc: int):
+        for alpha, image in images.items():
+            if image.trunc < trunc:
+                raise ValueError(f"image of w[{alpha},0] stops at hbar^{image.trunc}, "
+                                 f"below the substitution's hbar^{trunc}")
         self.images = images
         self.trunc = trunc
         self._powers: dict[tuple[int, int, int], HbarSeries] = {}
@@ -781,18 +929,33 @@ class Substitution:
 
     def __call__(self, p) -> HbarSeries:
         h = self.trunc
-        parts = enumerate(p.coeffs[: h + 1]) if isinstance(p, HbarSeries) else ((0, p),)
-        # numerators of each hbar^g part of the result, over a running denominator
+        if type(p) is HbarSeries:
+            if p.trunc < h:
+                raise ValueError(f"series stops at hbar^{p.trunc}, below the "
+                                 f"substitution's hbar^{h}")
+            parts, pden = p.parts[: h + 1], p.den
+        else:
+            parts, pden = (p._num,), p._den
+        # numerators of every hbar^g part of the result, over a running denominator
         nums: list[dict[Mono, int]] = [{} for _ in range(h + 1)]
-        dens = [1] * (h + 1)
-        for g, c in parts:
-            for mono, coeff in c._num.items():
-                term = JetPoly._raw({(): coeff}, c._den)  # one-term factor, not reduced
+        den = 1
+        for g, part in enumerate(parts):
+            for mono, coeff in part.items():
                 # the hbar^g part is only needed modulo hbar^(h-g+1)
-                for k, part in enumerate(self.monomial(mono, h - g).coeffs):
-                    if part:
-                        dens[g + k] = _mul_into(nums[g + k], dens[g + k], part, term)
-        return HbarSeries._raw(h, tuple(JetPoly._reduced(n, d) for n, d in zip(nums, dens)))
+                image = self.monomial(mono, h - g)
+                d = pden * image.den
+                if den % d:
+                    new = math.lcm(den, d)
+                    f = new // den
+                    for num in nums:
+                        for m in num:
+                            num[m] *= f
+                    den = new
+                k = coeff * (den // d)
+                for j, ip in enumerate(image.parts, g):
+                    if ip:
+                        _add_into(nums[j], ip, k)
+        return HbarSeries._reduced(h, tuple(nums), den)
 
 
 def substitute(p, images: dict[int, HbarSeries], trunc: int) -> HbarSeries:
@@ -809,16 +972,18 @@ def substitute(p, images: dict[int, HbarSeries], trunc: int) -> HbarSeries:
 # canonical serialization and rendering
 # ---------------------------------------------------------------------------
 
+def _num_obj(num: dict, den: int) -> list:
+    return [{"coeff": str(Fraction(c, den)), "mono": [list(f) for f in mono]}
+            for mono, c in sorted(num.items())]
+
+
 def jetpoly_to_obj(p: JetPoly) -> list:
     """Canonical JSON form: sorted list of {"coeff": "num/den", "mono": [[a,n,e],..]}."""
-    return [
-        {"coeff": str(c), "mono": [list(f) for f in mono]}
-        for mono, c in p.terms()
-    ]
+    return _num_obj(p._num, p._den)
 
 
 def series_to_obj(s: HbarSeries) -> dict:
-    return {"trunc": s.trunc, "coeffs": [jetpoly_to_obj(c) for c in s.coeffs]}
+    return {"trunc": s.trunc, "coeffs": [_num_obj(part, s.den) for part in s.parts]}
 
 
 def to_json(obj) -> str:
@@ -846,10 +1011,10 @@ def _json(obj, nl: str) -> str:
     if isinstance(obj, list):
         return "[" + ",".join(inner + _json(val, inner) for val in obj) + nl + "]" if obj else "[]"
     if isinstance(obj, JetPoly):
-        return _jetpoly_json(obj, nl)
+        return _num_json(obj._num, obj._den, nl)
     if isinstance(obj, HbarSeries):
         n2 = inner + "  "
-        coeffs = ",".join(n2 + _jetpoly_json(c, n2) for c in obj.coeffs)
+        coeffs = ",".join(n2 + _num_json(part, obj.den, n2) for part in obj.parts)
         return f'{{{inner}"coeffs": [{coeffs}{inner}],{inner}"trunc": {obj.trunc}{nl}}}'
     if obj is None or obj is True or obj is False:
         return "null" if obj is None else "true" if obj else "false"
@@ -858,16 +1023,15 @@ def _json(obj, nl: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _jetpoly_json(p: JetPoly, nl: str) -> str:
-    """`jetpoly_to_obj(p)` as indented JSON: per term, the numerator and the
-    shared denominator reduced by their gcd, then one factor block."""
-    if not p._num:
+def _num_json(num: dict, den: int, nl: str) -> str:
+    """`_num_obj(num, den)` as indented JSON: per term, the numerator and the
+    denominator reduced by their gcd, then one factor block."""
+    if not num:
         return "[]"
     n1, n2, n3, n4 = (nl + "  " * k for k in range(1, 5))
     sep = "," + n4
-    den = p._den
     items = []
-    for mono, c in sorted(p._num.items()):
+    for mono, c in sorted(num.items()):
         g = math.gcd(c, den)
         coeff = f"{c // g}/{den // g}" if g != den else f"{c // g}"
         factors = ",".join(f"{n3}[{n4}{a}{sep}{n}{sep}{e}{n3}]" for a, n, e in mono)
@@ -878,10 +1042,15 @@ def _jetpoly_json(p: JetPoly, nl: str) -> str:
 
 def render(p: JetPoly, letter: str = "w") -> str:
     """Deterministic plain-text form in the canonical monomial order."""
-    if p.is_zero():
+    return _render(p._num, p._den, letter)
+
+
+def _render(num: dict, den: int, letter: str) -> str:
+    if not num:
         return "0"
     parts = []
-    for mono, coeff in p.terms():
+    for mono, c in sorted(num.items()):
+        coeff = Fraction(c, den)
         factors = []
         for alpha, n, exp in mono:
             v = f"{letter}[{alpha},{n}]"
@@ -904,10 +1073,10 @@ def render(p: JetPoly, letter: str = "w") -> str:
 
 def render_series(s: HbarSeries, letter: str = "w") -> str:
     parts = []
-    for g, c in enumerate(s.coeffs):
-        if c.is_zero():
+    for g, part in enumerate(s.parts):
+        if not part:
             continue
-        body = render(c, letter)
+        body = _render(part, s.den, letter)
         if g == 0:
             parts.append(body)
         else:

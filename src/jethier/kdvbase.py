@@ -217,8 +217,7 @@ def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
     zero = HbarSeries.zero(table.trunc)
     for (_, p, _, q), series in table.items():
         for a in range(1, dim + 1):
-            entries[(a, p, a, q)] = HbarSeries(
-                table.trunc, [c.recolor(a) for c in series.coeffs])
+            entries[(a, p, a, q)] = series.recolor(a)
             tag = table.provenance.get((V1, p, V1, q))
             if tag:
                 prov[(a, p, a, q)] = tag

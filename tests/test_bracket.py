@@ -137,6 +137,23 @@ def test_nonconstant_operator_blocks_pinned():
         k: HbarSeries(1, [z, c]) for k, c in want.items()}})
 
 
+def test_block9_reads_no_variational_derivative_for_d(monkeypatch):
+    # block 9 reads only the cells of A of order >= 2, and d has none; its
+    # products are built once per (i, mu), not once per beta
+    calls = []
+    var_deriv = HbarSeries.var_deriv
+    monkeypatch.setattr(HbarSeries, "var_deriv",
+                        lambda self, alpha: calls.append(alpha) or var_deriv(self, alpha))
+    table = tensor_power(kdv_omega_table(6, 6, 1), 2)
+    for level, matrix in ((1, [[1, 2], [2, 3]]), (2, [[0, 1], [-1, 0]])):
+        r_deform_bracket(table, PoissonOp.dx(2, 1), r_gen(level, matrix))
+    assert calls == []
+    # nonconstant_op() has cells of order 2 and 3: one gradient per (i, mu),
+    # for each of i = -1, 0, 1, whatever the number of cells and of beta
+    r_deform_bracket(kdv_omega_table(4, 4, 1), nonconstant_op(), r_gen(1, [[1]]))
+    assert len(calls) == 3
+
+
 def test_operator_coefficients_move_once(monkeypatch):
     # blocks 2 and 12 are linear in their fields, so each of the four
     # coefficients of the operator moves once, not once per window term

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
@@ -460,3 +462,45 @@ def test_flags_the_target_does_not_read_rejected(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"does not read {argv[-2]}" in captured.err
 
+
+
+def parse_outcome(parser, argv):
+    """(stdout, stderr, exit code) of parsing argv, as the process would see them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(list(argv))
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+TARGETS = {"generate": ("kdv",), "deform": ("omega", "--generator", "g.json"),
+           "verify": ("lemmas",), "dump": ("flows",)}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("tail", ["--help", "--bogus", "x", "target --bogus"])
+def test_subcommand_parser_fails_as_the_full_parser(command, tail):
+    # main builds only the named subcommand's parser: its help, its errors
+    # and the top-level usage line an unknown flag prints are the full
+    # parser's bytes
+    argv = (command,) + (TARGETS[command] + ("--bogus",) if tail == "target --bogus"
+                         else (tail,))
+    full = parse_outcome(cli.build_parser(), argv)
+    assert full[2] == (0 if tail == "--help" else 2)
+    assert full[0] if tail == "--help" else full[1]
+    assert parse_outcome(cli.build_parser(command), argv) == full
+
+
+def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or build_parser(command))
+    code, _ = run(capsys, "dump", "flows", "--hbar", "1")
+    assert code == 0 and built == ["dump"]
+    parser = build_parser("dump")
+    assert list(parser._subparsers._group_actions[0].choices) == ["dump"]
+    assert list(build_parser()._subparsers._group_actions[0].choices) == list(cli.COMMANDS)

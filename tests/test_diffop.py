@@ -328,25 +328,25 @@ def coupled_change():
 
 
 def test_compose_differentiates_each_right_coefficient_once(monkeypatch):
-    # the jets dx^i of a right-hand coefficient are kept by its polynomials,
-    # so every left row reads the same derivative objects
+    # the jets dx^i of a right-hand coefficient are kept by the coefficient
+    # series, so every left row reads the same derivative objects
     L = coupled_change().jacobian()
     right = compose(DiffOperator.dx_op(2, 2), adjoint(L))
-    calls = []  # (polynomial, derivative), both kept so no id is reused
-    poly_dx = JetPoly.dx
+    calls = []  # (series, derivative), both kept so no id is reused
+    series_dx = HbarSeries.dx
 
     def counted(self):
-        got = poly_dx(self)
+        got = series_dx(self)
         calls.append((self, got))
         return got
 
-    monkeypatch.setattr(JetPoly, "dx", counted)
+    monkeypatch.setattr(HbarSeries, "dx", counted)
     got = compose(L, right)
     monkeypatch.undo()
     first = {}
-    for poly, result in calls:
-        assert first.setdefault(id(poly), result) is result
-    assert len(first) < len(calls)  # some polynomial is read more than once
+    for series, result in calls:
+        assert first.setdefault(id(series), result) is result
+    assert len(first) < len(calls)  # some series is read more than once
     want = compose(compose(L, DiffOperator.dx_op(2, 2)), adjoint(L))
     assert got == want
 

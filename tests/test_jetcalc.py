@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jethier import jetcalc
 from jethier.jetcalc import (
     HbarSeries,
     JetPoly,
     NotExact,
+    Substitution,
     dx,
     evolve,
     formal_integrate,
@@ -112,7 +114,7 @@ def fresh(p):
     return JetPoly(dict(p.terms()))
 
 
-def test_dx_is_kept_by_the_value():
+def test_dx_is_kept_by_the_value(monkeypatch):
     rng = random.Random(17)
     for _ in range(10):
         p = random_jetpoly(rng)
@@ -121,8 +123,13 @@ def test_dx_is_kept_by_the_value():
         s = HbarSeries(2, [p, random_jetpoly(rng), JetPoly.zero()])
         assert s.dx() is s.dx()
         assert s.dx_pow(2) is s.dx().dx()
-        # a rewrapped series reads the derivatives its coefficients keep
-        assert all(a is b for a, b in zip(s.truncate(1).dx().coeffs, s.dx().coeffs))
+        want = [HbarSeries(1, [fresh(c).dx_pow(k) for c in s.coeffs]) for k in (1, 2)]
+        # a truncation reads the derivatives its source keeps: no dx runs
+        monkeypatch.setattr(jetcalc, "_dx_num", None)
+        t = s.truncate(1)
+        assert t.dx() == want[0] and t.dx().trunc == 1
+        assert t.dx_pow(2) == want[1] and t.dx_pow(2) is t.dx().dx()
+        monkeypatch.undo()
     assert JetPoly.zero().dx() is JetPoly.zero()
 
 
@@ -415,6 +422,29 @@ def test_series_inverse():
     assert (s * s.inverse()) == HbarSeries.const(1, 2)
     with pytest.raises(ValueError):
         HbarSeries(1, [w(0) + w(1)]).inverse()
+
+
+def test_series_truncate_never_extends():
+    # a series known modulo hbar^2 says nothing of hbar^2: truncate(2) used
+    # to pad a zero there
+    s = HbarSeries(1, [w(0), w(1) / 2])
+    for bad in (2, 5, -1):
+        with pytest.raises(ValueError):
+            s.truncate(bad)
+    assert s.truncate(1) is s
+    assert s.truncate(0) == HbarSeries(0, [w(0)]) and s.truncate(0).trunc == 0
+
+
+def test_substitution_refuses_images_below_its_order():
+    # the hbar^2 part of (w + hbar w_1 + O(hbar^2))^2 needs the image's
+    # hbar^2 part, which nobody computed: it used to come out as w_1^2
+    images = {1: HbarSeries(1, [w(0), w(1)])}
+    for make in (lambda: substitute(w(0) ** 2, images, 2),
+                 lambda: Substitution(images, 2),
+                 lambda: substitute(images[1], {1: HbarSeries.var(1, 0, 2)}, 2)):
+        with pytest.raises(ValueError, match="stops at hbar"):
+            make()
+    assert substitute(w(0) ** 2, images, 1) == HbarSeries(1, [w(0) ** 2, 2 * w(0) * w(1)])
 
 
 def test_series_equality_within_truncation():
@@ -799,3 +829,130 @@ def test_equal_values_built_differently_are_equal_and_hash_equal():
             assert a == b
             assert hash(a) == hash(b)
     assert JetPoly.const(Fraction(4, 2)) == 2 and hash(JetPoly.const(2)) == hash(2 * JetPoly.const(1))
+
+
+def test_constant_hashes_as_its_fraction():
+    # JetPoly.const(2) == 2, so both must hash alike for sets and dicts
+    assert JetPoly.const(2) == 2 and hash(JetPoly.const(2)) == hash(2)
+    assert len({JetPoly.const(2), 2}) == 1
+    assert {JetPoly.const(Fraction(1, 3)): 1}[Fraction(1, 3)] == 1
+    assert len({JetPoly.zero(), 0, Fraction(0)}) == 1
+    assert hash(w(0) + 2) != hash(JetPoly.const(2))  # not a constant
+
+
+# ---------------------------------------------------------------------------
+# the series store against a coefficient-wise JetPoly oracle
+# ---------------------------------------------------------------------------
+
+class Coeffwise:
+    """A truncated series as a list of trunc+1 JetPoly coefficients, with
+    every operation done coefficient by coefficient."""
+
+    def __init__(self, cs):
+        self.cs = list(cs)
+
+    @property
+    def trunc(self):
+        return len(self.cs) - 1
+
+    @staticmethod
+    def of(s):
+        return Coeffwise(fresh(c) for c in s.coeffs)
+
+    def add(self, o, sign=1):
+        return Coeffwise(x + sign * y for x, y in zip(self.cs, o.cs))
+
+    def mul(self, o):
+        h = min(self.trunc, o.trunc)
+        return Coeffwise(sum((self.cs[i] * o.cs[g - i] for i in range(g + 1)), JetPoly.zero())
+                         for g in range(h + 1))
+
+    def each(self, f):
+        return Coeffwise(f(c) for c in self.cs)
+
+    def shift(self, k):
+        return Coeffwise(([JetPoly.zero()] * k + self.cs)[: self.trunc + 1])
+
+    def eq(self, o):
+        return all(x == y for x, y in zip(self.cs, o.cs))
+
+
+def store(s):
+    """The list of coefficients of s, after checking its storage is
+    canonical: trunc+1 numerator dicts of nonzero ints, over an int den >= 1
+    with gcd(den, every numerator) == 1, and the storage a series built from
+    those coefficients has."""
+    assert type(s.parts) is tuple and len(s.parts) == s.trunc + 1
+    assert type(s.den) is int and s.den >= 1
+    nums = [c for part in s.parts for c in part.values()]
+    assert all(type(c) is int and c != 0 for c in nums)
+    assert math.gcd(s.den, *nums) == 1
+    cs = [JetPoly({m: Fraction(c, s.den) for m, c in part.items()}) for part in s.parts]
+    again = HbarSeries(s.trunc, cs)
+    assert again.parts == s.parts and again.den == s.den
+    assert list(s.coeffs) == cs
+    return cs
+
+
+def mixed_series(rng, trunc):
+    """Fractional Laurent coefficients, some parts zero, sometimes all of them,
+    and sometimes a shared factor that cancels against the denominator."""
+    if rng.random() < 0.1:
+        return HbarSeries.zero(trunc)
+    cs = [rational_jetpoly(rng, n_terms=rng.randint(1, 3)) if rng.random() < 0.6
+          else JetPoly.zero() for _ in range(trunc + 1)]
+    if rng.random() < 0.3:
+        cs = [c * Fraction(rng.choice((2, 6, 12)), rng.randint(1, 3)) for c in cs]
+    return HbarSeries(trunc, cs)
+
+
+def test_series_store_against_coefficientwise_oracle():
+    rng = random.Random(61)
+    for _ in range(150):
+        s = mixed_series(rng, rng.randint(0, 3))
+        t = mixed_series(rng, rng.randint(0, 3))
+        os_, ot = Coeffwise(store(s)), Coeffwise(store(t))
+        p = rational_jetpoly(rng) if rng.random() < 0.8 else JetPoly.zero()
+        k = rng.choice((0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 5)))
+        lifted = Coeffwise([p] + [JetPoly.zero()] * s.trunc)
+        const = Coeffwise([JetPoly.const(k)] + [JetPoly.zero()] * s.trunc)
+        checks = [
+            (s + t, os_.add(ot)), (s - t, os_.add(ot, -1)), (-s, os_.each(lambda c: -c)),
+            (s * t, os_.mul(ot)), (t * s, ot.mul(os_)),
+            (s * p, os_.each(lambda c: c * p)), (p * s, os_.each(lambda c: p * c)),
+            (s + p, os_.add(lifted)), (p - s, lifted.add(os_, -1)),
+            (s * k, os_.each(lambda c: c * k)), (k * s, os_.each(lambda c: k * c)),
+            (s + k, os_.add(const)), (k - s, const.add(os_, -1)),
+            (s.dx(), os_.each(JetPoly.dx)), (s.dx_pow(2, sign=-1), os_.each(lambda c: c.dx_pow(2, -1))),
+        ]
+        if k:
+            checks.append((s / k, os_.each(lambda c: c / k)))
+        for alpha, n in sorted(s.variables()) + [(2, 5)]:
+            checks.append((s.partial(alpha, n), os_.each(lambda c: c.partial(alpha, n))))
+        for alpha in (1, 2):
+            for kk in (-1, 0, 1, 2):
+                checks.append((s.t_op(alpha, kk), os_.each(lambda c: c.t_op(alpha, kk))))
+            checks.append((s.var_deriv(alpha), os_.each(lambda c: c.var_deriv(alpha))))
+        for kk in range(s.trunc + 2):
+            checks.append((s.hbar_shift(kk), os_.shift(kk)))
+        for h in range(s.trunc + 1):
+            checks.append((s.truncate(h), Coeffwise(os_.cs[: h + 1])))
+        if len(s.parts[0]) == 1 and all(n for _, n, _ in next(iter(s.parts[0]))):
+            inv = s.inverse()
+            checks.append((inv * s, Coeffwise([JetPoly.const(1)] + [JetPoly.zero()] * s.trunc)))
+        for got, want in checks:
+            assert got.trunc == want.trunc
+            assert store(got) == want.cs
+        # equality within the smaller truncation, truth, sizes and variables
+        assert (s == t) == os_.eq(ot) == (t == s)
+        assert (s == p) == os_.eq(lifted) and (s == k) == os_.eq(const)
+        assert bool(s) == any(os_.cs) and s.is_zero() == (not any(os_.cs))
+        assert s.num_terms() == sum(c.num_terms() for c in os_.cs)
+        assert s.variables() == set().union(*(c.variables() for c in os_.cs))
+        assert s.is_polynomial() == all(c.is_polynomial() for c in os_.cs)
+        assert s.gradings() == [(g, c.is_polynomial(), c.degrees())
+                                for g, c in enumerate(os_.cs) if c]
+        u = HbarSeries(2, [rational_jetpoly(rng, colors=1) for _ in range(2)])
+        assert store(u.recolor(3)) == [c.recolor(3) for c in store(u)]
+        # the operands are values: no operation changed them
+        assert store(s) == os_.cs and store(t) == ot.cs
