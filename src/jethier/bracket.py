@@ -301,13 +301,10 @@ def defining_equation_residuals(table: OmegaTable, pop: PoissonOp,
 @dataclass(frozen=True)
 class HomogeneityVerdict:
     ok: bool
-    failures: tuple = ()
-
-    def __bool__(self):
-        return self.ok
+    failures: tuple
 
 
-def check_series_homogeneity(x: HbarSeries, offset: int = 0) -> HomogeneityVerdict:
+def check_series_homogeneity(x: HbarSeries, offset: int) -> HomogeneityVerdict:
     """Each hbar^g coefficient polynomial and homogeneous of degree 2g+offset."""
     failures = []
     for g, polynomial, degrees in x.gradings():
@@ -409,16 +406,14 @@ class DeformationReport:
     skew_ok: bool = True
     order0_ok: bool = True
     symmetric_ok: bool = True
-    elapsed: float = 0.0
 
     def all_pass(self) -> bool:
         return (self.homogeneity_ok and self.skew_ok and self.order0_ok
                 and self.symmetric_ok
                 and all(res.is_zero() for _, res in self.residuals))
 
-    def to_obj(self, include_timing: bool = False) -> dict:
-        # timing is excluded by default so reports are byte-deterministic
-        out = {
+    def to_obj(self) -> dict:
+        return {
             "generator": self.generator,
             "target": self.target,
             "seed": self.seed,
@@ -430,9 +425,6 @@ class DeformationReport:
             "symmetric_ok": self.symmetric_ok,
             "all_pass": self.all_pass(),
         }
-        if include_timing:
-            out["elapsed_seconds"] = round(self.elapsed, 6)
-        return out
 
 
 def _residual_to_obj(index: tuple, res: HbarSeries) -> dict:

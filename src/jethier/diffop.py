@@ -39,26 +39,25 @@ class DiffOperator:
 
     __slots__ = ("dim", "trunc", "_entries")
 
-    def __init__(self, dim: int, trunc: int, entries: dict | None = None):
+    def __init__(self, dim: int, trunc: int, entries: dict):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         clean: dict[tuple[int, int], Entry] = {}
-        if entries:
-            for (row, col), orders in entries.items():
-                if not (1 <= row <= dim and 1 <= col <= dim):
-                    raise ValueError(f"entry ({row},{col}) outside 1..{dim}")
-                cell: Entry = {}
-                for k, coeff in orders.items():
-                    if k < 0:
-                        raise ValueError("negative operator order")
-                    if coeff.trunc < trunc:
-                        raise ValueError(f"order-{k} coefficient of ({row},{col}) "
-                                         f"stops at hbar^{coeff.trunc} < hbar^{trunc}")
-                    c = coeff.truncate(trunc)
-                    if c:
-                        cell[k] = c
-                if cell:
-                    clean[(row, col)] = cell
+        for (row, col), orders in entries.items():
+            if not (1 <= row <= dim and 1 <= col <= dim):
+                raise ValueError(f"entry ({row},{col}) outside 1..{dim}")
+            cell: Entry = {}
+            for k, coeff in orders.items():
+                if k < 0:
+                    raise ValueError("negative operator order")
+                if coeff.trunc < trunc:
+                    raise ValueError(f"order-{k} coefficient of ({row},{col}) "
+                                     f"stops at hbar^{coeff.trunc} < hbar^{trunc}")
+                c = coeff.truncate(trunc)
+                if c:
+                    cell[k] = c
+            if cell:
+                clean[(row, col)] = cell
         self.dim = dim
         self.trunc = trunc
         self._entries = clean
@@ -102,21 +101,14 @@ class DiffOperator:
         )
 
     def __eq__(self, other) -> bool:
+        """Equality within the smaller truncation; the constructor's cells are
+        canonical, so equal operators have equal cells."""
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        keys = set(self._entries) | set(other._entries)
-        trunc = min(self.trunc, other.trunc)
-        for key in keys:
-            a = self._entries.get(key, {})
-            b = other._entries.get(key, {})
-            for k in set(a) | set(b):
-                ca = a.get(k, HbarSeries.zero(trunc))
-                cb = b.get(k, HbarSeries.zero(trunc))
-                if not (ca.truncate(trunc) == cb.truncate(trunc)):
-                    return False
-        return True
+        h = min(self.trunc, other.trunc)
+        a, b = (p if p.trunc == h else DiffOperator(p.dim, h, p._entries)
+                for p in (self, other))
+        return a.dim == b.dim and a._entries == b._entries
 
     def __repr__(self):
         return f"DiffOperator(dim={self.dim}, trunc={self.trunc}, entries={len(self._entries)})"
@@ -290,9 +282,8 @@ class MiuraChange:
         out: dict[tuple[int, int], Entry] = {}
         for alpha, f in enumerate(self.forward, start=1):
             for (mu, e) in sorted(f.variables()):
-                c = f.partial(mu, e)
-                if c:
-                    out.setdefault((alpha, mu), {})[e] = c
+                # nonzero: w[mu,e] occurs in f
+                out.setdefault((alpha, mu), {})[e] = f.partial(mu, e)
         return DiffOperator(self.dim, self.trunc, out)
 
     def push_flow(self, rhs) -> list:

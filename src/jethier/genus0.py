@@ -91,8 +91,6 @@ def trr_extend(data: Genus0Data, pmax: int, qmax: int) -> OmegaTable:
         for p in range(0, top):
             for a in range(1, s + 1):
                 for b in range(1, s + 1):
-                    if (a, p + 1, b, q) in ent:
-                        continue
                     grads = {}
                     for g in range(1, s + 1):
                         rhs = JetPoly.zero()

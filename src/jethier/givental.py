@@ -102,10 +102,18 @@ class GiventalGen:
 
 
 def gen_from_obj(obj: dict) -> GiventalGen:
+    """The generator of a JSON object: `level` a JSON integer, `matrix` a
+    non-empty list of lists."""
     kind = {"r": "r", "upper": "r", "s": "s", "lower": "s"}.get(str(obj["kind"]))
     if kind is None:
         raise ValueError(f"unknown generator kind {obj['kind']!r}")
-    return GiventalGen(kind, int(obj["level"]), obj["matrix"])
+    level, matrix = obj["level"], obj["matrix"]
+    if type(level) is not int:  # a bool is not a level either
+        raise ValueError(f"generator level must be an integer, got {level!r}")
+    if not (isinstance(matrix, list) and matrix
+            and all(isinstance(row, list) for row in matrix)):
+        raise ValueError(f"generator matrix must be a non-empty list of lists, got {matrix!r}")
+    return GiventalGen(kind, level, matrix)
 
 
 def gen_to_obj(g: GiventalGen) -> dict:
@@ -339,9 +347,7 @@ class UpperDeformation:
         base_vars = sorted(base.variables())
         hterm = HbarSeries.zero(table.trunc)
         for (g, n) in base_vars:
-            dbase = base.partial(g, n)
-            if not dbase:
-                continue
+            dbase = base.partial(g, n)  # nonzero: w[g,n] occurs in base
             out = out - dbase * self.lin(g, n)
             for (z, m) in base_vars:
                 second = dbase.partial(z, m)

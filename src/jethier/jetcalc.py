@@ -27,13 +27,12 @@ accumulator in place), `_add_into`, `_dx_num` and `_partial_num`.  A series
 operation runs them on every part it touches, over the one denominator, and
 reduces the result to canonical form once; a series product visits only the
 part pairs i + j <= trunc.  A series has no JetPoly per part: `coeffs`
-builds those views on first read, for the few callers that want them.
+builds those views on each read, for the few callers that want them.
 
 The x-derivative is a property of the value: `dx()` of a JetPoly or an
 HbarSeries is computed once and kept by the value that owns it, so
 dx^n(f) costs n derivatives once however often it is read, and lives
-exactly as long as f; a truncation of a series hands the derivative its
-source keeps on.  Equality and hashing ignore it.
+exactly as long as f.  Equality and hashing ignore it.
 
 The module provides the derivations of the variational calculus:
 
@@ -77,7 +76,10 @@ def rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -133,7 +135,7 @@ def _mono_degree(mono: Mono) -> int:
 # kernels on numerator dicts (shared by JetPoly and HbarSeries)
 # ---------------------------------------------------------------------------
 
-def _add_into(dst: dict, src: dict, k: int = 1) -> None:
+def _add_into(dst: dict, src: dict, k: int) -> None:
     """dst += k*src in place, dropping numerators that cancel."""
     get = dst.get
     for mono, c in src.items():
@@ -205,16 +207,8 @@ def _partial_num(num: dict, alpha: int, n: int) -> dict:
                     rest = mono[:idx] + mono[idx + 1:]
                 else:
                     rest = mono[:idx] + ((a, m, exp - 1),) + mono[idx + 1:]
-                c = coeff * exp
-                acc = out.get(rest)
-                if acc is None:
-                    out[rest] = c
-                else:
-                    acc = acc + c
-                    if acc == 0:
-                        del out[rest]
-                    else:
-                        out[rest] = acc
+                # lowering one exponent is injective: no two terms meet
+                out[rest] = coeff * exp
                 break
     return out
 
@@ -254,15 +248,14 @@ class JetPoly:
 
     __slots__ = ("_num", "_den", "_dx")
 
-    def __init__(self, terms: dict | None = None):
+    def __init__(self, terms: dict):
         coeffs: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = rat(coeff)
-                if c == 0:
-                    continue
-                _validate_mono(mono)
-                coeffs[mono] = c
+        for mono, coeff in terms.items():
+            c = rat(coeff)
+            if c == 0:
+                continue
+            _validate_mono(mono)
+            coeffs[mono] = c
         # with den the lcm of reduced denominators, gcd(den, *numerators) == 1
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         self._num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
@@ -341,14 +334,6 @@ class JetPoly:
                 if n > best:
                     best = n
         return best
-
-    def recolor(self, color: int) -> "JetPoly":
-        """The same polynomial with every factor relabelled to `color`.
-
-        For a polynomial in one color only, so that the relabelled monomials
-        stay sorted and distinct.
-        """
-        return JetPoly._raw(_recolor(self._num, color), self._den)
 
     def is_polynomial(self) -> bool:
         """True iff no negative exponent occurs (no Laurent sector)."""
@@ -479,15 +464,6 @@ class JetPoly:
         """Higher Euler operator T[alpha,k]; zero for k < 0, T[.,0] = var_deriv."""
         return _t_op(self, alpha, k)
 
-    # -- grading ------------------------------------------------------
-
-    def degrees(self) -> set[int]:
-        return {_mono_degree(m) for m in self._num}
-
-    def is_homogeneous(self, d: int) -> bool:
-        """True iff every monomial has weighted degree d (vacuous for zero)."""
-        return all(_mono_degree(m) == d for m in self._num)
-
 
 _ZERO = JetPoly._raw({}, 1)
 
@@ -586,10 +562,10 @@ class HbarSeries:
     never silently exceeds the truncation order: sums and products truncate
     at the minimum of the operand truncations, and `truncate` only lowers
     it.  Like a JetPoly, a series keeps its x-derivative in `_dx` once
-    `dx()` has computed it, and `coeffs` keeps the JetPoly views it builds.
+    `dx()` has computed it.
     """
 
-    __slots__ = ("trunc", "parts", "den", "_dx", "_coeffs")
+    __slots__ = ("trunc", "parts", "den", "_dx")
 
     def __init__(self, trunc: int, coeffs: Sequence[JetPoly] = ()):
         if trunc < 0:
@@ -603,7 +579,6 @@ class HbarSeries:
                             {m: v * (den // c._den) for m, v in c._num.items()} for c in cs])
         self.den = den
         self._dx = None
-        self._coeffs = tuple(cs)
 
     # -- constructors -------------------------------------------------
 
@@ -615,7 +590,6 @@ class HbarSeries:
         s.parts = parts
         s.den = den
         s._dx = None
-        s._coeffs = None
         return s
 
     @staticmethod
@@ -665,11 +639,8 @@ class HbarSeries:
 
     @property
     def coeffs(self) -> tuple:
-        """The hbar^g coefficients as JetPolys, built on first read and kept."""
-        got = self._coeffs
-        if got is None:
-            got = self._coeffs = tuple([_view(part, self.den) for part in self.parts])
-        return got
+        """The hbar^g coefficients as JetPolys, built on each read."""
+        return tuple([_view(part, self.den) for part in self.parts])
 
     def num_terms(self) -> int:
         return sum(map(len, self.parts))
@@ -686,7 +657,8 @@ class HbarSeries:
                 for g, part in enumerate(self.parts) if part]
 
     def recolor(self, color: int) -> "HbarSeries":
-        """`JetPoly.recolor` of every coefficient."""
+        """Every factor relabelled to `color`, for a series in one color only
+        (so that the relabelled monomials stay sorted and distinct)."""
         return HbarSeries._raw(self.trunc, tuple([_recolor(part, color) for part in self.parts]),
                                self.den)
 
@@ -799,17 +771,14 @@ class HbarSeries:
 
     def truncate(self, trunc: int) -> "HbarSeries":
         """The series modulo hbar^(trunc+1), for trunc <= self.trunc: a series
-        known to hbar^self.trunc says nothing about higher orders.  The
-        result reads the x-derivative this series keeps."""
+        known to hbar^self.trunc says nothing about higher orders."""
         if trunc == self.trunc:
             return self
         if not 0 <= trunc < self.trunc:
             raise ValueError(f"cannot truncate a series known to hbar^{self.trunc} "
                              f"at hbar^{trunc}")
         wrap = HbarSeries._reduced if any(self.parts[trunc + 1:]) else HbarSeries._raw
-        out = wrap(trunc, self.parts[: trunc + 1], self.den)
-        out._dx = self._dx  # truncated when it is read
-        return out
+        return wrap(trunc, self.parts[: trunc + 1], self.den)
 
     def inverse(self) -> "HbarSeries":
         """Multiplicative inverse; the hbar^0 part must be a single monomial."""
@@ -849,8 +818,6 @@ class HbarSeries:
         if got is None:
             got = self._dx = HbarSeries._reduced(
                 self.trunc, tuple(map(_dx_num, self.parts)), self.den)
-        elif got.trunc != self.trunc:  # handed on by `truncate`
-            got = self._dx = got.truncate(self.trunc)
         return got
 
     dx_pow = JetPoly.dx_pow

@@ -94,7 +94,7 @@ def quasi_miura_h2() -> JetPoly:
     return dx(dx(density))
 
 
-def quasi_miura(direction: str = "forward", trunc: int = 2) -> MiuraChange:
+def quasi_miura(direction: str, trunc: int) -> MiuraChange:
     """The rational coordinate change between the two hierarchies."""
     if trunc > 2:
         raise OutOfDerivableRange("transform is tabulated through hbar^2 only")
@@ -144,33 +144,22 @@ def _first_row(q: int, trunc: int) -> HbarSeries:
 
 def _transport(p: int, q: int, trunc: int) -> HbarSeries:
     """Mixed entry from first-row data: integrate the p-flow image of (0;q)."""
-    integrand = evolve(_first_row(q, trunc), {V1: _first_row(p, trunc).dx()})
-    try:
-        return formal_integrate(integrand)
-    except NotExact as exc:  # theory guarantees exactness; failure is a bug
-        raise NotExact(f"transport of entry ({p};{q}) failed: {exc}") from exc
+    return formal_integrate(evolve(_first_row(q, trunc), {V1: _first_row(p, trunc).dx()}))
 
 
-def kdv_full_omega(p: int, q: int, trunc: int = 2):
-    """Dispersive entry (p;q) with a provenance tag.
+def _full_omega(p: int, q: int, trunc: int, genus1):
+    """Dispersive entry (p;q) with a provenance tag, given the genus-1
+    completion `genus1` of its table.
 
     Returns (HbarSeries, tag).  Derivable set: first-row entries with
     max(p,q) <= 2 at any truncation <= 2; everything at truncation <= 1 via
     the genus-1 completion; mixed entries with p,q <= 2 at truncation 2 via
     flow transport.  Anything else raises OutOfDerivableRange.
     """
-    return _full_omega(p, q, trunc, genus1_completion())
-
-
-def _full_omega(p: int, q: int, trunc: int, genus1):
-    """`kdv_full_omega`, with the genus-1 completion `genus1` of its table."""
-    if p < 0 or q < 0:
-        raise ValueError("descendant indices must be >= 0")
     if trunc > 2:
         raise OutOfDerivableRange("base-point data stops at hbar^2")
     if min(p, q) == 0 and max(p, q) <= 2:
-        lo, hi = sorted((p, q))
-        return _first_row(hi, trunc), "flow-integration"
+        return _first_row(max(p, q), trunc), "flow-integration"
     if trunc <= 1:
         coeffs = [kdv_dispersionless_omega(p, q)]
         if trunc == 1:
@@ -183,7 +172,7 @@ def _full_omega(p: int, q: int, trunc: int, genus1):
     )
 
 
-def kdv_omega_table(pmax: int, qmax: int, trunc: int = 2) -> OmegaTable:
+def kdv_omega_table(pmax: int, qmax: int, trunc: int) -> OmegaTable:
     """Full table on 0..pmax x 0..qmax; symmetric pairs computed once, and
     the genus-1 completion's factors once for the table."""
     genus1 = genus1_completion()
@@ -191,7 +180,7 @@ def kdv_omega_table(pmax: int, qmax: int, trunc: int = 2) -> OmegaTable:
     prov = {}
     for p in range(pmax + 1):
         for q in range(qmax + 1):
-            if q < p and q <= pmax and p <= qmax:
+            if q < p <= qmax:
                 entries[(V1, p, V1, q)] = entries[(V1, q, V1, p)]
                 prov[(V1, p, V1, q)] = prov[(V1, q, V1, p)]
                 continue

@@ -32,13 +32,13 @@ from .kdvbase import OutOfDerivableRange, kdv_flow, kdv_omega_table, quasi_miura
 class CheckResult:
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
 
     def to_obj(self) -> dict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-def suite_lemmas(seed: int = 7, count: int = 100) -> list[CheckResult]:
+def suite_lemmas(seed: int, count: int) -> list[CheckResult]:
     """The two operator-commutation identities on seeded random polynomials."""
     rng = random.Random(seed)
     bad_dx = 0
@@ -64,7 +64,7 @@ def suite_lemmas(seed: int = 7, count: int = 100) -> list[CheckResult]:
     return out
 
 
-def suite_commutation(pmax: int = 3) -> list[CheckResult]:
+def suite_commutation(pmax: int) -> list[CheckResult]:
     """Dispersionless commutation residuals at the one-color cubic point."""
     table = trr_extend(Genus0Data(1, {(1, 1): JetPoly.var(1, 0)}), pmax + 1, pmax)
     bad = []
@@ -126,7 +126,7 @@ def suite_homogeneity() -> list[CheckResult]:
     return out
 
 
-def suite_uniqueness(pmax: int = 3) -> list[CheckResult]:
+def suite_uniqueness(pmax: int) -> list[CheckResult]:
     """Only d solves the dispersionless defining relation."""
     out = []
     # the perturbed operator is checked at p <= 2, which reads (1, 3; 1, 0)
@@ -149,7 +149,7 @@ def suite_uniqueness(pmax: int = 3) -> list[CheckResult]:
     return out
 
 
-def suite_defining_equation(pmax: int = 2, trunc: int = 1) -> list[CheckResult]:
+def suite_defining_equation(pmax: int, trunc: int) -> list[CheckResult]:
     """Linearized defining-equation residuals for both generator kinds, trunc <= 2
     (`run_suite` refuses more)."""
     out = []
@@ -178,25 +178,23 @@ def suite_defining_equation(pmax: int = 2, trunc: int = 1) -> list[CheckResult]:
 
 
 SUITES = {
-    "lemmas": lambda args: suite_lemmas(args.get("seed", 7), args.get("count", 100)),
-    "commutation": lambda args: suite_commutation(args.get("pmax", 3)),
+    "lemmas": lambda args: suite_lemmas(args["seed"], args["count"]),
+    "commutation": lambda args: suite_commutation(args["pmax"]),
     "quasimiura": lambda args: suite_quasimiura(),
     "homogeneity": lambda args: suite_homogeneity(),
-    "uniqueness": lambda args: suite_uniqueness(args.get("pmax", 3)),
-    "defining-equation": lambda args: suite_defining_equation(
-        pmax=args.get("pmax", 2), trunc=args.get("hbar", 1)),
+    "uniqueness": lambda args: suite_uniqueness(args["pmax"]),
+    "defining-equation": lambda args: suite_defining_equation(args["pmax"], args["hbar"]),
 }
 
 
 def run_suite(name: str, **args) -> list[CheckResult]:
+    """`args` holds every flag of `verify`, with the command line's defaults."""
     # refused before any suite runs, so "all" fails as fast as the suite itself
-    if name in ("all", "defining-equation") and args.get("hbar", 1) > 2:
+    if name in ("all", "defining-equation") and args["hbar"] > 2:
         raise OutOfDerivableRange("the defining equation is certified through hbar^2 only")
     if name == "all":
         out = []
         for key in SUITES:
             out.extend(SUITES[key](args))
         return out
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
     return SUITES[name](args)

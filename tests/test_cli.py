@@ -111,8 +111,9 @@ def test_generate_principal_small_pmax(capsys, sizes):
     "[[[1]]]",
     '[["v", "0"], ["0", "v2"]]',
     '{"v": "v"}',
+    '[["1/0"]]',
 ], ids=["parens-overflow-parse_poly", "arrays-overflow-json", "cell-not-string",
-        "2x2-for-dim-1", "object"])
+        "2x2-for-dim-1", "object", "zero-denominator"])
 def test_generate_principal_bad_hessian_exit2(capsys, hessian):
     code = main(["generate", "principal", "--dim", "1", "--hessian", hessian])
     captured = capsys.readouterr()
@@ -244,16 +245,25 @@ def test_deform_lower_zero_deformation(tmp_path, capsys):
     assert obj["all_pass"] is True
 
 
-def test_deform_invalid_generator_exit2(tmp_path, capsys):
-    path = write_gen(tmp_path, {"kind": "r", "level": 2, "matrix": [[1]]})
-    code, _ = run(capsys, "deform", "bracket", "--generator", path)
-    assert code == 2
-    path2 = write_gen(tmp_path, {"kind": "zz", "level": 1, "matrix": [[1]]})
-    code, _ = run(capsys, "deform", "bracket", "--generator", path2)
-    assert code == 2
-    code, _ = run(capsys, "deform", "bracket", "--generator",
-                  str(tmp_path / "missing.json"))
-    assert code == 2
+@pytest.mark.parametrize("gen", [
+    {"kind": "r", "level": 2, "matrix": [[1]]},
+    {"kind": "zz", "level": 1, "matrix": [[1]]},
+    None,
+    {"kind": "r", "level": 1, "matrix": [["1/0"]]},
+    {"kind": "r", "level": 1.5, "matrix": [[1]]},
+    {"kind": "r", "level": True, "matrix": [[1]]},
+    {"kind": "r", "level": 1, "matrix": "1"},
+    {"kind": "r", "level": 1, "matrix": ["1"]},
+    {"kind": "r", "level": 1, "matrix": []},
+], ids=["wrong-parity", "unknown-kind", "missing-file", "zero-denominator",
+        "float-level", "bool-level", "matrix-string", "row-string", "empty-matrix"])
+def test_deform_invalid_generator_exit2(tmp_path, capsys, gen):
+    path = str(tmp_path / "missing.json") if gen is None else write_gen(tmp_path, gen)
+    code = main(["deform", "bracket", "--generator", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: invalid generator file")
+    assert captured.err.count("\n") == 1
 
 
 def test_deform_dimension_mismatch_exit2(tmp_path, capsys):

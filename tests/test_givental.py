@@ -190,8 +190,7 @@ def test_triple_degree_grading():
     table = kdv_omega_table(3, 3, 1)
     for k in [(0, 0, 1), (1, 1, 0), (2, 1, 0), (1, 1, 1)]:
         t = triple_omega(table, (1, k[0]), (1, k[1]), (1, k[2]))
-        assert t.coeffs[0].is_homogeneous(1)
-        assert t.coeffs[1].is_homogeneous(3)
+        assert check_series_homogeneity(t, 1).ok
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +253,7 @@ def test_r_deform_homogeneity_preserved():
         g = r_gen(level, [[1]])
         for (p, q) in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]:
             out = r_deform_omega(table, g, 1, p, 1, q)
-            assert out.is_polynomial()
-            assert out.coeffs[0].is_homogeneous(0)
-            assert out.coeffs[1].is_homogeneous(2)
+            assert check_series_homogeneity(out, 0).ok
 
 
 def test_r_deform_window_is_sharp():
@@ -282,9 +279,7 @@ def test_r_deform_two_color_even_level():
         rhs = r_deform_omega(table, g, b, q, a, p)
         assert lhs == rhs
         assert lhs == r_deform_long(table, g, a, p, b, q)
-        assert lhs.is_polynomial()
-        assert lhs.coeffs[0].is_homogeneous(0)
-        assert lhs.coeffs[1].is_homogeneous(2)
+        assert check_series_homogeneity(lhs, 0).ok
 
 
 @pytest.mark.parametrize("colors, level, matrix, hbar", [
@@ -407,6 +402,23 @@ def test_s_deform_all_sums_empty():
     # level == p+q+1 leaves only the constant block
     got = s_deform_omega(table, g, 1, 2, 1, 0)
     assert got == HbarSeries.const(1, 1)
+
+
+@pytest.mark.parametrize("level, matrix", [(1, [[1, 2], [2, 3]]), (2, [[0, 1], [-1, 0]])])
+def test_s_deform_symmetric(level, matrix):
+    # the two index-lowering blocks act on the two slots: swapping the slots
+    # swaps the blocks, so each slot's block is checked against the other's
+    table = tensor_power(kdv_omega_table(4, 4, 1), 2)
+    g = s_gen(level, matrix)
+    nonzero = 0
+    for a in (1, 2):
+        for b in (1, 2):
+            for p in range(3):
+                for q in range(3):
+                    got = s_deform_omega(table, g, a, p, b, q)
+                    assert got == s_deform_omega(table, g, b, q, a, p), (a, p, b, q)
+                    nonzero += not got.is_zero()
+    assert nonzero
 
 
 def test_s_deform_requires_lower_kind():
