@@ -52,7 +52,9 @@ substitution of series into jet variables, and a canonical JSON form:
 `to_json` writes a tree whose leaves may be JetPoly or HbarSeries values
 straight from their numerators, byte for byte as `json.dumps(...,
 sort_keys=True, separators=(",", ": "), indent=2)` writes the plain form
-that `jetpoly_to_obj`/`series_to_obj` give.
+that `jetpoly_to_obj`/`series_to_obj` give.  It formats each distinct value
+and each monomial's factor block once per call and per depth, in a memo
+that lives for the one call.
 
 All arithmetic is exact; there is no floating point anywhere in this module.
 """
@@ -72,10 +74,11 @@ class NotExact(ValueError):
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, string like '3/4', or Fraction to an exact rational."""
+    """Coerce an int (not a bool), string like '3/4', or Fraction to an exact
+    rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -961,28 +964,41 @@ def to_json(obj) -> str:
     of each JetPoly/HbarSeries leaf, but values are written straight from
     their numerators.  Other leaves are str, int, bool or None, keys are
     str; anything else raises TypeError.
+
+    Each distinct value and each monomial's factor block is formatted once
+    per call and per depth: a memo local to the call keys a value leaf by
+    (id, nl) and a factor block by (mono, nl), with nl the indentation it is
+    written at.  The tree keeps every leaf alive for the call, and values
+    are immutable, so an id names one value throughout.
     """
-    return _json(obj, "\n")
+    return _json(obj, "\n", {})
 
 
-def _json(obj, nl: str) -> str:
+def _json(obj, nl: str, memo: dict) -> str:
     # nl is the newline and indentation that closes obj's brackets
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     inner = nl + "  "
     if isinstance(obj, dict):
         # encode_basestring_ascii raises TypeError on a key that is not str
-        items = [f"{inner}{encode_basestring_ascii(key)}: {_json(val, inner)}"
+        items = [f"{inner}{encode_basestring_ascii(key)}: {_json(val, inner, memo)}"
                  for key, val in sorted(obj.items())]
         return "{" + ",".join(items) + nl + "}" if items else "{}"
     if isinstance(obj, list):
-        return "[" + ",".join(inner + _json(val, inner) for val in obj) + nl + "]" if obj else "[]"
-    if isinstance(obj, JetPoly):
-        return _num_json(obj._num, obj._den, nl)
-    if isinstance(obj, HbarSeries):
-        n2 = inner + "  "
-        coeffs = ",".join(n2 + _num_json(part, obj.den, n2) for part in obj.parts)
-        return f'{{{inner}"coeffs": [{coeffs}{inner}],{inner}"trunc": {obj.trunc}{nl}}}'
+        return ("[" + ",".join(inner + _json(val, inner, memo) for val in obj) + nl + "]"
+                if obj else "[]")
+    if isinstance(obj, (JetPoly, HbarSeries)):
+        key = (id(obj), nl)
+        out = memo.get(key)
+        if out is None:
+            if isinstance(obj, JetPoly):
+                out = _num_json(obj._num, obj._den, nl, memo)
+            else:
+                n2 = inner + "  "
+                coeffs = ",".join(n2 + _num_json(part, obj.den, n2, memo) for part in obj.parts)
+                out = f'{{{inner}"coeffs": [{coeffs}{inner}],{inner}"trunc": {obj.trunc}{nl}}}'
+            memo[key] = out
+        return out
     if obj is None or obj is True or obj is False:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
@@ -990,9 +1006,10 @@ def _json(obj, nl: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _num_json(num: dict, den: int, nl: str) -> str:
+def _num_json(num: dict, den: int, nl: str, memo: dict) -> str:
     """`_num_obj(num, den)` as indented JSON: per term, the numerator and the
-    denominator reduced by their gcd, then one factor block."""
+    denominator reduced by their gcd, then one factor block, looked up in
+    `memo` by (mono, nl) or formatted and kept there."""
     if not num:
         return "[]"
     n1, n2, n3, n4 = (nl + "  " * k for k in range(1, 5))
@@ -1001,8 +1018,10 @@ def _num_json(num: dict, den: int, nl: str) -> str:
     for mono, c in sorted(num.items()):
         g = math.gcd(c, den)
         coeff = f"{c // g}/{den // g}" if g != den else f"{c // g}"
-        factors = ",".join(f"{n3}[{n4}{a}{sep}{n}{sep}{e}{n3}]" for a, n, e in mono)
-        mono_json = f"[{factors}{n2}]" if mono else "[]"
+        mono_json = memo.get((mono, nl))
+        if mono_json is None:
+            factors = ",".join(f"{n3}[{n4}{a}{sep}{n}{sep}{e}{n3}]" for a, n, e in mono)
+            mono_json = memo[(mono, nl)] = f"[{factors}{n2}]" if mono else "[]"
         items.append(f'{n1}{{{n2}"coeff": "{coeff}",{n2}"mono": {mono_json}{n1}}}')
     return "[" + ",".join(items) + nl + "]"
 

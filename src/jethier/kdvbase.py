@@ -138,18 +138,27 @@ def genus1_completion():
 # table entries
 # ---------------------------------------------------------------------------
 
-def _first_row(q: int, trunc: int) -> HbarSeries:
-    return formal_integrate(kdv_flow(q, trunc))
+def _first_rows(trunc: int):
+    """q -> first-row entry (0;q), the integrated q-th flow; the returned
+    function integrates each flow once and keeps it: build one per table."""
+    rows = {}
+
+    def first_row(q: int) -> HbarSeries:
+        if q not in rows:
+            rows[q] = formal_integrate(kdv_flow(q, trunc))
+        return rows[q]
+
+    return first_row
 
 
-def _transport(p: int, q: int, trunc: int) -> HbarSeries:
+def _transport(p: int, q: int, first_row) -> HbarSeries:
     """Mixed entry from first-row data: integrate the p-flow image of (0;q)."""
-    return formal_integrate(evolve(_first_row(q, trunc), {V1: _first_row(p, trunc).dx()}))
+    return formal_integrate(evolve(first_row(q), {V1: first_row(p).dx()}))
 
 
-def _full_omega(p: int, q: int, trunc: int, genus1):
+def _full_omega(p: int, q: int, trunc: int, genus1, first_row):
     """Dispersive entry (p;q) with a provenance tag, given the genus-1
-    completion `genus1` of its table.
+    completion `genus1` and the first rows `first_row` of its table.
 
     Returns (HbarSeries, tag).  Derivable set: first-row entries with
     max(p,q) <= 2 at any truncation <= 2; everything at truncation <= 1 via
@@ -159,14 +168,14 @@ def _full_omega(p: int, q: int, trunc: int, genus1):
     if trunc > 2:
         raise OutOfDerivableRange("base-point data stops at hbar^2")
     if min(p, q) == 0 and max(p, q) <= 2:
-        return _first_row(max(p, q), trunc), "flow-integration"
+        return first_row(max(p, q)), "flow-integration"
     if trunc <= 1:
         coeffs = [kdv_dispersionless_omega(p, q)]
         if trunc == 1:
             coeffs.append(genus1(p, q))
         return HbarSeries(trunc, coeffs), "genus1-completion"
     if max(p, q) <= 2:
-        return _transport(p, q, trunc), "flow-transport"
+        return _transport(p, q, first_row), "flow-transport"
     raise OutOfDerivableRange(
         f"entry ({p};{q}) at truncation {trunc} is outside the derivable set"
     )
@@ -174,8 +183,8 @@ def _full_omega(p: int, q: int, trunc: int, genus1):
 
 def kdv_omega_table(pmax: int, qmax: int, trunc: int) -> OmegaTable:
     """Full table on 0..pmax x 0..qmax; symmetric pairs computed once, and
-    the genus-1 completion's factors once for the table."""
-    genus1 = genus1_completion()
+    the genus-1 completion's factors and the first rows once for the table."""
+    genus1, first_row = genus1_completion(), _first_rows(trunc)
     entries = {}
     prov = {}
     for p in range(pmax + 1):
@@ -184,7 +193,7 @@ def kdv_omega_table(pmax: int, qmax: int, trunc: int) -> OmegaTable:
                 entries[(V1, p, V1, q)] = entries[(V1, q, V1, p)]
                 prov[(V1, p, V1, q)] = prov[(V1, q, V1, p)]
                 continue
-            series, tag = _full_omega(p, q, trunc, genus1)
+            series, tag = _full_omega(p, q, trunc, genus1, first_row)
             entries[(V1, p, V1, q)] = series
             prov[(V1, p, V1, q)] = tag
     return OmegaTable(1, pmax, qmax, trunc, entries, prov)
@@ -195,7 +204,9 @@ def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
 
     Diagonal color blocks repeat the one-color entries in that color's jet
     variables; mixed-color entries vanish (product partition functions have
-    no mixed second derivatives).
+    no mixed second derivatives).  Each source series is recolored once per
+    color, so symmetric entries (a,p; a,q) and (a,q; a,p) share one series,
+    as in the source table.
     """
     if table.dim != 1:
         raise ValueError("tensor_power expects a one-color source table")
@@ -204,9 +215,13 @@ def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
     entries = {}
     prov = {}
     zero = HbarSeries.zero(table.trunc)
+    recolored = {}  # (id(series), color) -> series; the table keeps each source alive
     for (_, p, _, q), series in table.items():
         for a in range(1, dim + 1):
-            entries[(a, p, a, q)] = series.recolor(a)
+            key = (id(series), a)
+            if key not in recolored:
+                recolored[key] = series.recolor(a)
+            entries[(a, p, a, q)] = recolored[key]
             tag = table.provenance.get((V1, p, V1, q))
             if tag:
                 prov[(a, p, a, q)] = tag

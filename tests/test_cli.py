@@ -11,8 +11,8 @@ from jethier import cli, suites
 from jethier.cli import InputError, main, parse_poly
 from jethier.bracket import PoissonOp, defining_equation_residuals
 from jethier.diffop import DiffOperator
-from jethier.givental import GiventalGen, UpperDeformation
-from jethier.jetcalc import JetPoly
+from jethier.givental import GiventalGen, OmegaTable, UpperDeformation
+from jethier.jetcalc import HbarSeries, JetPoly
 from jethier.kdvbase import kdv_omega_table
 
 V = JetPoly.var
@@ -65,6 +65,25 @@ def test_generate_kdv_text_builds_no_json_tree(capsys, monkeypatch):
     code, _ = run(capsys, "generate", "kdv", "--pmax", "2", "--qmax", "2",
                   "--hbar", "1")
     assert code == 0 and len(built) == 1
+
+
+def test_generate_kdv_checks_every_color(capsys, monkeypatch):
+    # the self-check runs once per distinct entry object; a bad entry in the
+    # last color of a tensor power alone is still caught
+    real = cli.tensor_power
+
+    def bad_tensor_power(table, dim):
+        out = real(table, dim)
+        entries = dict(out.items())
+        entries[(dim, 1, dim, 2)] = HbarSeries.of(V(dim, 0) + V(dim, 1), table.trunc)
+        return OmegaTable(dim, out.pmax, out.qmax, out.trunc, entries, out.provenance)
+
+    monkeypatch.setattr(cli, "tensor_power", bad_tensor_power)
+    code = main(["generate", "kdv", "--tensor", "3", "--pmax", "2", "--qmax", "2",
+                 "--hbar", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "internal verification failed at entry (3, 1, 3, 2)\n"
 
 
 def test_generate_principal_monomial_table(capsys):
@@ -255,8 +274,10 @@ def test_deform_lower_zero_deformation(tmp_path, capsys):
     {"kind": "r", "level": 1, "matrix": "1"},
     {"kind": "r", "level": 1, "matrix": ["1"]},
     {"kind": "r", "level": 1, "matrix": []},
+    {"kind": "r", "level": 1, "matrix": [[True]]},
 ], ids=["wrong-parity", "unknown-kind", "missing-file", "zero-denominator",
-        "float-level", "bool-level", "matrix-string", "row-string", "empty-matrix"])
+        "float-level", "bool-level", "matrix-string", "row-string", "empty-matrix",
+        "bool-entry"])
 def test_deform_invalid_generator_exit2(tmp_path, capsys, gen):
     path = str(tmp_path / "missing.json") if gen is None else write_gen(tmp_path, gen)
     code = main(["deform", "bracket", "--generator", path])

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from jethier.jetcalc import HbarSeries, JetPoly, to_json
+from jethier.jetcalc import HbarSeries, JetPoly, series_to_obj, to_json
 from jethier.givental import (
     GiventalGen,
     InconsistentTable,
@@ -439,6 +439,20 @@ def test_table_json_roundtrip():
         back = table_from_obj(json.loads(to_json(table_to_obj(table))))
         assert back.items() == table.items()
         assert table.provenance and back.provenance == table.provenance
+
+
+@pytest.mark.parametrize("bounds", [
+    (2, 2, 0), (5, 1, 0), (1, 4, 0), (2, 2, 1), (5, 1, 1), (0, 3, 1), (2, 2, 2), (2, 1, 2),
+])
+@pytest.mark.parametrize("colors", [1, 2, 3])
+def test_table_json_matches_plain_form(bounds, colors):
+    # tensor powers share one series per symmetric pair and color (all of
+    # them on square bounds, some on the others), and the writer formats each
+    # shared value once: the bytes still equal the standard encoder's
+    table = tensor_power(kdv_omega_table(*bounds), colors)
+    obj = table_to_obj(table)
+    plain = dict(obj, entries={k: series_to_obj(v) for k, v in obj["entries"].items()})
+    assert to_json(obj) == json.dumps(plain, sort_keys=True, separators=(",", ": "), indent=2)
 
 
 def test_extension_window_scan_beyond_bounds():

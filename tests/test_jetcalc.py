@@ -572,6 +572,18 @@ def test_to_json_series_matches_plain_form():
             assert to_json({"k": [s]}) == dumps({"k": [series_to_obj(s)]})
 
 
+def test_to_json_shared_values_at_two_depths():
+    # one series and one polynomial object, each written at two depths, with
+    # monomials in common: a value and a factor block are written with other
+    # bytes at another depth, so the writer's memo keys both by depth
+    s = HbarSeries(2, [w(0) ** 2 / 2, w(0) * w(2) / 12, JetPoly.zero()])
+    p = w(0) ** 2 - w(0) * w(2) / 3
+    tree = {"a": s, "b": {"c": [s, p]}, "d": p}
+    plain = {"a": series_to_obj(s), "b": {"c": [series_to_obj(s), jetpoly_to_obj(p)]},
+             "d": jetpoly_to_obj(p)}
+    assert to_json(tree) == dumps(plain)
+
+
 @pytest.mark.parametrize("obj", [
     1.5, Fraction(1, 2), (1, 2), {1: "a"}, {"a": [{"b": 0.0}]}, {"k": {(1,): 1}},
 ])

@@ -216,6 +216,33 @@ def test_tensor_power_blocks():
     assert t2.unit_ext(2, 0) == HbarSeries.of(W(2, 0), 1)
 
 
+@pytest.mark.parametrize("trunc", [1, 2])
+def test_tensor_power_shares_symmetric_entries(trunc):
+    # each source series is recolored once per color: the symmetric pair
+    # (a,p; a,q), (a,q; a,p) stays one object in every color
+    table = kdv_omega_table(2, 2, trunc)
+    t3 = tensor_power(table, 3)
+    for a in range(1, 4):
+        for p in range(3):
+            for q in range(3):
+                got = t3.entry(a, p, a, q)
+                assert got is t3.entry(a, q, a, p)
+                assert got == table.entry(1, p, 1, q).recolor(a)
+
+
+def test_first_rows_integrated_once_per_table(monkeypatch):
+    # (0;0), (0;1), (0;2) are the only first rows of kdv_omega_table(2, 2, 2);
+    # the transports to (1;1), (1;2), (2;2) reuse them
+    flows = [kdv_flow(q, 2) for q in range(3)]
+    integrated = []
+    real = kdvbase.formal_integrate
+    monkeypatch.setattr(kdvbase, "formal_integrate",
+                        lambda f: integrated.append(f) or real(f))
+    table = kdv_omega_table(2, 2, 2)
+    assert sum(f in flows for f in integrated) == 3
+    assert table.provenance[(1, 2, 1, 2)] == "flow-transport"
+
+
 def test_kdv_point_bundle():
     # the base-point data the package exposes, one function each
     assert kdv_omega_table(2, 2, 2).entry(1, 0, 1, 0) == HbarSeries.of(w(0), 2)
