@@ -27,9 +27,10 @@ load-bearing: dropping the boundary terms breaks the defining equation.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .diffop import (DiffOperator, apply_entry, apply_op, commutator, euler_cell,
+from .diffop import (DiffOperator, apply_entry, apply_op, commutator, euler_cell, finish,
                      is_skew, leibniz)
 from .givental import (
     GiventalGen,
@@ -40,7 +41,7 @@ from .givental import (
     r_deform_omega,  # noqa: F401  (perfbench's tracer test reads bracket.r_deform_omega)
     triple_omega,
 )
-from .jetcalc import HbarSeries, JetPoly, evolve, jetpoly_to_obj
+from .jetcalc import HbarSeries, JetPoly, Sum, evolve, jetpoly_to_obj
 
 
 class PoissonOp:
@@ -69,12 +70,6 @@ class PoissonOp:
 # ---------------------------------------------------------------------------
 # upper-kind operator deformation
 # ---------------------------------------------------------------------------
-
-def _put(cell: dict, k: int, c: HbarSeries) -> None:
-    """Add c d^k into a cell {order: coefficient}, skipping zeros."""
-    if c:
-        cell[k] = cell[k] + c if k in cell else c
-
 
 def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> DiffOperator:
     """Operator deformation for an upper generator (the twelve-block solution).
@@ -105,13 +100,13 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     s, ell = table.dim, gen.level
     colors = range(1, s + 1)
     deform = UpperDeformation(table, gen)
-    acc = {(b, x): {} for b in colors for x in colors}
+    acc = {(b, x): defaultdict(Sum) for b in colors for x in colors}
     a_cells = {(b, x): A.entry(b, x) for b in colors for x in colors}
     # block 9 reads the cells of A of order >= 2 only
     high = [(g, xi, k, ac) for (g, xi), cell in a_cells.items()
             for k, ac in cell.items() if k >= 2]
     high_colors = sorted({g for g, _, _, _ in high})
-    t3_sum = {z: HbarSeries.zero(table.trunc) for z in colors}
+    t3_sum = {z: Sum() for z in colors}
 
     for i in range(-1, ell + 1):
         j = ell - 1 - i
@@ -125,10 +120,14 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
             fs = {xi: table.ext(mu, i, xi, 0) for xi in colors}
             e_f = {(g, xi): euler_cell(fs[xi], g) for g in colors for xi in colors}
             o = deform.unit_right(mu, j)
-            t3 = {z: sum((m * triple_omega(table, (z, 0), (mu, i), (nu, j)) for nu, m in row),
-                         HbarSeries.zero(table.trunc)).hbar_shift() / 2 for z in colors}
+            t3 = {}
             for z in colors:
-                t3_sum[z] = t3_sum[z] + cfac * t3[z]
+                t = Sum()
+                t.add(HbarSeries.zero(table.trunc))
+                for nu, m in row:
+                    t.add(triple_omega(table, (z, 0), (mu, i), (nu, j)), m / 2, shift=1)
+                t3[z] = t.value()
+                t3_sum[z].add(t3[z], cfac)
             # block 9's products A_k[g,xi] delta_g (mu,i+1; unit,0), k >= 2
             grads = {g: o_mu_i1.var_deriv(g) for g in high_colors}
             b9 = [(xi, k, ac * grads[g]) for g, xi, k, ac in high if grads[g]]
@@ -138,31 +137,31 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                 f1 = fs[beta]
                 f4 = deform.right(mu, j, beta, 0)
                 pre = deform.right(mu, j - 1, beta, 0).dx()
-                left = {g: {} for g in colors}
+                left = {g: defaultdict(Sum) for g in colors}
                 for (g, n) in sorted(f1.variables()):
-                    _put(left[g], n, cfac * (o * f1.partial(g, n)))
+                    left[g][n].add_product(o, f1.partial(g, n), cfac)
                 if f4:
                     for (g, n) in sorted(o_mu_i.variables()):
-                        _put(left[g], n, cfac * (f4 * o_mu_i.partial(g, n)))
+                        left[g][n].add_product(f4, o_mu_i.partial(g, n), cfac)
                 if pre:
                     for (g, m) in sorted(o_mu_i1.variables()):
                         dpart = o_mu_i1.partial(g, m)
                         for u in range(m):
-                            _put(left[g], m - 1 - u,
-                                 -cfac * (pre * dpart.dx_pow(u, sign=-1)))
+                            left[g][m - 1 - u].add_product(pre, dpart.dx_pow(u), -cfac * _sgn(u))
                 for (g, n) in sorted(t3[beta].variables()):
                     leibniz({1: cfac}, {n: t3[beta].partial(g, n)}, left[g])
                 for g in colors:
+                    lg = finish(left[g])
                     for xi in colors:
-                        if left[g] and a_cells[(g, xi)]:
-                            leibniz(left[g], a_cells[(g, xi)], acc[(beta, xi)])
+                        if lg and a_cells[(g, xi)]:
+                            leibniz(lg, a_cells[(g, xi)], acc[(beta, xi)])
 
                 # block 9: boundary transport with the shifted index
                 if pre:
                     for xi, k, prod in b9:
                         for f in range(2, k + 1):
-                            _put(acc[(beta, xi)], f - 1, -cfac * (
-                                pre * prod.dx_pow(k - f, sign=-1)))
+                            acc[(beta, xi)][f - 1].add_product(pre, prod.dx_pow(k - f),
+                                                               -cfac * _sgn(k - f))
 
             # blocks 3, 5, 6, 7 and 11: right factors of the column A[., g]
             for g in colors:
@@ -172,26 +171,26 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                     cell = {k: cfac * a for k, a in a_cells[(beta, g)].items()}
                     if not cell:
                         continue
-                    low = {k - 1: c for k, c in leibniz(cell, e_o).items() if k > 0}
+                    low = {k - 1: c for k, c in finish(leibniz(cell, e_o)).items() if k > 0}
                     for xi in colors:
                         out = acc[(beta, xi)]
                         if fs[xi]:   # blocks 5 and 7
                             leibniz(low, {1: fs[xi]}, out)
                         # blocks 3 and 6, then 11, before the final d
-                        right = commutator(leibniz(cell, e_f[(g, xi)]), o)
-                        for k, c in leibniz(cell, e_t[xi], right).items():
-                            _put(out, k + 1, -c)
+                        right = commutator(finish(leibniz(cell, e_f[(g, xi)])), o)
+                        for k, c in finish(leibniz(cell, e_t[xi], right)).items():
+                            out[k + 1].add(c, -1)
 
     # blocks 2 and 12, once, on the fields summed over the window
-    flows = {z: t.dx() for z, t in t3_sum.items()}
+    flows = {z: t.value().dx() for z, t in t3_sum.items()}
     for (beta, xi), cell in a_cells.items():
         for k, ac in cell.items():
-            move = evolve(ac, flows)
+            move = acc[(beta, xi)][k]
+            move.add(evolve(ac, flows), -1)
             for (g, n) in ac.variables():
-                move = move + deform.lin(g, n) * ac.partial(g, n)
-            _put(acc[(beta, xi)], k, -move)
+                move.add_product(deform.lin(g, n), ac.partial(g, n), -1)
 
-    return DiffOperator(s, table.trunc, acc)
+    return DiffOperator(s, table.trunc, {key: finish(cell) for key, cell in acc.items()})
 
 
 def s_deform_bracket(pop: PoissonOp, gen: GiventalGen) -> DiffOperator:
@@ -232,9 +231,10 @@ def unit_sum_grads(table: OmegaTable, pop: PoissonOp, deformed: dict,
     """
     colors = range(1, table.dim + 1)
     undeformed_u = table.unit_ext(a, p + 1)
-    deformed_u = HbarSeries.zero(table.trunc)
+    deformed_u = Sum()
     for c in colors:
-        deformed_u = deformed_u + deformed[(a, p + 1, c, 0)]
+        deformed_u.add(deformed[(a, p + 1, c, 0)])
+    deformed_u = deformed_u.value()
 
     def used(op: DiffOperator, g: int) -> bool:
         return any(op.entry(b, g) for b in colors)
@@ -250,16 +250,14 @@ def def_a_residual(pop: PoissonOp, dP: DiffOperator, d_entry: HbarSeries,
     `d_entry` is the deformed table entry (a, p, b, 0) and `grads` the
     `unit_sum_grads` at (a, p).
     """
-    d_undeformed, d_deformed = grads
-    res = d_entry.dx()
+    res = Sum()
+    res.add(d_entry.dx())
     for g in range(1, dP.dim + 1):
-        cell_dp = dP.entry(b, g)
-        if cell_dp:
-            res = res - apply_entry(cell_dp, d_undeformed[g])
-        cell_p = pop.op.entry(b, g)
-        if cell_p:
-            res = res - apply_entry(cell_p, d_deformed[g])
-    return res
+        # the grads hold every color whose cell is nonempty
+        for cell, grad in ((dP.entry(b, g), grads[0]), (pop.op.entry(b, g), grads[1])):
+            for k, c in cell.items():
+                res.add_product(c, grad[g].dx_pow(k), -1)
+    return res.value()
 
 
 def deformed_entries_for_residual(table: OmegaTable, gen: GiventalGen,

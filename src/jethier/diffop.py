@@ -4,12 +4,13 @@ An operator is an s-by-s matrix whose (row, col) entry is a finite sum of
 terms  coeff * d^k  with HbarSeries coefficients and k >= 0.  Composition
 and the adjoint go through one cell-level Leibniz rule (`leibniz`), which
 expands d^k o f; the adjoint sends f d^k to (-d)^k o f and transposes the
-matrix.  Applying a cell to a function f is  sum_k coeff_k dx^k(f)
-(`apply_entry`).  The bracket deformation reads two more cells: the
-higher-Euler cell E_g(f) (`euler_cell`) and a commutator [X, P] known
-through o = dx P alone (`commutator`).  Every coefficient of an operator is
-known to the operator's own hbar order.  Conjugation under a coordinate
-change, which must be the identity at hbar^0,
+matrix.  A cell under construction accumulates one `jetcalc.Sum` per order
+and is finished once (`finish`).  Applying a cell to a function f is
+sum_k coeff_k dx^k(f) (`apply_entry`).  The bracket deformation reads two
+more cells: the higher-Euler cell E_g(f) (`euler_cell`) and a commutator
+[X, P] known through o = dx P alone (`commutator`).  Every coefficient of an
+operator is known to the operator's own hbar order.  Conjugation under a
+coordinate change, which must be the identity at hbar^0,
 
     w_a = m_a(v, v_1, ...),   m_a = v_a + O(hbar)
 
@@ -28,8 +29,9 @@ a composition reads the same ones.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
-from .jetcalc import HbarSeries, JetPoly, Substitution, evolve, rat
+from .jetcalc import HbarSeries, JetPoly, Substitution, Sum, evolve, rat
 
 Entry = dict  # {order k: HbarSeries}
 
@@ -114,25 +116,31 @@ class DiffOperator:
         return f"DiffOperator(dim={self.dim}, trunc={self.trunc}, entries={len(self._entries)})"
 
 
-def leibniz(a: Entry, b: Entry, out: Entry | None = None) -> Entry:
-    """Add the scalar composition a o b into the cell `out`, and return it.
+def finish(cell: dict) -> Entry:
+    """The cell a cell under construction sums to, each order's sum reduced
+    once and the zero coefficients dropped."""
+    return {k: c for k, s in cell.items() if (c := s.value())}
 
-    Cells map orders to coefficients, {k: c} standing for sum_k c d^k; the
-    Leibniz rule  d^k1 o (f d^k2) = sum_i C(k1,i) dx^i(f) d^(k1-i+k2)  expands
-    the product.  The jets dx^i(f) are the ones f keeps, so calls with the
-    same b share them; the walk stops at the first jet that vanishes.
+
+def leibniz(a: Entry, b: Entry, out: dict | None = None) -> dict:
+    """Add the scalar composition a o b into the cell under construction
+    `out`, a defaultdict(Sum), and return it; `finish` gives the cell.
+
+    Cells map orders to coefficients, {k: c} standing for sum_k c d^k (those
+    of a may be ints or Fractions); the Leibniz rule
+    d^k1 o (f d^k2) = sum_i C(k1,i) dx^i(f) d^(k1-i+k2)  expands the product.
+    The jets dx^i(f) are the ones f keeps, so calls with the same b share
+    them; the walk stops at the first jet that vanishes.
     """
     if out is None:
-        out = {}
+        out = defaultdict(Sum)
     for k2, cb in b.items():
         for k1, ca in a.items():
             jet = cb
             for i in range(k1 + 1):
                 if not jet:
                     break
-                c = ca * jet if i in (0, k1) else ca * jet * math.comb(k1, i)
-                k = k1 - i + k2
-                out[k] = out[k] + c if k in out else c
+                out[k1 - i + k2].add_product(ca, jet, math.comb(k1, i))
                 if i < k1:
                     jet = jet.dx()
     return out
@@ -140,7 +148,11 @@ def leibniz(a: Entry, b: Entry, out: Entry | None = None) -> Entry:
 
 def apply_entry(cell: Entry, f):
     """The scalar operator `cell` applied to f: sum_k c_k dx^k(f)."""
-    return sum((c * f.dx_pow(k) for k, c in cell.items()), f * 0)
+    out = Sum()
+    out.add(f, 0)
+    for k, c in cell.items():
+        out.add_product(c, f.dx_pow(k))
+    return out.value()
 
 
 def euler_cell(f, g: int) -> Entry:
@@ -148,30 +160,29 @@ def euler_cell(f, g: int) -> Entry:
     sum_n (df/dw[g,n]) d^n, with T the higher Euler operators (`t_op`).
     Expanded, E_g(f)[k] = sum_{n>=k} (-1)^n C(n,k) dx^(n-k)(df/dw[g,n]): each
     partial is taken once, and its kept jets are read until one vanishes."""
-    cell: Entry = {}
+    cell = defaultdict(Sum)
     for n in sorted({m for gg, m in f.variables() if gg == g}):
         jet = f.partial(g, n)
         for k in range(n, -1, -1):
             if not jet:
                 break
-            c = jet * ((-1) ** n * math.comb(n, k))
-            cell[k] = cell[k] + c if k in cell else c
+            cell[k].add(jet, (-1) ** n * math.comb(n, k))
             if k:
                 jet = jet.dx()
-    return {k: c for k, c in cell.items() if c}
+    return finish(cell)
 
 
-def commutator(x: Entry, o) -> Entry:
-    """The cell [X, P] for any function P with dx P = o, which need not be
-    in the ring:  [d^k, P] = sum_{i=1..k} C(k,i) dx^(i-1)(o) d^(k-i)."""
-    out: Entry = {}
+def commutator(x: Entry, o) -> dict:
+    """The cell [X, P], under construction, for any function P with dx P = o,
+    which need not be in the ring:
+    [d^k, P] = sum_{i=1..k} C(k,i) dx^(i-1)(o) d^(k-i)."""
+    out = defaultdict(Sum)
     for k, xk in x.items():
         jet = o
         for i in range(1, k + 1):
             if not jet:
                 break
-            c = xk * jet if i == k else xk * jet * math.comb(k, i)
-            out[k - i] = out[k - i] + c if k - i in out else c
+            out[k - i].add_product(xk, jet, math.comb(k, i))
             if i < k:
                 jet = jet.dx()
     return out
@@ -181,23 +192,23 @@ def compose(p: DiffOperator, q: DiffOperator) -> DiffOperator:
     """Operator composition p o q with matrix contraction over the inner color."""
     if p.dim != q.dim:
         raise ValueError("operator dimensions do not match")
-    out: dict[tuple[int, int], Entry] = {}
+    out = defaultdict(lambda: defaultdict(Sum))
     for (row, mid), cell_p in p._entries.items():
         for col in range(1, q.dim + 1):
             cell_q = q._entries.get((mid, col))
             if cell_q:
-                leibniz(cell_p, cell_q, out.setdefault((row, col), {}))
-    return DiffOperator(p.dim, min(p.trunc, q.trunc), out)
+                leibniz(cell_p, cell_q, out[(row, col)])
+    cells = {key: finish(cell) for key, cell in out.items()}
+    return DiffOperator(p.dim, min(p.trunc, q.trunc), cells)
 
 
 def adjoint(p: DiffOperator) -> DiffOperator:
     """Formal adjoint: f d^k -> (-d)^k o f, colors transposed."""
-    out: dict[tuple[int, int], Entry] = {}
+    out = defaultdict(lambda: defaultdict(Sum))
     for (row, col), cell in p._entries.items():
-        dst = out.setdefault((col, row), {})
         for k, a in cell.items():
-            leibniz({k: -1 if k % 2 else 1}, {0: a}, dst)
-    return DiffOperator(p.dim, p.trunc, out)
+            leibniz({k: -1 if k % 2 else 1}, {0: a}, out[(col, row)])
+    return DiffOperator(p.dim, p.trunc, {key: finish(cell) for key, cell in out.items()})
 
 
 def apply_op(p: DiffOperator, vec) -> list:

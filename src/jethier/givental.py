@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .jetcalc import HbarSeries, evolve, rat
+from .jetcalc import HbarSeries, Sum, evolve, rat
 
 
 def _sgn(k: int) -> int:
@@ -104,6 +104,11 @@ class GiventalGen:
 def gen_from_obj(obj: dict) -> GiventalGen:
     """The generator of a JSON object: `level` a JSON integer, `matrix` a
     non-empty list of lists."""
+    if not isinstance(obj, dict):
+        raise ValueError("generator must be a JSON object")
+    for key in ("kind", "level", "matrix"):
+        if key not in obj:
+            raise ValueError(f"generator is missing {key!r}")
     kind = {"r": "r", "upper": "r", "s": "s", "lower": "s"}.get(str(obj["kind"]))
     if kind is None:
         raise ValueError(f"unknown generator kind {obj['kind']!r}")
@@ -161,10 +166,10 @@ class OmegaTable:
 
     def unit_ext(self, a: int, p: int) -> HbarSeries:
         """Entry with the second pair contracted against the unit direction."""
-        out = HbarSeries.zero(self.trunc)
+        out = Sum()
         for nu in range(1, self.dim + 1):
-            out = out + self.ext(a, p, nu, 0)
-        return out
+            out.add(self.ext(a, p, nu, 0))
+        return out.value()
 
     def items(self):
         return sorted(self._entries.items())
@@ -260,11 +265,10 @@ class UpperDeformation:
         key = (mu, j, b, q)
         got = self._right.get(key)
         if got is None:
-            got = HbarSeries.zero(self.table.trunc)
+            out = Sum()
             for nu, c in enumerate(self.gen.matrix[mu - 1], 1):
-                if c != 0:
-                    got = got + c * self.table.ext(nu, j, b, q)
-            self._right[key] = got
+                out.add(self.table.ext(nu, j, b, q), c)
+            got = self._right[key] = out.value()
         return got
 
     def unit_right(self, mu: int, j: int) -> HbarSeries:
@@ -272,10 +276,10 @@ class UpperDeformation:
         key = (mu, j)
         got = self._right.get(key)
         if got is None:
-            got = HbarSeries.zero(self.table.trunc)
+            out = Sum()
             for z in range(1, self.table.dim + 1):
-                got = got + self.right(mu, j, z, 0)
-            self._right[key] = got
+                out.add(self.right(mu, j, z, 0))
+            got = self._right[key] = out.value()
         return got
 
     def lin(self, g: int, n: int) -> HbarSeries:
@@ -300,14 +304,13 @@ class UpperDeformation:
         got = self._lin.get(key)
         if got is None:
             table, ell = self.table, self.gen.level
-            got = self.lin(g, n - 1).dx() if n else HbarSeries.zero(table.trunc)
+            out = Sum()
+            out.add(self.lin(g, n - 1).dx() if n else HbarSeries.zero(table.trunc))
             for d in range(-1, ell + 1):
                 for mu in range(1, table.dim + 1):
-                    lead = table.ext(g, 0, mu, d).dx_pow(n)
-                    tail = self.unit_right(mu, ell - 1 - d)
-                    if lead and tail:
-                        got = got + _sgn(d + 1) * (lead * tail)
-            self._lin[key] = got
+                    out.add_product(table.ext(g, 0, mu, d).dx_pow(n),
+                                    self.unit_right(mu, ell - 1 - d), _sgn(d + 1))
+            got = self._lin[key] = out.value()
         return got
 
     def quad(self, g: int, n: int, z: int, m: int) -> HbarSeries:
@@ -316,16 +319,16 @@ class UpperDeformation:
         got = self._quad.get(key)
         if got is None:
             table, ell = self.table, self.gen.level
-            got = HbarSeries.zero(table.trunc)
+            out = Sum()
+            out.add(HbarSeries.zero(table.trunc))
             # at d = -1 and d = l one factor is constant, so its dx vanishes
             for d in range(ell):
                 for mu in range(1, table.dim + 1):
                     lead = table.ext(g, 0, mu, d)
                     tail = self.right(mu, ell - 1 - d, z, 0)
                     if lead and tail:
-                        got = got + _sgn(d + 1) * (
-                            lead.dx_pow(n + 1) * tail.dx_pow(m + 1))
-            self._quad[key] = got
+                        out.add_product(lead.dx_pow(n + 1), tail.dx_pow(m + 1), _sgn(d + 1))
+            got = self._quad[key] = out.value()
         return got
 
     def __call__(self, a: int, p: int, b: int, q: int) -> HbarSeries:
@@ -337,23 +340,20 @@ class UpperDeformation:
         """
         table, ell = self.table, self.gen.level
         base = table.entry(a, p, b, q)
-        out = HbarSeries.zero(table.trunc)
+        out = Sum()  # the window is never empty, and each ext has the table's truncation
         for d in range(-p - 1, ell + q + 1):
             for mu in range(1, table.dim + 1):
-                left = table.ext(a, p, mu, d)
-                right = self.right(mu, ell - 1 - d, b, q)
-                if left and right:
-                    out = out + _sgn(d + 1) * (left * right)
+                out.add_product(table.ext(a, p, mu, d), self.right(mu, ell - 1 - d, b, q),
+                                _sgn(d + 1))
         base_vars = sorted(base.variables())
-        hterm = HbarSeries.zero(table.trunc)
         for (g, n) in base_vars:
             dbase = base.partial(g, n)  # nonzero: w[g,n] occurs in base
-            out = out - dbase * self.lin(g, n)
+            out.add_product(dbase, self.lin(g, n), -1)
             for (z, m) in base_vars:
                 second = dbase.partial(z, m)
                 if second:
-                    hterm = hterm + second * self.quad(g, n, z, m)
-        return out + hterm.hbar_shift() / 2
+                    out.add_product(second, self.quad(g, n, z, m), Fraction(1, 2), shift=1)
+        return out.value()
 
 
 def r_deform_omega(table: OmegaTable, gen: GiventalGen, a: int, p: int,

@@ -22,12 +22,15 @@ the edges: constructor input, `terms()`, `constant_term()`,
 `jetpoly_to_obj`/`series_to_obj` and `render`, which all speak `Fraction`.
 
 The loops run on numerator dicts, in module-level kernels that JetPoly and
-HbarSeries both call: `_mul_into` (the one product loop, a*b added into an
-accumulator in place), `_add_into`, `_dx_num` and `_partial_num`.  A series
-operation runs them on every part it touches, over the one denominator, and
-reduces the result to canonical form once; a series product visits only the
-part pairs i + j <= trunc.  A series has no JetPoly per part: `coeffs`
-builds those views on each read, for the few callers that want them.
+HbarSeries both call: `_mul_into` (the one product loop, k*a*b added into an
+accumulator in place, its factor k applied once per outer term), `_add_into`,
+`_dx_num` and `_partial_num`.  `Sum` is the one place where a sum of
+products is reduced: each term k*x or k*a*b goes into numerators per hbar
+order over one running denominator, and `value()` reduces to canonical form
+once.  Series sums and products, substitution, `evolve` and the Euler
+operators go through it; a series product visits only the part pairs
+i + j <= trunc.  A series has no JetPoly per part: `coeffs` builds those
+views on each read, for the few callers that want them.
 
 The x-derivative is a property of the value: `dx()` of a JetPoly or an
 HbarSeries is computed once and kept by the value that owns it, so
@@ -153,11 +156,12 @@ def _add_into(dst: dict, src: dict, k: int) -> None:
                 del dst[mono]
 
 
-def _mul_into(dst: dict, a: dict, b: dict) -> None:
-    """dst += a*b in place, dropping numerators that cancel: the module's one
+def _mul_into(dst: dict, a: dict, b: dict, k: int) -> None:
+    """dst += k*a*b in place, dropping numerators that cancel: the module's one
     product loop.  Denominators are the caller's: a*b is over den_a * den_b."""
     get = dst.get
     for ma, ca in a.items():
+        ca *= k
         for mb, cb in b.items():
             mono = _mono_mul(ma, mb)
             acc = get(mono)
@@ -231,14 +235,11 @@ def _is_polynomial(nums) -> bool:
 def _t_op(f, alpha: int, k: int):
     """T[alpha,k](f) = sum_n C(n,k) (-dx)^(n-k) df/dw[alpha,n] for a JetPoly or
     HbarSeries f; zero for k < 0."""
-    out = f * 0  # the zero of f's type and truncation
-    if k < 0:
-        return out
-    for n in sorted({m for a, m in f.variables() if a == alpha and m >= k}):
-        term = f.partial(alpha, n).dx_pow(n - k, sign=-1)
-        c = math.comb(n, k)
-        out = out + (term if c == 1 else c * term)
-    return out
+    out = Sum()
+    out.add(f, 0)
+    for n in sorted({m for a, m in f.variables() if a == alpha and m >= k >= 0}):
+        out.add(f.partial(alpha, n).dx_pow(n - k), math.comb(n, k) * (-1) ** (n - k))
+    return out.value()
 
 
 class JetPoly:
@@ -384,7 +385,7 @@ class JetPoly:
     def __mul__(self, other):
         if type(other) is JetPoly:
             out: dict[Mono, int] = {}
-            _mul_into(out, self._num, other._num)
+            _mul_into(out, self._num, other._num, 1)
             return JetPoly._reduced(out, self._den * other._den)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
@@ -407,16 +408,13 @@ class JetPoly:
             return NotImplemented
         if k == 0:
             return JetPoly.const(1)
-        if k < 0:
-            if len(self._num) != 1:
-                raise ValueError("negative power of a non-monomial polynomial")
+        if len(self._num) == 1:  # a monomial: scale its exponents and coefficient
             (mono, c), = self._num.items()
-            inv = JetPoly({tuple((a, n, -e) for a, n, e in mono): Fraction(self._den, c)})
-            return inv ** (-k)
-        acc = self
-        for _ in range(k - 1):
-            acc = acc * self
-        return acc
+            return JetPoly({tuple((a, n, e * k) for a, n, e in mono): Fraction(c, self._den) ** k})
+        if k < 0:
+            raise ValueError("negative power of a non-monomial polynomial")
+        half = self ** (k // 2)  # square and multiply
+        return half * half * self if k % 2 else half * half
 
     def __eq__(self, other):
         if type(other) is not JetPoly:
@@ -485,13 +483,14 @@ def evolve(f, fields: dict):
     `fields` maps colors to the flow of each; colors it omits do not move.
     Works on JetPoly and HbarSeries alike, in `f` and in the fields.
     """
-    out = f * 0  # the zero of f's type and truncation
+    out = Sum()
+    out.add(f, 0)
     for g, n in sorted(f.variables()):
         if g in fields:
             jet = fields[g].dx_pow(n)
             if jet:
-                out = out + f.partial(g, n) * jet
-    return out
+                out.add_product(f.partial(g, n), jet)
+    return out.value()
 
 
 def potential(grads: dict, n: int) -> JetPoly:
@@ -681,33 +680,13 @@ class HbarSeries:
 
     def _sum(self, other, sign: int) -> "HbarSeries":
         """self + sign*other, truncated at the minimum of the two truncations."""
-        o = other if type(other) is HbarSeries else HbarSeries._lift(other, self.trunc)
+        o = HbarSeries._lift(other, self.trunc)
         if o is NotImplemented:
             return o
-        h = min(self.trunc, o.trunc)
-        pa, pb = self.parts, o.parts
-        if not any(pb):
-            return self.truncate(h)
-        if sign == 1 and not any(pa):
-            return o.truncate(h)
-        da, db = self.den, o.den
-        if da == db:
-            den, sa, sb = da, 1, sign
-        else:
-            den = math.lcm(da, db)
-            sa, sb = den // da, sign * (den // db)
-        parts = []
-        # zip stops at the shorter operand: the sum truncates at the minimum
-        for a, b in zip(pa, pb):
-            if not b:
-                out = a if sa == 1 else {m: c * sa for m, c in a.items()}
-            elif not a:
-                out = b if sb == 1 else {m: c * sb for m, c in b.items()}
-            else:
-                out = dict(a) if sa == 1 else {m: c * sa for m, c in a.items()}
-                _add_into(out, b, sb)
-            parts.append(out)
-        return HbarSeries._reduced(h, tuple(parts), den)
+        out = Sum()
+        out.add(self)
+        out.add(o, sign)
+        return out.value()
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -725,39 +704,11 @@ class HbarSeries:
         return (-self)._sum(other, 1)
 
     def __mul__(self, other):
-        t = type(other)
-        if t is HbarSeries:
-            h = min(self.trunc, other.trunc)
-            pa, pb = self.parts, other.parts
-            out = [{} for _ in range(h + 1)]
-            # the hbar^(i+j) part gets a[i]*b[j], for the pairs i + j <= h only
-            for i in range(h + 1):
-                p = pa[i]
-                if p:
-                    for j in range(h + 1 - i):
-                        q = pb[j]
-                        if q:
-                            _mul_into(out[i + j], p, q)
-            den = self.den * other.den
-        elif t is JetPoly:
-            b = other._num
-            out = [{} for _ in self.parts]
-            for dst, p in zip(out, self.parts):
-                _mul_into(dst, p, b)
-            h, den = self.trunc, self.den * other._den
-        elif isinstance(other, (int, Fraction)):
-            if other == 1 or not any(self.parts):
-                return self
-            if other == -1:
-                return -self
-            if other == 0:
-                return HbarSeries.zero(self.trunc)
-            k = other.numerator
-            out = [{m: c * k for m, c in part.items()} for part in self.parts]
-            h, den = self.trunc, self.den * other.denominator
-        else:
+        if not isinstance(other, (HbarSeries, JetPoly, int, Fraction)):
             return NotImplemented
-        return HbarSeries._reduced(h, tuple(out), den)
+        out = Sum()
+        out.add_product(other, self)
+        return out.value()
 
     __rmul__ = __mul__
 
@@ -791,14 +742,11 @@ class HbarSeries:
         lead_inv = lead ** (-1)
         # (m + r)^-1 = m^-1 sum_k (-r m^-1)^k   with r the hbar-positive tail
         tail = (self - lead) * -lead_inv
-        out = HbarSeries.const(1, self.trunc)
-        power = out
-        for _ in range(self.trunc):
+        out, power = Sum(), HbarSeries.const(1, self.trunc)
+        while power:  # tail^k vanishes beyond k = trunc
+            out.add_product(power, lead_inv)
             power = power * tail
-            if not power:
-                break
-            out = out + power
-        return out * lead_inv
+        return out.value()
 
     def __eq__(self, other):
         o = HbarSeries._lift(other, self.trunc)
@@ -842,6 +790,102 @@ def _view(num: dict, den: int) -> JetPoly:
         return _ZERO
     g = math.gcd(den, *num.values()) if den != 1 else 1
     return JetPoly._raw(num if g == 1 else {m: c // g for m, c in num.items()}, den // g)
+
+
+# ---------------------------------------------------------------------------
+# sums of products
+# ---------------------------------------------------------------------------
+
+class Sum:
+    """A sum of terms k*x*hbar^shift (`add`) and k*a*b*hbar^shift
+    (`add_product`) of JetPoly and HbarSeries values, reduced once by `value`.
+
+    Terms go into integer numerators per hbar order over one running
+    denominator, rescaled when a term's denominator does not divide it.  A
+    factor k, and a scalar a in `add_product`, is an int or Fraction, never
+    lifted to a value.  Like `+`, the sum truncates at the least truncation
+    of its series terms, hbar^shift counted, and stays a JetPoly while every
+    term is one; a term with k = 0 counts too, so `add(f, 0)` starts at the
+    zero of f's type and truncation.  One value added with k = 1 and shift 0
+    is the sum itself, with the derivatives it keeps.
+    """
+
+    __slots__ = ("_nums", "_den", "_trunc", "_one")
+
+    def __init__(self):
+        # numerators per hbar order over den; one: the first term, kept whole
+        self._nums, self._den, self._trunc, self._one = [], 1, None, None
+
+    def add(self, x, k=1, shift: int = 0) -> None:
+        """Add k * x * hbar^shift."""
+        # (parts, den, trunc) of x: a JetPoly is known to every hbar order
+        parts, d, t = ((x._num,), x._den, None) if type(x) is JetPoly else (x.parts, x.den, x.trunc)
+        top = self._cut(t, shift)
+        if k and top >= shift and any(parts):
+            if not shift and self._one is None and not self._nums and k == 1:
+                self._one = x
+                return
+            k = self._scale(d, k, top)
+            for g, part in enumerate(parts[: top + 1 - shift], shift):
+                if part:
+                    _add_into(self._nums[g], part, k)
+
+    def add_product(self, a, b, k=1, shift: int = 0) -> None:
+        """Add k * a * b * hbar^shift; a may be an int or Fraction."""
+        if not isinstance(a, (JetPoly, HbarSeries)):
+            return self.add(b, k * a, shift)
+        pa, da, ta = ((a._num,), a._den, None) if type(a) is JetPoly else (a.parts, a.den, a.trunc)
+        pb, db, tb = ((b._num,), b._den, None) if type(b) is JetPoly else (b.parts, b.den, b.trunc)
+        top = self._cut(ta if tb is None or (ta is not None and ta < tb) else tb, shift)
+        if k and top >= shift and any(pa) and any(pb):
+            k = self._scale(da * db, k, top)
+            for i, p in enumerate(pa[: top + 1 - shift], shift):
+                if p:
+                    for j, q in enumerate(pb[: top + 1 - i], i):
+                        if q:
+                            _mul_into(self._nums[j], p, q, k)
+
+    def _cut(self, t, shift: int) -> int:
+        """Lower the truncation to t + shift (t None: no limit); the top order kept."""
+        h = self._trunc
+        if t is not None and (h is None or t + shift < h):
+            h = self._trunc = t + shift
+            del self._nums[h + 1:]
+        return shift if h is None else h
+
+    def _scale(self, d: int, k, top: int) -> int:
+        """The integer factor of a term over d with factor k, once the kept term
+        is spilled and the numerators reach order top over a multiple of d*k's denominator."""
+        if self._one is not None:
+            one, self._one, self._nums = self._one, None, [{}]
+            self.add(one)
+        if type(k) is not int:
+            d, k = d * k.denominator, k.numerator
+        nums = self._nums
+        if self._den % d:
+            new = math.lcm(self._den, d)
+            f = new // self._den
+            for num in nums:
+                for m in num:
+                    num[m] *= f
+            self._den = new
+        if len(nums) <= top:
+            nums.extend([{} for _ in range(top + 1 - len(nums))])
+        return k * (self._den // d)
+
+    def value(self):
+        """The sum in canonical form."""
+        one, h, nums = self._one, self._trunc, self._nums
+        if one is not None:
+            return one if h is None else (
+                HbarSeries.of(one, h) if type(one) is JetPoly else one.truncate(h))
+        if h is None:
+            out = JetPoly._reduced(nums[0] if nums else {}, self._den)
+        else:
+            out = HbarSeries._reduced(h, tuple(nums + [{}] * (h + 1 - len(nums))), self._den)
+        # out owns the numerators now: a later term starts from out
+        self._nums, self._den, self._one = [], 1, out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -906,26 +950,17 @@ class Substitution:
             parts, pden = p.parts[: h + 1], p.den
         else:
             parts, pden = (p._num,), p._den
-        # numerators of every hbar^g part of the result, over a running denominator
-        nums: list[dict[Mono, int]] = [{} for _ in range(h + 1)]
-        den = 1
+        out = Sum()
+        out.add(HbarSeries.zero(h))
         for g, part in enumerate(parts):
             for mono, coeff in part.items():
                 # the hbar^g part is only needed modulo hbar^(h-g+1)
-                image = self.monomial(mono, h - g)
-                d = pden * image.den
-                if den % d:
-                    new = math.lcm(den, d)
-                    f = new // den
-                    for num in nums:
-                        for m in num:
-                            num[m] *= f
-                    den = new
-                k = coeff * (den // d)
-                for j, ip in enumerate(image.parts, g):
-                    if ip:
-                        _add_into(nums[j], ip, k)
-        return HbarSeries._reduced(h, tuple(nums), den)
+                k = Fraction(coeff, pden) if pden != 1 else coeff
+                if len(mono) > 1:  # its last factor goes straight into the sum
+                    out.add_product(self.monomial(mono[:-1], h - g), self.power(*mono[-1]), k, g)
+                else:  # the sum truncates a single factor itself
+                    out.add(self.power(*mono[0]) if mono else JetPoly.const(1), k, g)
+        return out.value()
 
 
 def substitute(p, images: dict[int, HbarSeries], trunc: int) -> HbarSeries:

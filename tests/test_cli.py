@@ -4,6 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +116,12 @@ def test_generate_malformed_hessian_exit2(capsys):
     code, _ = run(capsys, "generate", "principal", "--dim", "1",
                   "--hessian", '[["v^2"]]')
     assert code == 2  # unit normalization fails
+    # a monomial's power scales its exponents: no 10^8 products before the check
+    code = main(["generate", "principal", "--dim", "1", "--hessian", '[["v^100000000"]]',
+                 "--pmax", "1", "--qmax", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "unit normalization fails" in captured.err
 
 
 @pytest.mark.parametrize("sizes", [(), ("--pmax", "1"), ("--pmax", "0", "--qmax", "3")])
@@ -264,27 +274,30 @@ def test_deform_lower_zero_deformation(tmp_path, capsys):
     assert obj["all_pass"] is True
 
 
-@pytest.mark.parametrize("gen", [
-    {"kind": "r", "level": 2, "matrix": [[1]]},
-    {"kind": "zz", "level": 1, "matrix": [[1]]},
-    None,
-    {"kind": "r", "level": 1, "matrix": [["1/0"]]},
-    {"kind": "r", "level": 1.5, "matrix": [[1]]},
-    {"kind": "r", "level": True, "matrix": [[1]]},
-    {"kind": "r", "level": 1, "matrix": "1"},
-    {"kind": "r", "level": 1, "matrix": ["1"]},
-    {"kind": "r", "level": 1, "matrix": []},
-    {"kind": "r", "level": 1, "matrix": [[True]]},
+@pytest.mark.parametrize("gen, message", [
+    ({"kind": "r", "level": 2, "matrix": [[1]]}, ""),
+    ({"kind": "zz", "level": 1, "matrix": [[1]]}, ""),
+    (None, ""),
+    ({"kind": "r", "level": 1, "matrix": [["1/0"]]}, ""),
+    ({"kind": "r", "level": 1.5, "matrix": [[1]]}, ""),
+    ({"kind": "r", "level": True, "matrix": [[1]]}, ""),
+    ({"kind": "r", "level": 1, "matrix": "1"}, ""),
+    ({"kind": "r", "level": 1, "matrix": ["1"]}, ""),
+    ({"kind": "r", "level": 1, "matrix": []}, ""),
+    ({"kind": "r", "level": 1, "matrix": [[True]]}, ""),
+    ([1], "generator must be a JSON object"),
+    ({"kind": "r", "level": 1}, "generator is missing 'matrix'"),
+    ({"level": 1, "matrix": [[1]]}, "generator is missing 'kind'"),
 ], ids=["wrong-parity", "unknown-kind", "missing-file", "zero-denominator",
         "float-level", "bool-level", "matrix-string", "row-string", "empty-matrix",
-        "bool-entry"])
-def test_deform_invalid_generator_exit2(tmp_path, capsys, gen):
+        "bool-entry", "not-an-object", "missing-matrix", "missing-kind"])
+def test_deform_invalid_generator_exit2(tmp_path, capsys, gen, message):
     path = str(tmp_path / "missing.json") if gen is None else write_gen(tmp_path, gen)
     code = main(["deform", "bracket", "--generator", path])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: invalid generator file")
-    assert captured.err.count("\n") == 1
+    assert captured.err.count("\n") == 1 and message in captured.err
 
 
 def test_deform_dimension_mismatch_exit2(tmp_path, capsys):
@@ -535,3 +548,13 @@ def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
     parser = build_parser("dump")
     assert list(parser._subparsers._group_actions[0].choices) == ["dump"]
     assert list(build_parser()._subparsers._group_actions[0].choices) == list(cli.COMMANDS)
+
+
+def test_python_m_jethier_runs_the_command_line():
+    # from a checkout, without installing
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "jethier", "verify", "homogeneity"],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["suite"] == "homogeneity"

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jethier import jetcalc
 from jethier.jetcalc import (
     HbarSeries,
     JetPoly,
     NotExact,
     Substitution,
+    Sum,
     dx,
     evolve,
     formal_integrate,
@@ -71,6 +73,33 @@ def test_pow_negative_monomial():
     assert inv * p == JetPoly.const(1)
     with pytest.raises(ValueError):
         (w(0) + w(1)) ** (-1)
+    with pytest.raises(ValueError):  # the Laurent rule holds for powers too
+        w(0) ** -2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pow_is_the_repeated_product(seed):
+    rng = random.Random(seed)
+    p = rational_jetpoly(rng, n_terms=rng.randint(0, 3))
+    mono = JetPoly({((1, 1, rng.randint(-2, 2) or 1), (2, 3, rng.randint(1, 2))):
+                    Fraction(rng.choice((-3, 2, 5)), rng.randint(1, 4))})
+    want_p, want_m = JetPoly.const(1), JetPoly.const(1)
+    for k in range(7):
+        assert p ** k == want_p and mono ** k == want_m
+        assert (mono ** -k) * want_m == JetPoly.const(1)
+        want_p, want_m = want_p * p, want_m * mono
+
+
+def test_pow_squares_and_multiplies(monkeypatch):
+    calls = []
+
+    def counted(self, other):  # counts, and multiplies nothing
+        calls.append(other)
+        return self
+
+    monkeypatch.setattr(JetPoly, "__mul__", counted)
+    (w(0) + w(1)) ** 1000
+    assert 0 < len(calls) <= 2 * (1000).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -971,3 +1000,115 @@ def test_series_store_against_coefficientwise_oracle():
         assert store(u.recolor(3)) == [recolor(c, 3) for c in store(u)]
         # the operands are values: no operation changed them
         assert store(s) == os_.cs and store(t) == ot.cs
+
+
+# ---------------------------------------------------------------------------
+# Sum against the coefficient-wise JetPoly oracle
+# ---------------------------------------------------------------------------
+
+def sum_term(rng, polys):
+    """One seeded term: (method, args, oracle value).  Series terms have
+    truncations 0-3 and shifts 0-2, factors are ints or Fractions."""
+    k = rng.choice((1, 1, -1, 3, 0, Fraction(1, 2), Fraction(-5, 6), Fraction(4, 3)))
+    if polys:
+        a, b = rational_jetpoly(rng), rational_jetpoly(rng)
+        if rng.random() < 0.5:
+            return "add", (a, k), k * a
+        return "add_product", (a, b, k), k * (a * b)
+    a, b = mixed_series(rng, rng.randint(0, 3)), mixed_series(rng, rng.randint(0, 3))
+    shift = rng.choice((0, 0, 1, 2))
+    if rng.random() < 0.4:
+        term, args = Coeffwise.of(a), (a, k, shift)
+        method = "add"
+    else:
+        term, args = Coeffwise.of(a).mul(Coeffwise.of(b)), (a, b, k, shift)
+        method = "add_product"
+    return method, args, Coeffwise([JetPoly.zero()] * shift + term.each(lambda c: c * k).cs)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sum_matches_the_coefficientwise_chain(seed):
+    # mixed denominators, unequal truncations, shifts and factors; the sum
+    # truncates at its least term truncation, hbar^shift counted
+    rng = random.Random(seed)
+    polys = seed % 4 == 0
+    acc, want = Sum(), None
+    for _ in range(rng.randint(1, 6)):
+        method, args, term = sum_term(rng, polys)
+        getattr(acc, method)(*args)
+        want = term if want is None else (want + term if polys else want.add(term))
+    got = acc.value()
+    if polys:
+        assert type(got) is JetPoly and (got._num, got._den) == (want._num, want._den)
+    else:
+        assert got.trunc == want.trunc and store(got) == want.cs
+        oracle = HbarSeries(want.trunc, want.cs)
+        assert (got.parts, got.den) == (oracle.parts, oracle.den)
+
+
+def test_sum_cancels_to_the_canonical_zero():
+    rng = random.Random(5)
+    for trunc in range(3):
+        a, b = mixed_series(rng, trunc), mixed_series(rng, trunc)
+        acc = Sum()
+        acc.add_product(a, b, Fraction(2, 3), 1)
+        acc.add_product(b, a, Fraction(-2, 3), 1)
+        got = acc.value()
+        assert got.trunc == trunc + 1 and not got and got.den == 1
+    p = rational_jetpoly(rng)
+    acc = Sum()
+    acc.add(p, Fraction(1, 7))
+    acc.add_product(p, JetPoly.const(Fraction(-1, 7)))
+    assert acc.value() is JetPoly.zero()
+
+
+def test_sum_rescales_when_a_denominator_grows():
+    acc = Sum()
+    acc.add(w(0))                          # kept whole
+    acc.add(w(1), Fraction(1, 2))          # den 2
+    acc.add_product(w(0), w(1) / 3)        # den 6
+    acc.add(w(0), 5)                       # den 6 divides: no rescale
+    acc.add_product(w(1) / 2, JetPoly.const(Fraction(-5, 2)))  # den 12
+    got = acc.value()
+    assert got == 6 * w(0) + Fraction(1, 2) * w(1) + w(0) * w(1) / 3 - Fraction(5, 4) * w(1)
+    assert (got._num, got._den) == ({((1, 0, 1),): 72, ((1, 1, 1),): -9,
+                                     ((1, 0, 1), (1, 1, 1)): 4}, 12)
+
+
+def test_sum_of_one_value_is_that_value():
+    # the value keeps the x-derivatives it has computed
+    s = HbarSeries(2, [w(0), w(1) / 2])
+    s.dx()
+    for start in ((), (HbarSeries.zero(2),), (HbarSeries.zero(3), JetPoly.zero())):
+        acc = Sum()
+        for zero in start:
+            acc.add(zero)
+        acc.add(s)
+        assert acc.value() is s
+    acc = Sum()
+    acc.add(HbarSeries.zero(1))
+    acc.add(s)
+    got = acc.value()
+    assert got.trunc == 1 and store(got) == [w(0), w(1) / 2]
+    acc = Sum()
+    acc.add(s, 0)
+    acc.add(w(0))
+    assert acc.value() == HbarSeries.of(w(0), 2)
+
+
+def test_sum_takes_scalar_factors_without_lifting(monkeypatch):
+    calls = []
+    mul = jetcalc._mul_into
+
+    def counted(*args):
+        calls.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(jetcalc, "_mul_into", counted)
+    s = HbarSeries(1, [w(0) / 3, w(2)])
+    acc = Sum()
+    acc.add_product(3, s, Fraction(1, 2))
+    acc.add_product(Fraction(-1, 2), s, 2, 1)
+    got = acc.value()
+    assert calls == []
+    assert store(got) == [w(0) / 2, Fraction(3, 2) * w(2) - w(0) / 3]
