@@ -35,7 +35,6 @@ from .diffop import (DiffOperator, apply_entry, apply_op, commutator, euler_cell
 from .givental import (
     GiventalGen,
     OmegaTable,
-    UpperDeformation,
     _sgn,
     entry_deformation,
     r_deform_omega,  # noqa: F401  (perfbench's tracer test reads bracket.r_deform_omega)
@@ -99,7 +98,7 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     A = pop.op
     s, ell = table.dim, gen.level
     colors = range(1, s + 1)
-    deform = UpperDeformation(table, gen)
+    deform = entry_deformation(table, gen)  # the table's, shared with the entry deformations
     acc = {(b, x): defaultdict(Sum) for b in colors for x in colors}
     a_cells = {(b, x): A.entry(b, x) for b in colors for x in colors}
     # block 9 reads the cells of A of order >= 2 only
@@ -264,8 +263,9 @@ def deformed_entries_for_residual(table: OmegaTable, gen: GiventalGen,
                                   pmax: int) -> dict:
     """Table deformations `def_a_residual` needs at every (a, p <= pmax).
 
-    Each entry (a, p', b, 0), p' <= pmax + 1, is computed once, by one entry
-    deformation of the table for all of them.
+    Each entry (a, p', b, 0), p' <= pmax + 1, is computed once, by the entry
+    deformation the table keeps for `gen` (`givental.entry_deformation`),
+    which `r_deform_bracket` has usually built already.
     """
     deform = entry_deformation(table, gen)
     colors = range(1, table.dim + 1)

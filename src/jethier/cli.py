@@ -272,7 +272,9 @@ def cmd_deform(args) -> int:
     gen = _load_generator(args.generator)
     trunc = args.hbar
     started = time.monotonic()
-    bound = args.pmax + 1 + gen.level + args.qmax
+    # an upper generator reads entries up to index level past the residuals'
+    # pmax + 1 and the entries' qmax; a lower one reads none past them
+    bound = args.pmax + 1 + args.qmax + (gen.level if gen.kind == "r" else 0)
     try:
         base = kdv_omega_table(bound, bound, trunc)
     except OutOfDerivableRange as exc:

@@ -130,9 +130,17 @@ def gen_to_obj(g: GiventalGen) -> dict:
 
 
 class OmegaTable:
-    """Two-point functions of the dispersive hierarchy, with extension."""
+    """Two-point functions of the dispersive hierarchy, with extension.
 
-    __slots__ = ("dim", "pmax", "qmax", "trunc", "_entries", "provenance")
+    The table keeps what it derives from its entries, for as long as it
+    lives: the unit contractions `unit_ext(a, p)`, the constant series of
+    `ext`, and the one `UpperDeformation` per upper generator value that
+    `entry_deformation` hands out.  The entries are never changed after
+    construction, so what is kept stays valid.
+    """
+
+    __slots__ = ("dim", "pmax", "qmax", "trunc", "_entries", "provenance",
+                 "_units", "_consts", "_deforms")
 
     def __init__(self, dim: int, pmax: int, qmax: int, trunc: int,
                  entries: dict, provenance: dict | None = None):
@@ -142,6 +150,9 @@ class OmegaTable:
         self.trunc = trunc
         self._entries = dict(entries)
         self.provenance = dict(provenance or {})
+        self._units: dict[tuple[int, int], HbarSeries] = {}
+        self._consts: dict[int, HbarSeries] = {}
+        self._deforms: dict[tuple, UpperDeformation] = {}
 
     def entry(self, a: int, p: int, b: int, q: int) -> HbarSeries:
         got = self._entries.get((a, p, b, q))
@@ -162,14 +173,21 @@ class OmegaTable:
             val = (-1) ** q if (a == b and p + q == -1) else 0
         else:
             val = 0
-        return HbarSeries.const(val, self.trunc)
+        got = self._consts.get(val)
+        if got is None:
+            got = self._consts[val] = HbarSeries.const(val, self.trunc)
+        return got
 
     def unit_ext(self, a: int, p: int) -> HbarSeries:
-        """Entry with the second pair contracted against the unit direction."""
-        out = Sum()
-        for nu in range(1, self.dim + 1):
-            out.add(self.ext(a, p, nu, 0))
-        return out.value()
+        """Entry with the second pair contracted against the unit direction,
+        built on first use and kept."""
+        got = self._units.get((a, p))
+        if got is None:
+            out = Sum()
+            for nu in range(1, self.dim + 1):
+                out.add(self.ext(a, p, nu, 0))
+            got = self._units[(a, p)] = out.value()
+        return got
 
     def items(self):
         return sorted(self._entries.items())
@@ -244,9 +262,10 @@ class UpperDeformation:
     with the jet transport T_n of `lin`, which recurses in n.  These and the
     second factors contracted over nu (`right`, `unit_right`) are built on
     first use and kept, so one instance serves every entry of the table and
-    the operator deformation: build it once per table and generator.  The x-derivatives they use
-    are the ones the table entries and the contracted factors keep
-    themselves (`HbarSeries.dx`).  Nothing is kept beyond the instance.
+    the operator deformation.  `entry_deformation` hands out the one
+    instance the table keeps per generator value.  The x-derivatives and
+    partials they use are the ones the table entries and the contracted
+    factors keep themselves (`HbarSeries.dx`, `HbarSeries.partial`).
     """
 
     __slots__ = ("table", "gen", "_right", "_lin", "_quad")
@@ -367,9 +386,19 @@ def r_deform_omega(table: OmegaTable, gen: GiventalGen, a: int, p: int,
 
 
 def entry_deformation(table: OmegaTable, gen: GiventalGen):
-    """(a, p, b, q) -> the first-order change of that entry under `gen`."""
+    """(a, p, b, q) -> the first-order change of that entry under `gen`.
+
+    For an upper generator that is the `UpperDeformation` the table keeps
+    for the generator's value, built on the first call: the entry
+    deformations and `bracket.r_deform_bracket` of one table and generator
+    share its factors.
+    """
     if gen.kind == "r":
-        return UpperDeformation(table, gen)
+        key = (gen.level, gen.matrix)
+        got = table._deforms.get(key)
+        if got is None:
+            got = table._deforms[key] = UpperDeformation(table, gen)
+        return got
     return partial(s_deform_omega, table, gen)
 
 

@@ -24,7 +24,7 @@ the edges: constructor input, `terms()`, `constant_term()`,
 The loops run on numerator dicts, in module-level kernels that JetPoly and
 HbarSeries both call: `_mul_into` (the one product loop, k*a*b added into an
 accumulator in place, its factor k applied once per outer term), `_add_into`,
-`_dx_num` and `_partial_num`.  `Sum` is the one place where a sum of
+`_dx_num` and `_grad_num`.  `Sum` is the one place where a sum of
 products is reduced: each term k*x or k*a*b goes into numerators per hbar
 order over one running denominator, and `value()` reduces to canonical form
 once.  Series sums and products, substitution, `evolve` and the Euler
@@ -32,10 +32,15 @@ operators go through it; a series product visits only the part pairs
 i + j <= trunc.  A series has no JetPoly per part: `coeffs` builds those
 views on each read, for the few callers that want them.
 
-The x-derivative is a property of the value: `dx()` of a JetPoly or an
-HbarSeries is computed once and kept by the value that owns it, so
-dx^n(f) costs n derivatives once however often it is read, and lives
-exactly as long as f.  Equality and hashing ignore it.
+The x-derivative and the gradient are properties of the value: `dx()` of a
+JetPoly or an HbarSeries is computed once and kept by the value that owns
+it, so dx^n(f) costs n derivatives once however often it is read.  The
+first `partial()` sweeps f once for all its first partials (`_grad_num`)
+and keeps them; each is reduced when first read, and a repeated `partial`
+returns that object.  Both live exactly as long as f; equality and hashing
+ignore them.  The Euler operators run by Horner's rule from the top order
+down, acc = C(n,k) df/dw[xi,n] - dx(acc), so T[xi,k] of a value of top order
+N takes N-k derivatives.
 
 The module provides the derivations of the variational calculus:
 
@@ -113,16 +118,24 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
         return a
     out = []
     i = j = 0
-    while i < len(a) and j < len(b):
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
         fa, fb = a[i], b[j]
-        ka, kb = (fa[0], fa[1]), (fb[0], fb[1])
-        if ka == kb:
-            e = fa[2] + fb[2]
-            if e != 0:
-                out.append((fa[0], fa[1], e))
-            i += 1
-            j += 1
-        elif ka < kb:
+        # compare (alpha, n) field by field, without building key tuples
+        if fa[0] == fb[0]:
+            if fa[1] == fb[1]:
+                e = fa[2] + fb[2]
+                if e != 0:
+                    out.append((fa[0], fa[1], e))
+                i += 1
+                j += 1
+            elif fa[1] < fb[1]:
+                out.append(fa)
+                i += 1
+            else:
+                out.append(fb)
+                j += 1
+        elif fa[0] < fb[0]:
             out.append(fa)
             i += 1
         else:
@@ -203,20 +216,25 @@ def _dx_num(num: dict) -> dict:
     return out
 
 
-def _partial_num(num: dict, alpha: int, n: int) -> dict:
-    """Numerators of the partial derivative by w[alpha, n], over the same
-    denominator."""
-    out: dict[Mono, int] = {}
-    for mono, coeff in num.items():
-        for idx, (a, m, exp) in enumerate(mono):
-            if a == alpha and m == n:
+def _grad_num(parts) -> dict:
+    """Numerators of every first partial of a value, in one sweep over its
+    parts: {(alpha, n): [numerators of d/dw[alpha,n] of each part]}, over the
+    value's denominator.  Only variables that occur get a key."""
+    out: dict = {}
+    get = out.get
+    count = len(parts)
+    for g, num in enumerate(parts):
+        for mono, coeff in num.items():
+            for idx, (a, m, exp) in enumerate(mono):
                 if exp == 1:
                     rest = mono[:idx] + mono[idx + 1:]
                 else:
                     rest = mono[:idx] + ((a, m, exp - 1),) + mono[idx + 1:]
+                nums = get((a, m))
+                if nums is None:
+                    nums = out[(a, m)] = [{} for _ in range(count)]
                 # lowering one exponent is injective: no two terms meet
-                out[rest] = coeff * exp
-                break
+                nums[g][rest] = coeff * exp
     return out
 
 
@@ -232,14 +250,37 @@ def _is_polynomial(nums) -> bool:
     return all(exp > 0 for num in nums for mono in num for _, _, exp in mono)
 
 
+def _gradient(f) -> dict:
+    """The first partials f keeps, swept by `_grad_num` on the first call:
+    {(alpha, n): the numerator list, or the value once it has been read}."""
+    grad = f._grad
+    if grad is None:
+        grad = f._grad = _grad_num((f._num,) if type(f) is JetPoly else f.parts)
+    return grad
+
+
 def _t_op(f, alpha: int, k: int):
     """T[alpha,k](f) = sum_n C(n,k) (-dx)^(n-k) df/dw[alpha,n] for a JetPoly or
-    HbarSeries f; zero for k < 0."""
-    out = Sum()
-    out.add(f, 0)
-    for n in sorted({m for a, m in f.variables() if a == alpha and m >= k >= 0}):
-        out.add(f.partial(alpha, n).dx_pow(n - k), math.comb(n, k) * (-1) ** (n - k))
-    return out.value()
+    HbarSeries f; zero for k < 0.
+
+    By Horner's rule from the top order N of alpha in f down to k,
+
+        acc = C(n,k) df/dw[alpha,n] - dx(acc),
+
+    which takes N-k derivatives where the sum takes sum_n (n-k)."""
+    top = max((m for a, m in _gradient(f) if a == alpha), default=-1)
+    if not 0 <= k <= top:
+        out = Sum()
+        out.add(f, 0)  # the zero of f's type and truncation
+        return out.value()
+    acc = None
+    for n in range(top, k - 1, -1):
+        step = Sum()
+        step.add(f.partial(alpha, n), math.comb(n, k))
+        if acc is not None:
+            step.add(acc.dx(), -1)
+        acc = step.value()
+    return acc
 
 
 class JetPoly:
@@ -247,10 +288,11 @@ class JetPoly:
 
     Integer numerators `_num` over one denominator `_den`, in the canonical
     form of the module docstring; every operation returns that form.  `_dx`
-    keeps the x-derivative once `dx()` has computed it.
+    keeps the x-derivative once `dx()` has computed it, `_grad` the first
+    partials once `partial()` has swept them.
     """
 
-    __slots__ = ("_num", "_den", "_dx")
+    __slots__ = ("_num", "_den", "_dx", "_grad")
 
     def __init__(self, terms: dict):
         coeffs: dict[Mono, Fraction] = {}
@@ -265,6 +307,7 @@ class JetPoly:
         self._num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
         self._den = den
         self._dx = None
+        self._grad = None
 
     # -- constructors -------------------------------------------------
 
@@ -294,6 +337,7 @@ class JetPoly:
         p._num = num
         p._den = den
         p._dx = None
+        p._grad = None
         return p
 
     @staticmethod
@@ -444,18 +488,25 @@ class JetPoly:
             got = self._dx = JetPoly._reduced(_dx_num(self._num), self._den)
         return got
 
-    def dx_pow(self, k: int, sign: int = 1):
-        """Apply dx k times, along the kept derivatives; sign=-1 gives (-dx)^k."""
+    def dx_pow(self, k: int):
+        """Apply dx k times, along the kept derivatives."""
         p = self
         for _ in range(k):
             p = p.dx()
-        if sign == -1 and k % 2 == 1:
-            p = -p
         return p
 
     def partial(self, alpha: int, n: int) -> "JetPoly":
-        """Formal partial derivative with respect to w[alpha, n]."""
-        return JetPoly._reduced(_partial_num(self._num, alpha, n), self._den)
+        """Formal partial derivative with respect to w[alpha, n].
+
+        The first call sweeps every first partial at once and keeps them;
+        each is reduced on its first read, and later calls return that object.
+        """
+        got = _gradient(self).get((alpha, n))
+        if got is None:
+            return _ZERO
+        if type(got) is list:
+            got = self._grad[(alpha, n)] = JetPoly._reduced(got[0], self._den)
+        return got
 
     def var_deriv(self, alpha: int) -> "JetPoly":
         """Variational derivative  sum_n (-dx)^n  d/dw[alpha,n] = T[alpha,0]."""
@@ -485,7 +536,7 @@ def evolve(f, fields: dict):
     """
     out = Sum()
     out.add(f, 0)
-    for g, n in sorted(f.variables()):
+    for g, n in sorted(_gradient(f)):
         if g in fields:
             jet = fields[g].dx_pow(n)
             if jet:
@@ -564,10 +615,10 @@ class HbarSeries:
     never silently exceeds the truncation order: sums and products truncate
     at the minimum of the operand truncations, and `truncate` only lowers
     it.  Like a JetPoly, a series keeps its x-derivative in `_dx` once
-    `dx()` has computed it.
+    `dx()` has computed it, and its first partials in `_grad`.
     """
 
-    __slots__ = ("trunc", "parts", "den", "_dx")
+    __slots__ = ("trunc", "parts", "den", "_dx", "_grad")
 
     def __init__(self, trunc: int, coeffs: Sequence[JetPoly] = ()):
         if trunc < 0:
@@ -581,6 +632,7 @@ class HbarSeries:
                             {m: v * (den // c._den) for m, v in c._num.items()} for c in cs])
         self.den = den
         self._dx = None
+        self._grad = None
 
     # -- constructors -------------------------------------------------
 
@@ -592,6 +644,7 @@ class HbarSeries:
         s.parts = parts
         s.den = den
         s._dx = None
+        s._grad = None
         return s
 
     @staticmethod
@@ -714,15 +767,6 @@ class HbarSeries:
 
     __truediv__ = JetPoly.__truediv__
 
-    def hbar_shift(self, k: int = 1) -> "HbarSeries":
-        """Multiply by hbar^k, k >= 0 (coefficients beyond the truncation are dropped)."""
-        if k < 0:
-            raise ValueError("hbar_shift needs k >= 0")
-        keep = self.trunc + 1 - k
-        parts = (({},) * k + self.parts)[: self.trunc + 1]
-        wrap = HbarSeries._reduced if any(self.parts[max(keep, 0):]) else HbarSeries._raw
-        return wrap(self.trunc, parts, self.den)
-
     def truncate(self, trunc: int) -> "HbarSeries":
         """The series modulo hbar^(trunc+1), for trunc <= self.trunc: a series
         known to hbar^self.trunc says nothing about higher orders."""
@@ -768,14 +812,21 @@ class HbarSeries:
         got = self._dx
         if got is None:
             got = self._dx = HbarSeries._reduced(
-                self.trunc, tuple(map(_dx_num, self.parts)), self.den)
+                self.trunc, tuple([_dx_num(part) if part else part for part in self.parts]),
+                self.den)
         return got
 
     dx_pow = JetPoly.dx_pow
 
     def partial(self, alpha: int, n: int) -> "HbarSeries":
-        return HbarSeries._reduced(
-            self.trunc, tuple([_partial_num(part, alpha, n) for part in self.parts]), self.den)
+        """Formal partial derivative of every coefficient, kept like a
+        JetPoly's (`JetPoly.partial`)."""
+        got = _gradient(self).get((alpha, n))
+        if got is None:
+            return HbarSeries.zero(self.trunc)
+        if type(got) is list:
+            got = self._grad[(alpha, n)] = HbarSeries._reduced(self.trunc, tuple(got), self.den)
+        return got
 
     def var_deriv(self, alpha: int) -> "HbarSeries":
         return self.t_op(alpha, 0)

@@ -23,7 +23,7 @@ from .bracket import (
 )
 from .diffop import DiffOperator, conjugate_by_miura
 from .genus0 import Genus0Data, check_commutation, trr_extend
-from .givental import GiventalGen, UpperDeformation, triple_omega
+from .givental import GiventalGen, entry_deformation, triple_omega
 from .jetcalc import HbarSeries, JetPoly, random_jetpoly
 from .kdvbase import OutOfDerivableRange, kdv_flow, kdv_omega_table, quasi_miura
 
@@ -109,7 +109,7 @@ def suite_homogeneity() -> list[CheckResult]:
             if not check_series_homogeneity(series, 0).ok]
     out.append(CheckResult("table-entry-grading-hbar2", not bad2, ""))
     gen = GiventalGen("r", 1, [[1]])
-    deform = UpperDeformation(table, gen)
+    deform = entry_deformation(table, gen)
     bad3 = [(p, q) for p in range(3) for q in range(3)
             if not check_series_homogeneity(deform(1, p, 1, q), 0).ok]
     out.append(CheckResult("deformed-entry-grading", not bad3, ""))

@@ -4,7 +4,7 @@ The package only writes these forms: the `*_to_obj` functions give them as
 plain trees, and `jetcalc.to_json` writes them straight from the values, as
 the tables of `givental.table_to_obj` hold them.  The round-trip tests read
 them back with the functions here, to check that what is written determines
-the value.
+the value.  `hbar_shift` is the coefficient shift the test oracles share.
 """
 
 from fractions import Fraction
@@ -35,6 +35,14 @@ def table_from_obj(obj: dict) -> OmegaTable:
     prov = {_index(key): tag for key, tag in obj.get("provenance", {}).items()}
     return OmegaTable(int(obj["dim"]), int(obj["pmax"]), int(obj["qmax"]),
                       int(obj["trunc"]), entries, prov)
+
+
+def hbar_shift(s: HbarSeries, k: int = 1) -> HbarSeries:
+    """hbar^k * s, k >= 0, at the truncation of s: the coefficients move up k
+    orders and those beyond the truncation are dropped."""
+    if k < 0:
+        raise ValueError("hbar_shift needs k >= 0")
+    return HbarSeries(s.trunc, [JetPoly.zero()] * k + list(s.coeffs))
 
 
 def operator_from_obj(obj: dict) -> DiffOperator:

@@ -210,6 +210,23 @@ def test_deform_omega_computes_each_entry_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 9 and len(set(calls)) == 9
 
 
+def test_deform_bracket_builds_one_upper_deformation(tmp_path, capsys, monkeypatch):
+    # the operator deformation and the residuals' entry deformations share it
+    built = []
+    init = UpperDeformation.__init__
+
+    def counted(self, table, gen):
+        built.append((id(table), gen.level))
+        init(self, table, gen)
+
+    monkeypatch.setattr(UpperDeformation, "__init__", counted)
+    path = write_gen(tmp_path, {"kind": "r", "level": 2, "matrix": [[0, 1], [-1, 0]]})
+    code, out = run(capsys, "deform", "bracket", "--generator", path,
+                    "--tensor", "2", "--pmax", "1", "--hbar", "1")
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    assert len(built) == 1
+
+
 def test_deform_bracket_names_first_bad_monomial(tmp_path, capsys, monkeypatch):
     # with the zero operator deformation the defining equation fails
     monkeypatch.setattr(cli, "bracket_deformation",
@@ -272,6 +289,39 @@ def test_deform_lower_zero_deformation(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["all_pass"] is True
+
+
+def test_deform_lower_table_bound_ignores_the_level(tmp_path, capsys, monkeypatch):
+    # a lower generator reads no entry past pmax + 1 + qmax, whatever its level
+    bounds = []
+    build = cli.kdv_omega_table
+
+    def recorded(pmax, qmax, trunc):
+        bounds.append((pmax, qmax))
+        if pmax > 10:  # a bound of about level 999 would take minutes to build
+            raise RuntimeError(f"table bound {pmax} built")
+        return build(pmax, qmax, trunc)
+
+    monkeypatch.setattr(cli, "kdv_omega_table", recorded)
+    path = write_gen(tmp_path, {"kind": "s", "level": 999, "matrix": [["1"]]})
+    code, out = run(capsys, "deform", "bracket", "--generator", path)
+    assert code == 0 and bounds == [(2, 2)]
+    obj = json.loads(out)
+    assert obj["all_pass"] is True and len(obj["residuals"]) == 2
+
+
+def test_deform_lower_hbar2_two_colors(tmp_path, capsys):
+    # the table at hbar^2 is derivable to index 2, which is all a lower
+    # generator reads at pmax 1; an upper one needs index 3, out of range
+    argv = ("deform", "bracket", "--tensor", "2", "--hbar", "2", "--pmax", "1", "--generator")
+    path = write_gen(tmp_path, {"kind": "s", "level": 1, "matrix": [[1, 2], [2, 3]]})
+    code, out = run(capsys, *argv, path)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["all_pass"] is True
+    assert [r["nonzero_monomials"] for r in obj["residuals"]] == [0] * 8
+    path = write_gen(tmp_path, {"kind": "r", "level": 1, "matrix": [[1, 2], [2, 3]]})
+    assert run(capsys, *argv, path)[0] == 2
 
 
 @pytest.mark.parametrize("gen, message", [

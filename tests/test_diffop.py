@@ -21,7 +21,7 @@ from jethier.diffop import (
     operator_to_obj,
 )
 from jethier.kdvbase import quasi_miura
-from readers import operator_from_obj
+from readers import hbar_shift, operator_from_obj
 
 W = JetPoly.var
 
@@ -378,7 +378,7 @@ def naive_substitute(p, images, trunc):
                 base = jet if exp > 0 else jet.inverse()
                 for _ in range(abs(exp)):
                     term = term * base
-            out = out + term.hbar_shift(g)
+            out = out + hbar_shift(term, g)
     return out
 
 

@@ -11,6 +11,7 @@ from jethier.givental import (
     InconsistentTable,
     OmegaTable,
     UpperDeformation,
+    entry_deformation,
     gen_from_obj,
     gen_to_obj,
     r_deform_omega,
@@ -20,7 +21,7 @@ from jethier.givental import (
 )
 from jethier.bracket import check_series_homogeneity
 from jethier.kdvbase import kdv_omega_table, tensor_power
-from readers import table_from_obj
+from readers import hbar_shift, table_from_obj
 
 W = JetPoly.var
 
@@ -112,7 +113,7 @@ def r_deform_long(table, gen, a, p, b, q):
                             table.entry(g, 0, mu, i).dx_pow(n + 1)
                             * table.entry(nu, ell - 1 - i, z, 0).dx_pow(m + 1))
             hterm = hterm + second * inner
-    return out + hterm.hbar_shift() / 2
+    return out + hbar_shift(hterm) / 2
 
 
 
@@ -162,6 +163,24 @@ def test_extension_values():
     assert table.unit_ext(1, -1) == one
     with pytest.raises(IndexError):
         table.ext(1, 5, 1, 0)
+
+
+def test_table_keeps_what_it_derives():
+    table = tensor_power(kdv_omega_table(3, 3, 1), 2)
+    for a in (1, 2):
+        for p in range(-2, 4):
+            got = table.unit_ext(a, p)
+            assert table.unit_ext(a, p) is got
+            assert got == table.ext(a, p, 1, 0) + table.ext(a, p, 2, 0)
+    assert table.ext(1, -1, 1, 0) is table.ext(2, 0, 2, -1)
+    assert table.ext(1, -1, 2, 0) is table.ext(1, -3, 1, -2)
+    # one upper deformation per generator value, none shared across tables
+    gen = GiventalGen("r", 1, [[1, 2], [2, 3]])
+    deform = entry_deformation(table, gen)
+    assert isinstance(deform, UpperDeformation)
+    assert entry_deformation(table, GiventalGen("r", 1, [["1", "2"], ["2", "3"]])) is deform
+    assert entry_deformation(table, GiventalGen("r", 1, [[1, 2], [2, 4]])) is not deform
+    assert entry_deformation(tensor_power(kdv_omega_table(3, 3, 1), 2), gen) is not deform
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from jethier.jetcalc import (
     substitute,
     to_json,
 )
-from readers import jetpoly_from_obj, series_from_obj
+from readers import hbar_shift, jetpoly_from_obj, series_from_obj
 
 W = JetPoly.var  # W(alpha, order[, exp])
 
@@ -168,14 +168,15 @@ def test_dx_is_kept_by_the_value():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_dx_pow_is_repeated_dx(sign):
+    # sign -1 differentiates negated values, which keep no derivative yet
     rng = random.Random(19)
     for _ in range(10):
-        p = random_jetpoly(rng)
-        s = HbarSeries(1, [p, random_jetpoly(rng)])
+        p = sign * random_jetpoly(rng)
+        s = sign * HbarSeries(1, [p, random_jetpoly(rng)])
         want_p, want_s = fresh(p), HbarSeries(1, [fresh(c) for c in s.coeffs])
         for k in range(5):
-            assert p.dx_pow(k, sign) == want_p * sign ** k
-            assert s.dx_pow(k, sign) == want_s * sign ** k
+            assert p.dx_pow(k) == want_p
+            assert s.dx_pow(k) == want_s
             want_p = fresh(want_p).dx()
             want_s = HbarSeries(1, [fresh(c).dx() for c in want_s.coeffs])
 
@@ -278,6 +279,11 @@ def test_evolve_is_a_derivation_commuting_with_dx():
         assert evolve(dx(f), flows) == dx(evolve(f, flows))
 
 
+def minus_dx_pow(x, k):
+    """(-dx)^k x."""
+    return x.dx_pow(k) * (-1) ** k
+
+
 def test_delta_leibniz_product_rule():
     # delta(XY) = sum_k ( T_k X (-dx)^k Y + (-dx)^k X T_k Y )
     rng = random.Random(7)
@@ -288,8 +294,8 @@ def test_delta_leibniz_product_rule():
         kmax = max((n for _, n in (x * y).variables()), default=0)
         rhs = JetPoly.zero()
         for k in range(kmax + 1):
-            rhs = rhs + x.t_op(1, k) * y.dx_pow(k, sign=-1)
-            rhs = rhs + x.dx_pow(k, sign=-1) * y.t_op(1, k)
+            rhs = rhs + x.t_op(1, k) * minus_dx_pow(y, k)
+            rhs = rhs + minus_dx_pow(x, k) * y.t_op(1, k)
         assert lhs == rhs
 
 
@@ -306,8 +312,8 @@ def test_t_op_generalized_leibniz():
             rhs = JetPoly.zero()
             for k in range(kmax + 1):
                 c = math.comb(k + p, k)
-                rhs = rhs + c * (x.t_op(1, k + p) * y.dx_pow(k, sign=-1))
-                rhs = rhs + c * (x.dx_pow(k, sign=-1) * y.t_op(1, k + p))
+                rhs = rhs + c * (x.t_op(1, k + p) * minus_dx_pow(y, k))
+                rhs = rhs + c * (minus_dx_pow(x, k) * y.t_op(1, k + p))
             assert lhs == rhs
 
 
@@ -427,15 +433,21 @@ def test_series_product_truncates_at_min():
 
 def test_series_shift_drops_overflow():
     a = HbarSeries(1, [w(0), w(1)])
-    assert a.hbar_shift() == HbarSeries(1, [JetPoly.zero(), w(0)])
-    assert a.hbar_shift(0) == a
-    assert a.hbar_shift(3) == HbarSeries.zero(1)
+    assert hbar_shift(a) == HbarSeries(1, [JetPoly.zero(), w(0)])
+    assert hbar_shift(a, 0) == a
+    assert hbar_shift(a, 3) == HbarSeries.zero(1)
+    # a shifted term of a Sum is the same shift, known to hbar^(1+k)
+    for k in range(4):
+        out = Sum()
+        out.add(a, shift=k)
+        got = out.value()
+        assert got.trunc == 1 + k and got.truncate(1) == hbar_shift(a, k)
 
 
 def test_series_shift_rejects_negative_power():
-    # hbar^-1 is not a series; it used to return the series unshifted
+    # hbar^-1 is not a series; the oracles' shift must not return the series unshifted
     with pytest.raises(ValueError):
-        HbarSeries(1, [w(0), w(1)]).hbar_shift(-1)
+        hbar_shift(HbarSeries(1, [w(0), w(1)]), -1)
 
 
 @pytest.mark.parametrize("bad", ["1/2", "3", 0.5])
@@ -828,6 +840,96 @@ def test_series_arithmetic_against_oracle():
                 assert [model(c) for c in got.coeffs] == want
 
 
+def partial_num(num, alpha, n):
+    """The numerators of d/dw[alpha,n] by one rescan per variable: the loop
+    `partial` ran before values kept their gradient."""
+    out = {}
+    for mono, coeff in num.items():
+        for idx, (a, m, exp) in enumerate(mono):
+            if a == alpha and m == n:
+                if exp == 1:
+                    rest = mono[:idx] + mono[idx + 1:]
+                else:
+                    rest = mono[:idx] + ((a, m, exp - 1),) + mono[idx + 1:]
+                out[rest] = coeff * exp
+                break
+    return out
+
+
+def rescan_partial(x, alpha, n):
+    """d/dw[alpha,n] of a JetPoly or HbarSeries through `partial_num`."""
+    if isinstance(x, JetPoly):
+        return JetPoly({m: Fraction(c, x._den) for m, c in partial_num(x._num, alpha, n).items()})
+    return HbarSeries(x.trunc, [JetPoly({m: Fraction(c, x.den) for m, c in
+                                         partial_num(part, alpha, n).items()})
+                                for part in x.parts])
+
+
+def test_partial_matches_the_per_variable_rescan():
+    rng = random.Random(67)
+    for _ in range(40):
+        # Laurent monomials, and absent variables of both present and new colors
+        p = rational_jetpoly(rng, n_terms=rng.randint(0, 4), max_order=4)
+        s = random_series(rng, rng.randint(0, 3))
+        for x in (p, s, s.dx()):
+            keys = sorted(x.variables()) + [(1, 6), (3, 0)]
+            rng.shuffle(keys)
+            for alpha, n in keys + keys:
+                got, want = x.partial(alpha, n), rescan_partial(x, alpha, n)
+                assert type(got) is type(want)
+                if isinstance(x, JetPoly):
+                    assert got._num == want._num and got._den == want._den
+                else:
+                    assert got.trunc == x.trunc
+                    assert got.parts == want.parts and got.den == want.den
+                # second partials come from the kept first partial's own gradient
+                for beta, m in keys[:3]:
+                    assert got.partial(beta, m) == rescan_partial(want, beta, m)
+
+
+def test_gradient_is_swept_once_per_value(monkeypatch):
+    sweeps = []
+    sweep = jetcalc._grad_num
+
+    def counted(parts):
+        sweeps.append(parts)
+        return sweep(parts)
+
+    monkeypatch.setattr(jetcalc, "_grad_num", counted)
+    rng = random.Random(71)
+    for _ in range(10):
+        p = rational_jetpoly(rng, max_order=4)
+        s = random_series(rng, 2)
+        for x in (p, s):
+            del sweeps[:]
+            first = {key: x.partial(*key) for key in sorted(x.variables())}
+            for alpha in (1, 2):
+                x.var_deriv(alpha)
+                for k in range(4):
+                    x.t_op(alpha, k)
+            evolve(x, {1: w(0), 2: w(1)})
+            assert all(x.partial(*key) is got for key, got in first.items())
+            assert len(sweeps) == 1
+            x.partial(5, 0)  # an absent variable reads the kept gradient too
+            assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("k", range(-1, 5))
+def test_horner_t_op_matches_the_binomial_sum(k):
+    rng = random.Random(73 + k)
+    for _ in range(20):
+        p = rational_jetpoly(rng, n_terms=rng.randint(1, 4), max_order=5)
+        s = random_series(rng, rng.randint(0, 2))
+        for alpha in (1, 2, 3):
+            want = o_t_op(model(p), alpha, k) if k >= 0 else {}
+            got = p.t_op(alpha, k)
+            assert type(got) is JetPoly and model(got) == want
+            got = s.t_op(alpha, k)
+            assert type(got) is HbarSeries and got.trunc == s.trunc
+            assert [model(c) for c in got.coeffs] == [
+                o_t_op(model(c), alpha, k) if k >= 0 else {} for c in s.coeffs]
+
+
 def test_integrate_against_oracle():
     rng = random.Random(43)
     for _ in range(30):
@@ -967,7 +1069,7 @@ def test_series_store_against_coefficientwise_oracle():
             (s + p, os_.add(lifted)), (p - s, lifted.add(os_, -1)),
             (s * k, os_.each(lambda c: c * k)), (k * s, os_.each(lambda c: k * c)),
             (s + k, os_.add(const)), (k - s, const.add(os_, -1)),
-            (s.dx(), os_.each(JetPoly.dx)), (s.dx_pow(2, sign=-1), os_.each(lambda c: c.dx_pow(2, -1))),
+            (s.dx(), os_.each(JetPoly.dx)), (s.dx_pow(2), os_.each(lambda c: c.dx_pow(2))),
         ]
         if k:
             checks.append((s / k, os_.each(lambda c: c / k)))
@@ -978,7 +1080,9 @@ def test_series_store_against_coefficientwise_oracle():
                 checks.append((s.t_op(alpha, kk), os_.each(lambda c: c.t_op(alpha, kk))))
             checks.append((s.var_deriv(alpha), os_.each(lambda c: c.var_deriv(alpha))))
         for kk in range(s.trunc + 2):
-            checks.append((s.hbar_shift(kk), os_.shift(kk)))
+            shifted = Sum()
+            shifted.add(s, shift=kk)
+            checks.append((shifted.value().truncate(s.trunc), os_.shift(kk)))
         for h in range(s.trunc + 1):
             checks.append((s.truncate(h), Coeffwise(os_.cs[: h + 1])))
         if len(s.parts[0]) == 1 and all(n for _, n, _ in next(iter(s.parts[0]))):
