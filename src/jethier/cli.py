@@ -11,10 +11,12 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import operator
+import re
 import sys
 import time
-from fractions import Fraction
 
 from .bracket import (
     DeformationReport,
@@ -51,111 +53,67 @@ class InputError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tiny polynomial expression parser for --hessian entries
+# polynomial cells of --hessian, read by Python's expression parser
 # ---------------------------------------------------------------------------
 
+_CELL = re.compile(r"[0-9vw+\-*/^() \t]*")
+_VAR = re.compile(r"[vw]([1-9][0-9]*)?")
+_RING = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+
 def parse_poly(text: str) -> JetPoly:
-    """Parse expressions like 'v', 'v1^2 + 1/2*v2', '-3*(v1+v2)'.
+    """Read a cell such as 'v', 'v1^3/6 + 2*v2' or '-(v1 - v2)^2/2'.
 
-    Variables v, w (color 1) or v<k>, w<k> (color k) denote order-0
-    coordinates; coefficients are integers or num/den rationals.
+    The names v, w (color 1) and v<k>, w<k> (color k) are order-0
+    coordinates.  A cell joins them and integers with + - * /, unary + and -,
+    parentheses and ^ to an integer literal (above 64 only on one term with
+    coefficient 1 or -1); a divisor must be a nonzero constant.  Python's
+    parser reads the cell once ^ is spelled **.
     """
-    tokens = _tokenize(text)
-    poly, pos = _parse_sum(tokens, 0)
-    if pos != len(tokens):
-        raise InputError(f"trailing input at token {pos} in {text!r}")
-    return poly
+    if not _CELL.fullmatch(text) or "**" in text:
+        raise InputError(f"{text[:40]!r} is not made of integers, v, w, v<k>, w<k>, "
+                         "+ - * / ^, parentheses and spaces")
+    try:
+        tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
+    except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
+        why = exc.msg if isinstance(exc, SyntaxError) else "too long or nested too deeply"
+        raise InputError(f"cannot read {text[:40]!r}: {why}") from exc
+    return _poly(tree.body)
 
 
-def _tokenize(text: str) -> list:
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*^()":
-            out.append(c)
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if k == j + 1 or not text[j + 1:k].strip("0"):
-                    raise InputError(f"bad rational near {text[i:]!r}: "
-                                     "the denominator must be a nonzero integer")
-                out.append(Fraction(text[i:k]))
-                i = k
-            else:
-                out.append(Fraction(text[i:j]))
-                i = j
-        elif c in "vw":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            color = int(text[i + 1:j]) if j > i + 1 else 1
-            out.append(("var", color))
-            i = j
+def _poly(node) -> JetPoly:
+    # a chain such as a + b - c * d nests down its left operands: walk that
+    # spine in a loop, stacking each step, so that only right operands recurse
+    steps = []
+    while isinstance(node, (ast.BinOp, ast.UnaryOp)):
+        steps.append(node)
+        node = node.left if isinstance(node, ast.BinOp) else node.operand
+    if isinstance(node, ast.Constant):  # _CELL admits no literal but an int
+        acc = JetPoly.const(node.value)
+    elif isinstance(node, ast.Name) and _VAR.fullmatch(node.id):
+        acc = JetPoly.var(int(node.id[1:] or 1), 0)
+    else:  # a name other than v<k>, w<k>, or a call or tuple
+        raise InputError(f"unknown term {getattr(node, 'id', type(node).__name__)!r}")
+    for step in reversed(steps):
+        op = type(step.op)
+        if op is ast.USub or op is ast.UAdd:
+            acc = -acc if op is ast.USub else acc
+        elif op in _RING:
+            acc = _RING[op](acc, _poly(step.right))
+        elif op is ast.Div:
+            div = _poly(step.right)
+            if div.variables() or not div:
+                raise InputError("a divisor must be a nonzero constant")
+            acc = acc / div.constant_term()
+        elif op is ast.Pow and isinstance(step.right, ast.Constant):
+            k = step.right.value  # past 64, only a power that scales exponents stays small
+            if k > 64 and (acc.num_terms() > 1 or any(abs(c) != 1 for _, c in acc.terms())):
+                raise InputError("an exponent above 64 takes one term with coefficient 1 or -1")
+            acc = acc ** k
         else:
-            raise InputError(f"unexpected character {c!r} in {text!r}")
-    return out
-
-
-def _parse_sum(tokens, pos):
-    sign = 1
-    if pos < len(tokens) and tokens[pos] in ("+", "-"):
-        sign = -1 if tokens[pos] == "-" else 1
-        pos += 1
-    acc, pos = _parse_product(tokens, pos)
-    acc = acc * sign
-    while pos < len(tokens) and tokens[pos] in ("+", "-"):
-        sign = -1 if tokens[pos] == "-" else 1
-        term, pos = _parse_product(tokens, pos + 1)
-        acc = acc + term * sign
-    return acc, pos
-
-
-def _parse_product(tokens, pos):
-    acc, pos = _parse_power(tokens, pos)
-    while pos < len(tokens) and tokens[pos] == "*":
-        nxt, pos = _parse_power(tokens, pos + 1)
-        acc = acc * nxt
-    return acc, pos
-
-
-def _parse_power(tokens, pos):
-    base, pos = _parse_atom(tokens, pos)
-    if pos < len(tokens) and tokens[pos] == "^":
-        pos += 1
-        if pos >= len(tokens) or not isinstance(tokens[pos], Fraction) \
-                or tokens[pos].denominator != 1:
-            raise InputError("exponent must be an integer")
-        base = base ** int(tokens[pos])
-        pos += 1
-    return base, pos
-
-
-def _parse_atom(tokens, pos):
-    if pos >= len(tokens):
-        raise InputError("unexpected end of expression")
-    tok = tokens[pos]
-    if tok == "(":
-        inner, pos = _parse_sum(tokens, pos + 1)
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise InputError("unbalanced parentheses")
-        return inner, pos + 1
-    if tok == "-":
-        inner, pos = _parse_atom(tokens, pos + 1)
-        return -inner, pos
-    if isinstance(tok, Fraction):
-        return JetPoly.const(tok), pos + 1
-    if isinstance(tok, tuple) and tok[0] == "var":
-        return JetPoly.var(tok[1], 0), pos + 1
-    raise InputError(f"unexpected token {tok!r}")
+            raise InputError("an exponent must be an integer literal" if op is ast.Pow
+                             else f"unsupported operator {op.__name__}")
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +230,10 @@ def cmd_deform(args) -> int:
     gen = _load_generator(args.generator)
     trunc = args.hbar
     started = time.monotonic()
-    # an upper generator reads entries up to index level past the residuals'
-    # pmax + 1 and the entries' qmax; a lower one reads none past them
-    bound = args.pmax + 1 + args.qmax + (gen.level if gen.kind == "r" else 0)
+    # the entries read indices up to pmax and qmax, the bracket residuals
+    # (a, pmax+1; b, 0); an upper generator reads up to level past those
+    bound = (args.pmax + args.qmax + (args.what == "bracket")
+             + (gen.level if gen.kind == "r" else 0))
     try:
         base = kdv_omega_table(bound, bound, trunc)
     except OutOfDerivableRange as exc:

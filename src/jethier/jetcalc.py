@@ -242,10 +242,6 @@ def _recolor(num: dict, color: int) -> dict:
     return {tuple((color, n, e) for _, n, e in mono): c for mono, c in num.items()}
 
 
-def _variables(nums) -> set[tuple[int, int]]:
-    return {(alpha, n) for num in nums for mono in num for alpha, n, _ in mono}
-
-
 def _is_polynomial(nums) -> bool:
     return all(exp > 0 for num in nums for mono in num for _, _, exp in mono)
 
@@ -371,8 +367,9 @@ class JetPoly:
         return Fraction(self._num.get((), 0), self._den)
 
     def variables(self) -> set[tuple[int, int]]:
-        """All (alpha, n) pairs occurring in some monomial."""
-        return _variables((self._num,))
+        """All (alpha, n) pairs occurring in some monomial: the keys of the
+        kept gradient, which callers read next."""
+        return set(_gradient(self))
 
     def max_order(self) -> int:
         """Largest jet order present; -1 for a constant or zero polynomial."""
@@ -701,7 +698,7 @@ class HbarSeries:
         return sum(map(len, self.parts))
 
     def variables(self) -> set[tuple[int, int]]:
-        return _variables(self.parts)
+        return set(_gradient(self))
 
     def is_polynomial(self) -> bool:
         return _is_polynomial(self.parts)

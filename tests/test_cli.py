@@ -5,8 +5,11 @@ import hashlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,9 +18,10 @@ from jethier import cli, suites
 from jethier.cli import InputError, main, parse_poly
 from jethier.bracket import PoissonOp, defining_equation_residuals
 from jethier.diffop import DiffOperator
-from jethier.givental import GiventalGen, OmegaTable, UpperDeformation
-from jethier.jetcalc import HbarSeries, JetPoly
-from jethier.kdvbase import kdv_omega_table
+from jethier.givental import GiventalGen, OmegaTable, UpperDeformation, s_deform_omega
+from jethier.genus0 import Genus0Data, trr_extend
+from jethier.jetcalc import HbarSeries, JetPoly, random_jetpoly, render, to_json
+from jethier.kdvbase import kdv_omega_table, tensor_power
 
 V = JetPoly.var
 
@@ -44,6 +48,54 @@ def test_parse_poly_rejects_garbage():
     for bad in ("v +", "2 ** v", "v^^2", "(v", "x", "3/", "v^(1/2)"):
         with pytest.raises(InputError):
             parse_poly(bad)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("v^2/2", V(1, 0) ** 2 / 2),
+    ("v1^3/6", V(1, 0) ** 3 / 6),
+    ("(v1-v2)^2/2", (V(1, 0) - V(2, 0)) ** 2 / 2),
+    ("v/2", V(1, 0) / 2),
+    ("1 / 2", JetPoly.const(Fraction(1, 2))),
+    (" -v^(2) / (1+1) ", -V(1, 0) ** 2 / 2),
+])
+def test_parse_poly_divides_after_a_power(text, want):
+    assert parse_poly(text) == want
+
+
+def test_parse_poly_large_exponent_only_scales_exponents():
+    assert parse_poly("-(v1*v2^2)^1000") == -V(1, 0, 1000) * V(2, 0, 2000)
+    for text in ("8^958628952", "(v+1)^65", "(2*v)^65"):  # 8^958628952 has 2.9e9 bits
+        with pytest.raises(InputError, match="above 64"):
+            parse_poly(text)
+    assert parse_poly("(v+1)^64").num_terms() == 65
+
+
+def test_parse_poly_long_flat_sum():
+    # the walk follows a chain's left spine in a loop, not by recursion
+    assert parse_poly(" + ".join(["v"] * 2000)) == V(1, 0) * 2000
+
+
+def test_parse_poly_round_trips_rendered_polynomials():
+    rng = random.Random(18)
+    for _ in range(200):
+        p = random_jetpoly(rng, colors=3, max_order=0, max_exp=4, coeff_bound=5,
+                           n_terms=rng.randint(0, 5)) / rng.randint(1, 12)
+        text = re.sub(r"w\[(\d+),0\]", r"v\1", render(p))
+        assert parse_poly(text) == p, text
+
+
+def test_parse_poly_fuzz_reads_or_raises_input_error():
+    rng = random.Random(18)
+    alphabet = "vw0123456789/^*+-() x."
+    read = 0
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        try:
+            assert type(parse_poly(text)) is JetPoly, text
+            read += 1
+        except InputError:
+            pass
+    assert read > 100  # the strings exercise the walk, not only the parser
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +193,33 @@ def test_generate_principal_small_pmax(capsys, sizes):
     '[["v", "0"], ["0", "v2"]]',
     '{"v": "v"}',
     '[["1/0"]]',
+    *(json.dumps([[cell]]) for cell in (
+        "v\0", "-" * 100000 + "v", "+".join(["v"] * 5000), "(" * 300 + "v" + ")" * 300,
+        "v**2", "0.5*v", "v/v", "v/0")),
 ], ids=["parens-overflow-parse_poly", "arrays-overflow-json", "cell-not-string",
-        "2x2-for-dim-1", "object", "zero-denominator"])
+        "2x2-for-dim-1", "object", "zero-denominator", "nul", "100000-minus",
+        "5000-term-sum", "300-parens", "double-star", "float", "divide-by-variable",
+        "divide-by-zero"])
 def test_generate_principal_bad_hessian_exit2(capsys, hessian):
     code = main(["generate", "principal", "--dim", "1", "--hessian", hessian])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: invalid Hessian")
     assert captured.err.count("\n") == 1
+
+
+def test_generate_principal_coupled_point_read_as_written(capsys):
+    # F = (v1^3 + v2^3)/6 - (v1 - v2)^4/24: the cells divide after a power
+    cells = [["v1-(v1-v2)^2/2", "(v1-v2)^2/2"], ["(v1-v2)^2/2", "v2-(v1-v2)^2/2"]]
+    code, out = run(capsys, "generate", "principal", "--dim", "2",
+                    "--hessian", json.dumps(cells))
+    assert code == 0
+    v1, v2 = V(1, 0), V(2, 0)
+    cross = (v1 - v2) ** 2 / 2
+    hess = {(1, 1): v1 - cross, (1, 2): cross, (2, 1): cross, (2, 2): v2 - cross}
+    table = trr_extend(Genus0Data(2, hess), 2, 2)
+    want = {f"{a}.{p}.{b}.{q}": v.coeffs[0] for (a, p, b, q), v in table.items()}
+    assert json.loads(out)["entries"] == json.loads(to_json(want))
 
 
 def test_generate_out_of_range_exit2(capsys):
@@ -322,6 +393,21 @@ def test_deform_lower_hbar2_two_colors(tmp_path, capsys):
     assert [r["nonzero_monomials"] for r in obj["residuals"]] == [0] * 8
     path = write_gen(tmp_path, {"kind": "r", "level": 1, "matrix": [[1, 2], [2, 3]]})
     assert run(capsys, *argv, path)[0] == 2
+
+
+def test_deform_omega_lower_reads_no_index_past_its_bounds(tmp_path, capsys):
+    # hbar^2 tables are derivable to index 2, all that entries up to (1; 1) read
+    path = write_gen(tmp_path, {"kind": "s", "level": 1, "matrix": [[1, 2], [2, 3]]})
+    code, out = run(capsys, "deform", "omega", "--generator", path, "--tensor", "2",
+                    "--hbar", "2", "--pmax", "1", "--qmax", "1")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["all_pass"] is True and len(obj["entries"]) == 16
+    gen = GiventalGen("s", 1, [[1, 2], [2, 3]])
+    table = tensor_power(kdv_omega_table(2, 2, 2), 2)
+    for entry in obj["entries"]:
+        want = s_deform_omega(table, gen, *entry["index"])
+        assert entry["value"] == json.loads(to_json(want))
 
 
 @pytest.mark.parametrize("gen, message", [
