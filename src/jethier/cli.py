@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import operator
 import re
 import sys
@@ -59,6 +60,7 @@ class InputError(ValueError):
 _CELL = re.compile(r"[0-9vw+\-*/^() \t]*")
 _VAR = re.compile(r"[vw]([1-9][0-9]*)?")
 _RING = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_PAIRS = 400_000  # term pairs a cell may multiply in all: about a second, (v1+v2+v3)^64 fits
 
 
 def parse_poly(text: str) -> JetPoly:
@@ -68,7 +70,9 @@ def parse_poly(text: str) -> JetPoly:
     coordinates.  A cell joins them and integers with + - * /, unary + and -,
     parentheses and ^ to an integer literal (above 64 only on one term with
     coefficient 1 or -1); a divisor must be a nonzero constant.  Python's
-    parser reads the cell once ^ is spelled **.
+    parser reads the cell once ^ is spelled **.  Before each product the term
+    pairs are counted, |a|*|b| for a*b and C(ceil(k/2)+t-1, t-1)^2 (the last
+    squaring) for a^k with t >= 2 terms; a cell past _PAIRS in all is refused.
     """
     if not _CELL.fullmatch(text) or "**" in text:
         raise InputError(f"{text[:40]!r} is not made of integers, v, w, v<k>, w<k>, "
@@ -78,10 +82,16 @@ def parse_poly(text: str) -> JetPoly:
     except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
         why = exc.msg if isinstance(exc, SyntaxError) else "too long or nested too deeply"
         raise InputError(f"cannot read {text[:40]!r}: {why}") from exc
-    return _poly(tree.body)
+    return _poly(tree.body, [_PAIRS])
 
 
-def _poly(node) -> JetPoly:
+def _spend(budget: list, pairs: int) -> None:
+    budget[0] -= pairs
+    if budget[0] < 0:
+        raise InputError(f"a cell may multiply at most {_PAIRS:,} term pairs")
+
+
+def _poly(node, budget: list) -> JetPoly:
     # a chain such as a + b - c * d nests down its left operands: walk that
     # spine in a loop, stacking each step, so that only right operands recurse
     steps = []
@@ -99,9 +109,11 @@ def _poly(node) -> JetPoly:
         if op is ast.USub or op is ast.UAdd:
             acc = -acc if op is ast.USub else acc
         elif op in _RING:
-            acc = _RING[op](acc, _poly(step.right))
+            right = _poly(step.right, budget)
+            _spend(budget, acc.num_terms() * right.num_terms() if op is ast.Mult else 0)
+            acc = _RING[op](acc, right)
         elif op is ast.Div:
-            div = _poly(step.right)
+            div = _poly(step.right, budget)
             if div.variables() or not div:
                 raise InputError("a divisor must be a nonzero constant")
             acc = acc / div.constant_term()
@@ -109,6 +121,8 @@ def _poly(node) -> JetPoly:
             k = step.right.value  # past 64, only a power that scales exponents stays small
             if k > 64 and (acc.num_terms() > 1 or any(abs(c) != 1 for _, c in acc.terms())):
                 raise InputError("an exponent above 64 takes one term with coefficient 1 or -1")
+            t = acc.num_terms()
+            _spend(budget, math.comb((k + 1) // 2 + t - 1, t - 1) ** 2 if t > 1 else 0)
             acc = acc ** k
         else:
             raise InputError("an exponent must be an integer literal" if op is ast.Pow

@@ -359,11 +359,12 @@ class UpperDeformation:
         """
         table, ell = self.table, self.gen.level
         base = table.entry(a, p, b, q)
-        out = Sum()  # the window is never empty, and each ext has the table's truncation
+        out = Sum()  # below d = 0 only ext(a, p, a, -p-1) is nonzero: it sets the truncation
         for d in range(-p - 1, ell + q + 1):
             for mu in range(1, table.dim + 1):
-                out.add_product(table.ext(a, p, mu, d), self.right(mu, ell - 1 - d, b, q),
-                                _sgn(d + 1))
+                lead = table.ext(a, p, mu, d)
+                if lead:
+                    out.add_product(lead, self.right(mu, ell - 1 - d, b, q), _sgn(d + 1))
         base_vars = sorted(base.variables())
         for (g, n) in base_vars:
             dbase = base.partial(g, n)  # nonzero: w[g,n] occurs in base

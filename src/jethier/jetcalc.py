@@ -23,14 +23,16 @@ the edges: constructor input, `terms()`, `constant_term()`,
 
 The loops run on numerator dicts, in module-level kernels that JetPoly and
 HbarSeries both call: `_mul_into` (the one product loop, k*a*b added into an
-accumulator in place, its factor k applied once per outer term), `_add_into`,
-`_dx_num` and `_grad_num`.  `Sum` is the one place where a sum of
-products is reduced: each term k*x or k*a*b goes into numerators per hbar
-order over one running denominator, and `value()` reduces to canonical form
-once.  Series sums and products, substitution, `evolve` and the Euler
-operators go through it; a series product visits only the part pairs
-i + j <= trunc.  A series has no JetPoly per part: `coeffs` builds those
-views on each read, for the few callers that want them.
+accumulator in place, its factor k applied once per outer term, a constant
+monomial () taken as is with no merge), `_add_into`, `_dx_num` and
+`_grad_num`.  `Sum` is the one place where a sum of products is reduced:
+each term k*x or k*a*b goes into numerators per hbar order over one running
+denominator, and `value()` reduces to canonical form once.  Series sums and
+products, substitution, `evolve` and the Euler operators go through it.  A
+term costs its part pairs i + j <= trunc and little else: the truncation is
+updated inline, a term with no such pair stops there, and an int factor
+over a denominator that divides the running one is scaled inline.  A series
+has no JetPoly per part: `coeffs` builds those views on each read.
 
 The x-derivative and the gradient are properties of the value: `dx()` of a
 JetPoly or an HbarSeries is computed once and kept by the value that owns
@@ -111,11 +113,7 @@ def _validate_mono(mono: Mono) -> None:
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
-    """Merge two sorted factor tuples, adding exponents."""
-    if not a:
-        return b
-    if not b:
-        return a
+    """Merge two nonempty sorted factor tuples, adding exponents."""
     out = []
     i = j = 0
     la, lb = len(a), len(b)
@@ -171,12 +169,13 @@ def _add_into(dst: dict, src: dict, k: int) -> None:
 
 def _mul_into(dst: dict, a: dict, b: dict, k: int) -> None:
     """dst += k*a*b in place, dropping numerators that cancel: the module's one
-    product loop.  Denominators are the caller's: a*b is over den_a * den_b."""
+    product loop.  Denominators are the caller's: a*b is over den_a * den_b.
+    A constant monomial () is the other one unchanged, with no merge."""
     get = dst.get
     for ma, ca in a.items():
         ca *= k
         for mb, cb in b.items():
-            mono = _mono_mul(ma, mb)
+            mono = _mono_mul(ma, mb) if ma and mb else ma or mb
             acc = get(mono)
             if acc is None:
                 dst[mono] = ca * cb
@@ -856,50 +855,75 @@ class Sum:
     term is one; a term with k = 0 counts too, so `add(f, 0)` starts at the
     zero of f's type and truncation.  One value added with k = 1 and shift 0
     is the sum itself, with the derivatives it keeps.
+
+    A term costs its part pairs (see the module docstring); only a Fraction k,
+    a new denominator, new hbar orders or a kept term to spill reach `_scale`.
     """
 
     __slots__ = ("_nums", "_den", "_trunc", "_one")
 
     def __init__(self):
         # numerators per hbar order over den; one: the first term, kept whole
+        # while there are no numerators, so a term that finds them has none to spill
         self._nums, self._den, self._trunc, self._one = [], 1, None, None
 
     def add(self, x, k=1, shift: int = 0) -> None:
         """Add k * x * hbar^shift."""
-        # (parts, den, trunc) of x: a JetPoly is known to every hbar order
-        parts, d, t = ((x._num,), x._den, None) if type(x) is JetPoly else (x.parts, x.den, x.trunc)
-        top = self._cut(t, shift)
-        if k and top >= shift and any(parts):
-            if not shift and self._one is None and not self._nums and k == 1:
-                self._one = x
-                return
-            k = self._scale(d, k, top)
-            for g, part in enumerate(parts[: top + 1 - shift], shift):
-                if part:
-                    _add_into(self._nums[g], part, k)
+        top = self._trunc
+        if type(x) is JetPoly:  # known to every hbar order
+            parts, d = (x._num,), x._den
+        else:
+            parts, d, t = x.parts, x.den, x.trunc + shift
+            if top is None or t < top:
+                top = self._trunc = t
+                del self._nums[t + 1:]
+        top = shift if top is None else top
+        if not k or top < shift or not any(parts):
+            return
+        if not self._nums and k == 1 and not shift and self._one is None:
+            self._one = x
+            return
+        k = (k * (self._den // d) if type(k) is int and len(self._nums) > top
+             and not self._den % d else self._scale(d, k, top))
+        for g, part in enumerate(parts[: top + 1 - shift], shift):
+            if part:
+                _add_into(self._nums[g], part, k)
 
     def add_product(self, a, b, k=1, shift: int = 0) -> None:
         """Add k * a * b * hbar^shift; a may be an int or Fraction."""
-        if not isinstance(a, (JetPoly, HbarSeries)):
+        if type(a) is HbarSeries:
+            pa, da, t = a.parts, a.den, a.trunc + shift
+        elif type(a) is JetPoly:
+            pa, da, t = (a._num,), a._den, None
+        else:
             return self.add(b, k * a, shift)
-        pa, da, ta = ((a._num,), a._den, None) if type(a) is JetPoly else (a.parts, a.den, a.trunc)
-        pb, db, tb = ((b._num,), b._den, None) if type(b) is JetPoly else (b.parts, b.den, b.trunc)
-        top = self._cut(ta if tb is None or (ta is not None and ta < tb) else tb, shift)
-        if k and top >= shift and any(pa) and any(pb):
-            k = self._scale(da * db, k, top)
-            for i, p in enumerate(pa[: top + 1 - shift], shift):
-                if p:
-                    for j, q in enumerate(pb[: top + 1 - i], i):
-                        if q:
-                            _mul_into(self._nums[j], p, q, k)
-
-    def _cut(self, t, shift: int) -> int:
-        """Lower the truncation to t + shift (t None: no limit); the top order kept."""
-        h = self._trunc
-        if t is not None and (h is None or t + shift < h):
-            h = self._trunc = t + shift
-            del self._nums[h + 1:]
-        return shift if h is None else h
+        if type(b) is JetPoly:
+            pb, db = (b._num,), b._den
+        else:
+            pb, db, tb = b.parts, b.den, b.trunc + shift
+            t = tb if t is None or tb < t else t
+        top = self._trunc
+        if t is not None and (top is None or t < top):
+            top = self._trunc = t
+            del self._nums[t + 1:]
+        top = shift if top is None else top
+        if not k or top < shift or not any(pa) or not any(pb):
+            return
+        i0 = j0 = 0  # the lowest nonzero parts of a and b
+        while not pa[i0]:
+            i0 += 1
+        while not pb[j0]:
+            j0 += 1
+        if i0 + j0 + shift > top:
+            return
+        d = da * db
+        k = (k * (self._den // d) if type(k) is int and len(self._nums) > top
+             and not self._den % d else self._scale(d, k, top))
+        for i, p in enumerate(pa[i0: top + 1 - shift - j0], i0 + shift):
+            if p:
+                for j, q in enumerate(pb[j0: top + 1 - i], i + j0):
+                    if q:
+                        _mul_into(self._nums[j], p, q, k)
 
     def _scale(self, d: int, k, top: int) -> int:
         """The integer factor of a term over d with factor k, once the kept term
@@ -917,8 +941,8 @@ class Sum:
                 for m in num:
                     num[m] *= f
             self._den = new
-        if len(nums) <= top:
-            nums.extend([{} for _ in range(top + 1 - len(nums))])
+        while len(nums) <= top:
+            nums.append({})
         return k * (self._den // d)
 
     def value(self):
@@ -945,7 +969,8 @@ class Substitution:
 
     Calling it maps a JetPoly or HbarSeries to an HbarSeries.  The images,
     and a series it is called on, must be known to hbar^trunc.  It keeps the powers of the prolonged jets
-    (inverse powers included) as it computes them, so one instance serves
+    (inverse powers included) as it computes them, and a monomial's first
+    power at each lower truncation it is read at, so one instance serves
     every polynomial substituted with the same images; the jets themselves
     are the kept x-derivatives of the truncated images.  Negative exponents
     require the prolonged image to be invertible (its hbar^0 part a single
@@ -961,7 +986,7 @@ class Substitution:
                                  f"below the substitution's hbar^{trunc}")
         self.images = images
         self.trunc = trunc
-        self._powers: dict[tuple[int, int, int], HbarSeries] = {}
+        self._powers: dict[tuple, HbarSeries] = {}  # and (alpha, n, exp, trunc) -> truncated
 
     def power(self, alpha: int, n: int, exp: int) -> HbarSeries:
         """dx^n(images[alpha]) ** exp, for exp != 0."""
@@ -984,7 +1009,9 @@ class Substitution:
         if not mono:
             return HbarSeries.const(1, trunc)
         (alpha, n, exp), *rest = mono
-        out = self.power(alpha, n, exp).truncate(trunc)
+        out = self._powers.get((alpha, n, exp, trunc))
+        if out is None:
+            out = self._powers[alpha, n, exp, trunc] = self.power(alpha, n, exp).truncate(trunc)
         for alpha, n, exp in rest:
             out = out * self.power(alpha, n, exp)
         return out

@@ -70,6 +70,15 @@ def test_parse_poly_large_exponent_only_scales_exponents():
     assert parse_poly("(v+1)^64").num_terms() == 65
 
 
+def test_parse_poly_counts_term_pairs_per_cell():
+    # a power of a sum is counted by its last squaring, a product by |a|*|b|,
+    # all of a cell's together: the second power below is refused unbuilt
+    assert parse_poly("(v1+v2+v3)^64").num_terms() == 2145
+    for text in ("(v1+v2+v3+v4)^64", "(v1+v2+v3)^60*(v1+v2+v3)^60"):
+        with pytest.raises(InputError, match="term pairs"):
+            parse_poly(text)
+
+
 def test_parse_poly_long_flat_sum():
     # the walk follows a chain's left spine in a loop, not by recursion
     assert parse_poly(" + ".join(["v"] * 2000)) == V(1, 0) * 2000
@@ -195,11 +204,11 @@ def test_generate_principal_small_pmax(capsys, sizes):
     '[["1/0"]]',
     *(json.dumps([[cell]]) for cell in (
         "v\0", "-" * 100000 + "v", "+".join(["v"] * 5000), "(" * 300 + "v" + ")" * 300,
-        "v**2", "0.5*v", "v/v", "v/0")),
+        "v**2", "0.5*v", "v/v", "v/0", "(v1+v2+v3+v4)^64", "(v1+v2+v3)^60*(v1+v2+v3)^60")),
 ], ids=["parens-overflow-parse_poly", "arrays-overflow-json", "cell-not-string",
         "2x2-for-dim-1", "object", "zero-denominator", "nul", "100000-minus",
         "5000-term-sum", "300-parens", "double-star", "float", "divide-by-variable",
-        "divide-by-zero"])
+        "divide-by-zero", "47905-term-power", "product-of-two-powers"])
 def test_generate_principal_bad_hessian_exit2(capsys, hessian):
     code = main(["generate", "principal", "--dim", "1", "--hessian", hessian])
     captured = capsys.readouterr()

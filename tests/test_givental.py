@@ -2,10 +2,11 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from jethier.jetcalc import HbarSeries, JetPoly, series_to_obj, to_json
+from jethier.jetcalc import HbarSeries, JetPoly, Sum, series_to_obj, to_json
 from jethier.givental import (
     GiventalGen,
     InconsistentTable,
@@ -326,6 +327,49 @@ def test_r_deform_dense_generators_match_long_form(colors, level, matrix, hbar):
     deform = UpperDeformation(table, g)
     for (a, p, b, q) in indices:
         assert deform(a, p, b, q) == r_deform_long(table, g, a, p, b, q), (a, p, b, q)
+
+
+def window_unskipped(deform, a, p, b, q):
+    """`UpperDeformation.__call__` with every (d, mu) of the window added,
+    zero first factors included."""
+    table, ell = deform.table, deform.gen.level
+    base = table.entry(a, p, b, q)
+    out = Sum()
+    for d in range(-p - 1, ell + q + 1):
+        for mu in range(1, table.dim + 1):
+            out.add_product(table.ext(a, p, mu, d), deform.right(mu, ell - 1 - d, b, q),
+                            (-1) ** ((d + 1) % 2))
+    base_vars = sorted(base.variables())
+    for (g, n) in base_vars:
+        dbase = base.partial(g, n)
+        out.add_product(dbase, deform.lin(g, n), -1)
+        for (z, m) in base_vars:
+            second = dbase.partial(z, m)
+            if second:
+                out.add_product(second, deform.quad(g, n, z, m), Fraction(1, 2), shift=1)
+    return out.value()
+
+
+def test_entry_deformation_skips_zero_window_factors(monkeypatch):
+    # below d = 0 the window's first factor is zero but at d = -p-1, mu = a:
+    # skipping the zero ones changes no entry and saves products
+    table = tensor_power(kdv_omega_table(6, 6, 1), 2)
+    g = r_gen(3, [[1, 2], [2, -3]])
+    calls = []
+    add_product = Sum.add_product
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return add_product(self, *args, **kwargs)
+
+    monkeypatch.setattr(Sum, "add_product", spy)
+    for (a, p, b, q) in [(1, 2, 2, 1), (2, 1, 1, 0), (2, 0, 2, 2)]:
+        start = len(calls)
+        got = UpperDeformation(table, g)(a, p, b, q)
+        mid = len(calls)
+        want = window_unskipped(UpperDeformation(table, g), a, p, b, q)
+        assert got == want and got.trunc == want.trunc == 1, (a, p, b, q)
+        assert mid - start < len(calls) - mid, (a, p, b, q)
 
 
 def transport_closed_form(table, gen, g, n):

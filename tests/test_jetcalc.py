@@ -1110,44 +1110,102 @@ def test_series_store_against_coefficientwise_oracle():
 # Sum against the coefficient-wise JetPoly oracle
 # ---------------------------------------------------------------------------
 
-def sum_term(rng, polys):
-    """One seeded term: (method, args, oracle value).  Series terms have
-    truncations 0-3 and shifts 0-2, factors are ints or Fractions."""
+def sum_operand(rng, polys):
+    """A JetPoly or, unless polys, as often a series of truncation 0-3; now
+    and then zero or a constant of its kind, whose monomial is ()."""
+    series = not polys and rng.random() < 0.6
+    trunc = rng.randint(0, 3)
+    r = rng.random()
+    if r < 0.12:
+        return HbarSeries.zero(trunc) if series else JetPoly.zero()
+    if r < 0.24:
+        c = Fraction(rng.choice((-3, 1, 2, 5)), rng.choice((1, 2, 3)))
+        return HbarSeries.const(c, trunc) if series else JetPoly.const(c)
+    return mixed_series(rng, trunc) if series else rational_jetpoly(rng)
+
+
+def oracle_of(x):
+    """(trunc, coefficients) of a Sum operand; a JetPoly or a scalar is known
+    to every hbar order (trunc None) and has one coefficient."""
+    if type(x) is HbarSeries:
+        return x.trunc, Coeffwise.of(x).cs
+    return None, [x if type(x) is JetPoly else JetPoly.const(x)]
+
+
+def oracle_term(operands, k, shift):
+    """(trunc, coefficients) of k * product(operands) * hbar^shift, each
+    coefficient a chain of JetPoly operations."""
+    (t, cs), *rest = map(oracle_of, operands)
+    for tb, cb in rest:
+        t = tb if t is None else t if tb is None else min(t, tb)
+        n = 1 if t is None else t + 1
+        ca, cb = (c + [JetPoly.zero()] * (n - len(c)) for c in (cs, cb))
+        cs = [sum((ca[i] * cb[g - i] for i in range(g + 1)), JetPoly.zero()) for g in range(n)]
+    return (None if t is None else t + shift), [JetPoly.zero()] * shift + [k * c for c in cs]
+
+
+def integral(x):
+    """x times its denominator: integer numerators over denominator 1."""
+    return x * (x.den if type(x) is HbarSeries else x._den)
+
+
+def sum_term(rng, polys, start):
+    """One seeded term: (method, args, oracle term).  Series terms have
+    truncations 0-3 and shifts 0-2; a factor k is an int, 0 included, or a
+    Fraction, and add_product's first operand is sometimes a scalar.
+
+    `start` forces the first terms of a chain.  "kept" adds a value with
+    k = 1 and no shift, which the sum keeps whole, and "kept1" one over
+    denominator 1.  After "kept1", "spill" gives a Fraction factor, whose
+    denominator does not divide the running one; after "kept", "whole" gives
+    an int factor on operands over denominator 1, which divides it."""
+    if start in ("kept", "kept1"):
+        x = sum_operand(rng, polys)
+        x = integral(x) if start == "kept1" else x
+        return "add", (x,), oracle_term((x,), 1, 0)
     k = rng.choice((1, 1, -1, 3, 0, Fraction(1, 2), Fraction(-5, 6), Fraction(4, 3)))
-    if polys:
-        a, b = rational_jetpoly(rng), rational_jetpoly(rng)
-        if rng.random() < 0.5:
-            return "add", (a, k), k * a
-        return "add_product", (a, b, k), k * (a * b)
-    a, b = mixed_series(rng, rng.randint(0, 3)), mixed_series(rng, rng.randint(0, 3))
-    shift = rng.choice((0, 0, 1, 2))
+    if start == "spill":
+        k = Fraction(rng.choice((1, -1, 5)), rng.choice((2, 3, 7)))
+    elif start == "whole":
+        k = rng.choice((-1, 2, 3))
+    shift = 0 if polys else rng.choice((0, 0, 1, 2))
     if rng.random() < 0.4:
-        term, args = Coeffwise.of(a), (a, k, shift)
-        method = "add"
-    else:
-        term, args = Coeffwise.of(a).mul(Coeffwise.of(b)), (a, b, k, shift)
-        method = "add_product"
-    return method, args, Coeffwise([JetPoly.zero()] * shift + term.each(lambda c: c * k).cs)
+        a = sum_operand(rng, polys)
+        a = integral(a) if start == "whole" else a
+        return "add", (a, k, shift), oracle_term((a,), k, shift)
+    a = (rng.choice((2, -1, Fraction(3, 4))) if rng.random() < 0.1 and start is None
+         else sum_operand(rng, polys))
+    b = sum_operand(rng, polys)
+    if start == "whole":
+        a, b = integral(a), integral(b)
+    return "add_product", (a, b, k, shift), oracle_term((a, b), k, shift)
 
 
-@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("seed", range(90))
 def test_sum_matches_the_coefficientwise_chain(seed):
-    # mixed denominators, unequal truncations, shifts and factors; the sum
-    # truncates at its least term truncation, hbar^shift counted
+    # mixed denominators, unequal truncations, shifts and factors, zero and
+    # constant operands, JetPoly and series terms in one sum; the sum
+    # truncates at its least term truncation, hbar^shift counted, and is a
+    # JetPoly while every term is one
     rng = random.Random(seed)
     polys = seed % 4 == 0
-    acc, want = Sum(), None
-    for _ in range(rng.randint(1, 6)):
-        method, args, term = sum_term(rng, polys)
+    starts = [(), ("kept1", "spill"), ("kept", "whole")][seed % 3]
+    acc, terms = Sum(), []
+    for n in range(rng.randint(len(starts) or 1, 6)):
+        method, args, term = sum_term(rng, polys, starts[n] if n < len(starts) else None)
         getattr(acc, method)(*args)
-        want = term if want is None else (want + term if polys else want.add(term))
+        terms.append(term)
     got = acc.value()
-    if polys:
+    truncs = [t for t, _ in terms if t is not None]
+    if not truncs:
+        want = sum((cs[0] for _, cs in terms), JetPoly.zero())
         assert type(got) is JetPoly and (got._num, got._den) == (want._num, want._den)
-    else:
-        assert got.trunc == want.trunc and store(got) == want.cs
-        oracle = HbarSeries(want.trunc, want.cs)
-        assert (got.parts, got.den) == (oracle.parts, oracle.den)
+        return
+    h = min(truncs)
+    cs = [sum((c[g] for _, c in terms if g < len(c)), JetPoly.zero()) for g in range(h + 1)]
+    assert type(got) is HbarSeries and got.trunc == h and store(got) == cs
+    oracle = HbarSeries(h, cs)
+    assert (got.parts, got.den) == (oracle.parts, oracle.den)
 
 
 def test_sum_cancels_to_the_canonical_zero():
@@ -1198,6 +1256,33 @@ def test_sum_of_one_value_is_that_value():
     acc.add(s, 0)
     acc.add(w(0))
     assert acc.value() == HbarSeries.of(w(0), 2)
+
+
+def test_mul_into_skips_the_merge_for_constant_monomials(monkeypatch):
+    # a constant monomial () times m is m: no merge, and cancellation still
+    # drops the numerator
+    merges = []
+    merge = jetcalc._mono_mul
+
+    def counted(a, b):
+        merges.append((a, b))
+        return merge(a, b)
+
+    monkeypatch.setattr(jetcalc, "_mono_mul", counted)
+    x, y = ((1, 0, 1),), ((1, 1, -1), (2, 0, 2))
+    for dst, a, b, k, want in [
+        ({}, {(): 2}, {x: 3, y: -1}, 1, {x: 6, y: -2}),    # () on the left
+        ({}, {x: 3, y: -1}, {(): 2}, -1, {x: -6, y: 2}),   # () on the right
+        ({(): 1}, {(): 2}, {(): 5}, 3, {(): 31}),           # () on both sides
+        ({x: 6, (): 4}, {(): 2, x: 1}, {(): -2}, 1, {x: 4}),  # () cancels
+        ({x: -6}, {(): 2}, {x: 3}, 1, {}),                  # cancels to zero
+    ]:
+        jetcalc._mul_into(dst, a, b, k)
+        assert dst == want
+    assert merges == []
+    dst = {}
+    jetcalc._mul_into(dst, {x: 1}, {y: 1}, 1)
+    assert dst == {x + y: 1} and merges == [(x, y)]
 
 
 def test_sum_takes_scalar_factors_without_lifting(monkeypatch):
