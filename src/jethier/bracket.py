@@ -23,6 +23,9 @@ i + j = level - 1; the extension convention for negative descendant indices
 makes all but the window i in [-1, level] vanish, and the boundary
 splittings carry the linear terms of the table deformation.  This window is
 load-bearing: dropping the boundary terms breaks the defining equation.
+Blocks 2, 10, 11 and 12 are linear in the triple correlators, so they run
+once, on the correlators summed over the window, and the left factors of
+blocks 1, 4, 8 and 10 are summed too and composed with A once per (beta, g).
 """
 
 from __future__ import annotations
@@ -82,16 +85,19 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     `UpperDeformation.right` factors sum_nu M[mu][nu] (nu,j; beta,0) at j
     and, under dx, at j-1 (read as (beta,0; nu,j), so the table must be
     symmetric, as two-point tables are), and hbar/2 times the triple
-    correlators t3[z] = sum_nu M[mu][nu] (z,0; mu,i; nu,j).  With
-    f_xi = (mu,i; xi,0) and the higher-Euler cell E_g of `diffop.euler_cell`:
-    blocks 1, 4, 8 and 10 compose left factors with the operator row
-    A[g, .], and block 9 adds directly; blocks 5 and 7 are one term,
-    c (A[beta,g] o E_g(o) without its order-0 term, every order lowered by
-    one) o f_xi d; blocks 3 and 6 are one term, -c [A[beta,g] o E_g(f_xi), P]
-    o d (`diffop.commutator`); block 11 is -c A[beta,g] o E_g(t3[xi]) o d.
-    Blocks 2 and 12 move A's coefficients along the linear transport field
-    and dx of c t3; both are linear in their fields, so they run once, on
-    fields summed over the window.  Every composition is `diffop.leibniz`.
+    correlators sum_nu M[mu][nu] (z,0; mu,i; nu,j), summed with c over the
+    window into t3[z].  With f_xi = (mu,i; xi,0) and the higher-Euler cell
+    E_g of `diffop.euler_cell`: blocks 5 and 7 are one term, c (A[beta,g] o
+    E_g(o) without its order-0 term, every order lowered by one) o f_xi d;
+    blocks 3 and 6 are one term, -c [A[beta,g] o E_g(f_xi), P] o d
+    (`diffop.commutator`), skipped where E_g(f_xi) is empty; block 9 adds
+    directly.  Blocks 1, 4 and 8 give left factors of the row A[g, .],
+    summed per (beta, g) over the window.  The blocks linear in t3 run once,
+    after the window: block 10 adds the left factor d o sum_n
+    dt3[beta]/dw[g,n] d^n, and the left factors are composed with A once
+    per (beta, g); block 11 is -A[beta,g] o E_g(t3[xi]) o d; blocks 2 and 12
+    move A's coefficients along the linear transport field and dx t3.
+    Every composition is `diffop.leibniz`.
     """
     if gen.kind != "r":
         raise ValueError("upper-kind generator required")
@@ -105,7 +111,10 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     high = [(g, xi, k, ac) for (g, xi), cell in a_cells.items()
             for k, ac in cell.items() if k >= 2]
     high_colors = sorted({g for g, _, _, _ in high})
+    left = {(b, g): defaultdict(Sum) for b in colors for g in colors}
     t3_sum = {z: Sum() for z in colors}
+    for t in t3_sum.values():
+        t.add(HbarSeries.zero(table.trunc))
 
     for i in range(-1, ell + 1):
         j = ell - 1 - i
@@ -119,53 +128,39 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
             fs = {xi: table.ext(mu, i, xi, 0) for xi in colors}
             e_f = {(g, xi): euler_cell(fs[xi], g) for g in colors for xi in colors}
             o = deform.unit_right(mu, j)
-            t3 = {}
+            halves = [(nu, cfac * m / 2) for nu, m in row]
             for z in colors:
-                t = Sum()
-                t.add(HbarSeries.zero(table.trunc))
-                for nu, m in row:
-                    t.add(triple_omega(table, (z, 0), (mu, i), (nu, j)), m / 2, shift=1)
-                t3[z] = t.value()
-                t3_sum[z].add(t3[z], cfac)
+                for nu, k in halves:
+                    t3_sum[z].add(triple_omega(table, (z, 0), (mu, i), (nu, j)), k, shift=1)
             # block 9's products A_k[g,xi] delta_g (mu,i+1; unit,0), k >= 2
             grads = {g: o_mu_i1.var_deriv(g) for g in high_colors}
             b9 = [(xi, k, ac * grads[g]) for g, xi, k, ac in high if grads[g]]
 
             for beta in colors:
-                # blocks 1, 4, 8 and 10: left factors of the row A[g, .]
+                # blocks 1, 4 and 8: left factors of the row A[g, .]
                 f1 = fs[beta]
                 f4 = deform.right(mu, j, beta, 0)
                 pre = deform.right(mu, j - 1, beta, 0).dx()
-                left = {g: defaultdict(Sum) for g in colors}
                 for (g, n) in sorted(f1.variables()):
-                    left[g][n].add_product(o, f1.partial(g, n), cfac)
+                    left[(beta, g)][n].add_product(o, f1.partial(g, n), cfac)
                 if f4:
                     for (g, n) in sorted(o_mu_i.variables()):
-                        left[g][n].add_product(f4, o_mu_i.partial(g, n), cfac)
+                        left[(beta, g)][n].add_product(f4, o_mu_i.partial(g, n), cfac)
                 if pre:
                     for (g, m) in sorted(o_mu_i1.variables()):
                         dpart = o_mu_i1.partial(g, m)
                         for u in range(m):
-                            left[g][m - 1 - u].add_product(pre, dpart.dx_pow(u), -cfac * _sgn(u))
-                for (g, n) in sorted(t3[beta].variables()):
-                    leibniz({1: cfac}, {n: t3[beta].partial(g, n)}, left[g])
-                for g in colors:
-                    lg = finish(left[g])
-                    for xi in colors:
-                        if lg and a_cells[(g, xi)]:
-                            leibniz(lg, a_cells[(g, xi)], acc[(beta, xi)])
-
-                # block 9: boundary transport with the shifted index
-                if pre:
+                            left[(beta, g)][m - 1 - u].add_product(pre, dpart.dx_pow(u),
+                                                                   -cfac * _sgn(u))
+                    # block 9: boundary transport with the shifted index
                     for xi, k, prod in b9:
                         for f in range(2, k + 1):
                             acc[(beta, xi)][f - 1].add_product(pre, prod.dx_pow(k - f),
                                                                -cfac * _sgn(k - f))
 
-            # blocks 3, 5, 6, 7 and 11: right factors of the column A[., g]
+            # blocks 3, 5, 6 and 7: right factors of the column A[., g]
             for g in colors:
                 e_o = euler_cell(o, g)
-                e_t = {xi: euler_cell(t3[xi], g) for xi in colors}
                 for beta in colors:
                     cell = {k: cfac * a for k, a in a_cells[(beta, g)].items()}
                     if not cell:
@@ -175,13 +170,29 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                         out = acc[(beta, xi)]
                         if fs[xi]:   # blocks 5 and 7
                             leibniz(low, {1: fs[xi]}, out)
-                        # blocks 3 and 6, then 11, before the final d
-                        right = commutator(finish(leibniz(cell, e_f[(g, xi)])), o)
-                        for k, c in finish(leibniz(cell, e_t[xi], right)).items():
-                            out[k + 1].add(c, -1)
+                        if e_f[(g, xi)]:   # blocks 3 and 6, before the final d
+                            right = commutator(finish(leibniz(cell, e_f[(g, xi)])), o)
+                            for k, c in finish(right).items():
+                                out[k + 1].add(c, -1)
 
-    # blocks 2 and 12, once, on the fields summed over the window
-    flows = {z: t.value().dx() for z, t in t3_sum.items()}
+    t3 = {z: t.value() for z, t in t3_sum.items()}
+    for beta in colors:   # block 10
+        for (g, n) in sorted(t3[beta].variables()):
+            leibniz({1: 1}, {n: t3[beta].partial(g, n)}, left[(beta, g)])
+    # blocks 1, 4, 8 and 10, composed with the row A[g, .]
+    for (beta, g), cell in left.items():
+        lg = finish(cell)
+        for xi in colors:
+            if lg and a_cells[(g, xi)]:
+                leibniz(lg, a_cells[(g, xi)], acc[(beta, xi)])
+    e_t = {(g, xi): euler_cell(t3[xi], g) for g in colors for xi in colors}
+    for (beta, g), cell in a_cells.items():   # block 11, before the final d
+        for xi in colors:
+            for k, c in finish(leibniz(cell, e_t[(g, xi)])).items():
+                acc[(beta, xi)][k + 1].add(c, -1)
+
+    # blocks 2 and 12 on the window sums
+    flows = {z: t.dx() for z, t in t3.items()}
     for (beta, xi), cell in a_cells.items():
         for k, ac in cell.items():
             move = acc[(beta, xi)][k]

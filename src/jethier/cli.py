@@ -375,7 +375,8 @@ UNREAD = {
     ("verify", "homogeneity"): ("pmax", "hbar", "seed", "count"),
     ("verify", "uniqueness"): ("hbar", "seed", "count"),
     ("verify", "defining-equation"): ("seed", "count"),
-    ("deform", "bracket"): ("qmax",),
+    ("deform", "omega"): ("seed",),
+    ("deform", "bracket"): ("qmax", "seed"),
     ("dump", "flows"): ("pmax", "qmax"),
     ("dump", "hamiltonians"): ("pmax", "qmax"),
     ("dump", "quasi-miura"): ("pmax", "qmax"),

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import product
 
 from .jetcalc import HbarSeries, Sum, evolve, rat
 
@@ -132,24 +133,27 @@ def gen_to_obj(g: GiventalGen) -> dict:
 class OmegaTable:
     """Two-point functions of the dispersive hierarchy, with extension.
 
-    The table keeps what it derives from its entries, for as long as it
-    lives: the unit contractions `unit_ext(a, p)`, the constant series of
-    `ext`, and the one `UpperDeformation` per upper generator value that
-    `entry_deformation` hands out.  The entries are never changed after
-    construction, so what is kept stays valid.
+    A table is given its entries, or a builder `build(table, a, p, b, q)`
+    that makes an entry in bounds (colors 1..dim, p <= pmax, q <= qmax) on
+    its first read.  The table keeps that entry, and what it derives from
+    its entries, for as long as it lives: the unit contractions
+    `unit_ext(a, p)`, the constant series of `ext`, and the one
+    `UpperDeformation` per upper generator value that `entry_deformation`
+    hands out.  No entry changes once read, so what is kept stays valid.
     """
 
-    __slots__ = ("dim", "pmax", "qmax", "trunc", "_entries", "provenance",
+    __slots__ = ("dim", "pmax", "qmax", "trunc", "_entries", "provenance", "_build",
                  "_units", "_consts", "_deforms")
 
     def __init__(self, dim: int, pmax: int, qmax: int, trunc: int,
-                 entries: dict, provenance: dict | None = None):
+                 entries: dict, provenance: dict | None = None, build=None):
         self.dim = dim
         self.pmax = pmax
         self.qmax = qmax
         self.trunc = trunc
         self._entries = dict(entries)
         self.provenance = dict(provenance or {})
+        self._build = build
         self._units: dict[tuple[int, int], HbarSeries] = {}
         self._consts: dict[int, HbarSeries] = {}
         self._deforms: dict[tuple, UpperDeformation] = {}
@@ -157,10 +161,13 @@ class OmegaTable:
     def entry(self, a: int, p: int, b: int, q: int) -> HbarSeries:
         got = self._entries.get((a, p, b, q))
         if got is None:
-            raise IndexError(
-                f"table entry ({a},{p};{b},{q}) outside stored bounds "
-                f"(pmax={self.pmax}, qmax={self.qmax})"
-            )
+            if not (self._build and 0 < a <= self.dim and 0 < b <= self.dim
+                    and 0 <= p <= self.pmax and 0 <= q <= self.qmax):
+                raise IndexError(
+                    f"table entry ({a},{p};{b},{q}) outside stored bounds "
+                    f"(pmax={self.pmax}, qmax={self.qmax})"
+                )
+            got = self._entries[(a, p, b, q)] = self._build(self, a, p, b, q)
         return got
 
     def ext(self, a: int, p: int, b: int, q: int) -> HbarSeries:
@@ -190,6 +197,12 @@ class OmegaTable:
         return got
 
     def items(self):
+        """Every entry, by index; a builder table builds those it has not yet."""
+        if self._build is not None:
+            colors = range(1, self.dim + 1)
+            for index in product(colors, range(self.pmax + 1), colors, range(self.qmax + 1)):
+                if index not in self._entries:
+                    self._entries[index] = self._build(self, *index)
         return sorted(self._entries.items())
 
 

@@ -156,47 +156,54 @@ def _transport(p: int, q: int, first_row) -> HbarSeries:
     return formal_integrate(evolve(first_row(q), {V1: first_row(p).dx()}))
 
 
-def _full_omega(p: int, q: int, trunc: int, genus1, first_row):
-    """Dispersive entry (p;q) with a provenance tag, given the genus-1
-    completion `genus1` and the first rows `first_row` of its table.
+def _route(p: int, q: int, trunc: int) -> str:
+    """The provenance tag of the dispersive entry (p;q) at truncation `trunc`.
 
-    Returns (HbarSeries, tag).  Derivable set: first-row entries with
-    max(p,q) <= 2 at any truncation <= 2; everything at truncation <= 1 via
-    the genus-1 completion; mixed entries with p,q <= 2 at truncation 2 via
-    flow transport.  Anything else raises OutOfDerivableRange.
+    Derivable set: first-row entries with max(p,q) <= 2 at any truncation
+    <= 2; everything at truncation <= 1 via the genus-1 completion; mixed
+    entries with p,q <= 2 at truncation 2 via flow transport.  Anything else
+    raises OutOfDerivableRange.
     """
     if trunc > 2:
         raise OutOfDerivableRange("base-point data stops at hbar^2")
     if min(p, q) == 0 and max(p, q) <= 2:
-        return first_row(max(p, q)), "flow-integration"
+        return "flow-integration"
     if trunc <= 1:
-        coeffs = [kdv_dispersionless_omega(p, q)]
-        if trunc == 1:
-            coeffs.append(genus1(p, q))
-        return HbarSeries(trunc, coeffs), "genus1-completion"
+        return "genus1-completion"
     if max(p, q) <= 2:
-        return _transport(p, q, first_row), "flow-transport"
+        return "flow-transport"
     raise OutOfDerivableRange(
         f"entry ({p};{q}) at truncation {trunc} is outside the derivable set"
     )
 
 
+def _full_omega(p: int, q: int, trunc: int, tag: str, genus1, first_row) -> HbarSeries:
+    """Dispersive entry (p;q) by the route `tag` of `_route`, given the
+    genus-1 completion `genus1` and the first rows `first_row` of its table."""
+    if tag == "flow-integration":
+        return first_row(max(p, q))
+    if tag == "flow-transport":
+        return _transport(p, q, first_row)
+    return HbarSeries(trunc, [kdv_dispersionless_omega(p, q)] + ([genus1(p, q)] if trunc else []))
+
+
 def kdv_omega_table(pmax: int, qmax: int, trunc: int) -> OmegaTable:
-    """Full table on 0..pmax x 0..qmax; symmetric pairs computed once, and
-    the genus-1 completion's factors and the first rows once for the table."""
+    """Table on 0..pmax x 0..qmax, each entry built on its first read.  Every
+    route is checked here, so an entry outside the derivable set raises
+    OutOfDerivableRange at once.  A symmetric pair is one entry, and the
+    genus-1 completion's factors and the first rows are built once a table."""
     genus1, first_row = genus1_completion(), _first_rows(trunc)
-    entries = {}
     prov = {}
     for p in range(pmax + 1):
         for q in range(qmax + 1):
-            if q < p <= qmax:
-                entries[(V1, p, V1, q)] = entries[(V1, q, V1, p)]
-                prov[(V1, p, V1, q)] = prov[(V1, q, V1, p)]
-                continue
-            series, tag = _full_omega(p, q, trunc, genus1, first_row)
-            entries[(V1, p, V1, q)] = series
-            prov[(V1, p, V1, q)] = tag
-    return OmegaTable(1, pmax, qmax, trunc, entries, prov)
+            prov[(V1, p, V1, q)] = (prov[(V1, q, V1, p)] if q < p <= qmax
+                                    else _route(p, q, trunc))
+
+    def build(table, _, p, __, q):
+        return (table.entry(V1, q, V1, p) if q < p <= qmax
+                else _full_omega(p, q, trunc, prov[(V1, p, V1, q)], genus1, first_row))
+
+    return OmegaTable(1, pmax, qmax, trunc, {}, prov, build)
 
 
 def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
@@ -204,7 +211,8 @@ def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
 
     Diagonal color blocks repeat the one-color entries in that color's jet
     variables; mixed-color entries vanish (product partition functions have
-    no mixed second derivatives).  Each source series is recolored once per
+    no mixed second derivatives), and are one shared zero.  Each entry is
+    built on its first read, and each source series is recolored once per
     color, so symmetric entries (a,p; a,q) and (a,q; a,p) share one series,
     as in the source table.
     """
@@ -212,21 +220,18 @@ def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
         raise ValueError("tensor_power expects a one-color source table")
     if dim < 1:
         raise ValueError("tensor power must be >= 1")
-    entries = {}
-    prov = {}
+    prov = {(a, p, a, q): tag for (_, p, _, q), tag in table.provenance.items()
+            for a in range(1, dim + 1)}
     zero = HbarSeries.zero(table.trunc)
-    recolored = {}  # (id(series), color) -> series; the table keeps each source alive
-    for (_, p, _, q), series in table.items():
-        for a in range(1, dim + 1):
-            key = (id(series), a)
-            if key not in recolored:
-                recolored[key] = series.recolor(a)
-            entries[(a, p, a, q)] = recolored[key]
-            tag = table.provenance.get((V1, p, V1, q))
-            if tag:
-                prov[(a, p, a, q)] = tag
-        for a in range(1, dim + 1):
-            for b in range(1, dim + 1):
-                if a != b:
-                    entries[(a, p, b, q)] = zero
-    return OmegaTable(dim, table.pmax, table.qmax, table.trunc, entries, prov)
+    recolored = {}  # (id(series), color) -> series; the source keeps each series alive
+
+    def build(_, a, p, b, q):
+        if a != b:
+            return zero
+        series = table.entry(V1, p, V1, q)
+        key = (id(series), a)
+        if key not in recolored:
+            recolored[key] = series.recolor(a)
+        return recolored[key]
+
+    return OmegaTable(dim, table.pmax, table.qmax, table.trunc, {}, prov, build)

@@ -1,17 +1,20 @@
 """Operator deformations, defining-equation residuals, homogeneity, uniqueness."""
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
-from jethier.jetcalc import HbarSeries, JetPoly, Substitution, random_jetpoly
-from jethier.diffop import DiffOperator, is_skew
+from jethier.jetcalc import HbarSeries, JetPoly, Substitution, Sum, evolve, random_jetpoly
+from jethier.diffop import DiffOperator, commutator, euler_cell, finish, is_skew, leibniz
 from jethier.genus0 import Genus0Data, trr_extend
 from jethier.givental import (
     GiventalGen,
     InconsistentTable,
     OmegaTable,
+    _sgn,
+    entry_deformation,
     r_deform_omega,
     triple_omega,
 )
@@ -341,10 +344,13 @@ def test_upper_bracket_runs_once_per_generator_row(rotated, monkeypatch, matrix)
     # the blocks are linear in the factors that carry nu, so they run once per
     # (i, mu) on the contracted row, and not at all for a zero row; each
     # triple correlator with M[mu][nu] != 0 is still evaluated, and its three
-    # picks checked, once per z.  With A = d, each run makes one commutator
-    # per (g = beta, xi)
+    # picks checked, once per z.  On a tensor power f_xi = (mu,i; xi,0) lives
+    # in color mu alone and is constant at i = -1, so with A = d the one
+    # nonempty cell of blocks 3 and 6 makes one commutator per (i >= 0, mu).
+    # Per (i, mu) there are s^2 Euler cells of f and s of o; the correlators'
+    # s^2 are built once per call, on their window sums
     base, _ = rotated
-    calls = {"triple_omega": 0, "commutator": 0}
+    calls = {"triple_omega": 0, "commutator": 0, "euler_cell": 0}
     for name in calls:
         real = getattr(bracket, name)
 
@@ -358,8 +364,143 @@ def test_upper_bracket_runs_once_per_generator_row(rotated, monkeypatch, matrix)
     rows = sum(1 for row in matrix if any(row))
     nonzero = sum(1 for row in matrix for m in row if m)
     assert calls == {"triple_omega": splittings * nonzero * 3,
-                     "commutator": splittings * rows * 3 * 3}
+                     "commutator": (splittings - 1) * rows,
+                     "euler_cell": splittings * rows * (3 * 3 + 3) + 3 * 3}
     assert is_skew(dP) and not dP.is_zero()
+
+
+def r_deform_bracket_per_window(table, pop, gen):
+    """The twelve blocks as `r_deform_bracket` ran them before the blocks
+    linear in the window-summed correlators and the left factors of the
+    row A[g, .] were hoisted out of the window: every block runs once per
+    splitting (i, j) and color mu, on the correlators t3 of that splitting,
+    and every cell is composed whether it is empty or not."""
+    A = pop.op
+    s, ell = table.dim, gen.level
+    colors = range(1, s + 1)
+    deform = entry_deformation(table, gen)  # the table's, shared with the entry deformations
+    acc = {(b, x): defaultdict(Sum) for b in colors for x in colors}
+    a_cells = {(b, x): A.entry(b, x) for b in colors for x in colors}
+    # block 9 reads the cells of A of order >= 2 only
+    high = [(g, xi, k, ac) for (g, xi), cell in a_cells.items()
+            for k, ac in cell.items() if k >= 2]
+    high_colors = sorted({g for g, _, _, _ in high})
+    t3_sum = {z: Sum() for z in colors}
+
+    for i in range(-1, ell + 1):
+        j = ell - 1 - i
+        cfac = _sgn(i + 1)
+        for mu in colors:
+            row = [(nu, m) for nu, m in enumerate(gen.matrix[mu - 1], 1) if m]
+            if not row:
+                continue
+            o_mu_i = table.unit_ext(mu, i)            # (mu,i; unit,0)
+            o_mu_i1 = table.unit_ext(mu, i + 1)       # (mu,i+1; unit,0)
+            fs = {xi: table.ext(mu, i, xi, 0) for xi in colors}
+            e_f = {(g, xi): euler_cell(fs[xi], g) for g in colors for xi in colors}
+            o = deform.unit_right(mu, j)
+            t3 = {}
+            for z in colors:
+                t = Sum()
+                t.add(HbarSeries.zero(table.trunc))
+                for nu, m in row:
+                    t.add(triple_omega(table, (z, 0), (mu, i), (nu, j)), m / 2, shift=1)
+                t3[z] = t.value()
+                t3_sum[z].add(t3[z], cfac)
+            # block 9's products A_k[g,xi] delta_g (mu,i+1; unit,0), k >= 2
+            grads = {g: o_mu_i1.var_deriv(g) for g in high_colors}
+            b9 = [(xi, k, ac * grads[g]) for g, xi, k, ac in high if grads[g]]
+
+            for beta in colors:
+                # blocks 1, 4, 8 and 10: left factors of the row A[g, .]
+                f1 = fs[beta]
+                f4 = deform.right(mu, j, beta, 0)
+                pre = deform.right(mu, j - 1, beta, 0).dx()
+                left = {g: defaultdict(Sum) for g in colors}
+                for (g, n) in sorted(f1.variables()):
+                    left[g][n].add_product(o, f1.partial(g, n), cfac)
+                if f4:
+                    for (g, n) in sorted(o_mu_i.variables()):
+                        left[g][n].add_product(f4, o_mu_i.partial(g, n), cfac)
+                if pre:
+                    for (g, m) in sorted(o_mu_i1.variables()):
+                        dpart = o_mu_i1.partial(g, m)
+                        for u in range(m):
+                            left[g][m - 1 - u].add_product(pre, dpart.dx_pow(u), -cfac * _sgn(u))
+                for (g, n) in sorted(t3[beta].variables()):
+                    leibniz({1: cfac}, {n: t3[beta].partial(g, n)}, left[g])
+                for g in colors:
+                    lg = finish(left[g])
+                    for xi in colors:
+                        if lg and a_cells[(g, xi)]:
+                            leibniz(lg, a_cells[(g, xi)], acc[(beta, xi)])
+
+                # block 9: boundary transport with the shifted index
+                if pre:
+                    for xi, k, prod in b9:
+                        for f in range(2, k + 1):
+                            acc[(beta, xi)][f - 1].add_product(pre, prod.dx_pow(k - f),
+                                                               -cfac * _sgn(k - f))
+
+            # blocks 3, 5, 6, 7 and 11: right factors of the column A[., g]
+            for g in colors:
+                e_o = euler_cell(o, g)
+                e_t = {xi: euler_cell(t3[xi], g) for xi in colors}
+                for beta in colors:
+                    cell = {k: cfac * a for k, a in a_cells[(beta, g)].items()}
+                    if not cell:
+                        continue
+                    low = {k - 1: c for k, c in finish(leibniz(cell, e_o)).items() if k > 0}
+                    for xi in colors:
+                        out = acc[(beta, xi)]
+                        if fs[xi]:   # blocks 5 and 7
+                            leibniz(low, {1: fs[xi]}, out)
+                        # blocks 3 and 6, then 11, before the final d
+                        right = commutator(finish(leibniz(cell, e_f[(g, xi)])), o)
+                        for k, c in finish(leibniz(cell, e_t[xi], right)).items():
+                            out[k + 1].add(c, -1)
+
+    # blocks 2 and 12, once, on the fields summed over the window
+    flows = {z: t.value().dx() for z, t in t3_sum.items()}
+    for (beta, xi), cell in a_cells.items():
+        for k, ac in cell.items():
+            move = acc[(beta, xi)][k]
+            move.add(evolve(ac, flows), -1)
+            for (g, n) in ac.variables():
+                move.add_product(deform.lin(g, n), ac.partial(g, n), -1)
+
+    return DiffOperator(s, table.trunc, {key: finish(cell) for key, cell in acc.items()})
+
+
+@pytest.fixture(scope="module")
+def oracle_points(rotated):
+    """(table, operator, generator) points the per-window oracle must match:
+    dense matrices on the coupled three-color table, the operator with
+    live blocks 2, 9 and 12, hbar^2, and a generator with a zero row."""
+    _, table = rotated
+    dx3 = PoissonOp.dx(3, 1)
+    cube = tensor_power(kdv_omega_table(4, 4, 1), 3)
+    return [(table, dx3, r_gen(1, [[1, 2, 3], [2, -1, 5], [3, 5, 2]])),
+            (table, dx3, r_gen(2, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])),
+            (table, dx3, r_gen(3, [[2, -1, 1], [-1, 3, 2], [1, 2, -2]])),
+            (kdv_omega_table(4, 4, 1), nonconstant_op(), r_gen(1, [[1]])),
+            (kdv_omega_table(2, 2, 2), PoissonOp.dx(1, 2), r_gen(1, [[1]])),
+            (cube, dx3, r_gen(3, [[1, 0, 2], [0, 0, 0], [2, 0, -1]])),
+            (table, dx3, r_gen(2, [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]))]
+
+
+@pytest.mark.parametrize("point", range(7))
+def test_window_hoisting_matches_per_window_blocks(oracle_points, point):
+    # blocks 2, 10, 11 and 12 run once on the window sums, the left factors
+    # are composed with A once per (beta, g), empty cells are skipped; the
+    # operator is the per-window one, cell by cell
+    table, pop, gen = oracle_points[point]
+    got = r_deform_bracket(table, pop, gen)
+    want = r_deform_bracket_per_window(table, pop, gen)
+    assert not want.is_zero() and got.trunc == want.trunc
+    for b in range(1, table.dim + 1):
+        for x in range(1, table.dim + 1):
+            assert got.entry(b, x) == want.entry(b, x), (b, x)
 
 
 # ---------------------------------------------------------------------------

@@ -643,6 +643,8 @@ def test_flags_nothing_reads_rejected(capsys, argv):
     ("dump", "hamiltonians", "--qmax", "1"),
     ("dump", "quasi-miura", "--pmax", "1"),
     ("deform", "bracket", "--generator", "g.json", "--qmax", "2"),
+    ("deform", "omega", "--generator", "g.json", "--seed", "1"),
+    ("deform", "bracket", "--generator", "g.json", "--seed", "1"),
 ])
 def test_flags_the_target_does_not_read_rejected(capsys, argv):
     code = main(list(argv))

@@ -199,6 +199,7 @@ def test_triple_examples():
 
 def test_triple_consistency_guard():
     table = kdv_omega_table(1, 1, 0)
+    table.items()
     bad_entries = dict(table._entries)
     bad_entries[(1, 1, 1, 1)] = HbarSeries.of(w(0) ** 5, 0)
     bad = OmegaTable(1, 1, 1, 0, bad_entries)
@@ -354,6 +355,7 @@ def test_entry_deformation_skips_zero_window_factors(monkeypatch):
     # below d = 0 the window's first factor is zero but at d = -p-1, mu = a:
     # skipping the zero ones changes no entry and saves products
     table = tensor_power(kdv_omega_table(6, 6, 1), 2)
+    table.items()
     g = r_gen(3, [[1, 2], [2, -3]])
     calls = []
     add_product = Sum.add_product

@@ -1,5 +1,6 @@
 """KdV base point: flows, tables, genus-1 completion, quasi-Miura transform."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 
 from jethier import kdvbase
 from jethier.bracket import check_series_homogeneity
-from jethier.jetcalc import HbarSeries, JetPoly, dx, evolve, formal_integrate
+from jethier.cli import main
+from jethier.givental import OmegaTable, table_to_obj
+from jethier.jetcalc import HbarSeries, JetPoly, dx, evolve, formal_integrate, to_json
 from jethier.diffop import DiffOperator, conjugate_by_miura
 from jethier.kdvbase import (
     OutOfDerivableRange,
@@ -230,6 +233,112 @@ def test_tensor_power_shares_symmetric_entries(trunc):
                 assert got == table.entry(1, p, 1, q).recolor(a)
 
 
+def eager_kdv_table(pmax, qmax, trunc):
+    """kdv_omega_table with every entry built at construction, each symmetric
+    pair once, from the same routes and value builder."""
+    genus1, first_row = genus1_completion(), kdvbase._first_rows(trunc)
+    entries, prov = {}, {}
+    for p in range(pmax + 1):
+        for q in range(qmax + 1):
+            if q < p <= qmax:
+                entries[(1, p, 1, q)] = entries[(1, q, 1, p)]
+                prov[(1, p, 1, q)] = prov[(1, q, 1, p)]
+                continue
+            prov[(1, p, 1, q)] = tag = kdvbase._route(p, q, trunc)
+            entries[(1, p, 1, q)] = kdvbase._full_omega(p, q, trunc, tag, genus1, first_row)
+    return OmegaTable(1, pmax, qmax, trunc, entries, prov)
+
+
+def eager_tensor_power(table, dim):
+    zero = HbarSeries.zero(table.trunc)
+    colors = range(1, dim + 1)
+    entries = {(a, p, b, q): series.recolor(a) if a == b else zero
+               for (_, p, _, q), series in table.items() for a in colors for b in colors}
+    prov = {(a, p, a, q): tag for (_, p, _, q), tag in table.provenance.items() for a in colors}
+    return OmegaTable(dim, table.pmax, table.qmax, table.trunc, entries, prov)
+
+
+@pytest.mark.parametrize("pmax, qmax, trunc", [(3, 3, 0), (4, 2, 0), (3, 3, 1), (2, 5, 1),
+                                               (5, 1, 1), (2, 2, 2), (2, 1, 2), (0, 2, 2)])
+def test_tables_built_on_read_print_as_built_eagerly(pmax, qmax, trunc):
+    # entries built on first read, in any order, give the bytes of the table
+    # built at construction, for the one-color table and its tensor powers
+    eager = eager_kdv_table(pmax, qmax, trunc)
+    lazy = kdv_omega_table(pmax, qmax, trunc)
+    lazy.entry(1, pmax, 1, 0)  # the symmetric partner of (0; pmax) first, where it has one
+    assert to_json(table_to_obj(lazy)) == to_json(table_to_obj(eager))
+    for dim in (1, 2, 3):
+        power = tensor_power(kdv_omega_table(pmax, qmax, trunc), dim)
+        power.entry(dim, 0, 1, qmax)
+        power.entry(dim, pmax, dim, 0)
+        want = to_json(table_to_obj(eager_tensor_power(eager, dim)))
+        assert to_json(table_to_obj(power)) == want, dim
+
+
+def test_out_of_bounds_index_raises_as_before():
+    # a table built on read refuses the indices a table given its entries refuses
+    base = kdv_omega_table(2, 1, 1)
+    for table in (eager_kdv_table(2, 1, 1), base, tensor_power(base, 2)):
+        for (a, p, b, q) in ((1, 3, 1, 0), (1, 0, 1, 2), (table.dim + 1, 0, 1, 0),
+                             (1, 0, 0, 0), (1, -1, 1, 0)):
+            with pytest.raises(IndexError) as err:
+                table.entry(a, p, b, q)
+            assert str(err.value) == (f"table entry ({a},{p};{b},{q}) outside stored "
+                                      "bounds (pmax=2, qmax=1)")
+
+
+def test_unread_entries_never_built(monkeypatch, tmp_path, capsys):
+    # the deformation of an upper level-3 generator on three colors at pmax 2
+    # (the r3-t3-p2 class of the deform-bracket benchmark mix) reads its
+    # tables at bound 6: each entry it reads is built once, and no other
+    reads, builds = set(), []
+
+    class SpiedTable(OmegaTable):
+        __slots__ = ()
+
+        def __init__(self, dim, pmax, qmax, trunc, entries, provenance, build):
+            def spy(table, *index):
+                builds.append((dim, index))
+                return build(table, *index)
+
+            super().__init__(dim, pmax, qmax, trunc, entries, provenance, spy)
+
+        def entry(self, *index):
+            reads.add((self.dim, index))
+            return super().entry(*index)
+
+    values = []
+    real = kdvbase._full_omega
+    monkeypatch.setattr(kdvbase, "OmegaTable", SpiedTable)
+    monkeypatch.setattr(kdvbase, "_full_omega",
+                        lambda *args: values.append(args[:2]) or real(*args))
+    gen = tmp_path / "r3.json"
+    gen.write_text(json.dumps({"kind": "r", "level": 3,
+                               "matrix": [[1, 2, 3], [2, -1, 5], [3, 5, 2]]}))
+    assert main(["deform", "bracket", "--generator", str(gen), "--tensor", "3",
+                 "--pmax", "2", "--hbar", "1"]) == 0
+    capsys.readouterr()
+    assert len(builds) == len(set(builds)) and set(builds) == reads
+    # of the 28 distinct one-color entries (symmetric pairs once), 13 are built
+    assert len(values) == len(set(values)) == 13
+    assert len([1 for dim, _ in builds if dim == 3]) < 3 * 3 * 7 * 7 // 2
+
+
+def test_out_of_range_table_fails_at_construction(capsys, tmp_path):
+    # the routes are checked when the table is made, not when an entry is read
+    with pytest.raises(OutOfDerivableRange,
+                       match=r"^entry \(0;3\) at truncation 2 is outside the derivable set$"):
+        kdv_omega_table(3, 3, 2)
+    gen = tmp_path / "r1.json"
+    gen.write_text(json.dumps({"kind": "r", "level": 1, "matrix": [[1]]}))
+    code = main(["deform", "omega", "--generator", str(gen), "--hbar", "2",
+                 "--pmax", "2", "--qmax", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("error: deformation at hbar-truncation 2 needs table bounds 5: "
+                   "entry (0;3) at truncation 2 is outside the derivable set\n")
+
+
 def test_first_rows_integrated_once_per_table(monkeypatch):
     # (0;0), (0;1), (0;2) are the only first rows of kdv_omega_table(2, 2, 2);
     # the transports to (1;1), (1;2), (2;2) reuse them
@@ -239,6 +348,7 @@ def test_first_rows_integrated_once_per_table(monkeypatch):
     monkeypatch.setattr(kdvbase, "formal_integrate",
                         lambda f: integrated.append(f) or real(f))
     table = kdv_omega_table(2, 2, 2)
+    table.items()
     assert sum(f in flows for f in integrated) == 3
     assert table.provenance[(1, 2, 1, 2)] == "flow-transport"
 
@@ -259,6 +369,7 @@ def test_genus1_factors_built_once_per_table(monkeypatch):
         monkeypatch.setattr(kdvbase, name,
                             lambda *a, real=real, name=name: built.append(name) or real(*a))
     table = kdv_omega_table(4, 4, 1)
+    table.items()
     assert sorted(built) == ["genus1_flow_derivative"] * 5 + ["quasi_miura_h1"]
     assert table.provenance[(1, 2, 1, 3)] == "genus1-completion"
     for p in range(5):
