@@ -90,9 +90,10 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     E_g of `diffop.euler_cell`: blocks 5 and 7 are one term, c (A[beta,g] o
     E_g(o) without its order-0 term, every order lowered by one) o f_xi d;
     blocks 3 and 6 are one term, -c [A[beta,g] o E_g(f_xi), P] o d
-    (`diffop.commutator`), skipped where E_g(f_xi) is empty; block 9 adds
-    directly.  Blocks 1, 4 and 8 give left factors of the row A[g, .],
-    summed per (beta, g) over the window.  The blocks linear in t3 run once,
+    (`diffop.commutator`), where E_g(f_xi) is built only for the colors g
+    of f_xi and skipped where empty; block 9 adds directly.  Blocks 1, 4
+    and 8 give left factors of the row A[g, .], summed per (beta, g) over
+    the window.  The blocks linear in t3 run once,
     after the window: block 10 adds the left factor d o sum_n
     dt3[beta]/dw[g,n] d^n, and the left factors are composed with A once
     per (beta, g); block 11 is -A[beta,g] o E_g(t3[xi]) o d; blocks 2 and 12
@@ -126,7 +127,9 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
             o_mu_i = table.unit_ext(mu, i)            # (mu,i; unit,0)
             o_mu_i1 = table.unit_ext(mu, i + 1)       # (mu,i+1; unit,0)
             fs = {xi: table.ext(mu, i, xi, 0) for xi in colors}
-            e_f = {(g, xi): euler_cell(fs[xi], g) for g in colors for xi in colors}
+            # E_g(f_xi) is empty unless color g occurs in f_xi
+            e_f = {(g, xi): euler_cell(fs[xi], g) for xi in colors
+                   for g in {g for g, _ in fs[xi].variables()}}
             o = deform.unit_right(mu, j)
             halves = [(nu, cfac * m / 2) for nu, m in row]
             for z in colors:
@@ -170,8 +173,9 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                         out = acc[(beta, xi)]
                         if fs[xi]:   # blocks 5 and 7
                             leibniz(low, {1: fs[xi]}, out)
-                        if e_f[(g, xi)]:   # blocks 3 and 6, before the final d
-                            right = commutator(finish(leibniz(cell, e_f[(g, xi)])), o)
+                        e = e_f.get((g, xi))
+                        if e:   # blocks 3 and 6, before the final d
+                            right = commutator(finish(leibniz(cell, e)), o)
                             for k, c in finish(right).items():
                                 out[k + 1].add(c, -1)
 

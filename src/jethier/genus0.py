@@ -25,7 +25,7 @@ the unit-contracted entry `table.unit_ext(a, p + 1)`, for p >= -1.
 from __future__ import annotations
 
 from .givental import OmegaTable
-from .jetcalc import HbarSeries, JetPoly, potential
+from .jetcalc import HbarSeries, JetPoly, Sum, potential
 
 
 class NotClosed(ValueError):
@@ -93,10 +93,10 @@ def trr_extend(data: Genus0Data, pmax: int, qmax: int) -> OmegaTable:
                 for b in range(1, s + 1):
                     grads = {}
                     for g in range(1, s + 1):
-                        rhs = JetPoly.zero()
+                        rhs = Sum()
                         for xi in range(1, s + 1):
-                            rhs = rhs + ent[(a, p, xi, 0)] * ent[(xi, 0, b, q)].partial(g, 0)
-                        grads[g] = rhs
+                            rhs.add_product(ent[(a, p, xi, 0)], ent[(xi, 0, b, q)].partial(g, 0))
+                        grads[g] = rhs.value()
                     ent[(a, p + 1, b, q)] = _grad_integrate(grads, s)
         if q < qmax:
             # seed the next column from the transposed edge
@@ -115,9 +115,11 @@ def check_commutation(table: OmegaTable, a: int, p: int, b: int, q: int) -> Hbar
     minus dx of the (a,p+1; b,q) entry, with the Hamiltonian densities
     h[a,p] = (a,p+1; unit,0).
     """
-    lhs = HbarSeries.zero(table.trunc)
+    lhs = Sum()
+    lhs.add(HbarSeries.zero(table.trunc))
     ha = table.unit_ext(a, p + 1)
     hb = table.unit_ext(b, q + 1)
     for g in range(1, table.dim + 1):
-        lhs = lhs + ha.var_deriv(g) * hb.var_deriv(g).dx()
-    return lhs - table.entry(a, p + 1, b, q).dx()
+        lhs.add_product(ha.var_deriv(g), hb.var_deriv(g).dx())
+    lhs.add(table.entry(a, p + 1, b, q).dx(), -1)
+    return lhs.value()

@@ -433,15 +433,16 @@ def s_deform_omega(table: OmegaTable, gen: GiventalGen, a: int, p: int,
     ell = gen.level
     s = table.dim
     H = table.trunc
-    out = HbarSeries.zero(H)
+    out = Sum()
+    out.add(HbarSeries.zero(H))
     if ell <= p:
         for mu in range(1, s + 1):
-            out = out + gen.up_low(mu, a) * table.entry(mu, p - ell, b, q)
+            out.add(table.entry(mu, p - ell, b, q), gen.up_low(mu, a))
     if ell <= q:
         for mu in range(1, s + 1):
-            out = out + gen.up_low(mu, b) * table.entry(a, p, mu, q - ell)
+            out.add(table.entry(a, p, mu, q - ell), gen.up_low(mu, b))
     if ell == p + q + 1:
-        out = out + HbarSeries.const(_sgn(p) * gen.matrix[a - 1][b - 1], H)
+        out.add(HbarSeries.const(_sgn(p) * gen.matrix[a - 1][b - 1], H))
     if ell == 1:
-        out = out - evolve(table.entry(a, p, b, q), gen.unit_shift(H))
-    return out
+        out.add(evolve(table.entry(a, p, b, q), gen.unit_shift(H)), -1)
+    return out.value()

@@ -108,7 +108,9 @@ def quasi_miura(direction: str, trunc: int) -> MiuraChange:
 
 
 def genus1_completion():
-    """(p, q) -> hbar coefficient of the (p;q) entry, from the genus-1 completion.
+    """(p, q, omega) -> hbar coefficient of the (p;q) entry, from the genus-1
+    completion, given omega = `kdv_dispersionless_omega(p, q)`, its hbar^0
+    coefficient.
 
     Combines the second flow derivative of the genus-1 density (its p-th
     flow derivative along the q-th flow) with the coordinate-change
@@ -119,11 +121,11 @@ def genus1_completion():
     """
     flows, firsts, h1 = {}, {}, quasi_miura_h1()
 
-    def correction(p: int, q: int) -> JetPoly:
+    def correction(p: int, q: int, omega: JetPoly) -> JetPoly:
         for k in (p, q):
             if k not in flows:
                 flows[k], firsts[k] = _flow_vector(k), genus1_flow_derivative(k)
-        lead = kdv_dispersionless_omega(p, q).partial(V1, 0)
+        lead = omega.partial(V1, 0)
         out = evolve(firsts[p], {V1: flows[q]}) - lead * h1
         if not out.is_polynomial():
             raise NotExact(
@@ -184,7 +186,8 @@ def _full_omega(p: int, q: int, trunc: int, tag: str, genus1, first_row) -> Hbar
         return first_row(max(p, q))
     if tag == "flow-transport":
         return _transport(p, q, first_row)
-    return HbarSeries(trunc, [kdv_dispersionless_omega(p, q)] + ([genus1(p, q)] if trunc else []))
+    omega = kdv_dispersionless_omega(p, q)
+    return HbarSeries(trunc, [omega] + ([genus1(p, q, omega)] if trunc else []))
 
 
 def kdv_omega_table(pmax: int, qmax: int, trunc: int) -> OmegaTable:

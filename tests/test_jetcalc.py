@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jethier import jetcalc
+from jethier.cli import main
 from jethier.jetcalc import (
     HbarSeries,
     JetPoly,
@@ -189,6 +190,113 @@ def test_hash_ignores_the_kept_derivative():
         p.dx_pow(2)
         assert p == q and hash(p) == hash(q)
         assert p.dx() == q.dx() and hash(p.dx()) == hash(q.dx())
+
+
+def dx_num_oracle(num):
+    """`jetcalc._dx_num` as it was before the per-monomial rules were kept:
+    every factor of every monomial differentiated afresh, in the same order."""
+    out = {}
+    get = out.get
+    for mono, coeff in num.items():
+        for idx, (alpha, n, exp) in enumerate(mono):
+            head = mono[:idx] if exp == 1 else mono[:idx] + ((alpha, n, exp - 1),)
+            nxt = mono[idx + 1] if idx + 1 < len(mono) else None
+            if nxt is not None and nxt[0] == alpha and nxt[1] == n + 1:
+                e = nxt[2] + 1
+                tail = (((alpha, n + 1, e),) if e else ()) + mono[idx + 2:]
+            else:
+                tail = ((alpha, n + 1, 1),) + mono[idx + 1:]
+            new = head + tail
+            c = coeff * exp
+            acc = get(new)
+            if acc is None:
+                out[new] = c
+            else:
+                acc = acc + c
+                if acc == 0:
+                    del out[new]
+                else:
+                    out[new] = acc
+    return out
+
+
+def laurent_jetpoly(rng, n_terms=6):
+    """A random three-color Laurent polynomial: exponents -3..3 on jets of
+    order >= 1, 1..3 on order 0, adjacent orders of one color frequent."""
+    terms = {}
+    for _ in range(n_terms):
+        factors = {}
+        for _ in range(rng.randint(0, 4)):
+            a, n = rng.randint(1, 3), rng.randint(0, 3)
+            factors[(a, n)] = rng.randint(1, 3) if n == 0 else rng.choice([-3, -2, -1, 1, 2, 3])
+            if n and rng.random() < 0.5:
+                factors[(a, n + 1)] = rng.choice([-2, -1, 1])
+        mono = tuple((a, n, e) for (a, n), e in sorted(factors.items()))
+        terms[mono] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+    return JetPoly(terms)
+
+
+def assert_dx_matches_oracle(values):
+    for v in values:
+        for num in (v._num,) if type(v) is JetPoly else v.parts:
+            got = jetcalc._dx_num(num)
+            # same monomials, numerators and insertion order
+            assert list(got.items()) == list(dx_num_oracle(num).items())
+
+
+def test_dx_rule_memo_matches_the_oracle():
+    rng = random.Random(29)
+    values = [laurent_jetpoly(rng) for _ in range(20)]
+    values += [HbarSeries(2, [laurent_jetpoly(rng), JetPoly.zero(), laurent_jetpoly(rng)])
+               for _ in range(10)]
+    # bumps that cancel and bumps that do not
+    values += [w(1, -1) * w(2), w(1) * w(2, -1), W(2, 1, -2) * W(2, 2, 2) * W(3, 1, -1),
+               W(1, 1) * W(1, 2, -1) * W(1, 3, -1)]
+    monos = [m for v in values for num in ((v._num,) if type(v) is JetPoly else v.parts)
+             for m in num]
+    memo = jetcalc._dx_rule
+    memo.cache_clear()
+    assert_dx_matches_oracle(values)  # cold: each distinct monomial derived once
+    assert memo.cache_info()[:2] == (len(monos) - len(set(monos)), len(set(monos)))
+    assert_dx_matches_oracle(values)  # warm: none derived again
+    assert memo.cache_info()[:2] == (2 * len(monos) - len(set(monos)), len(set(monos)))
+    # more distinct monomials than the memo holds
+    bound = memo.cache_info().maxsize
+    assert bound is not None
+    many = {}
+    for a, b in [(1, 1), (1, 2), (2, 3)]:
+        for n in range(1, 6):
+            for m in range(1, 6):
+                for e in (-3, -2, -1, 1, 2, 3):
+                    for f in (-2, -1, 1, 2):
+                        if (a, n) < (b, m):
+                            many[((a, n, e), (b, m, f))] = e - f or 1
+    assert len(many) > bound
+    assert list(jetcalc._dx_num(many).items()) == list(dx_num_oracle(many).items())
+    assert memo.cache_info().currsize <= bound
+    assert_dx_matches_oracle(values)  # after eviction
+    assert memo.cache_info().currsize <= bound
+    for v in values:
+        assert v.dx() == (JetPoly._reduced(dx_num_oracle(v._num), v._den) if type(v) is JetPoly
+                          else HbarSeries._reduced(v.trunc, tuple(map(dx_num_oracle, v.parts)),
+                                                   v.den))
+
+
+def test_deform_bracket_stdout_same_cold_and_warm(tmp_path, capsys):
+    rng = random.Random(31)
+    x, y, z = (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3))
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"kind": "r", "level": 1, "matrix": [[x, y], [y, z]]}))
+    argv = ["deform", "bracket", "--generator", str(path), "--tensor", "2",
+            "--hbar", "1", "--pmax", "1"]
+    outs = []
+    jetcalc._dx_rule.cache_clear()
+    for _ in range(2):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out.encode())
+    assert jetcalc._dx_rule.cache_info().hits > 0
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["all_pass"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def test_transport_entry_1_1():
 def test_genus1_completion_matches_flow_route():
     for (p, q) in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
         via_g1 = kdv_dispersionless_omega(p, q) + 0  # hbar^0
-        corr = genus1_completion()(p, q)
+        corr = genus1_completion()(p, q, via_g1)
         full, _ = kdv_full_omega(p, q, 2)
         assert full.coeffs[0] == via_g1
         assert full.coeffs[1] == corr, (p, q)
@@ -108,7 +108,8 @@ def test_genus1_completion_closed_form():
             if c2:
                 want = want + c2 * w(0, p + q - 1) * w(2) / 24 if p + q >= 1 \
                     else want + c2 * w(2) / 24
-            assert genus1_completion()(p, q) == want, (p, q)
+            omega = kdv_dispersionless_omega(p, q)
+            assert genus1_completion()(p, q, omega) == want, (p, q)
 
 
 def test_full_omega_derivable_range():
@@ -375,7 +376,8 @@ def test_genus1_factors_built_once_per_table(monkeypatch):
     for p in range(5):
         for q in range(5):
             if table.provenance[(1, p, 1, q)] == "genus1-completion":
-                assert table.entry(1, p, 1, q).coeffs[1] == genus1_completion()(p, q)
+                assert table.entry(1, p, 1, q).coeffs[1] == genus1_completion()(
+                    p, q, kdv_dispersionless_omega(p, q))
 
 
 def flow_derivation(f, p):
