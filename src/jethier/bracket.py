@@ -162,8 +162,9 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                                                                -cfac * _sgn(k - f))
 
             # blocks 3, 5, 6 and 7: right factors of the column A[., g]
+            o_colors = {g for g, _ in o.variables()}
             for g in colors:
-                e_o = euler_cell(o, g)
+                e_o = euler_cell(o, g) if g in o_colors else {}
                 for beta in colors:
                     cell = {k: cfac * a for k, a in a_cells[(beta, g)].items()}
                     if not cell:
@@ -189,11 +190,15 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
         for xi in colors:
             if lg and a_cells[(g, xi)]:
                 leibniz(lg, a_cells[(g, xi)], acc[(beta, xi)])
-    e_t = {(g, xi): euler_cell(t3[xi], g) for g in colors for xi in colors}
+    # E_g(t3[xi]) is empty unless color g occurs in t3[xi]
+    e_t = {(g, xi): euler_cell(t3[xi], g) for xi in colors
+           for g in {g for g, _ in t3[xi].variables()}}
     for (beta, g), cell in a_cells.items():   # block 11, before the final d
         for xi in colors:
-            for k, c in finish(leibniz(cell, e_t[(g, xi)])).items():
-                acc[(beta, xi)][k + 1].add(c, -1)
+            e = e_t.get((g, xi))
+            if e:
+                for k, c in finish(leibniz(cell, e)).items():
+                    acc[(beta, xi)][k + 1].add(c, -1)
 
     # blocks 2 and 12 on the window sums
     flows = {z: t.dx() for z, t in t3.items()}

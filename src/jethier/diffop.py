@@ -8,8 +8,12 @@ matrix.  A cell under construction accumulates one `jetcalc.Sum` per order
 and is finished once (`finish`).  Applying a cell to a function f is
 sum_k coeff_k dx^k(f) (`apply_entry`).  The bracket deformation reads two
 more cells: the higher-Euler cell E_g(f) (`euler_cell`) and a commutator
-[X, P] known through o = dx P alone (`commutator`).  Every coefficient of an
-operator is known to the operator's own hbar order.  Conjugation under a
+[X, P] known through o = dx P alone (`commutator`).  `leibniz` reads each
+coefficient's lowest nonzero hbar order once, and skips a pair of
+coefficients whose lowest orders sum past the pair's truncation before any
+jet is taken: dx keeps hbar order, so every product of the pair is zero.
+Every coefficient of an operator is known to the operator's own hbar order.
+Conjugation under a
 coordinate change, which must be the identity at hbar^0,
 
     w_a = m_a(v, v_1, ...),   m_a = v_a + O(hbar)
@@ -20,10 +24,12 @@ re-expressed in the target jets through the inverse change.  A change keeps
 what it derives: its inverse images, solved once (and not solved at all for
 a change made by `inverse()`, whose inverse is the known forward map), and
 one `Substitution` by them that caches the powers of the prolonged jets
-across every coefficient it rewrites.  The x-derivatives the Leibniz rule
-reads are kept by each coefficient series itself (`HbarSeries.dx`, one
-derivative of the series' numerator store, computed once), so every row of
-a composition reads the same ones.
+across every coefficient it rewrites.  Those images are the identity modulo
+hbar, so the substitution passes the top hbar part of each coefficient
+through unchanged.  The x-derivatives the Leibniz rule reads are kept by
+each coefficient series itself (`HbarSeries.dx`, one derivative of the
+series' numerator store, computed once), so every row of a composition
+reads the same ones.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
-from .jetcalc import HbarSeries, JetPoly, Substitution, Sum, evolve, rat
+from .jetcalc import HbarSeries, JetPoly, Substitution, Sum, evolve, is_var_mod_hbar, rat
 
 Entry = dict  # {order k: HbarSeries}
 
@@ -122,6 +128,33 @@ def finish(cell: dict) -> Entry:
     return {k: c for k, s in cell.items() if (c := s.value())}
 
 
+def _screen(c) -> tuple:
+    """(lowest nonzero hbar order, truncation) of a cell coefficient: the index
+    of a series' first nonempty part (one past its last part for zero) and its
+    trunc, or (0, None) for a JetPoly, int or Fraction."""
+    if type(c) is not HbarSeries:
+        return 0, None
+    parts = c.parts
+    low = 0
+    while low < len(parts) and not parts[low]:
+        low += 1
+    return low, c.trunc
+
+
+def _moves(c) -> bool:
+    """Whether dx(c) is nonzero, i.e. some monomial of c is not constant."""
+    if type(c) is HbarSeries:
+        return any(map(any, c.parts))  # the constant monomial () is falsy
+    return type(c) is JetPoly and c.max_order() >= 0
+
+
+def _past(ta, tb, low: int) -> bool:
+    """Whether a product whose factors are known to hbar^ta and hbar^tb (None:
+    to every order) and whose lowest order is `low` is zero in the truncation."""
+    t = ta if tb is None or (ta is not None and ta < tb) else tb
+    return t is not None and low > t
+
+
 def leibniz(a: Entry, b: Entry, out: dict | None = None) -> dict:
     """Add the scalar composition a o b into the cell under construction
     `out`, a defaultdict(Sum), and return it; `finish` gives the cell.
@@ -131,11 +164,28 @@ def leibniz(a: Entry, b: Entry, out: dict | None = None) -> dict:
     d^k1 o (f d^k2) = sum_i C(k1,i) dx^i(f) d^(k1-i+k2)  expands the product.
     The jets dx^i(f) are the ones f keeps, so calls with the same b share
     them; the walk stops at the first jet that vanishes.
+
+    Each coefficient's lowest hbar order is read once (`_screen`).  A pair
+    whose lowest orders sum past the pair's truncation takes no jet: dx
+    keeps hbar order, so every product it would add is zero.  It still adds
+    a zero term (k = 0) to each sum its nonzero jets would reach, all k1+1
+    unless f is constant, so every sum keeps the truncation it would have.
     """
     if out is None:
         out = defaultdict(Sum)
+    sa = [(k1, ca, *_screen(ca)) for k1, ca in a.items()]
     for k2, cb in b.items():
-        for k1, ca in a.items():
+        if not cb:
+            continue
+        lb, tb = _screen(cb)
+        moves = None
+        for k1, ca, la, ta in sa:
+            if _past(ta, tb, la + lb):
+                if moves is None:
+                    moves = _moves(cb)
+                for i in range(k1 + 1 if moves else 1):
+                    out[k1 - i + k2].add_product(ca, cb, 0)
+                continue
             jet = cb
             for i in range(k1 + 1):
                 if not jet:
@@ -252,7 +302,7 @@ class MiuraChange:
         h = min(f.trunc for f in fwd)
         fwd = tuple(f.truncate(h) for f in fwd)
         for alpha, f in enumerate(fwd, start=1):
-            if f.coeffs[0] != JetPoly.var(alpha, 0):
+            if not is_var_mod_hbar(f, alpha):
                 raise ValueError(f"hbar^0 part of component {alpha} must be w[{alpha},0]")
         self.dim = len(fwd)
         self.trunc = h

@@ -54,6 +54,12 @@ keeps the 1,024 most recently used rules and no more: a long-lived process
 meets ever new monomials, and a memo that kept them all would grow with
 every one.
 
+A `Substitution` keeps the powers of the prolonged images it computes.
+When every image is w[alpha,0] modulo hbar, as a Miura change's are, the
+hbar^trunc part of its argument passes through unchanged: that part is only
+needed modulo hbar, where every prolonged jet, and each of its powers, is
+the jet variable itself.
+
 The module provides the derivations of the variational calculus:
 
   dx           total x-derivative (each w[a,n] -> w[a,n+1] by the chain rule)
@@ -985,20 +991,34 @@ class Sum:
 # substitution of series into jet variables
 # ---------------------------------------------------------------------------
 
+def is_var_mod_hbar(s: HbarSeries, alpha: int) -> bool:
+    """True iff the series s is w[alpha,0] modulo hbar: its hbar^0 numerators
+    are exactly w[alpha,0] over the series' denominator."""
+    return s.parts[0] == {((alpha, 0, 1),): s.den}
+
+
 class Substitution:
     """The substitution w[alpha,n] -> dx^n(images[alpha]), modulo hbar^(trunc+1).
 
     Calling it maps a JetPoly or HbarSeries to an HbarSeries.  The images,
-    and a series it is called on, must be known to hbar^trunc.  It keeps the powers of the prolonged jets
-    (inverse powers included) as it computes them, and a monomial's first
-    power at each lower truncation it is read at, so one instance serves
-    every polynomial substituted with the same images; the jets themselves
-    are the kept x-derivatives of the truncated images.  Negative exponents
-    require the prolonged image to be invertible (its hbar^0 part a single
-    monomial).
+    and a series it is called on, must be known to hbar^trunc, and every
+    color it meets must have an image.  It keeps the powers of the prolonged
+    jets (inverse powers included) as it computes them, and a monomial's
+    first power at each lower truncation it is read at, so one instance
+    serves every polynomial substituted with the same images; the jets
+    themselves are the kept x-derivatives of the truncated images.  Negative
+    exponents require the prolonged image to be invertible (its hbar^0 part a
+    single monomial).
+
+    When every image is w[alpha,0] modulo hbar (`is_var_mod_hbar`), as a
+    Miura change's inverse images and the fixed-point iterates that solve
+    for them are, the hbar^trunc part of the argument passes through
+    unchanged.  That is exact: that part is only needed modulo hbar, and
+    modulo hbar every prolonged jet dx^n(images[alpha]) is w[alpha,n], and
+    each of its powers, inverse powers included, is w[alpha,n]^exp.
     """
 
-    __slots__ = ("images", "trunc", "_powers")
+    __slots__ = ("images", "trunc", "_powers", "_fixes")
 
     def __init__(self, images: dict[int, HbarSeries], trunc: int):
         for alpha, image in images.items():
@@ -1008,6 +1028,8 @@ class Substitution:
         self.images = images
         self.trunc = trunc
         self._powers: dict[tuple, HbarSeries] = {}  # and (alpha, n, exp, trunc) -> truncated
+        # the identity modulo hbar: the top part of an argument passes through
+        self._fixes = all(is_var_mod_hbar(image, alpha) for alpha, image in images.items())
 
     def power(self, alpha: int, n: int, exp: int) -> HbarSeries:
         """dx^n(images[alpha]) ** exp, for exp != 0."""
@@ -1015,8 +1037,11 @@ class Substitution:
         got = self._powers.get(key)
         if got is None:
             if exp == 1:
-                got = (self.power(alpha, 0, 1).dx_pow(n) if n
-                       else self.images[alpha].truncate(self.trunc))
+                if n:
+                    got = self.power(alpha, 0, 1).dx_pow(n)
+                else:
+                    self._imaged((alpha,))
+                    got = self.images[alpha].truncate(self.trunc)
             elif exp == -1:
                 got = self.power(alpha, n, 1).inverse()
             else:
@@ -1024,6 +1049,12 @@ class Substitution:
                 got = self.power(alpha, n, exp - unit) * self.power(alpha, n, unit)
             self._powers[key] = got
         return got
+
+    def _imaged(self, colors) -> None:
+        """Refuse colors with no image."""
+        missing = set(colors) - self.images.keys()
+        if missing:
+            raise ValueError(f"color {min(missing)} has no image in the substitution")
 
     def monomial(self, mono: Mono, trunc: int) -> HbarSeries:
         """The image of one monomial, modulo hbar^(trunc+1)."""
@@ -1048,6 +1079,10 @@ class Substitution:
             parts, pden = (p._num,), p._den
         out = Sum()
         out.add(HbarSeries.zero(h))
+        if self._fixes and len(parts) > h:  # the hbar^h part maps to itself
+            top, parts = parts[h], parts[:h]
+            self._imaged({a for mono in top for a, _, _ in mono})
+            out.add(_view(top, pden), 1, h)
         for g, part in enumerate(parts):
             for mono, coeff in part.items():
                 # the hbar^g part is only needed modulo hbar^(h-g+1)

@@ -347,9 +347,12 @@ def test_upper_bracket_runs_once_per_generator_row(rotated, monkeypatch, matrix)
     # picks checked, once per z.  On a tensor power f_xi = (mu,i; xi,0) lives
     # in color mu alone and is constant at i = -1, so with A = d the one
     # nonempty cell of blocks 3 and 6 makes one commutator per (i >= 0, mu).
-    # Per (i, mu) an Euler cell E_g(f_xi) is built only for the colors g of
-    # f_xi, so one at i >= 0 and none at i = -1, beside the s cells of o; the
-    # correlators' s^2 are built once per call, on their window sums
+    # Per (i, mu) an Euler cell is built only for the colors g of its
+    # argument: E_g(f_xi) once at i >= 0 and not at i = -1, and E_g(o), with
+    # o = sum_nu M[mu][nu] (unit,0; nu,j), once per nonzero entry of the row,
+    # except at the one splitting where o has no jet variable.  Block 11
+    # builds E_g(t3[xi]) once per call on the window sums, which have no jet
+    # variable on this point, so it builds none
     base, _ = rotated
     calls = {"triple_omega": 0, "commutator": 0, "euler_cell": 0}
     for name in calls:
@@ -366,7 +369,7 @@ def test_upper_bracket_runs_once_per_generator_row(rotated, monkeypatch, matrix)
     nonzero = sum(1 for row in matrix for m in row if m)
     assert calls == {"triple_omega": splittings * nonzero * 3,
                      "commutator": (splittings - 1) * rows,
-                     "euler_cell": (splittings - 1) * rows + splittings * rows * 3 + 3 * 3}
+                     "euler_cell": (splittings - 1) * (rows + nonzero)}
     assert is_skew(dP) and not dP.is_zero()
 
 

@@ -1,10 +1,14 @@
 """Operator algebra: composition, adjoint, skewness, Miura conjugation."""
 
+import math
 import random
+from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 
-from jethier.jetcalc import HbarSeries, JetPoly, Sum, dx, random_jetpoly, substitute
+from jethier.jetcalc import (HbarSeries, JetPoly, Substitution, Sum, dx, random_jetpoly,
+                             substitute)
 from jethier.diffop import (
     DiffOperator,
     MiuraChange,
@@ -407,3 +411,182 @@ def test_express_in_target_reuses_its_substitution():
         assert got == substitute(x, images, m.trunc)
         assert got == naive_substitute(x, images, m.trunc)
     assert m.express_in_target(laurent) == HbarSeries.var(1, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the screen by lowest hbar order, against the unscreened rules
+# ---------------------------------------------------------------------------
+
+def leibniz_unscreened(a, b, out=None):
+    """`leibniz` without the screen: every pair walks its jets."""
+    if out is None:
+        out = defaultdict(Sum)
+    for k2, cb in b.items():
+        for k1, ca in a.items():
+            jet = cb
+            for i in range(k1 + 1):
+                if not jet:
+                    break
+                out[k1 - i + k2].add_product(ca, jet, math.comb(k1, i))
+                if i < k1:
+                    jet = jet.dx()
+    return out
+
+
+def compose_unscreened(p, q):
+    out = defaultdict(lambda: defaultdict(Sum))
+    for (row, mid), cell_p in p._entries.items():
+        for col in range(1, q.dim + 1):
+            cell_q = q._entries.get((mid, col))
+            if cell_q:
+                leibniz_unscreened(cell_p, cell_q, out[(row, col)])
+    return DiffOperator(p.dim, min(p.trunc, q.trunc),
+                        {key: finish(cell) for key, cell in out.items()})
+
+
+def adjoint_unscreened(p):
+    out = defaultdict(lambda: defaultdict(Sum))
+    for (row, col), cell in p._entries.items():
+        for k, a in cell.items():
+            leibniz_unscreened({k: -1 if k % 2 else 1}, {0: a}, out[(col, row)])
+    return DiffOperator(p.dim, p.trunc, {key: finish(cell) for key, cell in out.items()})
+
+
+def same_value(got, want):
+    """Equal values of one type, series at one truncation."""
+    assert type(got) is type(want)
+    assert getattr(got, "trunc", None) == getattr(want, "trunc", None)
+    assert got == want
+
+
+def same_sums(got, want):
+    """Cells under construction that reached the same orders, each summing
+    to the same value at the same truncation; so their finished cells agree."""
+    assert list(got) == list(want)
+    for k in want:
+        same_value(got[k].value(), want[k].value())
+    assert list(finish(got)) == list(finish(want))
+
+
+def late_coeff(rng, low, trunc, constant=False):
+    """A coefficient known to hbar^trunc whose first nonzero part is hbar^low
+    (a constant one has only vanishing jets)."""
+    def part():
+        if constant:
+            return JetPoly.const(rng.choice([-2, 1, 3]))
+        return random_jetpoly(rng, colors=2, max_order=2, n_terms=2) or W(1, 1)
+    return HbarSeries(trunc, [JetPoly.zero()] * low + [part() for _ in range(low, trunc + 1)])
+
+
+def screened_cells(rng, n, truncs):
+    """A cell of n orders mixing late, constant, zero, JetPoly and int
+    coefficients."""
+    cell = {}
+    for k in rng.sample(range(4), n):
+        t = rng.choice(truncs)
+        kind = rng.randrange(6)
+        if kind == 0:
+            cell[k] = rng.choice([-1, 2, Fraction(1, 3)])
+        elif kind == 1:
+            cell[k] = random_jetpoly(rng, colors=2, max_order=2, n_terms=2) or W(2, 0)
+        elif kind == 5:
+            cell[k] = HbarSeries.zero(t)
+        else:
+            cell[k] = late_coeff(rng, rng.randint(0, t), t, constant=kind == 2)
+    return cell
+
+
+@pytest.mark.parametrize("truncs", [(2,), (1, 2, 3)], ids=["trunc2", "mixed"])
+def test_screened_cells_match_the_unscreened_rules(truncs):
+    # coefficients that start at hbar^1 and hbar^2, int left factors,
+    # constants whose jets vanish, and, in "mixed", truncations 1 to 3 side
+    # by side, so that a skipped pair may hold the lowest truncation of a sum
+    rng = random.Random(2022)
+    for _ in range(40):
+        a = screened_cells(rng, rng.randint(1, 3), truncs)
+        b = {k: c for k, c in screened_cells(rng, rng.randint(1, 3), truncs).items()
+             if not isinstance(c, (int, Fraction))}
+        x = {k: c for k, c in a.items() if not isinstance(c, (int, Fraction))}
+        same_sums(leibniz(a, b), leibniz_unscreened(a, b))
+        # a shared cell under construction, as compose passes it
+        got, want = leibniz(a, b), leibniz_unscreened(a, b)
+        same_sums(leibniz(b, x, got), leibniz_unscreened(b, x, want))
+
+
+def late_operator(rng, trunc):
+    """A two-color operator whose coefficients mostly start at hbar^1 or hbar^2."""
+    entries = {}
+    for key in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        entries[key] = {k: late_coeff(rng, rng.choice([0, 1, 1, 2, 2]), trunc,
+                                      constant=rng.random() < 0.2)
+                        for k in rng.sample(range(4), rng.randint(1, 3))}
+    return DiffOperator(2, trunc, entries)
+
+
+def test_screened_compose_and_adjoint_match_the_unscreened_rules():
+    rng = random.Random(23)
+    for _ in range(12):
+        p, q = late_operator(rng, 2), late_operator(rng, rng.choice([1, 2, 3]))
+        for got, want in ((compose(p, q), compose_unscreened(p, q)),
+                          (compose(q, p), compose_unscreened(q, p)),
+                          (adjoint(p), adjoint_unscreened(p))):
+            assert got.trunc == want.trunc and got == want
+            assert [(key, k, c.trunc) for key, k, c in got.entries()] == \
+                [(key, k, c.trunc) for key, k, c in want.entries()]
+
+
+# ---------------------------------------------------------------------------
+# the pass-through of the top hbar part, against the naive substitution
+# ---------------------------------------------------------------------------
+
+def substitution_images(kind, rng, trunc):
+    """Two-color images: exactly w at hbar^0 ("fixed"), 2*w there
+    ("doubled"), or the colors swapped there ("rotated")."""
+    images = {}
+    for alpha, lead in ((1, W(1, 0)), (2, W(2, 0))):
+        if kind == "doubled":
+            lead = 2 * lead
+        elif kind == "rotated":
+            lead = W(3 - alpha, 0)
+        tail = [random_jetpoly(rng, colors=2, max_order=1, n_terms=2) for _ in range(trunc)]
+        images[alpha] = HbarSeries(trunc, [lead] + tail)
+    return images
+
+
+@pytest.mark.parametrize("kind, fixes", [("fixed", True), ("doubled", False),
+                                         ("rotated", False)])
+def test_substitution_matches_the_naive_one(kind, fixes):
+    rng = random.Random(9)
+    laurent = W(1, 1, -2) * W(2, 0) + W(2, 2, -1) * W(1, 1) ** 2 + W(1, 0) ** 3
+    for h in (0, 1, 2):
+        images = substitution_images(kind, rng, h + 1)  # known past h
+        sub = Substitution(images, h)
+        assert sub._fixes is fixes
+        inputs = [laurent, JetPoly.const(3), HbarSeries(h, [laurent] * (h + 1)),
+                  HbarSeries(h + 1, [JetPoly.zero()] * h + [laurent, W(1, 1)])]
+        inputs += [HbarSeries(h, [random_jetpoly(rng, colors=2, max_order=2, n_terms=3)
+                                  for _ in range(h + 1)]) for _ in range(3)]
+        for x in inputs:
+            got = sub(x)
+            assert got.trunc == h
+            assert got == naive_substitute(x, images, h)
+
+
+def test_miura_conjugation_substitutes_no_monomial_modulo_hbar(monkeypatch):
+    # every image of a Miura change is w modulo hbar, so the hbar^trunc part
+    # of each coefficient passes through and no monomial is rebuilt at
+    # truncation 0
+    m = quasi_miura("forward", 2)
+    d = DiffOperator.dx_op(1, 2)
+    truncs = []
+    monomial = Substitution.monomial
+
+    def counted(self, mono, trunc):
+        truncs.append(trunc)
+        return monomial(self, mono, trunc)
+
+    monkeypatch.setattr(Substitution, "monomial", counted)
+    conj = conjugate_by_miura(d, m)
+    monkeypatch.undo()
+    assert truncs and min(truncs) == 1
+    assert conjugate_by_miura(conj, m.inverse()) == d

@@ -599,6 +599,18 @@ def test_substitution_refuses_images_below_its_order():
     assert substitute(w(0) ** 2, images, 1) == HbarSeries(1, [w(0) ** 2, 2 * w(0) * w(1)])
 
 
+def test_substitution_refuses_a_color_without_image():
+    # it used to be a bare KeyError from `power`; the hbar^trunc part, which
+    # passes through when the images are w modulo hbar, is checked as well
+    for images in ({1: HbarSeries.var(1, 0, 1)}, {1: HbarSeries(1, [2 * w(0), w(1)])}):
+        for p in (HbarSeries(1, [JetPoly.zero(), W(2, 0)]), HbarSeries(1, [W(2, 0)]),
+                  HbarSeries(1, [w(0) * W(2, 1, -1), w(0)]), W(2, 1)):
+            with pytest.raises(ValueError, match="color 2 has no image"):
+                substitute(p, images, 1)
+    with pytest.raises(ValueError, match="color 2 has no image"):
+        substitute(W(2, 0), {1: HbarSeries.var(1, 0, 0)}, 0)
+
+
 def test_series_equality_within_truncation():
     a = HbarSeries(2, [w(0), w(1), w(2)])
     b = HbarSeries(1, [w(0), w(1)])
