@@ -236,6 +236,7 @@ def triple_omega(table: OmegaTable, i1, i2, i3) -> HbarSeries:
     Evaluates  sum_{xi,n} dx^(n+1) (g_i,k_i; xi,0) * d(g_j,k_j; g_l,k_l)/dw[xi,n]
     for every choice of the distinguished slot and checks agreement; a
     mismatch means the table does not satisfy the recursion it should.
+    A zero two-point entry evolves to itself, so it is taken as it is.
     """
     idx = (i1, i2, i3)
     if any(k < 0 for _, k in idx):
@@ -245,6 +246,9 @@ def triple_omega(table: OmegaTable, i1, i2, i3) -> HbarSeries:
         (ga, ka) = idx[pick]
         (gb, kb), (gc, kc) = (idx[(pick + 1) % 3], idx[(pick + 2) % 3])
         other = table.entry(gb, kb, gc, kc)
+        if not other:
+            vals.append(other)
+            continue
         colors = {xi for xi, _ in other.variables()}
         vals.append(evolve(other, {xi: table.entry(ga, ka, xi, 0).dx()
                                    for xi in colors}))

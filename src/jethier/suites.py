@@ -3,6 +3,10 @@
 Each suite returns a list of CheckResult records; a suite passes iff every
 check does.  The same functions back the command-line `verify` subcommand
 and the acceptance tests, so both always agree on what was verified.
+
+`run_suite` makes one `BasePoint` per call and hands it to every suite it
+runs, so the suites of `verify all` share the KdV tables, the genus-0 table
+and the quasi-Miura change instead of each building its own.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from .bracket import (
     r_deform_bracket,
     uniqueness_residuals,
 )
-from .diffop import DiffOperator, conjugate_by_miura
+from .diffop import DiffOperator, MiuraChange, conjugate_by_miura
 from .genus0 import Genus0Data, check_commutation, trr_extend
-from .givental import GiventalGen, entry_deformation, triple_omega
+from .givental import GiventalGen, OmegaTable, entry_deformation, triple_omega
 from .jetcalc import HbarSeries, JetPoly, random_jetpoly
 from .kdvbase import OutOfDerivableRange, kdv_flow, kdv_omega_table, quasi_miura
 
@@ -36,6 +40,50 @@ class CheckResult:
 
     def to_obj(self) -> dict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
+
+
+class BasePoint:
+    """The base-point data of one `run_suite` call, each object built on its
+    first use and kept until the call returns.
+
+    Its bounds cover every suite at `pmax`: the KdV tables reach
+    max(5, pmax + 4) at hbar^0 and hbar^1 (homogeneity reads p, q <= 5, the
+    level-3 defining equation p + 4) and 2 at hbar^2, the edge of the
+    derivable set; their entries are built on first read, so a larger bound
+    costs only route checks.  The genus-0 table reaches max(pmax, 2) + 1:
+    the perturbed operator of `suite_uniqueness` is checked at p <= 2,
+    which reads (1, 3; 1, 0).
+    """
+
+    __slots__ = ("pmax", "_tables", "_genus0", "_miura")
+
+    def __init__(self, pmax: int):
+        self.pmax = pmax
+        self._tables: dict[int, OmegaTable] = {}
+        self._genus0: OmegaTable | None = None
+        self._miura: MiuraChange | None = None
+
+    def table(self, trunc: int) -> OmegaTable:
+        """The one-color KdV table at hbar^trunc, trunc <= 2."""
+        got = self._tables.get(trunc)
+        if got is None:
+            bound = 2 if trunc == 2 else max(5, self.pmax + 4)
+            got = self._tables[trunc] = kdv_omega_table(bound, bound, trunc)
+        return got
+
+    def genus0(self) -> OmegaTable:
+        """The dispersionless table of the one-color cubic point."""
+        if self._genus0 is None:
+            data = Genus0Data(1, {(1, 1): JetPoly.var(1, 0)})
+            self._genus0 = trr_extend(data, max(self.pmax, 2) + 1, self.pmax)
+        return self._genus0
+
+    def miura(self) -> MiuraChange:
+        """The forward quasi-Miura change through hbar^2; its `inverse()`
+        reuses the inverse images this change solves for once."""
+        if self._miura is None:
+            self._miura = quasi_miura("forward", 2)
+        return self._miura
 
 
 def suite_lemmas(seed: int, count: int) -> list[CheckResult]:
@@ -64,9 +112,9 @@ def suite_lemmas(seed: int, count: int) -> list[CheckResult]:
     return out
 
 
-def suite_commutation(pmax: int) -> list[CheckResult]:
+def suite_commutation(base: BasePoint) -> list[CheckResult]:
     """Dispersionless commutation residuals at the one-color cubic point."""
-    table = trr_extend(Genus0Data(1, {(1, 1): JetPoly.var(1, 0)}), pmax + 1, pmax)
+    table, pmax = base.genus0(), base.pmax
     bad = []
     for p in range(pmax + 1):
         for q in range(pmax + 1):
@@ -77,10 +125,10 @@ def suite_commutation(pmax: int) -> list[CheckResult]:
                         else f"nonzero at {bad}")]
 
 
-def suite_quasimiura() -> list[CheckResult]:
+def suite_quasimiura(base: BasePoint) -> list[CheckResult]:
     """Consequences of the rational coordinate change at the base point."""
     out = []
-    m = quasi_miura("forward", 2)
+    m = base.miura()
     d = DiffOperator.dx_op(1, 2)
     conj = conjugate_by_miura(d, m)
     out.append(CheckResult("bracket-invariance-under-coordinate-change",
@@ -96,15 +144,17 @@ def suite_quasimiura() -> list[CheckResult]:
     return out
 
 
-def suite_homogeneity() -> list[CheckResult]:
+def suite_homogeneity(base: BasePoint) -> list[CheckResult]:
     """Degree-doubling grading of tables, deformations, and the operator."""
     out = []
-    table = kdv_omega_table(5, 5, 1)
-    bad = [key for key, series in table.items()
+    table = base.table(1)
+    # the p, q <= 5 corner of a table that may reach further
+    entries = {(p, q): table.entry(1, p, 1, q) for p in range(6) for q in range(6)}
+    bad = [key for key, series in entries.items()
            if not check_series_homogeneity(series, 0).ok]
     out.append(CheckResult("table-entry-grading", not bad,
-                           "36 entries at degree 2g"))
-    table2 = kdv_omega_table(2, 2, 2)
+                           f"{len(entries)} entries at degree 2g"))
+    table2 = base.table(2)
     bad2 = [key for key, series in table2.items()
             if not check_series_homogeneity(series, 0).ok]
     out.append(CheckResult("table-entry-grading-hbar2", not bad2, ""))
@@ -126,12 +176,10 @@ def suite_homogeneity() -> list[CheckResult]:
     return out
 
 
-def suite_uniqueness(pmax: int) -> list[CheckResult]:
+def suite_uniqueness(base: BasePoint) -> list[CheckResult]:
     """Only d solves the dispersionless defining relation."""
     out = []
-    # the perturbed operator is checked at p <= 2, which reads (1, 3; 1, 0)
-    table0 = trr_extend(Genus0Data(1, {(1, 1): JetPoly.var(1, 0)}),
-                        max(pmax, 2) + 1, pmax)
+    table0, pmax = base.genus0(), base.pmax
     ok = all(r.is_zero() for _, r in
              uniqueness_residuals(table0, DiffOperator.dx_op(1, 0), pmax))
     out.append(CheckResult("defining-relation-accepts-d", ok, f"p <= {pmax}"))
@@ -142,19 +190,19 @@ def suite_uniqueness(pmax: int) -> list[CheckResult]:
                                         2: HbarSeries.of(JetPoly.var(1, 1), 0)}})
     ok = any(not r.is_zero() for _, r in uniqueness_residuals(table0, pert, 2))
     out.append(CheckResult("defining-relation-rejects-perturbed-d", ok, ""))
-    conj = conjugate_by_miura(DiffOperator.dx_op(1, 2), quasi_miura("inverse", 2))
+    conj = conjugate_by_miura(DiffOperator.dx_op(1, 2), base.miura().inverse())
     out.append(CheckResult("inverse-change-keeps-zero-order0",
                            conj.coeff(1, 1, 0).is_zero(),
                            "no constant term through hbar^2"))
     return out
 
 
-def suite_defining_equation(pmax: int, trunc: int) -> list[CheckResult]:
+def suite_defining_equation(base: BasePoint, trunc: int) -> list[CheckResult]:
     """Linearized defining-equation residuals for both generator kinds, trunc <= 2
     (`run_suite` refuses more)."""
     out = []
-    bound = pmax + 4  # level 3 reads entries up to index pmax + 1 + 3
-    table = kdv_omega_table(bound, bound, min(trunc, 1))
+    pmax = base.pmax
+    table = base.table(min(trunc, 1))  # level 3 reads entries up to index pmax + 1 + 3
     pop = PoissonOp.dx(1, table.trunc)
     for level in (1, 2, 3):
         matrix = [[0]] if level % 2 == 0 else [[1]]
@@ -166,7 +214,7 @@ def suite_defining_equation(pmax: int, trunc: int) -> list[CheckResult]:
             out.append(CheckResult(f"{name}-bracket-defining-equation-level-{level}",
                                    ok, f"p <= {pmax}, hbar^{table.trunc}"))
     if trunc >= 2:
-        table2 = kdv_omega_table(2, 2, 2)
+        table2 = base.table(2)
         pop2 = PoissonOp.dx(1, 2)
         gen = GiventalGen("r", 1, [[1]])
         dP2 = r_deform_bracket(table2, pop2, gen)
@@ -178,12 +226,12 @@ def suite_defining_equation(pmax: int, trunc: int) -> list[CheckResult]:
 
 
 SUITES = {
-    "lemmas": lambda args: suite_lemmas(args["seed"], args["count"]),
-    "commutation": lambda args: suite_commutation(args["pmax"]),
-    "quasimiura": lambda args: suite_quasimiura(),
-    "homogeneity": lambda args: suite_homogeneity(),
-    "uniqueness": lambda args: suite_uniqueness(args["pmax"]),
-    "defining-equation": lambda args: suite_defining_equation(args["pmax"], args["hbar"]),
+    "lemmas": lambda base, args: suite_lemmas(args["seed"], args["count"]),
+    "commutation": lambda base, args: suite_commutation(base),
+    "quasimiura": lambda base, args: suite_quasimiura(base),
+    "homogeneity": lambda base, args: suite_homogeneity(base),
+    "uniqueness": lambda base, args: suite_uniqueness(base),
+    "defining-equation": lambda base, args: suite_defining_equation(base, args["hbar"]),
 }
 
 
@@ -192,9 +240,10 @@ def run_suite(name: str, **args) -> list[CheckResult]:
     # refused before any suite runs, so "all" fails as fast as the suite itself
     if name in ("all", "defining-equation") and args["hbar"] > 2:
         raise OutOfDerivableRange("the defining equation is certified through hbar^2 only")
+    base = BasePoint(args["pmax"])
     if name == "all":
         out = []
         for key in SUITES:
-            out.extend(SUITES[key](args))
+            out.extend(SUITES[key](base, args))
         return out
-    return SUITES[name](args)
+    return SUITES[name](base, args)

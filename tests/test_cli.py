@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from jethier import cli, suites
 from jethier.cli import InputError, main, parse_poly
 from jethier.bracket import PoissonOp, defining_equation_residuals
-from jethier.diffop import DiffOperator
+from jethier.diffop import DiffOperator, MiuraChange
 from jethier.givental import GiventalGen, OmegaTable, UpperDeformation, s_deform_omega
 from jethier.genus0 import Genus0Data, trr_extend
 from jethier.jetcalc import HbarSeries, JetPoly, random_jetpoly, render, to_json
@@ -546,6 +547,51 @@ def test_verify_every_suite_passes(capsys, suite):
     assert json.loads(out)["ok"] is True
 
 
+def count_base_point_builds(monkeypatch):
+    """Counter of the base-point builds `suites` makes from now on: KdV
+    tables by truncation, genus-0 tables, quasi-Miura changes and solves of
+    an inverse change."""
+    counts = Counter()
+
+    def counting(name, fn, key=lambda *args: ()):
+        def wrapper(*args):
+            counts[(name, *key(*args))] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(suites, "kdv_omega_table",
+                        counting("kdv_omega_table", suites.kdv_omega_table,
+                                 lambda pmax, qmax, trunc: (trunc,)))
+    monkeypatch.setattr(suites, "trr_extend", counting("trr_extend", suites.trr_extend))
+    monkeypatch.setattr(suites, "quasi_miura", counting("quasi_miura", suites.quasi_miura))
+    solve = MiuraChange.inverse_images
+
+    def counting_solve(self):
+        counts["inverse solve"] += self._inverse is None
+        return solve(self)
+
+    monkeypatch.setattr(MiuraChange, "inverse_images", counting_solve)
+    return counts
+
+
+def test_verify_all_builds_the_base_point_once_per_call(capsys, monkeypatch):
+    counts = count_base_point_builds(monkeypatch)
+    once = {("kdv_omega_table", 1): 1, ("kdv_omega_table", 2): 1,
+            ("trr_extend",): 1, ("quasi_miura",): 1, "inverse solve": 1}
+    for calls in (1, 2):  # nothing outlives a call: the second builds again
+        code, out = run(capsys, "verify", "all", "--hbar", "2", "--count", "1")
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert counts == {key: calls * n for key, n in once.items()}
+
+
+@pytest.mark.parametrize("hbar", [0, 1, 2])
+@pytest.mark.parametrize("pmax", [0, 2, 4])
+def test_verify_all_checks_equal_each_suite_alone(pmax, hbar):
+    args = {"seed": 7, "count": 2, "pmax": pmax, "hbar": hbar}
+    alone = [check for name in suites.SUITES for check in suites.run_suite(name, **args)]
+    assert suites.run_suite("all", **args) == alone
+
+
 # ---------------------------------------------------------------------------
 # bad input: every case exits 2 without a traceback
 # ---------------------------------------------------------------------------
@@ -569,10 +615,12 @@ def test_out_of_derivable_range_exit2(capsys, argv):
 @pytest.mark.parametrize("suite", ["defining-equation", "all"])
 def test_hbar_range_refused_before_any_suite_runs(capsys, monkeypatch, suite):
     def must_not_run(*args, **kwargs):
-        raise AssertionError("a suite ran before the hbar range was checked")
+        raise AssertionError("a suite or base-point build ran before the hbar "
+                             "range was checked")
 
     for name in ("suite_lemmas", "suite_commutation", "suite_quasimiura",
-                 "suite_homogeneity", "suite_uniqueness", "suite_defining_equation"):
+                 "suite_homogeneity", "suite_uniqueness", "suite_defining_equation",
+                 "kdv_omega_table", "trr_extend", "quasi_miura"):
         monkeypatch.setattr(suites, name, must_not_run)
     code = main(["verify", suite, "--hbar", "3"])
     out, err = capsys.readouterr()

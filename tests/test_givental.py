@@ -3,10 +3,11 @@
 import json
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from jethier.jetcalc import HbarSeries, JetPoly, Sum, series_to_obj, to_json
+from jethier.jetcalc import HbarSeries, JetPoly, Sum, evolve, series_to_obj, to_json
 from jethier.givental import (
     GiventalGen,
     InconsistentTable,
@@ -197,14 +198,53 @@ def test_triple_examples():
     assert got == HbarSeries(2, [w(0) * w(1), w(3) / 12])
 
 
+def triple_omega_every_pick(table, i1, i2, i3):
+    """`triple_omega` evolving every pick, the zero ones too: the reference
+    its zero-pick shortcut must agree with."""
+    idx = (i1, i2, i3)
+    if any(k < 0 for _, k in idx):
+        return HbarSeries.zero(table.trunc)
+    vals = []
+    for pick in range(3):
+        (ga, ka) = idx[pick]
+        (gb, kb), (gc, kc) = (idx[(pick + 1) % 3], idx[(pick + 2) % 3])
+        other = table.entry(gb, kb, gc, kc)
+        colors = {xi for xi, _ in other.variables()}
+        vals.append(evolve(other, {xi: table.entry(ga, ka, xi, 0).dx()
+                                   for xi in colors}))
+    if not (vals[0] == vals[1] and vals[1] == vals[2]):
+        raise InconsistentTable(
+            f"triple correlator {idx} differs across distinguished-index choices"
+        )
+    return vals[0]
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_triple_matches_every_pick_reference(dim, trunc):
+    table = tensor_power(kdv_omega_table(2, 2, trunc), dim)
+    slots = [(a, k) for a in range(1, dim + 1) for k in range(3)]
+    zero_picks = 0
+    for idx in combinations_with_replacement(slots, 3):
+        got = triple_omega(table, *idx)
+        want = triple_omega_every_pick(table, *idx)
+        assert got == want and got.trunc == want.trunc == trunc, idx
+        zero_picks += sum(not table.entry(*idx[(i + 1) % 3], *idx[(i + 2) % 3])
+                          for i in range(3))
+    # one color has no zero entry; more colors have mixed-color zeros
+    assert (zero_picks > 0) == (dim > 1)
+
+
 def test_triple_consistency_guard():
     table = kdv_omega_table(1, 1, 0)
     table.items()
-    bad_entries = dict(table._entries)
-    bad_entries[(1, 1, 1, 1)] = HbarSeries.of(w(0) ** 5, 0)
-    bad = OmegaTable(1, 1, 1, 0, bad_entries)
-    with pytest.raises(InconsistentTable):
-        triple_omega(bad, (1, 1), (1, 1), (1, 0))
+    # a zero entry is a pick too: it must disagree with the nonzero ones
+    for bad_value in (HbarSeries.of(w(0) ** 5, 0), HbarSeries.zero(0)):
+        bad_entries = dict(table._entries)
+        bad_entries[(1, 1, 1, 1)] = bad_value
+        bad = OmegaTable(1, 1, 1, 0, bad_entries)
+        with pytest.raises(InconsistentTable):
+            triple_omega(bad, (1, 1), (1, 1), (1, 0))
 
 
 def test_triple_degree_grading():
