@@ -13,10 +13,10 @@ higher Euler operators only through one cell, E_g of `diffop.euler_cell`,
 and blocks 5 and 7, and 3 and 6, are one term each), the one-block
 solution for lower-triangular generators, the dispatch between them by
 generator kind (`bracket_deformation`), and the residual evaluator that
-certifies both against the defining equation.  It also houses the
-weighted-degree homogeneity checker, the genus-0 uniqueness residuals, and
-the two operator-commutation identities used by the derivation, exposed as
-seeded property checks.
+certifies both against the defining equation; its undeformed case gives
+the genus-0 uniqueness residuals.  It also houses the weighted-degree
+homogeneity checker and the two operator-commutation identities used by
+the derivation, exposed as seeded property checks.
 
 The block sum of the upper deformation runs over all integer splittings
 i + j = level - 1; the extension convention for negative descendant indices
@@ -33,8 +33,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .diffop import (DiffOperator, apply_entry, apply_op, commutator, euler_cell, finish,
-                     is_skew, leibniz)
+from .diffop import DiffOperator, apply_entry, commutator, euler_cell, finish, is_skew, leibniz
 from .givental import (
     GiventalGen,
     OmegaTable,
@@ -84,7 +83,7 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     c = (-1)^(i+1): o = sum_nu M[mu][nu] (unit,0; nu,j) = dx P, the
     `UpperDeformation.right` factors sum_nu M[mu][nu] (nu,j; beta,0) at j
     and, under dx, at j-1 (read as (beta,0; nu,j), so the table must be
-    symmetric, as two-point tables are), and hbar/2 times the triple
+    symmetric, as built tables are by construction), and hbar/2 times the triple
     correlators sum_nu M[mu][nu] (z,0; mu,i; nu,j), summed with c over the
     window into t3[z].  With f_xi = (mu,i; xi,0) and the higher-Euler cell
     E_g of `diffop.euler_cell`: blocks 5 and 7 are one term, c (A[beta,g] o
@@ -206,8 +205,7 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
         for k, ac in cell.items():
             move = acc[(beta, xi)][k]
             move.add(evolve(ac, flows), -1)
-            for (g, n) in ac.variables():
-                move.add_product(deform.lin(g, n), ac.partial(g, n), -1)
+            deform.transport(ac, move, -1)
 
     return DiffOperator(s, table.trunc, {key: finish(cell) for key, cell in acc.items()})
 
@@ -239,14 +237,13 @@ def bracket_deformation(table: OmegaTable, pop: PoissonOp,
 # ---------------------------------------------------------------------------
 
 def unit_sum_grads(table: OmegaTable, pop: PoissonOp, deformed: dict,
-                   dP: DiffOperator, a: int, p: int) -> tuple[dict, dict]:
-    """Variational derivatives of the unit sums (a, p+1; unit, 0) at (a, p).
-
-    Returns ({g: delta_g undeformed}, {g: delta_g deformed}), the first for
-    every color g whose column of dP has a nonzero cell, the second likewise
-    for the column of the undeformed operator.  `deformed` must supply
-    (a, p+1, c, 0) for every color c.  They do not depend on the color b of
-    a residual, so `defining_equation_residuals` builds them once per (a, p).
+                   dP: DiffOperator, a: int, p: int) -> list:
+    """The two terms [(dP, {g: delta_g undeformed}), (A, {g: delta_g deformed})]
+    of the linearized relation at (a, p), with the variational derivatives
+    of the unit sums (a, p+1; unit, 0) for every color g whose column of
+    the operator has a nonzero cell.  `deformed` must supply (a, p+1, c, 0)
+    for every color c.  They do not depend on the color b of a residual, so
+    `defining_equation_residuals` builds them once per (a, p).
     """
     colors = range(1, table.dim + 1)
     undeformed_u = table.unit_ext(a, p + 1)
@@ -258,24 +255,23 @@ def unit_sum_grads(table: OmegaTable, pop: PoissonOp, deformed: dict,
     def used(op: DiffOperator, g: int) -> bool:
         return any(op.entry(b, g) for b in colors)
 
-    return ({g: undeformed_u.var_deriv(g) for g in colors if used(dP, g)},
-            {g: deformed_u.var_deriv(g) for g in colors if used(pop.op, g)})
+    return [(dP, {g: undeformed_u.var_deriv(g) for g in colors if used(dP, g)}),
+            (pop.op, {g: deformed_u.var_deriv(g) for g in colors if used(pop.op, g)})]
 
 
-def def_a_residual(pop: PoissonOp, dP: DiffOperator, d_entry: HbarSeries,
-                   grads: tuple[dict, dict], b: int) -> HbarSeries:
-    """Linearized defining-equation residual at (a, p, b); zero certifies.
+def def_a_residual(terms: list, entry: HbarSeries, b: int) -> HbarSeries:
+    """Defining-relation residual at (a, p, b); zero certifies.
 
-    `d_entry` is the deformed table entry (a, p, b, 0) and `grads` the
-    `unit_sum_grads` at (a, p).
+    It is dx entry - sum_{g,k} B_k[b,g] dx^k grads[g], summed over the
+    `terms` [(B, grads)].  Linearized, `entry` is the deformed table entry
+    (a, p, b, 0) and `terms` the `unit_sum_grads` at (a, p).
     """
     res = Sum()
-    res.add(d_entry.dx())
-    for g in range(1, dP.dim + 1):
-        # the grads hold every color whose cell is nonempty
-        for cell, grad in ((dP.entry(b, g), grads[0]), (pop.op.entry(b, g), grads[1])):
-            for k, c in cell.items():
-                res.add_product(c, grad[g].dx_pow(k), -1)
+    res.add(entry.dx())
+    for op, grads in terms:
+        for g in range(1, op.dim + 1):
+            for k, c in op.entry(b, g).items():
+                res.add_product(c, grads[g].dx_pow(k), -1)
     return res.value()
 
 
@@ -306,8 +302,8 @@ def defining_equation_residuals(table: OmegaTable, pop: PoissonOp,
     out = []
     for a in colors:
         for p in range(pmax + 1):
-            grads = unit_sum_grads(table, pop, ent, dP, a, p)
-            out += [((a, p, b), def_a_residual(pop, dP, ent[(a, p, b, 0)], grads, b))
+            terms = unit_sum_grads(table, pop, ent, dP, a, p)
+            out += [((a, p, b), def_a_residual(terms, ent[(a, p, b, 0)], b))
                     for b in colors]
     return out
 
@@ -358,19 +354,19 @@ def uniqueness_residuals(table, B: DiffOperator, pmax: int) -> list:
 
         sum_{xi,k} B_k[b,xi] dx^k delta_xi (a,p+1; unit,0)  -  dx (a,p; b,0)
 
-    on a dispersionless table (`trr_extend`).  All-zero residuals for B = d
-    together with the nondegeneracy of the jet coordinates certify
-    uniqueness; perturbed operators must produce nonzero residuals.
+    on a dispersionless table (`trr_extend`), `def_a_residual` negated.
+    All-zero residuals for B = d together with the nondegeneracy of the jet
+    coordinates certify uniqueness; perturbed operators must produce nonzero
+    residuals.
     """
     colors = range(1, table.dim + 1)
     out = []
     for a in colors:
-        for p in range(0, pmax + 1):
+        for p in range(pmax + 1):
             target = table.unit_ext(a, p + 1)
-            applied = apply_op(B, [target.var_deriv(xi) for xi in colors])
-            for b in colors:
-                res = applied[b - 1] - table.entry(a, p, b, 0).dx()
-                out.append(((a, p, b), res))
+            terms = [(B, {xi: target.var_deriv(xi) for xi in colors})]
+            out += [((a, p, b), -def_a_residual(terms, table.entry(a, p, b, 0), b))
+                    for b in colors]
     return out
 
 

@@ -7,14 +7,14 @@ expands d^k o f; the adjoint sends f d^k to (-d)^k o f and transposes the
 matrix.  A cell under construction accumulates one `jetcalc.Sum` per order
 and is finished once (`finish`).  Applying a cell to a function f is
 sum_k coeff_k dx^k(f) (`apply_entry`).  The bracket deformation reads two
-more cells: the higher-Euler cell E_g(f) (`euler_cell`) and a commutator
-[X, P] known through o = dx P alone (`commutator`).  `leibniz` reads each
-coefficient's lowest nonzero hbar order once, and skips a pair of
-coefficients whose lowest orders sum past the pair's truncation before any
-jet is taken: dx keeps hbar order, so every product of the pair is zero.
-Every coefficient of an operator is known to the operator's own hbar order.
-Conjugation under a
-coordinate change, which must be the identity at hbar^0,
+more cells: the higher-Euler cell E_g(f), the adjoint of f's linearization
+(`euler_cell`), and a commutator [X, P] known through o = dx P alone
+(`commutator`).  `leibniz` reads each coefficient's lowest nonzero hbar
+order once, and skips a pair of coefficients whose lowest orders sum past
+the pair's truncation before any jet is taken: dx keeps hbar order, so
+every product of the pair is zero.  Every coefficient of an operator is
+known to the operator's own hbar order.  Conjugation under a coordinate
+change, which must be the identity at hbar^0,
 
     w_a = m_a(v, v_1, ...),   m_a = v_a + O(hbar)
 
@@ -207,19 +207,10 @@ def apply_entry(cell: Entry, f):
 
 def euler_cell(f, g: int) -> Entry:
     """E_g(f) = sum_k (-1)^k T[g,k](f) d^k, the adjoint of f's linearization
-    sum_n (df/dw[g,n]) d^n, with T the higher Euler operators (`t_op`).
-    Expanded, E_g(f)[k] = sum_{n>=k} (-1)^n C(n,k) dx^(n-k)(df/dw[g,n]): each
-    partial is taken once, and its kept jets are read until one vanishes."""
-    cell = defaultdict(Sum)
-    for n in sorted({m for gg, m in f.variables() if gg == g}):
-        jet = f.partial(g, n)
-        for k in range(n, -1, -1):
-            if not jet:
-                break
-            cell[k].add(jet, (-1) ** n * math.comb(n, k))
-            if k:
-                jet = jet.dx()
-    return finish(cell)
+    sum_n (df/dw[g,n]) d^n, with T the higher Euler operators (`t_op`): each
+    partial is taken once, and `leibniz` reads its kept jets."""
+    lin = {n: f.partial(g, n) for n in sorted({m for gg, m in f.variables() if gg == g})}
+    return finish(_adjoint_cell(lin, defaultdict(Sum)))
 
 
 def commutator(x: Entry, o) -> dict:
@@ -252,12 +243,19 @@ def compose(p: DiffOperator, q: DiffOperator) -> DiffOperator:
     return DiffOperator(p.dim, min(p.trunc, q.trunc), cells)
 
 
+def _adjoint_cell(cell: Entry, out: dict) -> dict:
+    """Add the scalar adjoint sum_k (-d)^k o c_k of the cell sum_k c_k d^k
+    into the cell under construction `out`, and return it."""
+    for k, a in cell.items():
+        leibniz({k: -1 if k % 2 else 1}, {0: a}, out)
+    return out
+
+
 def adjoint(p: DiffOperator) -> DiffOperator:
     """Formal adjoint: f d^k -> (-d)^k o f, colors transposed."""
     out = defaultdict(lambda: defaultdict(Sum))
     for (row, col), cell in p._entries.items():
-        for k, a in cell.items():
-            leibniz({k: -1 if k % 2 else 1}, {0: a}, out[(col, row)])
+        _adjoint_cell(cell, out[(col, row)])
     return DiffOperator(p.dim, p.trunc, {key: finish(cell) for key, cell in out.items()})
 
 

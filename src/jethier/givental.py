@@ -37,7 +37,7 @@ x-derivatives vanish, which leaves d in [0, l-1] for the second-order
 factors.  So the factors depend on the table and the generator only, and
 `UpperDeformation` builds them once for all entries.  The same instance
 serves the operator deformation of `bracket.r_deform_bracket`: its blocks
-read the contracted second factors and the linear transport field.
+read the contracted second factors and the linear transport (`transport`).
 """
 
 from __future__ import annotations
@@ -103,10 +103,13 @@ class GiventalGen:
 
 
 def gen_from_obj(obj: dict) -> GiventalGen:
-    """The generator of a JSON object: `level` a JSON integer, `matrix` a
-    non-empty list of lists."""
+    """The generator of a JSON object with the keys `kind`, `level` (a JSON
+    integer) and `matrix` (a non-empty list of lists), and no other."""
     if not isinstance(obj, dict):
         raise ValueError("generator must be a JSON object")
+    unknown = sorted(set(obj) - {"kind", "level", "matrix"})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
     for key in ("kind", "level", "matrix"):
         if key not in obj:
             raise ValueError(f"generator is missing {key!r}")
@@ -135,9 +138,10 @@ class OmegaTable:
 
     A table is given its entries, or a builder `build(table, a, p, b, q)`
     that makes an entry in bounds (colors 1..dim, p <= pmax, q <= qmax) on
-    its first read.  The table keeps that entry, and what it derives from
-    its entries, for as long as it lives: the unit contractions
-    `unit_ext(a, p)`, the constant series of `ext`, and the one
+    its first read; it answers (a,p;b,q) with q < p <= qmax from (b,q;a,p),
+    so it is symmetric by construction.  The table keeps each entry, and what
+    it derives from its entries, for as long as it lives: the unit
+    contractions `unit_ext(a, p)`, the constant series of `ext`, and the one
     `UpperDeformation` per upper generator value that `entry_deformation`
     hands out.  No entry changes once read, so what is kept stays valid.
     """
@@ -167,8 +171,12 @@ class OmegaTable:
                     f"table entry ({a},{p};{b},{q}) outside stored bounds "
                     f"(pmax={self.pmax}, qmax={self.qmax})"
                 )
-            got = self._entries[(a, p, b, q)] = self._build(self, a, p, b, q)
+            got = self._entries[(a, p, b, q)] = self._make(a, p, b, q)
         return got
+
+    def _make(self, a: int, p: int, b: int, q: int) -> HbarSeries:
+        """The entry (a,p;b,q) in bounds of a built table: (b,q;a,p) if q < p <= qmax."""
+        return self.entry(b, q, a, p) if q < p <= self.qmax else self._build(self, a, p, b, q)
 
     def ext(self, a: int, p: int, b: int, q: int) -> HbarSeries:
         """Stored entry for p,q >= 0; the delta-constant extension otherwise."""
@@ -198,12 +206,14 @@ class OmegaTable:
 
     def items(self):
         """Every entry, by index; a builder table builds those it has not yet."""
-        if self._build is not None:
-            colors = range(1, self.dim + 1)
-            for index in product(colors, range(self.pmax + 1), colors, range(self.qmax + 1)):
-                if index not in self._entries:
-                    self._entries[index] = self._build(self, *index)
-        return sorted(self._entries.items())
+        if self._build is None:
+            return sorted(self._entries.items())
+        colors = range(1, self.dim + 1)
+        grid = list(product(colors, range(self.pmax + 1), colors, range(self.qmax + 1)))
+        for index in grid:
+            if index not in self._entries:
+                self._entries[index] = self._make(*index)
+        return [(index, self._entries[index]) for index in grid]
 
 
 def table_to_obj(table: OmegaTable) -> dict:
@@ -349,6 +359,11 @@ class UpperDeformation:
             got = self._lin[key] = out.value()
         return got
 
+    def transport(self, f, out: Sum, k) -> None:
+        """Add k times the transport of f, sum_{g,n} lin[g,n] df/dw[g,n], into `out`."""
+        for (g, n) in sorted(f.variables()):
+            out.add_product(f.partial(g, n), self.lin(g, n), k)
+
     def quad(self, g: int, n: int, z: int, m: int) -> HbarSeries:
         """The quadratic factor quad[(g,n),(z,m)]."""
         key = (g, n, z, m)
@@ -382,10 +397,10 @@ class UpperDeformation:
                 lead = table.ext(a, p, mu, d)
                 if lead:
                     out.add_product(lead, self.right(mu, ell - 1 - d, b, q), _sgn(d + 1))
+        self.transport(base, out, -1)
         base_vars = sorted(base.variables())
         for (g, n) in base_vars:
             dbase = base.partial(g, n)  # nonzero: w[g,n] occurs in base
-            out.add_product(dbase, self.lin(g, n), -1)
             for (z, m) in base_vars:
                 second = dbase.partial(z, m)
                 if second:

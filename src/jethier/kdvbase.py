@@ -196,15 +196,11 @@ def kdv_omega_table(pmax: int, qmax: int, trunc: int) -> OmegaTable:
     OutOfDerivableRange at once.  A symmetric pair is one entry, and the
     genus-1 completion's factors and the first rows are built once a table."""
     genus1, first_row = genus1_completion(), _first_rows(trunc)
-    prov = {}
-    for p in range(pmax + 1):
-        for q in range(qmax + 1):
-            prov[(V1, p, V1, q)] = (prov[(V1, q, V1, p)] if q < p <= qmax
-                                    else _route(p, q, trunc))
+    prov = {(V1, p, V1, q): _route(p, q, trunc)
+            for p in range(pmax + 1) for q in range(qmax + 1)}
 
-    def build(table, _, p, __, q):
-        return (table.entry(V1, q, V1, p) if q < p <= qmax
-                else _full_omega(p, q, trunc, prov[(V1, p, V1, q)], genus1, first_row))
+    def build(_, __, p, ___, q):
+        return _full_omega(p, q, trunc, prov[(V1, p, V1, q)], genus1, first_row)
 
     return OmegaTable(1, pmax, qmax, trunc, {}, prov, build)
 
@@ -215,9 +211,8 @@ def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
     Diagonal color blocks repeat the one-color entries in that color's jet
     variables; mixed-color entries vanish (product partition functions have
     no mixed second derivatives), and are one shared zero.  Each entry is
-    built on its first read, and each source series is recolored once per
-    color, so symmetric entries (a,p; a,q) and (a,q; a,p) share one series,
-    as in the source table.
+    built on its first read; the table answers (a,q; a,p) from (a,p; a,q),
+    so each source entry with p <= q is recolored once per color.
     """
     if table.dim != 1:
         raise ValueError("tensor_power expects a one-color source table")
@@ -226,15 +221,8 @@ def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
     prov = {(a, p, a, q): tag for (_, p, _, q), tag in table.provenance.items()
             for a in range(1, dim + 1)}
     zero = HbarSeries.zero(table.trunc)
-    recolored = {}  # (id(series), color) -> series; the source keeps each series alive
 
     def build(_, a, p, b, q):
-        if a != b:
-            return zero
-        series = table.entry(V1, p, V1, q)
-        key = (id(series), a)
-        if key not in recolored:
-            recolored[key] = series.recolor(a)
-        return recolored[key]
+        return table.entry(V1, p, V1, q).recolor(a) if a == b else zero
 
     return OmegaTable(dim, table.pmax, table.qmax, table.trunc, {}, prov, build)

@@ -197,6 +197,14 @@ def suite_uniqueness(base: BasePoint) -> list[CheckResult]:
     return out
 
 
+def _defining_equation_ok(table: OmegaTable, pop: PoissonOp, gen: GiventalGen,
+                          pmax: int) -> bool:
+    """Whether every defining-equation residual of `gen`, p <= pmax, is zero."""
+    dP = bracket_deformation(table, pop, gen)
+    return all(res.is_zero() for _, res in
+               defining_equation_residuals(table, pop, gen, dP, pmax))
+
+
 def suite_defining_equation(base: BasePoint, trunc: int) -> list[CheckResult]:
     """Linearized defining-equation residuals for both generator kinds, trunc <= 2
     (`run_suite` refuses more)."""
@@ -207,19 +215,12 @@ def suite_defining_equation(base: BasePoint, trunc: int) -> list[CheckResult]:
     for level in (1, 2, 3):
         matrix = [[0]] if level % 2 == 0 else [[1]]
         for kind, name in (("r", "upper"), ("s", "lower")):
-            gen = GiventalGen(kind, level, matrix)
-            dP = bracket_deformation(table, pop, gen)
-            ok = all(res.is_zero() for _, res in
-                     defining_equation_residuals(table, pop, gen, dP, pmax))
+            ok = _defining_equation_ok(table, pop, GiventalGen(kind, level, matrix), pmax)
             out.append(CheckResult(f"{name}-bracket-defining-equation-level-{level}",
                                    ok, f"p <= {pmax}, hbar^{table.trunc}"))
     if trunc >= 2:
-        table2 = base.table(2)
-        pop2 = PoissonOp.dx(1, 2)
-        gen = GiventalGen("r", 1, [[1]])
-        dP2 = r_deform_bracket(table2, pop2, gen)
-        ok = all(res.is_zero() for _, res in
-                 defining_equation_residuals(table2, pop2, gen, dP2, 0))
+        ok = _defining_equation_ok(base.table(2), PoissonOp.dx(1, 2),
+                                   GiventalGen("r", 1, [[1]]), 0)
         out.append(CheckResult("upper-bracket-defining-equation-hbar2",
                                ok, "level 1, p = 0, paper-sourced entries"))
     return out

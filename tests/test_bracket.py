@@ -211,8 +211,8 @@ def test_def_a_trivial_all_zero():
     zeros = {key: HbarSeries.zero(1) for key in
              [(1, 0, 1, 0), (1, 1, 1, 0)]}
     dP = DiffOperator.zero(1, 1)
-    grads = unit_sum_grads(table, pop, zeros, dP, 1, 0)
-    res = def_a_residual(pop, dP, zeros[(1, 0, 1, 0)], grads, 1)
+    terms = unit_sum_grads(table, pop, zeros, dP, 1, 0)
+    res = def_a_residual(terms, zeros[(1, 0, 1, 0)], 1)
     assert res.is_zero()
 
 

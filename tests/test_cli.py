@@ -434,9 +434,10 @@ def test_deform_omega_lower_reads_no_index_past_its_bounds(tmp_path, capsys):
     ([1], "generator must be a JSON object"),
     ({"kind": "r", "level": 1}, "generator is missing 'matrix'"),
     ({"level": 1, "matrix": [[1]]}, "generator is missing 'kind'"),
+    ({"kind": "r", "level": 1, "matrix": [[1]], "extra": 1}, ": unknown key 'extra'\n"),
 ], ids=["wrong-parity", "unknown-kind", "missing-file", "zero-denominator",
         "float-level", "bool-level", "matrix-string", "row-string", "empty-matrix",
-        "bool-entry", "not-an-object", "missing-matrix", "missing-kind"])
+        "bool-entry", "not-an-object", "missing-matrix", "missing-kind", "unknown-key"])
 def test_deform_invalid_generator_exit2(tmp_path, capsys, gen, message):
     path = str(tmp_path / "missing.json") if gen is None else write_gen(tmp_path, gen)
     code = main(["deform", "bracket", "--generator", path])

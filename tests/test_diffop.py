@@ -75,23 +75,25 @@ def test_leibniz_cells_and_apply():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_euler_cell_is_adjoint_of_linearization(seed):
-    # E_g(f) against the adjoint, through leibniz, of sum_n (df/dw[g,n]) d^n
+    # E_g(f) against the adjoint, through leibniz, of sum_n (df/dw[g,n]) d^n,
+    # and against the higher Euler operators, which `t_op` runs by Horner's
+    # rule and not through leibniz
     rng = random.Random(seed)
-    poly = random_jetpoly(rng, colors=2, max_order=3, n_terms=4)
-    series = HbarSeries(1, [random_jetpoly(rng, colors=2, max_order=3),
-                            random_jetpoly(rng, colors=2, max_order=3)])
+    poly = random_jetpoly(rng, colors=3, max_order=3, n_terms=4)
+    series = HbarSeries(2, [random_jetpoly(rng, colors=3, max_order=3) for _ in range(3)])
     for f in (poly, series):
-        for g in (1, 2):
+        for g in (1, 2, 3):
             orders = sorted(n for gg, n in f.variables() if gg == g)
             got = euler_cell(f, g)
             if orders:
                 assert max(got) == orders[-1]
             else:
                 assert got == {}
-            want = adjoint(sop(1, {n: f.partial(g, n) for n in orders}))
-            assert sop(1, got) == want
-            # the definition through the higher Euler operators
-            for k in range(orders[-1] + 1 if orders else 0):
+            want = adjoint(sop(2, {n: f.partial(g, n) for n in orders}))
+            assert sop(2, got) == want
+            # the definition through the higher Euler operators, at every k
+            # up to the top jet order the data can have
+            for k in range(4):
                 assert got.get(k, f * 0) == (-1) ** k * f.t_op(g, k), (g, k)
 
 

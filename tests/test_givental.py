@@ -185,6 +185,29 @@ def test_table_keeps_what_it_derives():
     assert entry_deformation(tensor_power(kdv_omega_table(3, 3, 1), 2), gen) is not deform
 
 
+def test_built_table_is_symmetric_by_construction():
+    # the builder makes a new series on every call, yet the table answers
+    # (a,p; b,q) with q < p <= qmax from (b,q; a,p) and never asks for it
+    asked = []
+
+    def build(_, a, p, b, q):
+        asked.append((a, p, b, q))
+        return HbarSeries.const(10 * p + q, 0)
+
+    table = OmegaTable(2, 3, 2, 0, {}, build=build)
+    assert table.entry(1, 1, 1, 0) is table.entry(1, 0, 1, 1)
+    assert table.entry(1, 0, 2, 2) is table.entry(2, 2, 1, 0)
+    entries = dict(table.items())
+    # three (p, q) with q < p <= 2, for each of the four color pairs, are not built
+    assert len(asked) == len(set(asked)) == len(entries) - 3 * 4 == 36
+    assert not [(a, p, b, q) for a, p, b, q in asked if q < p <= table.qmax]
+    for (a, p, b, q), got in entries.items():
+        if q < p <= table.qmax:
+            assert got is entries[(b, q, a, p)]
+    # past qmax an index has no transpose in bounds, so it is built
+    assert entries[(2, 3, 1, 1)] == HbarSeries.const(31, 0)
+
+
 # ---------------------------------------------------------------------------
 # triple correlators
 # ---------------------------------------------------------------------------
