@@ -443,9 +443,11 @@ def s_deform_omega(table: OmegaTable, gen: GiventalGen, a: int, p: int,
                    b: int, q: int) -> HbarSeries:
     """First-order change of the (a,p;b,q) entry under a lower generator.
 
-    Only four blocks contribute: index-lowering sums on both slots, a
-    constant term at level p+q+1, and (for level 1) the order-0 coordinate
-    shift.
+    Only four blocks contribute: index-lowering sums on both slots, weighted
+    by M[mu][a] and M[mu][b], a constant term at level p+q+1, and (for
+    level 1) the order-0 coordinate shift.  At even levels, where M is
+    skew, the two-point string equation fixes the sign of the lowering
+    blocks against the constant.
     """
     if gen.kind != "s":
         raise ValueError("lower-kind generator required")
@@ -456,10 +458,10 @@ def s_deform_omega(table: OmegaTable, gen: GiventalGen, a: int, p: int,
     out.add(HbarSeries.zero(H))
     if ell <= p:
         for mu in range(1, s + 1):
-            out.add(table.entry(mu, p - ell, b, q), gen.up_low(mu, a))
+            out.add(table.entry(mu, p - ell, b, q), gen.up_low(a, mu))
     if ell <= q:
         for mu in range(1, s + 1):
-            out.add(table.entry(a, p, mu, q - ell), gen.up_low(mu, b))
+            out.add(table.entry(a, p, mu, q - ell), gen.up_low(b, mu))
     if ell == p + q + 1:
         out.add(HbarSeries.const(_sgn(p) * gen.matrix[a - 1][b - 1], H))
     if ell == 1:

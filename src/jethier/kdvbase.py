@@ -1,15 +1,18 @@
 """The KdV base point: explicit tables, the quasi-Miura transform, tensor powers.
 
 The one-color hierarchy with cubic prepotential is the anchor where every
-structure is explicitly polynomial.  Its data enters in three layers:
+structure is explicitly polynomial.  Its table entries come by three routes:
 
-  * dispersionless closed form   v^(p+q+1) / (p! q! (p+q+1));
-  * the first three dispersive flows, integrated to first-row table entries
-    exact to hbar^2;
-  * the genus-1 correction, carried by derivatives of the density
-    (1/24) log v_x, which completes every entry to first order in hbar;
-    mixed entries to hbar^2 are produced by transporting first-row data
-    along the flows and integrating.
+  * the first rows (0;q), q <= 2: the three tabulated dispersive flows,
+    integrated, exact to hbar^2;
+  * every other entry to first order in hbar: a closed formula, the
+    dispersionless v^(p+q+1) / (p! q! (p+q+1)) plus its genus-1
+    correction.  That correction is the second flow derivative of the
+    genus-1 density (1/24) log v_x, corrected by the quasi-Miura term; its
+    rational parts cancel to two terms.  The tests derive it that way, entry
+    by entry, as the oracle of the formula;
+  * mixed entries to hbar^2: first-row data transported along the flows
+    and integrated.
 
 The quasi-Miura transform (rational in v_x) maps the dispersionless
 hierarchy to the dispersive one; only derivatives of log v_x are ever
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 from .diffop import MiuraChange
 from .givental import OmegaTable
-from .jetcalc import HbarSeries, JetPoly, NotExact, dx, evolve, formal_integrate
+from .jetcalc import HbarSeries, JetPoly, dx, evolve, formal_integrate
 
 V1 = 1  # the single color of the base point
 
@@ -55,32 +58,6 @@ def kdv_flow(q: int, trunc: int = 2) -> HbarSeries:
     return rhs.truncate(trunc)
 
 
-def kdv_dispersionless_omega(p: int, q: int) -> JetPoly:
-    """Closed-form dispersionless entry v^(p+q+1)/(p! q! (p+q+1))."""
-    if p < 0 or q < 0:
-        raise ValueError("descendant indices must be >= 0")
-    denom = math.factorial(p) * math.factorial(q) * (p + q + 1)
-    return _v(0, p + q + 1) * Fraction(1, denom)
-
-
-# ---------------------------------------------------------------------------
-# genus-1 completion
-# ---------------------------------------------------------------------------
-
-def _flow_vector(p: int) -> JetPoly:
-    """Dispersionless flow  v^p/p! * v_1."""
-    return _v(0, p) * _v(1) / math.factorial(p) if p else _v(1)
-
-
-def genus1_flow_derivative(p: int) -> JetPoly:
-    """Derivative of the genus-1 density along the p-th flow (Laurent).
-
-    The density itself is (1/24) log v_x and never appears; its flow
-    derivative (1/24) dx(flow)/v_x stays in the Laurent ring.
-    """
-    return dx(_flow_vector(p)) * _v(1, -1) / 24
-
-
 def quasi_miura_h1() -> JetPoly:
     """hbar coefficient of the coordinate change: (1/24) (log v_x)_xx."""
     return dx(_v(2) * _v(1, -1)) / 24
@@ -107,38 +84,34 @@ def quasi_miura(direction: str, trunc: int) -> MiuraChange:
     raise ValueError("direction must be 'forward' or 'inverse'")
 
 
-def genus1_completion():
-    """(p, q, omega) -> hbar coefficient of the (p;q) entry, from the genus-1
-    completion, given omega = `kdv_dispersionless_omega(p, q)`, its hbar^0
-    coefficient.
-
-    Combines the second flow derivative of the genus-1 density (its p-th
-    flow derivative along the q-th flow) with the coordinate-change
-    correction; the rational parts cancel and each result must be a
-    polynomial of weighted degree 2, which is checked.  The returned function
-    builds each flow vector (with its jets), each genus-1 flow derivative
-    and `quasi_miura_h1` once and keeps them: build one per table.
-    """
-    flows, firsts, h1 = {}, {}, quasi_miura_h1()
-
-    def correction(p: int, q: int, omega: JetPoly) -> JetPoly:
-        for k in (p, q):
-            if k not in flows:
-                flows[k], firsts[k] = _flow_vector(k), genus1_flow_derivative(k)
-        lead = omega.partial(V1, 0)
-        out = evolve(firsts[p], {V1: flows[q]}) - lead * h1
-        if not out.is_polynomial():
-            raise NotExact(
-                f"genus-1 completion of entry ({p};{q}) left rational terms"
-            )
-        return out
-
-    return correction
-
-
 # ---------------------------------------------------------------------------
 # table entries
 # ---------------------------------------------------------------------------
+
+def _entry_closed_form(p: int, q: int, trunc: int) -> HbarSeries:
+    """Entry (p;q) to hbar^trunc, trunc <= 1, from its closed form, n = p+q:
+
+        v^(n+1) / (p! q! (n+1))
+          + hbar [(p(p-1) + pq + q(q-1)) v^(n-2) v_1^2 + 2n v^(n-1) v_2] / (24 p! q!)
+
+    The hbar part is the second flow derivative of the genus-1 density
+    (1/24) log v_x, corrected by the quasi-Miura term `quasi_miura_h1`, with
+    its rational parts cancelled.  A term with coefficient zero is dropped,
+    and so is the factor v^0.
+    """
+    n, pq = p + q, math.factorial(p) * math.factorial(q)
+
+    def mono(k, *jets):
+        return ((V1, 0, k),) * (k > 0) + jets
+
+    h0 = JetPoly({mono(n + 1): Fraction(1, pq * (n + 1))})
+    if not trunc:
+        return HbarSeries(0, [h0])
+    c1 = p * (p - 1) + p * q + q * (q - 1)
+    h1 = JetPoly({mono(n - 2, (V1, 1, 2)): Fraction(c1, 24 * pq),
+                  mono(n - 1, (V1, 2, 1)): Fraction(2 * n, 24 * pq)})
+    return HbarSeries(trunc, [h0, h1])
+
 
 def _first_rows(trunc: int):
     """q -> first-row entry (0;q), the integrated q-th flow; the returned
@@ -179,28 +152,27 @@ def _route(p: int, q: int, trunc: int) -> str:
     )
 
 
-def _full_omega(p: int, q: int, trunc: int, tag: str, genus1, first_row) -> HbarSeries:
-    """Dispersive entry (p;q) by the route `tag` of `_route`, given the
-    genus-1 completion `genus1` and the first rows `first_row` of its table."""
+def _full_omega(p: int, q: int, trunc: int, tag: str, first_row) -> HbarSeries:
+    """Dispersive entry (p;q) by the route `tag` of `_route`, given the first
+    rows `first_row` of its table."""
     if tag == "flow-integration":
         return first_row(max(p, q))
     if tag == "flow-transport":
         return _transport(p, q, first_row)
-    omega = kdv_dispersionless_omega(p, q)
-    return HbarSeries(trunc, [omega] + ([genus1(p, q, omega)] if trunc else []))
+    return _entry_closed_form(p, q, trunc)
 
 
 def kdv_omega_table(pmax: int, qmax: int, trunc: int) -> OmegaTable:
     """Table on 0..pmax x 0..qmax, each entry built on its first read.  Every
     route is checked here, so an entry outside the derivable set raises
     OutOfDerivableRange at once.  A symmetric pair is one entry, and the
-    genus-1 completion's factors and the first rows are built once a table."""
-    genus1, first_row = genus1_completion(), _first_rows(trunc)
+    first rows are integrated once a table."""
+    first_row = _first_rows(trunc)
     prov = {(V1, p, V1, q): _route(p, q, trunc)
             for p in range(pmax + 1) for q in range(qmax + 1)}
 
     def build(_, __, p, ___, q):
-        return _full_omega(p, q, trunc, prov[(V1, p, V1, q)], genus1, first_row)
+        return _full_omega(p, q, trunc, prov[(V1, p, V1, q)], first_row)
 
     return OmegaTable(1, pmax, qmax, trunc, {}, prov, build)
 

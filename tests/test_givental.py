@@ -3,7 +3,7 @@
 import json
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -547,6 +547,44 @@ def test_s_deform_symmetric(level, matrix):
                     assert got == s_deform_omega(table, g, b, q, a, p), (a, p, b, q)
                     nonzero += not got.is_zero()
     assert nonzero
+
+
+def string_residuals(table, deform, bound):
+    """Two-point string-equation residuals of a deformation D = `deform` of
+    `table`, p, q <= bound:  d_e D(a,p;b,q) - D(a,p-1;b,q) - D(a,p;b,q-1),
+    with d_e = sum_g d/dw[g,0] and D zero at a negative index."""
+    colors = range(1, table.dim + 1)
+
+    def d(a, p, b, q):
+        return deform(a, p, b, q) if min(p, q) >= 0 else HbarSeries.zero(table.trunc)
+
+    out = []
+    for a, p, b, q in product(colors, range(bound + 1), colors, range(bound + 1)):
+        got = d(a, p, b, q)
+        lhs = Sum()
+        for g in colors:
+            lhs.add(got.partial(g, 0))
+        lhs.add(d(a, p - 1, b, q), -1)
+        lhs.add(d(a, p, b, q - 1), -1)
+        out.append(lhs.value())
+    return out
+
+
+@pytest.mark.parametrize("trunc", [0, 1])
+@pytest.mark.parametrize("kind, level", [("s", 1), ("s", 2), ("s", 3), ("s", 4),
+                                         ("r", 1), ("r", 2)])
+def test_deformation_keeps_string_equation(kind, level, trunc):
+    # the string equation holds for the two-point functions of every
+    # calibrated Frobenius manifold, so it holds for a deformation to first
+    # order; at even lower levels it pins the sign of the index-lowering
+    # blocks against the constant block
+    matrix = [[1, 2], [2, 3]] if level % 2 else [[0, 1], [-1, 0]]
+    table = tensor_power(kdv_omega_table(5, 5, trunc), 2)
+    deform = entry_deformation(table, GiventalGen(kind, level, matrix))
+    residuals = string_residuals(table, deform, 3)
+    assert len(residuals) == 64
+    assert any(deform(a, p, b, q) for a, p, b, q in product((1, 2), range(4), (1, 2), range(4)))
+    assert [i for i, r in enumerate(residuals) if not r.is_zero()] == []
 
 
 def test_s_deform_requires_lower_kind():

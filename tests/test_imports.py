@@ -1,9 +1,12 @@
-"""Every name a module of the package imports is read by that module.
+"""Every name a module of the package imports is read by that module, and
+every top-level definition of the package is read by the package.
 
-No linter is a dependency of the project, so this is the unused-import check:
-each `jethier` module is parsed with `ast`, and a name an import binds must
-be read somewhere in the module, or listed in its `__all__`.  An import kept
-on purpose carries `# noqa: F401` on its line.
+No linter is a dependency of the project, so these are the unused-import and
+dead-definition checks: each `jethier` module is parsed with `ast`.  A name an
+import binds must be read somewhere in the module, or listed in its
+`__all__`; an import kept on purpose carries `# noqa: F401` on its line.  A
+top-level `def` or `class` must be read by package code outside its own
+body; code only the tests use belongs in the tests.
 """
 
 import ast
@@ -50,3 +53,40 @@ def test_guard_sees_an_unused_import():
               "__all__ = ['math']\n"
               "Sum()\n")
     assert unused_imports(source) == [(1, "HbarSeries")]
+
+
+# No package code calls these; perfbench's tracer lists them until its
+# callables are refreshed (ROADMAP item 1b), which then moves them to the tests.
+UNREAD_ON_PURPOSE = [("diffop", "apply_op"), ("givental", "r_deform_omega"),
+                     ("jetcalc", "substitute")]
+
+
+def unread_definitions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each top-level def or class that no module reads
+    outside the definition's own body.  Names are matched by name alone;
+    an import or an `__all__` entry is not a read."""
+    tops = []  # (module, top-level node, the names it reads)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            reads = {n.id for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            tops.append((module, node, reads))
+    return [(module, node.name) for module, node, _ in tops
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not any(node.name in reads for _, other, reads in tops if other is not node)]
+
+
+def test_every_definition_is_read():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unread_definitions(sources) == UNREAD_ON_PURPOSE
+
+
+def test_guard_sees_an_unread_definition():
+    sources = {"a": ("def used():\n    pass\n"
+                     "def recursive(n):\n    return recursive(n - 1)\n"
+                     "class Exported:\n    pass\n"
+                     "__all__ = ['Exported']\n"),
+               "b": ("from .a import Exported, used\n"
+                     "def caller():\n    return used()\n"
+                     "caller()\n")}
+    assert unread_definitions(sources) == [("a", "recursive"), ("a", "Exported")]

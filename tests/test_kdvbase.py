@@ -11,13 +11,10 @@ from jethier import kdvbase
 from jethier.bracket import check_series_homogeneity
 from jethier.cli import main
 from jethier.givental import OmegaTable, table_to_obj
-from jethier.jetcalc import HbarSeries, JetPoly, dx, evolve, formal_integrate, to_json
+from jethier.jetcalc import HbarSeries, JetPoly, NotExact, dx, evolve, formal_integrate, to_json
 from jethier.diffop import DiffOperator, conjugate_by_miura
 from jethier.kdvbase import (
     OutOfDerivableRange,
-    genus1_completion,
-    genus1_flow_derivative,
-    kdv_dispersionless_omega,
     kdv_flow,
     kdv_omega_table,
     quasi_miura,
@@ -30,6 +27,48 @@ W = JetPoly.var
 
 def w(n, exp=1):
     return W(1, n, exp)
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the genus-1 completion, derived entry by entry
+# ---------------------------------------------------------------------------
+
+def kdv_dispersionless_omega(p, q):
+    """Closed-form dispersionless entry v^(p+q+1)/(p! q! (p+q+1))."""
+    return w(0, p + q + 1) / (math.factorial(p) * math.factorial(q) * (p + q + 1))
+
+
+def flow_vector(p):
+    """Dispersionless flow  v^p/p! * v_1."""
+    return w(0, p) * w(1) / math.factorial(p)
+
+
+def flow_derivation(f, p):
+    """Derivative along the dispersionless p-th flow."""
+    return evolve(f, {1: flow_vector(p)})
+
+
+def genus1_flow_derivative(p):
+    """Derivative of the genus-1 density (1/24) log v_x along the p-th flow:
+    (1/24) dx(flow)/v_x, which stays in the Laurent ring."""
+    return dx(flow_vector(p)) * w(1, -1) / 24
+
+
+def genus1_completion(p, q, omega):
+    """hbar coefficient of the (p;q) entry, given its hbar^0 coefficient
+    omega: the p-th flow derivative of the genus-1 density along the q-th
+    flow, less the coordinate-change correction.  The rational parts must
+    cancel, which is checked."""
+    out = flow_derivation(genus1_flow_derivative(p), q) - omega.partial(1, 0) * quasi_miura_h1()
+    if not out.is_polynomial():
+        raise NotExact(f"genus-1 completion of entry ({p};{q}) left rational terms")
+    return out
+
+
+def derived_entry(p, q, trunc):
+    """Entry (p;q) at truncation trunc <= 1 by the derivation."""
+    omega = kdv_dispersionless_omega(p, q)
+    return HbarSeries(trunc, [omega] + ([genus1_completion(p, q, omega)] if trunc else []))
 
 
 def kdv_full_omega(p, q, trunc=2):
@@ -81,12 +120,24 @@ def test_transport_entry_1_1():
 
 
 def test_genus1_completion_matches_flow_route():
+    # the closed-form entries at hbar^1 against the integrated and
+    # transported flows at hbar^2, truncated: the two share no code
+    closed, flows = kdv_omega_table(2, 2, 1), kdv_omega_table(2, 2, 2)
     for (p, q) in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
-        via_g1 = kdv_dispersionless_omega(p, q) + 0  # hbar^0
-        corr = genus1_completion()(p, q, via_g1)
-        full, _ = kdv_full_omega(p, q, 2)
-        assert full.coeffs[0] == via_g1
-        assert full.coeffs[1] == corr, (p, q)
+        assert flows.entry(1, p, 1, q).truncate(1) == closed.entry(1, p, 1, q), (p, q)
+    assert closed.provenance[(1, 1, 1, 2)] == "genus1-completion"
+    assert flows.provenance[(1, 1, 1, 2)] == "flow-transport"
+
+
+@pytest.mark.parametrize("trunc", [0, 1])
+def test_closed_form_equals_derivation(trunc):
+    # every entry of the table, closed form or first row, against the
+    # genus-1 derivation, storage and all
+    table = kdv_omega_table(12, 12, trunc)
+    for p in range(13):
+        for q in range(13):
+            got, want = table.entry(1, p, 1, q), derived_entry(p, q, trunc)
+            assert (got.trunc, got.den, got.parts) == (want.trunc, want.den, want.parts), (p, q)
 
 
 def test_genus1_completion_closed_form():
@@ -110,7 +161,7 @@ def test_genus1_completion_closed_form():
                 want = want + c2 * w(0, p + q - 1) * w(2) / 24 if p + q >= 1 \
                     else want + c2 * w(2) / 24
             omega = kdv_dispersionless_omega(p, q)
-            assert genus1_completion()(p, q, omega) == want, (p, q)
+            assert genus1_completion(p, q, omega) == want, (p, q)
 
 
 def test_full_omega_derivable_range():
@@ -169,6 +220,7 @@ def test_forward_then_inverse_is_identity():
 
 def test_h1_term_is_genus1_density_second_x_derivative():
     # (log v_x)_xx via the flow-derivative chain with the translation flow
+    assert genus1_flow_derivative(0) == w(2) * w(1, -1) / 24
     assert quasi_miura_h1() == dx(genus1_flow_derivative(0))
 
 
@@ -240,7 +292,7 @@ def test_tensor_power_shares_symmetric_entries(trunc):
 def eager_kdv_table(pmax, qmax, trunc):
     """kdv_omega_table with every entry built at construction, each symmetric
     pair once, from the same routes and value builder."""
-    genus1, first_row = genus1_completion(), kdvbase._first_rows(trunc)
+    first_row = kdvbase._first_rows(trunc)
     entries, prov = {}, {}
     for p in range(pmax + 1):
         for q in range(qmax + 1):
@@ -249,7 +301,7 @@ def eager_kdv_table(pmax, qmax, trunc):
                 prov[(1, p, 1, q)] = prov[(1, q, 1, p)]
                 continue
             prov[(1, p, 1, q)] = tag = kdvbase._route(p, q, trunc)
-            entries[(1, p, 1, q)] = kdvbase._full_omega(p, q, trunc, tag, genus1, first_row)
+            entries[(1, p, 1, q)] = kdvbase._full_omega(p, q, trunc, tag, first_row)
     return OmegaTable(1, pmax, qmax, trunc, entries, prov)
 
 
@@ -366,31 +418,19 @@ def test_kdv_point_bundle():
     # the base-point data the package exposes, one function each
     assert kdv_omega_table(2, 2, 2).entry(1, 0, 1, 0) == HbarSeries.of(w(0), 2)
     assert quasi_miura("forward", 2).dim == 1
-    assert genus1_flow_derivative(0) == w(2) * w(1, -1) / 24
+    assert tensor_power(kdv_omega_table(0, 0, 0), 2).dim == 2
 
 
-def test_genus1_factors_built_once_per_table(monkeypatch):
-    # 12 entries of kdv_omega_table(4, 4, 1) go through the genus-1
-    # completion; each flow derivative and h1 is built once for all of them
-    built = []
-    for name in ("genus1_flow_derivative", "quasi_miura_h1"):
-        real = getattr(kdvbase, name)
-        monkeypatch.setattr(kdvbase, name,
-                            lambda *a, real=real, name=name: built.append(name) or real(*a))
-    table = kdv_omega_table(4, 4, 1)
+def test_closed_form_table_calls_no_evolve(monkeypatch):
+    # reading every entry of a table at hbar^1 evolves nothing: the entries
+    # outside the first rows are closed formulas
+    calls = []
+    real = kdvbase.evolve
+    monkeypatch.setattr(kdvbase, "evolve", lambda *a: calls.append(a) or real(*a))
+    table = kdv_omega_table(10, 10, 1)
     table.items()
-    assert sorted(built) == ["genus1_flow_derivative"] * 5 + ["quasi_miura_h1"]
+    assert calls == []
     assert table.provenance[(1, 2, 1, 3)] == "genus1-completion"
-    for p in range(5):
-        for q in range(5):
-            if table.provenance[(1, p, 1, q)] == "genus1-completion":
-                assert table.entry(1, p, 1, q).coeffs[1] == genus1_completion()(
-                    p, q, kdv_dispersionless_omega(p, q))
-
-
-def flow_derivation(f, p):
-    """Derivative along the dispersionless p-th flow v^p v_1 / p!."""
-    return evolve(f, {1: w(0, p) * w(1) / math.factorial(p)})
 
 
 def test_flow_derivation_leibniz():
