@@ -41,7 +41,6 @@ from .jetcalc import (HbarSeries, JetPoly, jetpoly_to_obj, render, render_series
                       series_to_obj, to_json)
 from .kdvbase import (
     OutOfDerivableRange,
-    kdv_flow,
     kdv_omega_table,
     quasi_miura,
     tensor_power,
@@ -321,7 +320,8 @@ def cmd_verify(args) -> int:
 def cmd_dump(args) -> int:
     fmt = args.format
     if args.what == "flows":
-        flows = {q: kdv_flow(q, args.hbar) for q in range(3)}
+        table = kdv_omega_table(0, 2, args.hbar)
+        flows = {q: table.entry(1, 0, 1, q).dx() for q in range(3)}
         if fmt == "text":
             obj = {f"dw/dt{q}": render_series(f) for q, f in flows.items()}
         else:

@@ -1,18 +1,18 @@
 """The KdV base point: explicit tables, the quasi-Miura transform, tensor powers.
 
 The one-color hierarchy with cubic prepotential is the anchor where every
-structure is explicitly polynomial.  Its table entries come by three routes:
+structure is explicitly polynomial.  Its table entries come by two routes:
 
-  * the first rows (0;q), q <= 2: the three tabulated dispersive flows,
-    integrated, exact to hbar^2;
-  * every other entry to first order in hbar: a closed formula, the
-    dispersionless v^(p+q+1) / (p! q! (p+q+1)) plus its genus-1
-    correction.  That correction is the second flow derivative of the
-    genus-1 density (1/24) log v_x, corrected by the quasi-Miura term; its
-    rational parts cancel to two terms.  The tests derive it that way, entry
-    by entry, as the oracle of the formula;
-  * mixed entries to hbar^2: first-row data transported along the flows
-    and integrated.
+  * every entry to first order in hbar, first rows included: a closed
+    formula, the dispersionless v^(p+q+1) / (p! q! (p+q+1)) plus its
+    genus-1 correction.  That correction is the second flow derivative of
+    the genus-1 density (1/24) log v_x, corrected by the quasi-Miura term;
+    its rational parts cancel to two terms.  The tests derive it that way,
+    entry by entry, as the oracle of the formula;
+  * entries to hbar^2: the first rows (0;q), q <= 2, by the Lenard
+    recursion of the second bracket, and the mixed entries as first-row
+    data transported along the flows and integrated.  The flows are dx of
+    the first rows.
 
 The quasi-Miura transform (rational in v_x) maps the dispersionless
 hierarchy to the dispersive one; only derivatives of log v_x are ever
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .diffop import MiuraChange
 from .givental import OmegaTable
-from .jetcalc import HbarSeries, JetPoly, dx, evolve, formal_integrate
+from .jetcalc import HbarSeries, JetPoly, Sum, dx, evolve, formal_integrate
 
 V1 = 1  # the single color of the base point
 
@@ -37,25 +37,6 @@ class OutOfDerivableRange(ValueError):
 
 def _v(n: int, exp: int = 1) -> JetPoly:
     return JetPoly.var(V1, n, exp)
-
-
-def kdv_flow(q: int, trunc: int = 2) -> HbarSeries:
-    """Right-hand side of the q-th flow, exact through hbar^2 for q <= 2."""
-    if trunc > 2:
-        raise OutOfDerivableRange("flows are tabulated through hbar^2 only")
-    if q == 0:
-        rhs = HbarSeries(2, [_v(1)])
-    elif q == 1:
-        rhs = HbarSeries(2, [_v(0) * _v(1), _v(3) / 12])
-    elif q == 2:
-        rhs = HbarSeries(2, [
-            _v(0) ** 2 * _v(1) / 2,
-            (2 * _v(1) * _v(2) + _v(0) * _v(3)) / 12,
-            _v(5) / 240,
-        ])
-    else:
-        raise OutOfDerivableRange(f"flow {q} is not tabulated")
-    return rhs.truncate(trunc)
 
 
 def quasi_miura_h1() -> JetPoly:
@@ -113,22 +94,31 @@ def _entry_closed_form(p: int, q: int, trunc: int) -> HbarSeries:
     return HbarSeries(trunc, [h0, h1])
 
 
-def _first_rows(trunc: int):
-    """q -> first-row entry (0;q), the integrated q-th flow; the returned
-    function integrates each flow once and keeps it: build one per table."""
-    rows = {}
+def _lenard_rows(trunc: int):
+    """q -> first-row entry (0;q) to hbar^trunc, by the Lenard recursion of
+    the second bracket P2 = v d + v_1/2 + (hbar/8) d^3:
 
-    def first_row(q: int) -> HbarSeries:
+        (0;q) = 2/(2q+1) * integral of P2 (0;q-1),   (0;-1) = 1.
+
+    The returned function derives each row once and keeps it: build one per
+    table."""
+    rows = {-1: HbarSeries.const(1, trunc)}
+
+    def lenard_row(q: int) -> HbarSeries:
         if q not in rows:
-            rows[q] = formal_integrate(kdv_flow(q, trunc))
+            prev, p2 = lenard_row(q - 1), Sum()
+            p2.add_product(_v(0), prev.dx())
+            p2.add_product(_v(1), prev, Fraction(1, 2))
+            p2.add(prev.dx_pow(3), Fraction(1, 8), 1)
+            rows[q] = formal_integrate(p2.value()) * Fraction(2, 2 * q + 1)
         return rows[q]
 
-    return first_row
+    return lenard_row
 
 
-def _transport(p: int, q: int, first_row) -> HbarSeries:
+def _transport(p: int, q: int, lenard_row) -> HbarSeries:
     """Mixed entry from first-row data: integrate the p-flow image of (0;q)."""
-    return formal_integrate(evolve(first_row(q), {V1: first_row(p).dx()}))
+    return formal_integrate(evolve(lenard_row(q), {V1: lenard_row(p).dx()}))
 
 
 def _route(p: int, q: int, trunc: int) -> str:
@@ -152,27 +142,29 @@ def _route(p: int, q: int, trunc: int) -> str:
     )
 
 
-def _full_omega(p: int, q: int, trunc: int, tag: str, first_row) -> HbarSeries:
-    """Dispersive entry (p;q) by the route `tag` of `_route`, given the first
-    rows `first_row` of its table."""
+def _full_omega(p: int, q: int, trunc: int, tag: str, lenard_row) -> HbarSeries:
+    """Dispersive entry (p;q) by the route `tag` of `_route`, given the Lenard
+    rows `lenard_row` of its table.  At truncation <= 1 every entry, first
+    rows included, is the closed form."""
+    if trunc <= 1:
+        return _entry_closed_form(p, q, trunc)
     if tag == "flow-integration":
-        return first_row(max(p, q))
-    if tag == "flow-transport":
-        return _transport(p, q, first_row)
-    return _entry_closed_form(p, q, trunc)
+        return lenard_row(max(p, q))
+    return _transport(p, q, lenard_row)
 
 
 def kdv_omega_table(pmax: int, qmax: int, trunc: int) -> OmegaTable:
     """Table on 0..pmax x 0..qmax, each entry built on its first read.  Every
     route is checked here, so an entry outside the derivable set raises
-    OutOfDerivableRange at once.  A symmetric pair is one entry, and the
-    first rows are integrated once a table."""
-    first_row = _first_rows(trunc)
+    OutOfDerivableRange at once.  A symmetric pair is one entry.  Below
+    hbar^2 every entry is the closed form; at hbar^2 the Lenard rows are
+    derived once a table."""
+    lenard_row = _lenard_rows(trunc)
     prov = {(V1, p, V1, q): _route(p, q, trunc)
             for p in range(pmax + 1) for q in range(qmax + 1)}
 
     def build(_, __, p, ___, q):
-        return _full_omega(p, q, trunc, prov[(V1, p, V1, q)], first_row)
+        return _full_omega(p, q, trunc, prov[(V1, p, V1, q)], lenard_row)
 
     return OmegaTable(1, pmax, qmax, trunc, {}, prov, build)
 

@@ -4,7 +4,8 @@ The package only writes these forms: the `*_to_obj` functions give them as
 plain trees, and `jetcalc.to_json` writes them straight from the values, as
 the tables of `givental.table_to_obj` hold them.  The round-trip tests read
 them back with the functions here, to check that what is written determines
-the value.  `hbar_shift` is the coefficient shift the test oracles share.
+the value.  `hbar_shift` is the coefficient shift the test oracles share, and
+`kdv_flows` the hand-typed KdV flows they compare the generated ones with.
 """
 
 from fractions import Fraction
@@ -43,6 +44,18 @@ def hbar_shift(s: HbarSeries, k: int = 1) -> HbarSeries:
     if k < 0:
         raise ValueError("hbar_shift needs k >= 0")
     return HbarSeries(s.trunc, [JetPoly.zero()] * k + list(s.coeffs))
+
+
+def kdv_flows() -> list:
+    """The KdV flows dw/dt_q, q = 0..2, typed by hand through hbar^2: the
+    oracle of `dx` of the first-row entries (0;q) the package generates."""
+    def w(n):
+        return JetPoly.var(1, n)
+
+    return [HbarSeries(2, [w(1)]),
+            HbarSeries(2, [w(0) * w(1), w(3) / 12]),
+            HbarSeries(2, [w(0) ** 2 * w(1) / 2, (2 * w(1) * w(2) + w(0) * w(3)) / 12,
+                           w(5) / 240])]
 
 
 def operator_from_obj(obj: dict) -> DiffOperator:

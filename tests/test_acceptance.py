@@ -14,7 +14,7 @@ from jethier.jetcalc import HbarSeries, JetPoly, formal_integrate, random_jetpol
 from jethier.diffop import DiffOperator, conjugate_by_miura, is_skew
 from jethier.genus0 import Genus0Data, check_commutation, trr_extend
 from jethier.givental import GiventalGen, r_deform_omega, triple_omega
-from jethier.kdvbase import kdv_flow, kdv_omega_table, quasi_miura, tensor_power
+from jethier.kdvbase import kdv_omega_table, quasi_miura, tensor_power
 from jethier.bracket import (
     PoissonOp,
     check_operator_homogeneity,
@@ -27,6 +27,7 @@ from jethier.bracket import (
     s_deform_bracket,
     uniqueness_residuals,
 )
+from readers import kdv_flows
 
 W = JetPoly.var
 
@@ -90,17 +91,14 @@ def upper_runs(kdv_h1, kdv_h2):
 
 def test_criterion_01_kdv_flows():
     started = time.monotonic()
-    assert kdv_flow(0) == HbarSeries(2, [w(1)])
-    assert kdv_flow(1) == HbarSeries(2, [w(0) * w(1), w(3) / 12])
-    assert kdv_flow(2) == HbarSeries(2, [
-        w(0) ** 2 * w(1) / 2,
-        (2 * w(1) * w(2) + w(0) * w(3)) / 12,
-        w(5) / 240,
-    ])
-    # the generated table reproduces them as dx of first-row entries
-    table = kdv_omega_table(0, 2, 2)
-    for q in range(3):
-        assert table.entry(1, 0, 1, q).dx() == kdv_flow(q)
+    # the generated tables give the hand-typed flows as dx of their first
+    # rows, truncated to each table's order
+    flows = kdv_flows()
+    for trunc in range(3):
+        table = kdv_omega_table(0, 2, trunc)
+        for q in range(3):
+            got = table.entry(1, 0, 1, q).dx()
+            assert got.trunc == trunc and got == flows[q].truncate(trunc), (trunc, q)
     record(1, "kdv-flows", started, 1.0)
 
 
@@ -201,7 +199,7 @@ def test_criterion_09_quasi_miura(kdv_h2):
     d = DiffOperator.dx_op(1, 2)
     assert conjugate_by_miura(d, m) == d
     riemann = [HbarSeries.of(w(0) * w(1), 2)]
-    assert m.push_flow(riemann)[0] == kdv_flow(1)
+    assert m.push_flow(riemann)[0] == kdv_flows()[1]
     record(9, "quasi-miura-consequences", started, 30.0)
 
 

@@ -587,6 +587,50 @@ def test_deformation_keeps_string_equation(kind, level, trunc):
     assert [i for i, r in enumerate(residuals) if not r.is_zero()] == []
 
 
+def trr_residuals(table, deform, pmax, qmax):
+    """Genus-0 TRR residuals of a deformation D = `deform` of `table`, p <= pmax,
+    q <= qmax, one for each color g: with E and D the hbar^0 parts and
+    d_g = d/dw[g,0],
+
+        d_g D(a,p+1;b,q) - sum_xi [D(a,p;xi,0) d_g E(xi,0;b,q) + E(a,p;xi,0) d_g D(xi,0;b,q)],
+
+    the TRR d_g E(a,p+1;b,q) = sum_xi E(a,p;xi,0) d_g E(xi,0;b,q) linearized."""
+    colors = range(1, table.dim + 1)
+
+    def e(a, p, b, q):
+        return table.entry(a, p, b, q).coeffs[0]
+
+    def d(a, p, b, q):
+        return deform(a, p, b, q).coeffs[0]
+
+    out = []
+    for a, p, b, q, g in product(colors, range(pmax + 1), colors, range(qmax + 1), colors):
+        lhs = Sum()
+        lhs.add(d(a, p + 1, b, q).partial(g, 0))
+        for xi in colors:
+            lhs.add_product(d(a, p, xi, 0), e(xi, 0, b, q).partial(g, 0), -1)
+            lhs.add_product(e(a, p, xi, 0), d(xi, 0, b, q).partial(g, 0), -1)
+        out.append(lhs.value())
+    return out
+
+
+@pytest.mark.parametrize("trunc", [0, 1])
+@pytest.mark.parametrize("kind, level", [("s", 1), ("s", 2), ("s", 3), ("s", 4),
+                                         ("r", 1), ("r", 2), ("r", 3)])
+def test_deformation_keeps_genus0_trr(kind, level, trunc):
+    # the genus-0 part of a deformation keeps the topological recursion
+    # relation of the table to first order; at even lower levels it pins the
+    # sign of the index-lowering blocks, as the string equation does
+    matrix = [[1, 2], [2, 3]] if level % 2 else [[0, 1], [-1, 0]]
+    table = tensor_power(kdv_omega_table(9, 9, trunc), 2)
+    deform = entry_deformation(table, GiventalGen(kind, level, matrix))
+    residuals = trr_residuals(table, deform, 3, 4)
+    assert len(residuals) == 160
+    assert any(deform(a, p, b, q).coeffs[0]
+               for a, p, b, q in product((1, 2), range(5), (1, 2), range(5)))
+    assert [i for i, r in enumerate(residuals) if not r.is_zero()] == []
+
+
 def test_s_deform_requires_lower_kind():
     table = kdv_omega_table(1, 1, 1)
     with pytest.raises(ValueError):

@@ -15,12 +15,12 @@ from jethier.jetcalc import HbarSeries, JetPoly, NotExact, dx, evolve, formal_in
 from jethier.diffop import DiffOperator, conjugate_by_miura
 from jethier.kdvbase import (
     OutOfDerivableRange,
-    kdv_flow,
     kdv_omega_table,
     quasi_miura,
     quasi_miura_h1,
     tensor_power,
 )
+from readers import kdv_flows
 
 W = JetPoly.var
 
@@ -79,15 +79,26 @@ def kdv_full_omega(p, q, trunc=2):
 
 
 def test_flows_match_tabulated_equations():
-    assert kdv_flow(0) == HbarSeries(2, [w(1)])
-    assert kdv_flow(1) == HbarSeries(2, [w(0) * w(1), w(3) / 12])
-    assert kdv_flow(2) == HbarSeries(2, [
-        w(0) ** 2 * w(1) / 2,
-        (2 * w(1) * w(2) + w(0) * w(3)) / 12,
-        w(5) / 240,
-    ])
+    # dx of the first rows, at every truncation, against the hand-typed flows
+    flows = kdv_flows()
+    for trunc in range(3):
+        table = kdv_omega_table(0, 2, trunc)
+        for q in range(3):
+            got = table.entry(1, 0, 1, q).dx()
+            assert got.trunc == trunc and got == flows[q].truncate(trunc), (trunc, q)
     with pytest.raises(OutOfDerivableRange):
-        kdv_flow(3)
+        kdv_omega_table(0, 3, 2)
+
+
+@pytest.mark.parametrize("trunc", [0, 1])
+def test_lenard_rows_equal_closed_form(trunc):
+    # the derivation the "flow-integration" tag names, run where the table
+    # takes the closed form instead: the Lenard recursion of the second
+    # bracket gives every first row, storage and all
+    row = kdvbase._lenard_rows(trunc)
+    for q in range(11):
+        got, want = row(q), kdvbase._entry_closed_form(0, q, trunc)
+        assert (got.trunc, got.den, got.parts) == (want.trunc, want.den, want.parts), q
 
 
 def test_dispersionless_closed_form():
@@ -240,13 +251,13 @@ def test_riemann_flow_maps_to_dispersive_flow():
     m = quasi_miura("forward", 2)
     riemann = [HbarSeries.of(w(0) * w(1), 2)]
     got = m.push_flow(riemann)[0]
-    assert got == kdv_flow(1)  # hbar^2 coefficient cancels exactly
+    assert got == kdv_flows()[1]  # hbar^2 coefficient cancels exactly
 
 
 def test_translation_flow_is_fixed():
     m = quasi_miura("forward", 2)
     got = m.push_flow([HbarSeries.of(w(1), 2)])[0]
-    assert got == kdv_flow(0)
+    assert got == kdv_flows()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +303,7 @@ def test_tensor_power_shares_symmetric_entries(trunc):
 def eager_kdv_table(pmax, qmax, trunc):
     """kdv_omega_table with every entry built at construction, each symmetric
     pair once, from the same routes and value builder."""
-    first_row = kdvbase._first_rows(trunc)
+    lenard_row = kdvbase._lenard_rows(trunc)
     entries, prov = {}, {}
     for p in range(pmax + 1):
         for q in range(qmax + 1):
@@ -301,7 +312,7 @@ def eager_kdv_table(pmax, qmax, trunc):
                 prov[(1, p, 1, q)] = prov[(1, q, 1, p)]
                 continue
             prov[(1, p, 1, q)] = tag = kdvbase._route(p, q, trunc)
-            entries[(1, p, 1, q)] = kdvbase._full_omega(p, q, trunc, tag, first_row)
+            entries[(1, p, 1, q)] = kdvbase._full_omega(p, q, trunc, tag, lenard_row)
     return OmegaTable(1, pmax, qmax, trunc, entries, prov)
 
 
@@ -401,16 +412,18 @@ def test_out_of_range_table_fails_at_construction(capsys, tmp_path):
 
 
 def test_first_rows_integrated_once_per_table(monkeypatch):
-    # (0;0), (0;1), (0;2) are the only first rows of kdv_omega_table(2, 2, 2);
-    # the transports to (1;1), (1;2), (2;2) reuse them
-    flows = [kdv_flow(q, 2) for q in range(3)]
+    # (0;0), (0;1), (0;2) are the only first rows of kdv_omega_table(2, 2, 2):
+    # each integrates its Lenard integrand P2 (0;q-1) = (2q+1)/2 dw/dt_q once,
+    # and the transports to (1;1), (1;2), (2;2) reuse them
+    integrands = [Fraction(2 * q + 1, 2) * flow for q, flow in enumerate(kdv_flows())]
     integrated = []
     real = kdvbase.formal_integrate
     monkeypatch.setattr(kdvbase, "formal_integrate",
                         lambda f: integrated.append(f) or real(f))
     table = kdv_omega_table(2, 2, 2)
     table.items()
-    assert sum(f in flows for f in integrated) == 3
+    assert [sum(f == g for f in integrated) for g in integrands] == [1, 1, 1]
+    assert len(integrated) == 6
     assert table.provenance[(1, 2, 1, 2)] == "flow-transport"
 
 
@@ -431,6 +444,19 @@ def test_closed_form_table_calls_no_evolve(monkeypatch):
     table.items()
     assert calls == []
     assert table.provenance[(1, 2, 1, 3)] == "genus1-completion"
+
+
+@pytest.mark.parametrize("trunc", [0, 1])
+def test_closed_form_table_calls_no_integration(monkeypatch, trunc):
+    # below hbar^2 the first rows are closed formulas too: no Lenard row is
+    # derived, so nothing is integrated
+    calls = []
+    real = kdvbase.formal_integrate
+    monkeypatch.setattr(kdvbase, "formal_integrate", lambda f: calls.append(f) or real(f))
+    table = kdv_omega_table(10, 10, trunc)
+    table.items()
+    assert calls == []
+    assert table.provenance[(1, 0, 1, 2)] == "flow-integration"
 
 
 def test_flow_derivation_leibniz():
