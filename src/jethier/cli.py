@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import math
 import operator
 import re
+import shutil
 import sys
 import time
 
@@ -396,9 +398,11 @@ COMMANDS = ("generate", "deform", "verify", "dump")
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser.  Given one of COMMANDS, it adds only that
     subcommand's subparser, which parses and fails byte for byte as in the
-    full parser; otherwise it adds all of them."""
+    full parser; otherwise it adds all of them.  The terminal width, which
+    argparse's formatters would each look up, is read once."""
+    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="jethier",
+        prog="jethier", formatter_class=fmt,
         description="Exact hierarchy tables, symmetry deformations, and "
                     "identity verification at the KdV base point.")
     lazy = command in COMMANDS
@@ -419,7 +423,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(given=frozenset())
 
     if not lazy or command == "generate":
-        g = sub.add_parser("generate", help="build and verify hierarchy tables")
+        g = sub.add_parser("generate", formatter_class=fmt,
+                           help="build and verify hierarchy tables")
         g.add_argument("what", choices=("kdv", "principal"))
         g.add_argument("--hessian", action=_Given,
                        help="JSON array of polynomial strings")
@@ -427,14 +432,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         g.set_defaults(func=cmd_generate)
 
     if not lazy or command == "deform":
-        d = sub.add_parser("deform", help="apply a symmetry generator")
+        d = sub.add_parser("deform", formatter_class=fmt, help="apply a symmetry generator")
         d.add_argument("what", choices=("omega", "bracket"))
         d.add_argument("--generator", required=True, help="generator JSON file")
         flags(d, {"pmax": 1, "qmax": 0, "hbar": 1, "seed": 7, "tensor": 1})
         d.set_defaults(func=cmd_deform)
 
     if not lazy or command == "verify":
-        v = sub.add_parser("verify", help="run a named verification suite")
+        v = sub.add_parser("verify", formatter_class=fmt, help="run a named verification suite")
         v.add_argument("suite", choices=("lemmas", "commutation", "quasimiura",
                                          "homogeneity", "uniqueness",
                                          "defining-equation", "all"))
@@ -442,7 +447,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         v.set_defaults(func=cmd_verify)
 
     if not lazy or command == "dump":
-        du = sub.add_parser("dump", help="print built-in base-point data")
+        du = sub.add_parser("dump", formatter_class=fmt, help="print built-in base-point data")
         du.add_argument("what", choices=("kdv-table", "flows", "hamiltonians",
                                          "quasi-miura"))
         flags(du, {"pmax": 2, "qmax": 2, "hbar": 2})

@@ -71,16 +71,17 @@ The module provides the derivations of the variational calculus:
 the first four as methods of JetPoly and HbarSeries, `evolve` as the one
 function every flow, transport and commutator of the package goes through.
 It also has the one Euler homotopy of the package (`potential`, the
-potential of a closed gradient in the jets of one order), the formal left
-inverse of dx built on it (`formal_integrate`), weighted-degree bookkeeping
-(deg w[a,n] = n), truncated power series in hbar over these polynomials,
-substitution of series into jet variables, and a canonical JSON form:
-`to_json` writes a tree whose leaves may be JetPoly or HbarSeries values
-straight from their numerators, byte for byte as `json.dumps(...,
-sort_keys=True, separators=(",", ": "), indent=2)` writes the plain form
-that `jetpoly_to_obj`/`series_to_obj` give.  It formats each distinct value
-and each monomial's factor block once per call and per depth, in a memo
-that lives for the one call.
+potential of a closed gradient in the jets of one order, built on integer
+numerators and reduced once), the formal left inverse of dx built on it
+(`formal_integrate`), weighted-degree bookkeeping (deg w[a,n] = n),
+truncated power series in hbar over these polynomials, substitution of
+series into jet variables, and a canonical JSON form: `to_json` writes a
+tree whose leaves may be JetPoly or HbarSeries values straight from their
+numerators, byte for byte as `json.dumps(..., sort_keys=True,
+separators=(",", ": "), indent=2)` writes the plain form that
+`jetpoly_to_obj`/`series_to_obj` give.  It tests a node's exact type
+before `isinstance`, values first, and formats each distinct value and
+each monomial's factor block once per call and depth.
 
 All arithmetic is exact; there is no floating point anywhere in this module.
 """
@@ -159,10 +160,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
-
-
-def _mono_degree(mono: Mono) -> int:
-    return sum(n * exp for _, n, exp in mono)
 
 
 # ---------------------------------------------------------------------------
@@ -571,19 +568,20 @@ def potential(grads: dict, n: int) -> JetPoly:
     """Euler homotopy: a potential psi with d psi / d w[g,n] = grads[g].
 
     Sums  w[g,n] * grads[g]  and divides each monomial by its degree in the
-    order-n jets.  The gradient must be closed, which the caller checks; a
-    monomial of degree 0 would need a logarithm and raises NotExact.
+    order-n jets: numerators over the sum's denominator times the lcm of the
+    degrees, reduced once.  The gradient must be closed, which the caller
+    checks; a monomial of degree 0 would need a logarithm and raises NotExact.
     """
     euler = Sum()
     for g, grad in grads.items():
         euler.add_product(JetPoly.var(g, n), grad)
-    terms: dict[Mono, Fraction] = {}
-    for mono, c in euler.value().terms():
-        deg = sum(e for _, m, e in mono if m == n)
-        if deg == 0:
-            raise NotExact("potential needs a logarithm or is not closed")
-        terms[mono] = c / deg
-    return JetPoly(terms)
+    value = euler.value()
+    degs = {mono: sum(e for _, m, e in mono if m == n) for mono in value._num}
+    if 0 in degs.values():
+        raise NotExact("potential needs a logarithm or is not closed")
+    lcm = math.lcm(*set(degs.values()))
+    return JetPoly._reduced({mono: c * (lcm // degs[mono]) for mono, c in value._num.items()},
+                            value._den * lcm)
 
 
 def formal_integrate(p: JetPoly) -> JetPoly:
@@ -731,8 +729,19 @@ class HbarSeries:
 
     def gradings(self) -> list:
         """(g, polynomial?, weighted degrees) of every nonzero hbar^g part."""
-        return [(g, _is_polynomial((part,)), set(map(_mono_degree, part)))
-                for g, part in enumerate(self.parts) if part]
+        out = []
+        for g, part in enumerate(self.parts):
+            if part:
+                degrees, polynomial = set(), True
+                for mono in part:
+                    deg = 0
+                    for _, n, exp in mono:
+                        deg += n * exp
+                        if exp < 0:
+                            polynomial = False
+                    degrees.add(deg)
+                out.append((g, polynomial, degrees))
+        return out
 
     def recolor(self, color: int) -> "HbarSeries":
         """Every factor relabelled to `color`, for a series in one color only
@@ -1003,12 +1012,12 @@ class Substitution:
     Calling it maps a JetPoly or HbarSeries to an HbarSeries.  The images,
     and a series it is called on, must be known to hbar^trunc, and every
     color it meets must have an image.  It keeps the powers of the prolonged
-    jets (inverse powers included) as it computes them, and a monomial's
-    first power at each lower truncation it is read at, so one instance
-    serves every polynomial substituted with the same images; the jets
-    themselves are the kept x-derivatives of the truncated images.  Negative
-    exponents require the prolonged image to be invertible (its hbar^0 part a
-    single monomial).
+    jets (inverse powers included) as it computes them, and the image of a
+    monomial's leading factors, and of their own leading factors, at each
+    lower truncation it is read at, so one instance serves every polynomial
+    substituted with the same images; the jets themselves are the kept
+    x-derivatives of the truncated images.  Negative exponents require the
+    prolonged image to be invertible (its hbar^0 part a single monomial).
 
     When every image is w[alpha,0] modulo hbar (`is_var_mod_hbar`), as a
     Miura change's inverse images and the fixed-point iterates that solve
@@ -1027,7 +1036,7 @@ class Substitution:
                                  f"below the substitution's hbar^{trunc}")
         self.images = images
         self.trunc = trunc
-        self._powers: dict[tuple, HbarSeries] = {}  # and (alpha, n, exp, trunc) -> truncated
+        self._powers: dict[tuple, HbarSeries] = {}  # and (mono, trunc) -> its image
         # the identity modulo hbar: the top part of an argument passes through
         self._fixes = all(is_var_mod_hbar(image, alpha) for alpha, image in images.items())
 
@@ -1057,15 +1066,14 @@ class Substitution:
             raise ValueError(f"color {min(missing)} has no image in the substitution")
 
     def monomial(self, mono: Mono, trunc: int) -> HbarSeries:
-        """The image of one monomial, modulo hbar^(trunc+1)."""
+        """The image of one monomial, modulo hbar^(trunc+1), kept by (mono, trunc)."""
         if not mono:
             return HbarSeries.const(1, trunc)
-        (alpha, n, exp), *rest = mono
-        out = self._powers.get((alpha, n, exp, trunc))
+        out = self._powers.get((mono, trunc))
         if out is None:
-            out = self._powers[alpha, n, exp, trunc] = self.power(alpha, n, exp).truncate(trunc)
-        for alpha, n, exp in rest:
-            out = out * self.power(alpha, n, exp)
+            out = (self.power(*mono[0]).truncate(trunc) if len(mono) == 1
+                   else self.monomial(mono[:-1], trunc) * self.power(*mono[-1]))
+            self._powers[mono, trunc] = out
         return out
 
     def __call__(self, p) -> HbarSeries:
@@ -1131,62 +1139,77 @@ def to_json(obj) -> str:
     their numerators.  Other leaves are str, int, bool or None, keys are
     str; anything else raises TypeError.
 
-    Each distinct value and each monomial's factor block is formatted once
-    per call and per depth: a memo local to the call keys a value leaf by
-    (id, nl) and a factor block by (mono, nl), with nl the indentation it is
-    written at.  The tree keeps every leaf alive for the call, and values
-    are immutable, so an id names one value throughout.
+    A node's exact type is tested before `isinstance`, values first, and a
+    dict writes its value and str leaves itself.  Each distinct value, each
+    monomial's factor block and each value depth's indentation strings are
+    built once per call: a memo local to the call keys them by (id, nl),
+    (mono, nl) and nl, with nl the indentation they are written at.  The
+    tree keeps every leaf alive for the call, and values are immutable, so
+    an id names one value throughout.
     """
     return _json(obj, "\n", {})
 
 
 def _json(obj, nl: str, memo: dict) -> str:
     # nl is the newline and indentation that closes obj's brackets
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
+    t = type(obj)
+    if t is not dict and t is not list:  # a leaf, or a subclass of dict or list
+        if t is HbarSeries or t is JetPoly or isinstance(obj, (JetPoly, HbarSeries)):
+            return memo.get((id(obj), nl)) or _value_json(obj, nl, memo)
+        if t is str or isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None or obj is True or obj is False:
+            return "null" if obj is None else "true" if obj else "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if not isinstance(obj, (dict, list)):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
     inner = nl + "  "
-    if isinstance(obj, dict):
-        # encode_basestring_ascii raises TypeError on a key that is not str
-        items = [f"{inner}{encode_basestring_ascii(key)}: {_json(val, inner, memo)}"
-                 for key, val in sorted(obj.items())]
-        return "{" + ",".join(items) + nl + "}" if items else "{}"
     if isinstance(obj, list):
-        return ("[" + ",".join(inner + _json(val, inner, memo) for val in obj) + nl + "]"
-                if obj else "[]")
-    if isinstance(obj, (JetPoly, HbarSeries)):
-        key = (id(obj), nl)
-        out = memo.get(key)
-        if out is None:
-            if isinstance(obj, JetPoly):
-                out = _num_json(obj._num, obj._den, nl, memo)
-            else:
-                n2 = inner + "  "
-                coeffs = ",".join(n2 + _num_json(part, obj.den, n2, memo) for part in obj.parts)
-                out = f'{{{inner}"coeffs": [{coeffs}{inner}],{inner}"trunc": {obj.trunc}{nl}}}'
-            memo[key] = out
-        return out
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return "[" + ",".join([inner + _json(val, inner, memo) for val in obj]) + nl + "]"
+    items = []
+    for key, val in sorted(obj.items()):
+        t = type(val)
+        if t is HbarSeries or t is JetPoly:
+            val = memo.get((id(val), inner)) or _value_json(val, inner, memo)
+        else:
+            val = encode_basestring_ascii(val) if t is str else _json(val, inner, memo)
+        # encode_basestring_ascii raises TypeError on a key that is not str
+        items.append(f"{inner}{encode_basestring_ascii(key)}: {val}")
+    return "{" + ",".join(items) + nl + "}"
 
 
-def _num_json(num: dict, den: int, nl: str, memo: dict) -> str:
-    """`_num_obj(num, den)` as indented JSON: per term, the numerator and the
-    denominator reduced by their gcd, then one factor block, looked up in
-    `memo` by (mono, nl) or formatted and kept there."""
+def _value_json(obj, nl: str, memo: dict) -> str:
+    """A JetPoly or HbarSeries written at nl, formatted and kept in `memo`."""
+    pads = memo.get(nl)
+    if pads is None:  # nl and the six indentation levels below it
+        pads = memo[nl] = tuple([nl + "  " * k for k in range(7)])
+    if isinstance(obj, JetPoly):
+        out = _num_json(obj._num, obj._den, pads, memo)
+    else:
+        inner, n2, sub = pads[1], pads[2], pads[2:]
+        coeffs = ",".join([n2 + _num_json(part, obj.den, sub, memo) for part in obj.parts])
+        out = f'{{{inner}"coeffs": [{coeffs}{inner}],{inner}"trunc": {obj.trunc}{nl}}}'
+    memo[(id(obj), nl)] = out
+    return out
+
+
+def _num_json(num: dict, den: int, pads: tuple, memo: dict) -> str:
+    """`_num_obj(num, den)` as indented JSON at nl = `pads[0]`: per term, the
+    numerator and the denominator reduced by their gcd, then one factor
+    block, looked up in `memo` by (mono, nl) or formatted and kept there."""
     if not num:
         return "[]"
-    n1, n2, n3, n4 = (nl + "  " * k for k in range(1, 5))
-    sep = "," + n4
+    nl, n1, n2, n3, n4 = pads[:5]
     items = []
     for mono, c in sorted(num.items()):
         g = math.gcd(c, den)
         coeff = f"{c // g}/{den // g}" if g != den else f"{c // g}"
         mono_json = memo.get((mono, nl))
         if mono_json is None:
-            factors = ",".join(f"{n3}[{n4}{a}{sep}{n}{sep}{e}{n3}]" for a, n, e in mono)
+            factors = ",".join(f"{n3}[{n4}{a},{n4}{n},{n4}{e}{n3}]" for a, n, e in mono)
             mono_json = memo[(mono, nl)] = f"[{factors}{n2}]" if mono else "[]"
         items.append(f'{n1}{{{n2}"coeff": "{coeff}",{n2}"mono": {mono_json}{n1}}}')
     return "[" + ",".join(items) + nl + "]"

@@ -85,13 +85,12 @@ def _entry_closed_form(p: int, q: int, trunc: int) -> HbarSeries:
     def mono(k, *jets):
         return ((V1, 0, k),) * (k > 0) + jets
 
-    h0 = JetPoly({mono(n + 1): Fraction(1, pq * (n + 1))})
     if not trunc:
-        return HbarSeries(0, [h0])
+        return HbarSeries._raw(0, ({mono(n + 1): 1},), pq * (n + 1))
     c1 = p * (p - 1) + p * q + q * (q - 1)
-    h1 = JetPoly({mono(n - 2, (V1, 1, 2)): Fraction(c1, 24 * pq),
-                  mono(n - 1, (V1, 2, 1)): Fraction(2 * n, 24 * pq)})
-    return HbarSeries(trunc, [h0, h1])
+    h1 = {m: c * (n + 1) for m, c in ((mono(n - 2, (V1, 1, 2)), c1),
+                                      (mono(n - 1, (V1, 2, 1)), 2 * n)) if c}
+    return HbarSeries._reduced(1, ({mono(n + 1): 24}, h1), 24 * pq * (n + 1))
 
 
 def _lenard_rows(trunc: int):
@@ -176,7 +175,8 @@ def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
     variables; mixed-color entries vanish (product partition functions have
     no mixed second derivatives), and are one shared zero.  Each entry is
     built on its first read; the table answers (a,q; a,p) from (a,p; a,q),
-    so each source entry with p <= q is recolored once per color.
+    so each source entry with p <= q is recolored once per color but color
+    1, whose entries are the source entries themselves.
     """
     if table.dim != 1:
         raise ValueError("tensor_power expects a one-color source table")
@@ -187,6 +187,8 @@ def tensor_power(table: OmegaTable, dim: int) -> OmegaTable:
     zero = HbarSeries.zero(table.trunc)
 
     def build(_, a, p, b, q):
-        return table.entry(V1, p, V1, q).recolor(a) if a == b else zero
+        if a != b:
+            return zero
+        return table.entry(V1, p, V1, q) if a == V1 else table.entry(V1, p, V1, q).recolor(a)
 
     return OmegaTable(dim, table.pmax, table.qmax, table.trunc, {}, prov, build)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -716,22 +717,37 @@ def parse_outcome(parser, argv):
     return out.getvalue(), err.getvalue(), code
 
 
+def argparse_default(parser):
+    """`parser`, and every subparser under it, set to format with argparse's
+    default HelpFormatter, which reads the terminal width itself."""
+    parser.formatter_class = argparse.HelpFormatter
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                argparse_default(sub)
+    return parser
+
+
 TARGETS = {"generate": ("kdv",), "deform": ("omega", "--generator", "g.json"),
-           "verify": ("lemmas",), "dump": ("flows",)}
+           "verify": ("lemmas",), "dump": ("flows",), None: ()}
 
 
-@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("command", cli.COMMANDS + (None,))
 @pytest.mark.parametrize("tail", ["--help", "--bogus", "x", "target --bogus"])
-def test_subcommand_parser_fails_as_the_full_parser(command, tail):
+def test_subcommand_parser_fails_as_the_full_parser(monkeypatch, command, tail):
     # main builds only the named subcommand's parser: its help, its errors
     # and the top-level usage line an unknown flag prints are the full
-    # parser's bytes
-    argv = (command,) + (TARGETS[command] + ("--bogus",) if tail == "target --bogus"
-                         else (tail,))
-    full = parse_outcome(cli.build_parser(), argv)
-    assert full[2] == (0 if tail == "--help" else 2)
-    assert full[0] if tail == "--help" else full[1]
-    assert parse_outcome(cli.build_parser(command), argv) == full
+    # parser's bytes.  Each parser reads the terminal width once, and prints
+    # at every width as it would with argparse's default formatter
+    argv = ((command,) if command else ()) + (
+        TARGETS[command] + ("--bogus",) if tail == "target --bogus" else (tail,))
+    for columns in (40, 80, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        full = parse_outcome(cli.build_parser(), argv)
+        assert full[2] == (0 if tail == "--help" else 2)
+        assert full[0] if tail == "--help" else full[1]
+        assert parse_outcome(cli.build_parser(command), argv) == full
+        assert parse_outcome(argparse_default(cli.build_parser(command)), argv) == full
 
 
 def test_main_builds_only_the_named_subparser(capsys, monkeypatch):

@@ -570,20 +570,40 @@ def string_residuals(table, deform, bound):
     return out
 
 
+# (odd-level, even-level) generator matrices: symmetric and skew
+MATRICES = {2: ([[1, 2], [2, 3]], [[0, 1], [-1, 0]]),
+            3: ([[1, 2, 0], [2, 3, 1], [0, 1, 2]], [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]])}
+
+
+def on_colors(cases):
+    """(kind, level, colors): every case on two colors, and levels 1 and 2 of
+    both kinds on three colors too."""
+    return ([pytest.param(kind, level, 2, id=f"{kind}-{level}") for kind, level in cases]
+            + [pytest.param(kind, level, 3, id=f"{kind}-{level}-3colors")
+               for kind in ("s", "r") for level in (1, 2)])
+
+
+def deformed_table(kind, level, colors, bound, trunc):
+    """A tensor power of the KdV table and its entry deformation."""
+    table = tensor_power(kdv_omega_table(bound, bound, trunc), colors)
+    matrix = MATRICES[colors][0 if level % 2 else 1]
+    return table, entry_deformation(table, GiventalGen(kind, level, matrix))
+
+
 @pytest.mark.parametrize("trunc", [0, 1])
-@pytest.mark.parametrize("kind, level", [("s", 1), ("s", 2), ("s", 3), ("s", 4),
-                                         ("r", 1), ("r", 2)])
-def test_deformation_keeps_string_equation(kind, level, trunc):
+@pytest.mark.parametrize("kind, level, colors", on_colors(
+    [("s", 1), ("s", 2), ("s", 3), ("s", 4), ("r", 1), ("r", 2)]))
+def test_deformation_keeps_string_equation(kind, level, colors, trunc):
     # the string equation holds for the two-point functions of every
     # calibrated Frobenius manifold, so it holds for a deformation to first
     # order; at even lower levels it pins the sign of the index-lowering
     # blocks against the constant block
-    matrix = [[1, 2], [2, 3]] if level % 2 else [[0, 1], [-1, 0]]
-    table = tensor_power(kdv_omega_table(5, 5, trunc), 2)
-    deform = entry_deformation(table, GiventalGen(kind, level, matrix))
-    residuals = string_residuals(table, deform, 3)
-    assert len(residuals) == 64
-    assert any(deform(a, p, b, q) for a, p, b, q in product((1, 2), range(4), (1, 2), range(4)))
+    table, deform = deformed_table(kind, level, colors, 5, trunc)
+    bound = 3 if colors == 2 else 2
+    residuals = string_residuals(table, deform, bound)
+    assert len(residuals) == (colors * (bound + 1)) ** 2
+    assert any(deform(a, p, b, q) for a, p, b, q in product(
+        range(1, colors + 1), range(bound + 1), range(1, colors + 1), range(bound + 1)))
     assert [i for i, r in enumerate(residuals) if not r.is_zero()] == []
 
 
@@ -615,19 +635,18 @@ def trr_residuals(table, deform, pmax, qmax):
 
 
 @pytest.mark.parametrize("trunc", [0, 1])
-@pytest.mark.parametrize("kind, level", [("s", 1), ("s", 2), ("s", 3), ("s", 4),
-                                         ("r", 1), ("r", 2), ("r", 3)])
-def test_deformation_keeps_genus0_trr(kind, level, trunc):
+@pytest.mark.parametrize("kind, level, colors", on_colors(
+    [("s", 1), ("s", 2), ("s", 3), ("s", 4), ("r", 1), ("r", 2), ("r", 3)]))
+def test_deformation_keeps_genus0_trr(kind, level, colors, trunc):
     # the genus-0 part of a deformation keeps the topological recursion
     # relation of the table to first order; at even lower levels it pins the
     # sign of the index-lowering blocks, as the string equation does
-    matrix = [[1, 2], [2, 3]] if level % 2 else [[0, 1], [-1, 0]]
-    table = tensor_power(kdv_omega_table(9, 9, trunc), 2)
-    deform = entry_deformation(table, GiventalGen(kind, level, matrix))
-    residuals = trr_residuals(table, deform, 3, 4)
-    assert len(residuals) == 160
-    assert any(deform(a, p, b, q).coeffs[0]
-               for a, p, b, q in product((1, 2), range(5), (1, 2), range(5)))
+    table, deform = deformed_table(kind, level, colors, 9 if colors == 2 else 5, trunc)
+    pmax, qmax = (3, 4) if colors == 2 else (2, 2)
+    residuals = trr_residuals(table, deform, pmax, qmax)
+    assert len(residuals) == colors ** 3 * (pmax + 1) * (qmax + 1)
+    assert any(deform(a, p, b, q).coeffs[0] for a, p, b, q in product(
+        range(1, colors + 1), range(qmax + 1), range(1, colors + 1), range(qmax + 1)))
     assert [i for i, r in enumerate(residuals) if not r.is_zero()] == []
 
 

@@ -1,9 +1,11 @@
 """Core calculus: derivations, grading, integration, series, serialization."""
 
+import enum
 import json
 import math
 import operator
 import random
+from collections import OrderedDict, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -470,6 +472,40 @@ def test_integrate_log_sector_rejected():
         formal_integrate(w(2) * w(1, -1))
 
 
+def potential_reference(grads, n):
+    """The Euler homotopy on `Fraction` coefficients: each term of
+    sum_g w[g,n] grads[g] divided by its degree in the order-n jets."""
+    terms = {}
+    for g, grad in grads.items():
+        for mono, c in (W(g, n) * grad).terms():
+            terms[mono] = terms.get(mono, 0) + c
+    return JetPoly({mono: c / sum(e for _, m, e in mono if m == n)
+                    for mono, c in terms.items()})
+
+
+def test_potential_matches_fraction_reference():
+    # closed gradients in two and three colors whose monomials have several
+    # distinct degrees in the order-n jets, over several denominators
+    rng = random.Random(41)
+    for n in (0, 1, 2):
+        for colors in (2, 3):
+            for _ in range(8):
+                psi = JetPoly.zero()
+                for _ in range(4):  # each term has at least one order-n factor
+                    term = JetPoly.const(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7)))
+                    for _ in range(rng.randint(1, 4)):
+                        term = term * W(rng.randint(1, colors), n)
+                    if rng.random() < 0.5:
+                        term = term * W(rng.randint(1, colors), n + 1, rng.choice([-1, 1, 2]))
+                    psi = psi + term
+                grads = {g: psi.partial(g, n) for g in range(1, colors + 1)}
+                got, want = jetcalc.potential(grads, n), potential_reference(grads, n)
+                assert (got._den, got._num) == (want._den, want._num)
+                assert got == psi
+    with pytest.raises(NotExact):  # w[1,1] * w[1,1]^-1 has degree 0: a logarithm
+        jetcalc.potential({1: w(1, -1), 2: W(2, 1)}, 1)
+
+
 def test_integrate_roundtrip_random():
     rng = random.Random(31)
     for _ in range(30):
@@ -621,6 +657,23 @@ def test_series_equality_within_truncation():
 # substitution
 # ---------------------------------------------------------------------------
 
+def test_substitution_keeps_leading_factor_products(monkeypatch):
+    # the image of a monomial's leading factors is kept by (factors,
+    # truncation): substituting a three-factor monomial again multiplies no
+    # series
+    sub = Substitution({1: HbarSeries(2, [w(0), w(2), w(0) * w(1)])}, 2)
+    p = w(0) * w(1) * w(3) + 2 * w(0) ** 2 * w(2) * w(4)
+    products = []
+    mul = HbarSeries.__mul__
+    monkeypatch.setattr(HbarSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    first = sub(p)
+    assert products
+    products.clear()
+    assert sub(p) == first
+    assert sub(w(0) * w(1) * w(2)) == sub(w(0) * w(1)) * sub(w(2))
+    assert products == [1]  # the one product on the right-hand side
+
+
 def test_substitute_identity():
     p = w(0) ** 2 * w(1) + w(2, -1)
     images = {1: HbarSeries.var(1, 0, 2)}
@@ -688,6 +741,15 @@ def random_tree(rng, depth=0):
     return {random_text(rng): random_tree(rng, depth + 1) for _ in range(rng.randint(0, 4))}
 
 
+class Text(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
 def test_to_json_plain_trees_match_json_dumps():
     rng = random.Random(5)
     for _ in range(300):
@@ -697,6 +759,12 @@ def test_to_json_plain_trees_match_json_dumps():
         assert to_json(tree) == dumps(tree)
     assert to_json({"": {}, "a": [[], {}], "b": [True, False, None]}) == \
         dumps({"": {}, "a": [[], {}], "b": [True, False, None]})
+    # subclasses miss the exact-type tests and take the isinstance fallbacks
+    tree = OrderedDict([("z", Text('q"\u00e9')), ("a", defaultdict(list, {
+        Text("k"): [Level.HIGH, Text(""), OrderedDict()], "j": Level.LOW}))])
+    assert to_json(tree) == dumps(tree)
+    assert to_json([Level.LOW, Text("t"), defaultdict(int)]) == \
+        dumps([Level.LOW, Text("t"), defaultdict(int)])
 
 
 def jetpoly_cases():

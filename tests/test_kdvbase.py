@@ -265,10 +265,12 @@ def test_translation_flow_is_fixed():
 # ---------------------------------------------------------------------------
 
 def test_tensor_power_identity():
+    # color 1 is the source's own color: its entries are the source objects
     table = kdv_omega_table(2, 2, 1)
-    t1 = tensor_power(table, 1)
+    t1, t3 = tensor_power(table, 1), tensor_power(table, 3)
     for (key, series) in table.items():
-        assert t1.entry(*key) == series
+        assert t1.entry(*key) is series
+        assert t3.entry(*key) is series
 
 
 def test_tensor_power_blocks():
