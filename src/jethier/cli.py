@@ -173,6 +173,8 @@ def _load_generator(path: str) -> GiventalGen:
         with open(path) as fh:
             obj = json.load(fh)
         return gen_from_obj(obj)
+    except RecursionError as exc:
+        raise InputError(f"invalid generator file {path}: nested too deeply") from exc
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"invalid generator file {path}: {exc}") from exc
 

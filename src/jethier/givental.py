@@ -205,9 +205,7 @@ class OmegaTable:
         return got
 
     def items(self):
-        """Every entry, by index; a builder table builds those it has not yet."""
-        if self._build is None:
-            return sorted(self._entries.items())
+        """Every entry of the grid, by index; a builder table builds those it has not yet."""
         colors = range(1, self.dim + 1)
         grid = list(product(colors, range(self.pmax + 1), colors, range(self.qmax + 1)))
         for index in grid:

@@ -21,18 +21,22 @@ is canonical, so equal values have equal storage.  Rationals appear only at
 the edges: constructor input, `terms()`, `constant_term()`,
 `jetpoly_to_obj`/`series_to_obj` and `render`, which all speak `Fraction`.
 
-The loops run on numerator dicts, in module-level kernels that JetPoly and
-HbarSeries both call: `_mul_into` (the one product loop, k*a*b added into an
+The loops run on numerator dicts, in module-level kernels that both value
+types share: `_mul_into` (the one product loop, k*a*b added into an
 accumulator in place, its factor k applied once per outer term, a constant
 monomial () taken as is with no merge), `_add_into`, `_dx_num` and
 `_grad_num`.  `Sum` is the one place where a sum of products is reduced:
 each term k*x or k*a*b goes into numerators per hbar order over one running
-denominator, and `value()` reduces to canonical form once.  Series sums and
-products, substitution, `evolve` and the Euler operators go through it.  A
-term costs its part pairs i + j <= trunc and little else: the truncation is
-updated inline, a term with no such pair stops there, and an int factor
-over a denominator that divides the running one is scaled inline.  A series
-has no JetPoly per part: `coeffs` builds those views on each read.
+denominator, and `value()` reduces to canonical form once.  Every sum and
+product of values goes through it: `+`, `-` and `*` of JetPoly and
+HbarSeries alike (the one `_add` and the one `_mul`, an int or Fraction
+operand taken as a constant), substitution, `evolve`, the Euler operators
+and `formal_integrate`.  Negation is a sign flip, which keeps the form
+canonical.  A term costs its part pairs i + j <= trunc and little else: the
+truncation is updated inline, a term with no such pair stops there, and an
+int factor over a denominator that divides the running one is scaled
+inline.  A series has no JetPoly per part: `coeffs` builds those views on
+each read.
 
 The x-derivative and the gradient are properties of the value: `dx()` of a
 JetPoly or an HbarSeries is computed once and kept by the value that owns
@@ -413,23 +417,7 @@ class JetPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not JetPoly:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = JetPoly.const(other)
-        if not self._num:
-            return other
-        if not other._num:
-            return self
-        da, db = self._den, other._den
-        if da == db:
-            den, out, scale = da, dict(self._num), 1
-        else:
-            den = math.lcm(da, db)
-            sa, scale = den // da, den // db
-            out = {m: c * sa for m, c in self._num.items()}
-        _add_into(out, other._num, scale)
-        return JetPoly._reduced(out, den)
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
@@ -437,29 +425,13 @@ class JetPoly:
         return JetPoly._raw({m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if type(other) is not JetPoly:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = JetPoly.const(other)
-        return self + (-other)
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return _add(other, self, -1)
 
     def __mul__(self, other):
-        if type(other) is JetPoly:
-            out: dict[Mono, int] = {}
-            _mul_into(out, self._num, other._num, 1)
-            return JetPoly._reduced(out, self._den * other._den)
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if other == 1 or not self._num:
-            return self
-        if other == 0:
-            return _ZERO
-        k = other.numerator
-        return JetPoly._reduced({m: c * k for m, c in self._num.items()},
-                                self._den * other.denominator)
+        return _mul(self, other)
 
     __rmul__ = __mul__
 
@@ -599,7 +571,7 @@ def formal_integrate(p: JetPoly) -> JetPoly:
         return HbarSeries(p.trunc, [formal_integrate(c) for c in p.coeffs])
     if p.constant_term() != 0:
         raise NotExact("nonzero constant term has no dx-preimage")
-    result = _ZERO
+    psis = Sum()
     rem = p
     while rem:
         top = rem.max_order()
@@ -616,8 +588,9 @@ def formal_integrate(p: JetPoly) -> JetPoly:
         new_rem = rem - psi.dx()
         if any(n >= top for _, n in new_rem.variables()):
             raise NotExact("top slice is not a gradient")
-        result = result + psi
+        psis.add(psi)
         rem = new_rem
+    result = psis.value()
     if result.dx() != p:
         raise NotExact("reconstruction failed verification")
     return result
@@ -751,30 +724,8 @@ class HbarSeries:
 
     # -- arithmetic ---------------------------------------------------
 
-    @staticmethod
-    def _lift(x, trunc: int):
-        """x as a series: an HbarSeries, JetPoly, int or Fraction, else NotImplemented."""
-        t = type(x)
-        if t is HbarSeries:
-            return x
-        if t is JetPoly:
-            return HbarSeries.of(x, trunc)
-        if isinstance(x, (int, Fraction)):
-            return HbarSeries.const(x, trunc)
-        return NotImplemented
-
-    def _sum(self, other, sign: int) -> "HbarSeries":
-        """self + sign*other, truncated at the minimum of the two truncations."""
-        o = HbarSeries._lift(other, self.trunc)
-        if o is NotImplemented:
-            return o
-        out = Sum()
-        out.add(self)
-        out.add(o, sign)
-        return out.value()
-
     def __add__(self, other):
-        return self._sum(other, 1)
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
@@ -783,17 +734,13 @@ class HbarSeries:
                                                   for part in self.parts]), self.den)
 
     def __sub__(self, other):
-        return self._sum(other, -1)
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
-        return (-self)._sum(other, 1)
+        return _add(other, self, -1)
 
     def __mul__(self, other):
-        if not isinstance(other, (HbarSeries, JetPoly, int, Fraction)):
-            return NotImplemented
-        out = Sum()
-        out.add_product(other, self)
-        return out.value()
+        return _mul(self, other)
 
     __rmul__ = __mul__
 
@@ -825,10 +772,13 @@ class HbarSeries:
         return out.value()
 
     def __eq__(self, other):
-        o = HbarSeries._lift(other, self.trunc)
-        if o is NotImplemented:
-            return o
-        a = self
+        if type(other) is not HbarSeries:
+            if isinstance(other, (int, Fraction)):
+                other = JetPoly.const(other)
+            if type(other) is not JetPoly:
+                return NotImplemented
+            other = HbarSeries.of(other, self.trunc)
+        a, o = self, other
         if a.trunc != o.trunc:  # compare within the smaller truncation
             h = min(a.trunc, o.trunc)
             a, o = a.truncate(h), o.truncate(h)
@@ -886,11 +836,12 @@ class Sum:
     Terms go into integer numerators per hbar order over one running
     denominator, rescaled when a term's denominator does not divide it.  A
     factor k, and a scalar a in `add_product`, is an int or Fraction, never
-    lifted to a value.  Like `+`, the sum truncates at the least truncation
-    of its series terms, hbar^shift counted, and stays a JetPoly while every
-    term is one; a term with k = 0 counts too, so `add(f, 0)` starts at the
-    zero of f's type and truncation.  One value added with k = 1 and shift 0
-    is the sum itself, with the derivatives it keeps.
+    lifted to a value.  The sum truncates at the least truncation of its
+    series terms, hbar^shift counted, and stays a JetPoly while every term is
+    one, and so does `+` of values, which is such a sum; a term with k = 0
+    counts too, so `add(f, 0)` starts at the zero of f's type and truncation.
+    One value added with k = 1 and shift 0 is the sum itself, with the
+    derivatives it keeps: so `p + 0` and `p * 1` are p, for p nonzero.
 
     A term costs its part pairs (see the module docstring); only a Fraction k,
     a new denominator, new hbar orders or a kept term to spill reach `_scale`.
@@ -994,6 +945,31 @@ class Sum:
         # out owns the numerators now: a later term starts from out
         self._nums, self._den, self._one = [], 1, out
         return out
+
+
+def _add(x, y, sign: int):
+    """x + sign*y through one `Sum`: the addition of both value types.  Each
+    operand is checked once: a value passes, an int or Fraction is a
+    constant, and anything else gives NotImplemented."""
+    out = Sum()
+    for term, k in ((x, 1), (y, sign)):
+        if type(term) is not JetPoly and type(term) is not HbarSeries:
+            if not isinstance(term, (int, Fraction)):
+                return NotImplemented
+            term = JetPoly.const(term)
+        out.add(term, k)
+    return out.value()
+
+
+def _mul(x, y):
+    """x * y through one `Sum`, for a value x: the product of both value
+    types.  A value y passes, an int or Fraction is a constant factor, and
+    anything else gives NotImplemented."""
+    if type(y) is not JetPoly and type(y) is not HbarSeries and not isinstance(y, (int, Fraction)):
+        return NotImplemented
+    out = Sum()
+    out.add_product(y, x)
+    return out.value()
 
 
 # ---------------------------------------------------------------------------

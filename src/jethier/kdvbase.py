@@ -141,13 +141,14 @@ def _route(p: int, q: int, trunc: int) -> str:
     )
 
 
-def _full_omega(p: int, q: int, trunc: int, tag: str, lenard_row) -> HbarSeries:
-    """Dispersive entry (p;q) by the route `tag` of `_route`, given the Lenard
-    rows `lenard_row` of its table.  At truncation <= 1 every entry, first
-    rows included, is the closed form."""
+def _full_omega(p: int, q: int, trunc: int, lenard_row) -> HbarSeries:
+    """Dispersive entry (p;q) in the derivable set of `_route`, given the
+    Lenard rows `lenard_row` of its table.  At truncation <= 1 every entry,
+    first rows included, is the closed form; at truncation 2 a first-row
+    entry is a Lenard row and a mixed one its transport."""
     if trunc <= 1:
         return _entry_closed_form(p, q, trunc)
-    if tag == "flow-integration":
+    if min(p, q) == 0:
         return lenard_row(max(p, q))
     return _transport(p, q, lenard_row)
 
@@ -163,7 +164,7 @@ def kdv_omega_table(pmax: int, qmax: int, trunc: int) -> OmegaTable:
             for p in range(pmax + 1) for q in range(qmax + 1)}
 
     def build(_, __, p, ___, q):
-        return _full_omega(p, q, trunc, prov[(V1, p, V1, q)], lenard_row)
+        return _full_omega(p, q, trunc, lenard_row)
 
     return OmegaTable(1, pmax, qmax, trunc, {}, prov, build)
 

@@ -448,6 +448,20 @@ def test_deform_invalid_generator_exit2(tmp_path, capsys, gen, message):
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 200_000,
+    '{"kind": "r", "level": 1, "matrix": ' + "[" * 200_000 + "]" * 200_000 + "}",
+], ids=["brackets", "deep-matrix"])
+def test_deform_deeply_nested_generator_exit2(tmp_path, capsys, text):
+    # a file nested deeper than Python's JSON parser reads is bad input too
+    path = tmp_path / "gen.json"
+    path.write_text(text)
+    code = main(["deform", "bracket", "--generator", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: invalid generator file {path}: nested too deeply\n"
+
+
 def test_deform_dimension_mismatch_exit2(tmp_path, capsys):
     path = write_gen(tmp_path, {"kind": "r", "level": 2,
                                 "matrix": [[0, 1], [-1, 0]]})

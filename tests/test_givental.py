@@ -22,6 +22,7 @@ from jethier.givental import (
     triple_omega,
 )
 from jethier.bracket import check_series_homogeneity
+from jethier.genus0 import Genus0Data, trr_extend
 from jethier.kdvbase import kdv_omega_table, tensor_power
 from readers import hbar_shift, table_from_obj
 
@@ -648,6 +649,30 @@ def test_deformation_keeps_genus0_trr(kind, level, colors, trunc):
     assert any(deform(a, p, b, q).coeffs[0] for a, p, b, q in product(
         range(1, colors + 1), range(qmax + 1), range(1, colors + 1), range(qmax + 1)))
     assert [i for i, r in enumerate(residuals) if not r.is_zero()] == []
+
+
+@pytest.fixture(scope="module")
+def coupled_point():
+    """The genus-0 table of F = (v1^3 + v2^3)/6 + (v1 - v2)^4/24 to 5 x 5: a
+    two-color point with nonzero mixed entries, not a tensor power."""
+    cross = (W(1, 0) - W(2, 0)) ** 2 / 2
+    hess = {(1, 1): W(1, 0) + cross, (1, 2): -cross, (2, 1): -cross, (2, 2): W(2, 0) + cross}
+    return trr_extend(Genus0Data(2, hess), 5, 5)
+
+
+@pytest.mark.parametrize("kind, level", [("s", 1), ("s", 2), ("s", 3), ("s", 4), ("r", 1)])
+def test_deformation_on_coupled_point_keeps_trr_and_string_equation(coupled_point, kind,
+                                                                      level):
+    # both certificates on a point whose mixed entries are nonzero; at even
+    # lower levels they pin the sign of the index-lowering blocks there too
+    gen = GiventalGen(kind, level, MATRICES[2][0 if level % 2 else 1])
+    deform = entry_deformation(coupled_point, gen)
+    assert any(deform(a, p, b, q) for a, p, b, q in product((1, 2), range(3), (1, 2), range(3)))
+    trr = trr_residuals(coupled_point, deform, 2, 2)
+    string = string_residuals(coupled_point, deform, 2)
+    assert (len(trr), len(string)) == (72, 36)
+    assert [i for i, r in enumerate(trr) if not r.is_zero()] == []
+    assert [i for i, r in enumerate(string) if not r.is_zero()] == []
 
 
 def test_s_deform_requires_lower_kind():

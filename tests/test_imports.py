@@ -6,10 +6,12 @@ dead-definition checks: each `jethier` module is parsed with `ast`.  A name an
 import binds must be read somewhere in the module, or listed in its
 `__all__`; an import kept on purpose carries `# noqa: F401` on its line.  A
 top-level `def` or `class` must be read by package code outside its own
-body; code only the tests use belongs in the tests.
+body; code only the tests use belongs in the tests.  Each method the
+benchmark's tracer lists is defined by its own class and bound by no other.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,68 @@ def test_guard_sees_an_unread_definition():
                      "def caller():\n    return used()\n"
                      "caller()\n")}
     assert unread_definitions(sources) == [("a", "recursive"), ("a", "Exported")]
+
+
+# perfbench/spans.py traces each `Class.method` it lists through the
+# attribute its class defines, and wraps every other binding of that function
+# object: a method a class inherits breaks a traced run, and a function two
+# classes share would count the calls of one under the other's row.
+SPANS = Path(__file__).parents[1] / "perfbench" / "spans.py"
+
+
+def traced_methods() -> list[tuple[str, type, str]]:
+    """(name, class, attribute) of each `Class.method` the tracer lists, read
+    from its CALLABLES and OPERATORS with `ast`."""
+    consts = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(SPANS.read_text()).body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("CALLABLES", "OPERATORS")}
+    out = []
+    for module, names in consts["CALLABLES"].items():
+        for name in names:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                cls = getattr(importlib.import_module(f"jethier.{module}"), cls_name)
+                out.append((f"{module}.{name}", cls, consts["OPERATORS"].get(meth, meth)))
+    return out
+
+
+def misbound(listed, classes) -> list[str]:
+    """Each name of `listed` whose class does not define the attribute
+    itself, or whose function another of `classes` binds too."""
+    return [name for name, cls, attr in listed
+            if attr not in vars(cls)
+            or any(other is not cls and any(v is vars(cls)[attr] for v in vars(other).values())
+                   for other in classes)]
+
+
+def test_traced_methods_are_their_own_classes():
+    classes = {v for path in MODULES
+               for v in vars(importlib.import_module(f"jethier.{path.stem}")).values()
+               if isinstance(v, type) and v.__module__.startswith("jethier")}
+    listed = traced_methods()
+    assert {"jetcalc.JetPoly.mul", "jetcalc.JetPoly.add",
+            "jetcalc.HbarSeries.mul"} <= {name for name, _, _ in listed}
+    assert misbound(listed, classes) == []
+
+
+def test_guard_sees_a_misbound_method():
+    class Base:
+        def __mul__(self, other):
+            return other
+
+    class Own(Base):
+        def __mul__(self, other):
+            return other
+
+    class Inherits(Base):
+        pass
+
+    class Shares:
+        __add__ = Own.__mul__
+
+    listed = [("Own.mul", Own, "__mul__"), ("Inherits.mul", Inherits, "__mul__"),
+              ("Shares.add", Shares, "__add__")]
+    assert misbound(listed, [Base, Own, Inherits, Shares]) == ["Own.mul", "Inherits.mul",
+                                                               "Shares.add"]
+    assert misbound(listed[:1], [Base, Own, Inherits]) == []

@@ -976,6 +976,15 @@ def test_coefficient_layer_against_oracle():
         k = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         assert model(p * k) == o_scale(mp, k)
         assert model(p * 6) == o_scale(mp, 6)
+        for c in (k, -3):  # a Fraction and an int constant
+            mc = o_clean({(): Fraction(c)})
+            assert model(c + p) == model(p + c) == o_add(mp, mc)
+            assert model(p - c) == o_add(mp, o_scale(mc, -1))
+            assert model(c - p) == o_add(mc, o_scale(mp, -1))
+            assert model(c * p) == o_scale(mp, c)
+        # adding zero or scaling by one gives p itself, with what p keeps
+        for same in (p + 0, 0 + p, p - 0, p * 1, 1 * p):
+            assert same is p
         if k:
             assert model(p / k) == o_scale(mp, 1 / k)
         assert model(p ** 2) == o_mul(mp, mp)

@@ -313,8 +313,8 @@ def eager_kdv_table(pmax, qmax, trunc):
                 entries[(1, p, 1, q)] = entries[(1, q, 1, p)]
                 prov[(1, p, 1, q)] = prov[(1, q, 1, p)]
                 continue
-            prov[(1, p, 1, q)] = tag = kdvbase._route(p, q, trunc)
-            entries[(1, p, 1, q)] = kdvbase._full_omega(p, q, trunc, tag, lenard_row)
+            prov[(1, p, 1, q)] = kdvbase._route(p, q, trunc)
+            entries[(1, p, 1, q)] = kdvbase._full_omega(p, q, trunc, lenard_row)
     return OmegaTable(1, pmax, qmax, trunc, entries, prov)
 
 
@@ -380,8 +380,8 @@ def test_unread_entries_never_built(monkeypatch, tmp_path, capsys):
     values = []
     real = kdvbase._full_omega
     monkeypatch.setattr(kdvbase, "OmegaTable", SpiedTable)
-    monkeypatch.setattr(kdvbase, "_full_omega",
-                        lambda *args: values.append(args[:2]) or real(*args))
+    monkeypatch.setattr(kdvbase, "_full_omega", lambda p, q, trunc, lenard_row: (
+        values.append((p, q)) or real(p, q, trunc, lenard_row)))
     gen = tmp_path / "r3.json"
     gen.write_text(json.dumps({"kind": "r", "level": 3,
                                "matrix": [[1, 2, 3], [2, -1, 5], [3, 5, 2]]}))
