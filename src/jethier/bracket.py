@@ -31,7 +31,7 @@ blocks 1, 4, 8 and 10 are summed too and composed with A once per (beta, g).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diffop import DiffOperator, apply_entry, commutator, euler_cell, finish, is_skew, leibniz
 from .givental import (
@@ -42,7 +42,7 @@ from .givental import (
     r_deform_omega,  # noqa: F401  (perfbench's tracer test reads bracket.r_deform_omega)
     triple_omega,
 )
-from .jetcalc import HbarSeries, JetPoly, Sum, evolve, jetpoly_to_obj
+from .jetcalc import HbarSeries, JetPoly, Sum, evolve
 
 
 class PoissonOp:
@@ -396,55 +396,3 @@ def euler_commutator_residual(afun: JetPoly, s_ord: int, gamma: int,
     rhs = (afun * apply_entry(euler_cell(bfun, gamma), test.var_deriv(zeta)).dx_pow(s_ord)
            - bop(afun) * test.var_deriv(gamma).dx_pow(s_ord))
     return lhs - rhs
-
-
-# ---------------------------------------------------------------------------
-# report container
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DeformationReport:
-    """Summary of a deformation run: residuals and verdicts.
-
-    `residuals` holds ((a, p, b), residual) pairs; the report gives each
-    residual's monomial count and, when it is nonzero, its first monomial in
-    canonical order (lowest hbar power first).
-    """
-
-    generator: dict
-    target: str
-    seed: int | None = None
-    entries: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
-    homogeneity_ok: bool = True
-    skew_ok: bool = True
-    order0_ok: bool = True
-    symmetric_ok: bool = True
-
-    def all_pass(self) -> bool:
-        return (self.homogeneity_ok and self.skew_ok and self.order0_ok
-                and self.symmetric_ok
-                and all(res.is_zero() for _, res in self.residuals))
-
-    def to_obj(self) -> dict:
-        return {
-            "generator": self.generator,
-            "target": self.target,
-            "seed": self.seed,
-            "entries": self.entries,
-            "residuals": [_residual_to_obj(ix, res) for ix, res in self.residuals],
-            "homogeneity_ok": self.homogeneity_ok,
-            "skew_ok": self.skew_ok,
-            "order0_ok": self.order0_ok,
-            "symmetric_ok": self.symmetric_ok,
-            "all_pass": self.all_pass(),
-        }
-
-
-def _residual_to_obj(index: tuple, res: HbarSeries) -> dict:
-    out = {"index": list(index), "nonzero_monomials": res.num_terms()}
-    for g, c in enumerate(res.coeffs):
-        if c:
-            out["first_nonzero_monomial"] = {"hbar": g, **jetpoly_to_obj(c)[0]}
-            break
-    return out

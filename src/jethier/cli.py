@@ -4,7 +4,9 @@ Outputs are canonical JSON (sorted keys, fixed separators) or fixed-order
 plain text, so identical configuration and seed produce identical bytes.
 An output tree holds JetPoly and HbarSeries values as leaves: `to_json`
 writes them in their canonical JSON form, and the text walk expands them
-to it first.
+to it first.  The `deform` and `verify` reports are assembled here, as
+plain dicts in the key order the text walk writes; the library modules
+return values and verdicts only.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 malformed input.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import functools
 import json
 import math
@@ -22,7 +25,6 @@ import sys
 import time
 
 from .bracket import (
-    DeformationReport,
     PoissonOp,
     bracket_deformation,
     check_operator_homogeneity,
@@ -262,8 +264,8 @@ def cmd_deform(args) -> int:
         raise InputError(
             f"generator dimension {gen.dim} does not match table dimension "
             f"{table.dim} (use --tensor {gen.dim})")
-    report = DeformationReport(generator=gen_to_obj(gen), target=args.what,
-                               seed=args.seed)
+    entries, residuals = [], []
+    homogeneity_ok = skew_ok = order0_ok = symmetric_ok = True
     if args.what == "omega":
         deform = entry_deformation(table, gen)
         values: dict[tuple, object] = {}
@@ -281,9 +283,9 @@ def cmd_deform(args) -> int:
                         series = entry(a, p, b, q)
                         hom = check_series_homogeneity(series, 0)
                         sym = series == entry(b, q, a, p)
-                        report.homogeneity_ok &= hom.ok
-                        report.symmetric_ok &= sym
-                        report.entries.append({
+                        homogeneity_ok &= hom.ok
+                        symmetric_ok &= sym
+                        entries.append({
                             "index": [a, p, b, q],
                             "value": series,
                             "homogeneous": hom.ok,
@@ -292,17 +294,36 @@ def cmd_deform(args) -> int:
     else:  # bracket: the parser admits no other target
         pop = PoissonOp.dx(table.dim, trunc)
         dP = bracket_deformation(table, pop, gen)
-        report.skew_ok = is_skew(dP)
-        report.order0_ok = all(dP.coeff(b, x, 0).is_zero()
-                               for b in range(1, table.dim + 1)
-                               for x in range(1, table.dim + 1))
-        report.homogeneity_ok = check_operator_homogeneity(dP).ok
-        report.entries.append({"operator": operator_to_obj(dP)})
-        report.residuals = defining_equation_residuals(table, pop, gen, dP, args.pmax)
+        skew_ok = is_skew(dP)
+        order0_ok = all(dP.coeff(b, x, 0).is_zero()
+                        for b in range(1, table.dim + 1)
+                        for x in range(1, table.dim + 1))
+        homogeneity_ok = check_operator_homogeneity(dP).ok
+        entries.append({"operator": operator_to_obj(dP)})
+        residuals = defining_equation_residuals(table, pop, gen, dP, args.pmax)
     elapsed = time.monotonic() - started
-    _emit(report.to_obj(), args.format, sys.stdout)
+    all_pass = (homogeneity_ok and skew_ok and order0_ok and symmetric_ok
+                and all(res.is_zero() for _, res in residuals))
+    # deform reads no seed, but the benchmark's seed-1 goldens pin the "seed"
+    # key; it goes when they are re-recorded (ROADMAP item 1c)
+    report = {"generator": gen_to_obj(gen), "target": args.what, "seed": 7,
+              "entries": entries,
+              "residuals": [_residual_to_obj(ix, res) for ix, res in residuals],
+              "homogeneity_ok": homogeneity_ok, "skew_ok": skew_ok, "order0_ok": order0_ok,
+              "symmetric_ok": symmetric_ok, "all_pass": all_pass}
+    _emit(report, args.format, sys.stdout)
     print(f"deform {args.what} finished in {elapsed:.3f}s", file=sys.stderr)
-    return 0 if report.all_pass() else 1
+    return 0 if all_pass else 1
+
+
+def _residual_to_obj(index: tuple, res: HbarSeries) -> dict:
+    """A residual's index, monomial count and first monomial (lowest hbar first)."""
+    out = {"index": list(index), "nonzero_monomials": res.num_terms()}
+    for g, c in enumerate(res.coeffs):
+        if c:
+            out["first_nonzero_monomial"] = {"hbar": g, **jetpoly_to_obj(c)[0]}
+            break
+    return out
 
 
 def cmd_verify(args) -> int:
@@ -312,7 +333,7 @@ def cmd_verify(args) -> int:
         "suite": args.suite,
         "seed": args.seed,
         "count": args.count,
-        "checks": [c.to_obj() for c in checks],
+        "checks": [dataclasses.asdict(c) for c in checks],
         "passed": sum(1 for c in checks if c.ok),
         "failed": sum(1 for c in checks if not c.ok),
         "ok": all(c.ok for c in checks),
@@ -379,8 +400,7 @@ UNREAD = {
     ("verify", "homogeneity"): ("pmax", "hbar", "seed", "count"),
     ("verify", "uniqueness"): ("hbar", "seed", "count"),
     ("verify", "defining-equation"): ("seed", "count"),
-    ("deform", "omega"): ("seed",),
-    ("deform", "bracket"): ("qmax", "seed"),
+    ("deform", "bracket"): ("qmax",),
     ("dump", "flows"): ("pmax", "qmax"),
     ("dump", "hamiltonians"): ("pmax", "qmax"),
     ("dump", "quasi-miura"): ("pmax", "qmax"),
@@ -437,7 +457,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         d = sub.add_parser("deform", formatter_class=fmt, help="apply a symmetry generator")
         d.add_argument("what", choices=("omega", "bracket"))
         d.add_argument("--generator", required=True, help="generator JSON file")
-        flags(d, {"pmax": 1, "qmax": 0, "hbar": 1, "seed": 7, "tensor": 1})
+        flags(d, {"pmax": 1, "qmax": 0, "hbar": 1, "tensor": 1})
         d.set_defaults(func=cmd_deform)
 
     if not lazy or command == "verify":

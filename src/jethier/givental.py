@@ -209,8 +209,8 @@ class OmegaTable:
         colors = range(1, self.dim + 1)
         grid = list(product(colors, range(self.pmax + 1), colors, range(self.qmax + 1)))
         for index in grid:
-            if index not in self._entries:
-                self._entries[index] = self._make(*index)
+            if index not in self._entries:  # a hole in a given table: entry() names it
+                self._entries[index] = self._make(*index) if self._build else self.entry(*index)
         return [(index, self._entries[index]) for index in grid]
 
 

@@ -2,7 +2,8 @@
 
 Each suite returns a list of CheckResult records; a suite passes iff every
 check does.  The same functions back the command-line `verify` subcommand
-and the acceptance tests, so both always agree on what was verified.
+and the acceptance tests, so both always agree on what was verified; the
+report that `verify` prints is the command line's (`cli.cmd_verify`).
 
 `run_suite` makes one `BasePoint` per call and hands it to every suite it
 runs, so the suites of `verify all` share the KdV tables, the genus-0 table
@@ -37,9 +38,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
-
-    def to_obj(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
 class BasePoint:

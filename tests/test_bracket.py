@@ -21,7 +21,6 @@ from jethier.givental import (
 from jethier.kdvbase import kdv_omega_table, tensor_power
 from jethier import bracket
 from jethier.bracket import (
-    DeformationReport,
     PoissonOp,
     check_operator_homogeneity,
     check_series_homogeneity,
@@ -618,18 +617,3 @@ def test_mixed_commutator_identity_seeded():
         zeta = rng.randint(1, 3)
         assert euler_commutator_residual(a, s_ord, gamma, b, zeta, f).is_zero()
 
-
-def test_report_roundtrip():
-    rep = DeformationReport(generator={"kind": "r", "level": 1, "matrix": [["1"]]},
-                            target="bracket", seed=7,
-                            residuals=[((1, 0, 1), HbarSeries.zero(1))])
-    obj = rep.to_obj()
-    assert obj["all_pass"] is True
-    assert obj["residuals"] == [{"index": [1, 0, 1], "nonzero_monomials": 0}]
-    bad = HbarSeries(1, [JetPoly.zero(), w(3) / 2 - w(0) * w(1) + 3])
-    rep.residuals.append(((1, 1, 1), bad))
-    obj = rep.to_obj()
-    assert obj["all_pass"] is False
-    assert obj["residuals"][1] == {
-        "index": [1, 1, 1], "nonzero_monomials": 3,
-        "first_nonzero_monomial": {"hbar": 1, "coeff": "3", "mono": []}}

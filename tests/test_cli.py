@@ -331,6 +331,36 @@ def test_deform_bracket_names_first_bad_monomial(tmp_path, capsys, monkeypatch):
             "hbar": g, "coeff": str(coeff), "mono": [list(f) for f in mono]}
 
 
+def test_residual_to_obj():
+    assert cli._residual_to_obj((1, 0, 1), HbarSeries.zero(1)) == {
+        "index": [1, 0, 1], "nonzero_monomials": 0}
+    bad = HbarSeries(1, [JetPoly.zero(), V(1, 3) / 2 - V(1, 0) * V(1, 1) + 3])
+    assert cli._residual_to_obj((1, 1, 1), bad) == {
+        "index": [1, 1, 1], "nonzero_monomials": 3,
+        "first_nonzero_monomial": {"hbar": 1, "coeff": "3", "mono": []}}
+
+
+# `--format text` writes a report's keys in the order they are built, which
+# JSON, with its sorted keys, does not show: pin the text of a passing and a
+# failing (zero operator deformation) `deform bracket`
+@pytest.mark.parametrize("zero_dP, level, matrix, flags, want_code, digest", [
+    (False, 2, [["0", "1"], ["-1", "0"]], ("--tensor", "2", "--pmax", "1", "--hbar", "1"), 0,
+     "b8aa0db04e37e23f959e6265291c67387822756f72e74a4243c4f86fd60b0aac"),
+    (True, 1, [["1"]], ("--pmax", "1", "--hbar", "1"), 1,
+     "ad31bf731310cafc4e575d53bdf866fd25cb93a018b625ee247af3a18f98ab3a"),
+], ids=["r2-t2-passing", "r1-t1-zero-dP"])
+def test_deform_bracket_text_pinned(tmp_path, capsys, monkeypatch, zero_dP, level, matrix,
+                                    flags, want_code, digest):
+    if zero_dP:
+        monkeypatch.setattr(cli, "bracket_deformation",
+                            lambda table, pop, gen: DiffOperator.zero(table.dim, table.trunc))
+    path = write_gen(tmp_path, {"kind": "r", "level": level, "matrix": matrix})
+    code, out = run(capsys, "deform", "bracket", "--generator", path,
+                    "--format", "text", *flags)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # stdout of `deform omega` is pinned: no benchmark job prints deformed entries
 DEFORM_OMEGA_SHA256 = [
     (1, [["1"]], "json", ("--pmax", "2", "--qmax", "2", "--hbar", "1"),
@@ -489,6 +519,13 @@ def test_verify_lemmas_seeded(capsys):
     obj = json.loads(out)
     assert obj["ok"] is True
     assert obj["checks"][0]["detail"] == "10/10 zero residuals"
+
+
+def test_verify_text_pinned(capsys):
+    code, out = run(capsys, "verify", "homogeneity", "--format", "text")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c3e8f5f63459a72f2ee829ee673f7d24afd564ac245e17818436802fdc374bf8")
 
 
 def test_verify_commutation(capsys):
@@ -675,6 +712,8 @@ def test_out_of_range_sizes_rejected(capsys, argv):
     ("verify", "lemmas", "--dim", "1"),
     ("verify", "lemmas", "--qmax", "1"),
     ("verify", "lemmas", "--tensor", "1"),
+    ("deform", "omega", "--generator", "g.json", "--seed", "1"),
+    ("deform", "bracket", "--generator", "g.json", "--seed", "1"),
 ])
 def test_flags_nothing_reads_rejected(capsys, argv):
     assert parse_exit_code(capsys, argv) == 2
@@ -707,8 +746,6 @@ def test_flags_nothing_reads_rejected(capsys, argv):
     ("dump", "hamiltonians", "--qmax", "1"),
     ("dump", "quasi-miura", "--pmax", "1"),
     ("deform", "bracket", "--generator", "g.json", "--qmax", "2"),
-    ("deform", "omega", "--generator", "g.json", "--seed", "1"),
-    ("deform", "bracket", "--generator", "g.json", "--seed", "1"),
 ])
 def test_flags_the_target_does_not_read_rejected(capsys, argv):
     code = main(list(argv))
@@ -717,6 +754,20 @@ def test_flags_the_target_does_not_read_rejected(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"does not read {argv[-2]}" in captured.err
 
+
+def test_no_flag_is_rejected_by_every_target():
+    # UNREAD names, for each target, flags its subcommand takes; a flag that
+    # every target of its subcommand rejects could as well not be defined
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    for command, sub in commands.items():
+        targets = next(a for a in sub._actions if not a.option_strings).choices
+        flags = {a.dest for a in sub._actions if a.option_strings} - {"help", "format"}
+        for (name, target), unread in cli.UNREAD.items():
+            if name == command:
+                assert target in targets and set(unread) <= flags, (name, target)
+        dead = [flag for flag in sorted(flags)
+                if all(flag in cli.UNREAD.get((command, t), ()) for t in targets)]
+        assert dead == [], (command, dead)
 
 
 def parse_outcome(parser, argv):

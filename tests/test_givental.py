@@ -168,6 +168,14 @@ def test_extension_values():
         table.ext(1, 5, 1, 0)
 
 
+def test_items_of_a_given_table_with_a_hole_names_it():
+    # a table given its entries, not a builder, has none to fill the hole with
+    table = OmegaTable(1, 1, 1, 0, {(1, 0, 1, 0): HbarSeries.const(1, 0)})
+    for read in (lambda: table.entry(1, 0, 1, 1), table.items):
+        with pytest.raises(IndexError, match=r"table entry \(1,0;1,1\)"):
+            read()
+
+
 def test_table_keeps_what_it_derives():
     table = tensor_power(kdv_omega_table(3, 3, 1), 2)
     for a in (1, 2):
