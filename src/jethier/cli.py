@@ -3,10 +3,10 @@
 Outputs are canonical JSON (sorted keys, fixed separators) or fixed-order
 plain text, so identical configuration and seed produce identical bytes.
 An output tree holds JetPoly and HbarSeries values as leaves: `to_json`
-writes them in their canonical JSON form, and the text walk expands them
-to it first.  The `deform` and `verify` reports are assembled here, as
-plain dicts in the key order the text walk writes; the library modules
-return values and verdicts only.
+writes them in their canonical JSON form.  A text tree holds series only,
+which the text walk expands to that form first.  The `deform` and
+`verify` reports are assembled here, as plain dicts in the key order the
+text walk writes; the library modules return values and verdicts only.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 malformed input.
 """
 
@@ -144,13 +144,11 @@ def _emit(obj: dict, fmt: str, out) -> None:
         _emit_text(obj, out)
 
 
-_TREES = (dict, list, JetPoly, HbarSeries)
+_TREES = (dict, list, HbarSeries)
 
 
 def _emit_text(obj, out, indent=0) -> None:
-    if isinstance(obj, JetPoly):
-        obj = jetpoly_to_obj(obj)
-    elif isinstance(obj, HbarSeries):
+    if isinstance(obj, HbarSeries):
         obj = series_to_obj(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -267,15 +265,8 @@ def cmd_deform(args) -> int:
     entries, residuals = [], []
     homogeneity_ok = skew_ok = order0_ok = symmetric_ok = True
     if args.what == "omega":
-        deform = entry_deformation(table, gen)
-        values: dict[tuple, object] = {}
-
-        def entry(*index):
-            # an entry and its symmetric partner may both be listed: compute once
-            if index not in values:
-                values[index] = deform(*index)
-            return values[index]
-
+        # an entry and its symmetric partner may both be listed: compute once
+        entry = functools.cache(entry_deformation(table, gen))
         for a in range(1, table.dim + 1):
             for b in range(1, table.dim + 1):
                 for p in range(args.pmax + 1):
@@ -344,37 +335,26 @@ def cmd_verify(args) -> int:
 
 def cmd_dump(args) -> int:
     fmt = args.format
+    if args.what == "kdv-table":
+        table = kdv_omega_table(args.pmax, args.qmax, args.hbar)
+        _emit(table_to_obj(table), fmt, sys.stdout)
+        return 0
+    # one row per series: (JSON key, text key, render letter, value)
     if args.what == "flows":
         table = kdv_omega_table(0, 2, args.hbar)
-        flows = {q: table.entry(1, 0, 1, q).dx() for q in range(3)}
-        if fmt == "text":
-            obj = {f"dw/dt{q}": render_series(f) for q, f in flows.items()}
-        else:
-            obj = {f"t{q}": f for q, f in flows.items()}
-        _emit(obj, fmt, sys.stdout)
-        return 0
-    if args.what == "hamiltonians":
+        rows = [(f"t{q}", f"dw/dt{q}", "w", table.entry(1, 0, 1, q).dx()) for q in range(3)]
+    elif args.what == "hamiltonians":
         table = kdv_omega_table(2, 0, args.hbar)
-        dens = {p: table.unit_ext(1, p + 1) for p in range(-1, 2)}
-        if fmt == "text":
-            obj = {f"h{p}": render_series(v) for p, v in dens.items()}
-        else:
-            obj = {f"h{p}": v for p, v in dens.items()}
-        _emit(obj, fmt, sys.stdout)
-        return 0
-    if args.what == "quasi-miura":
+        rows = [(f"h{p}", f"h{p}", "w", table.unit_ext(1, p + 1)) for p in range(-1, 2)]
+    else:  # quasi-miura: the parser admits no other target
         m = quasi_miura("forward", args.hbar)
-        inv = m.inverse_images()
-        if fmt == "text":
-            obj = {"forward": render_series(m.forward[0], "v"),
-                   "inverse": render_series(inv[0], "w")}
-        else:
-            obj = {"forward": m.forward[0], "inverse": inv[0]}
-        _emit(obj, fmt, sys.stdout)
-        return 0
-    # kdv-table: the parser admits no other target
-    table = kdv_omega_table(args.pmax, args.qmax, args.hbar)
-    _emit(table_to_obj(table), fmt, sys.stdout)
+        rows = [("forward", "forward", "v", m.forward[0]),
+                ("inverse", "inverse", "w", m.inverse_images()[0])]
+    if fmt == "text":
+        obj = {text: render_series(v, letter) for _, text, letter, v in rows}
+    else:
+        obj = {key: v for key, _, _, v in rows}
+    _emit(obj, fmt, sys.stdout)
     return 0
 
 

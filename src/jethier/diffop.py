@@ -37,7 +37,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
-from .jetcalc import HbarSeries, JetPoly, Substitution, Sum, evolve, is_var_mod_hbar, rat
+from .jetcalc import (HbarSeries, JetPoly, Substitution, Sum, evolve, is_var_mod_hbar, rat,
+                      series_to_obj)
 
 Entry = dict  # {order k: HbarSeries}
 
@@ -377,8 +378,6 @@ def conjugate_by_miura(p: DiffOperator, m: MiuraChange) -> DiffOperator:
 # ---------------------------------------------------------------------------
 
 def operator_to_obj(p: DiffOperator) -> dict:
-    from .jetcalc import series_to_obj
-
     return {
         "rows": p.dim,
         "cols": p.dim,

@@ -113,10 +113,9 @@ def gen_from_obj(obj: dict) -> GiventalGen:
     for key in ("kind", "level", "matrix"):
         if key not in obj:
             raise ValueError(f"generator is missing {key!r}")
-    kind = {"r": "r", "upper": "r", "s": "s", "lower": "s"}.get(str(obj["kind"]))
-    if kind is None:
-        raise ValueError(f"unknown generator kind {obj['kind']!r}")
-    level, matrix = obj["level"], obj["matrix"]
+    kind, level, matrix = obj["kind"], obj["level"], obj["matrix"]
+    if kind not in ("r", "s"):
+        raise ValueError(f"unknown generator kind {kind!r}")
     if type(level) is not int:  # a bool is not a level either
         raise ValueError(f"generator level must be an integer, got {level!r}")
     if not (isinstance(matrix, list) and matrix

@@ -269,10 +269,6 @@ def _recolor(num: dict, color: int) -> dict:
     return {tuple((color, n, e) for _, n, e in mono): c for mono, c in num.items()}
 
 
-def _is_polynomial(nums) -> bool:
-    return all(exp > 0 for num in nums for mono in num for _, _, exp in mono)
-
-
 def _gradient(f) -> dict:
     """The first partials f keeps, swept by `_grad_num` on the first call:
     {(alpha, n): the numerator list, or the value once it has been read}."""
@@ -365,17 +361,13 @@ class JetPoly:
 
     @staticmethod
     def _reduced(num: dict, den: int) -> "JetPoly":
-        """Internal: wrap nonzero numerators over den >= 1, dividing out their
-        common factor with den (in place)."""
+        """Internal: the JetPoly num/den for nonzero numerators over den >= 1,
+        sharing num when it is already canonical and else dividing out their
+        common factor with den into a new dict."""
         if not num:
             return _ZERO
-        if den != 1:
-            g = math.gcd(den, *num.values())
-            if g != 1:
-                den //= g
-                for mono in num:
-                    num[mono] //= g
-        return JetPoly._raw(num, den)
+        g = math.gcd(den, *num.values()) if den != 1 else 1
+        return JetPoly._raw(num if g == 1 else {m: c // g for m, c in num.items()}, den // g)
 
     # -- queries ------------------------------------------------------
 
@@ -409,7 +401,7 @@ class JetPoly:
 
     def is_polynomial(self) -> bool:
         """True iff no negative exponent occurs (no Laurent sector)."""
-        return _is_polynomial((self._num,))
+        return all(exp > 0 for mono in self._num for _, _, exp in mono)
 
     def num_terms(self) -> int:
         return len(self._num)
@@ -689,16 +681,13 @@ class HbarSeries:
     @property
     def coeffs(self) -> tuple:
         """The hbar^g coefficients as JetPolys, built on each read."""
-        return tuple([_view(part, self.den) for part in self.parts])
+        return tuple([JetPoly._reduced(part, self.den) for part in self.parts])
 
     def num_terms(self) -> int:
         return sum(map(len, self.parts))
 
     def variables(self) -> set[tuple[int, int]]:
         return set(_gradient(self))
-
-    def is_polynomial(self) -> bool:
-        return _is_polynomial(self.parts)
 
     def gradings(self) -> list:
         """(g, polynomial?, weighted degrees) of every nonzero hbar^g part."""
@@ -761,7 +750,7 @@ class HbarSeries:
         """Multiplicative inverse; the hbar^0 part must be a single monomial."""
         if len(self.parts[0]) != 1:
             raise ValueError("inverse needs a single-monomial leading coefficient")
-        lead = _view(self.parts[0], self.den)
+        lead = JetPoly._reduced(self.parts[0], self.den)
         lead_inv = lead ** (-1)
         # (m + r)^-1 = m^-1 sum_k (-r m^-1)^k   with r the hbar-positive tail
         tail = (self - lead) * -lead_inv
@@ -815,14 +804,6 @@ class HbarSeries:
 
     def t_op(self, alpha: int, k: int) -> "HbarSeries":
         return _t_op(self, alpha, k)
-
-
-def _view(num: dict, den: int) -> JetPoly:
-    """The JetPoly num/den, sharing num when it is already canonical."""
-    if not num:
-        return _ZERO
-    g = math.gcd(den, *num.values()) if den != 1 else 1
-    return JetPoly._raw(num if g == 1 else {m: c // g for m, c in num.items()}, den // g)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,9 +1023,8 @@ class Substitution:
             raise ValueError(f"color {min(missing)} has no image in the substitution")
 
     def monomial(self, mono: Mono, trunc: int) -> HbarSeries:
-        """The image of one monomial, modulo hbar^(trunc+1), kept by (mono, trunc)."""
-        if not mono:
-            return HbarSeries.const(1, trunc)
+        """The image of one monomial of at least one factor, modulo
+        hbar^(trunc+1), kept by (mono, trunc)."""
         out = self._powers.get((mono, trunc))
         if out is None:
             out = (self.power(*mono[0]).truncate(trunc) if len(mono) == 1
@@ -1066,7 +1046,7 @@ class Substitution:
         if self._fixes and len(parts) > h:  # the hbar^h part maps to itself
             top, parts = parts[h], parts[:h]
             self._imaged({a for mono in top for a, _, _ in mono})
-            out.add(_view(top, pden), 1, h)
+            out.add(JetPoly._reduced(top, pden), 1, h)
         for g, part in enumerate(parts):
             for mono, coeff in part.items():
                 # the hbar^g part is only needed modulo hbar^(h-g+1)

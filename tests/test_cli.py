@@ -219,6 +219,18 @@ def test_generate_principal_bad_hessian_exit2(capsys, hessian):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags, err", [
+    ((), "error: generate principal requires --hessian\n"),
+    (("--dim", "2", "--hessian", '[["v1-v1*v2","v1*v2"],["v1*v2","v2-v1*v2"]]',
+      "--pmax", "2", "--qmax", "1"),
+     "error: Hessian is not integrable: cross-derivatives in colors (1,2) disagree\n"),
+], ids=["no-hessian", "not-integrable"])
+def test_generate_principal_refused_exit2(capsys, flags, err):
+    code = main(["generate", "principal", *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == err
+
+
 def test_generate_principal_coupled_point_read_as_written(capsys):
     # F = (v1^3 + v2^3)/6 - (v1 - v2)^4/24: the cells divide after a power
     cells = [["v1-(v1-v2)^2/2", "(v1-v2)^2/2"], ["(v1-v2)^2/2", "v2-(v1-v2)^2/2"]]
@@ -454,6 +466,7 @@ def test_deform_omega_lower_reads_no_index_past_its_bounds(tmp_path, capsys):
 @pytest.mark.parametrize("gen, message", [
     ({"kind": "r", "level": 2, "matrix": [[1]]}, ""),
     ({"kind": "zz", "level": 1, "matrix": [[1]]}, ""),
+    ({"kind": "upper", "level": 1, "matrix": [[1]]}, ": unknown generator kind 'upper'\n"),
     (None, ""),
     ({"kind": "r", "level": 1, "matrix": [["1/0"]]}, ""),
     ({"kind": "r", "level": 1.5, "matrix": [[1]]}, ""),
@@ -466,7 +479,7 @@ def test_deform_omega_lower_reads_no_index_past_its_bounds(tmp_path, capsys):
     ({"kind": "r", "level": 1}, "generator is missing 'matrix'"),
     ({"level": 1, "matrix": [[1]]}, "generator is missing 'kind'"),
     ({"kind": "r", "level": 1, "matrix": [[1]], "extra": 1}, ": unknown key 'extra'\n"),
-], ids=["wrong-parity", "unknown-kind", "missing-file", "zero-denominator",
+], ids=["wrong-parity", "unknown-kind", "upper-kind", "missing-file", "zero-denominator",
         "float-level", "bool-level", "matrix-string", "row-string", "empty-matrix",
         "bool-entry", "not-an-object", "missing-matrix", "missing-kind", "unknown-key"])
 def test_deform_invalid_generator_exit2(tmp_path, capsys, gen, message):
@@ -474,7 +487,7 @@ def test_deform_invalid_generator_exit2(tmp_path, capsys, gen, message):
     code = main(["deform", "bracket", "--generator", path])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: invalid generator file")
+    assert captured.err.startswith(f"error: invalid generator file {path}: ")
     assert captured.err.count("\n") == 1 and message in captured.err
 
 

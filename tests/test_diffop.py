@@ -405,7 +405,7 @@ def test_express_in_target_reuses_its_substitution():
     m = quasi_miura("forward", 2)
     images = dict(enumerate(m.inverse_images(), start=1))
     laurent = m.forward[0]  # its hbar^1 and hbar^2 parts have w[1,1]^-k
-    assert not laurent.is_polynomial()
+    assert not all(c.is_polynomial() for c in laurent.coeffs)
     mixed = w(3) * w(1, -2) + w(1) ** 2 * w(2) + w(1, -1)  # w[1,1] to both signs
     inputs = [laurent, laurent.coeffs[2], mixed, laurent]
     for x in inputs + inputs:

@@ -26,6 +26,7 @@ from jethier.jetcalc import (
     jetpoly_to_obj,
     random_jetpoly,
     render,
+    render_series,
     series_to_obj,
     substitute,
     to_json,
@@ -824,6 +825,11 @@ def test_to_json_rejects_what_json_cannot_hold_exactly(obj):
 def test_render_fixed_order():
     p = w(0) ** 2 - w(2) / 2
     assert render(p) == "w[1,0]^2 - 1/2*w[1,2]"
+    # the empty monomial prints as its coefficient alone, first in order
+    assert render(JetPoly.const(Fraction(-3, 2))) == "-3/2"
+    assert render(JetPoly.var(1, 0) + 2) == "2 + w[1,0]"
+    assert render_series(HbarSeries(1, [JetPoly.const(1), JetPoly.var(1, 2) / 12])) == (
+        "1 + hbar*(1/12*w[1,2])")
 
 
 # ---------------------------------------------------------------------------
@@ -1294,7 +1300,7 @@ def test_series_store_against_coefficientwise_oracle():
         assert bool(s) == any(os_.cs) and s.is_zero() == (not any(os_.cs))
         assert s.num_terms() == sum(c.num_terms() for c in os_.cs)
         assert s.variables() == set().union(*(c.variables() for c in os_.cs))
-        assert s.is_polynomial() == all(c.is_polynomial() for c in os_.cs)
+        assert [c.is_polynomial() for c in s.coeffs] == [c.is_polynomial() for c in os_.cs]
         assert s.gradings() == [(g, c.is_polynomial(), degrees(c))
                                 for g, c in enumerate(os_.cs) if c]
         u = HbarSeries(2, [rational_jetpoly(rng, colors=1) for _ in range(2)])
