@@ -85,7 +85,11 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     and, under dx, at j-1 (read as (beta,0; nu,j), so the table must be
     symmetric, as built tables are by construction), and hbar/2 times the triple
     correlators sum_nu M[mu][nu] (z,0; mu,i; nu,j), summed with c over the
-    window into t3[z].  With f_xi = (mu,i; xi,0) and the higher-Euler cell
+    window into t3[z].  A triple correlator does not depend on the order of
+    its indices, and the window meets one index multiset several times (at
+    i and at l-1-i, and at i = 0 from z and from mu), so each is evaluated,
+    with its three-pick check, once per sorted multiset through a dict
+    local to the call.  With f_xi = (mu,i; xi,0) and the higher-Euler cell
     E_g of `diffop.euler_cell`: blocks 5 and 7 are one term, c (A[beta,g] o
     E_g(o) without its order-0 term, every order lowered by one) o f_xi d;
     blocks 3 and 6 are one term, -c [A[beta,g] o E_g(f_xi), P] o d
@@ -113,6 +117,7 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     high_colors = sorted({g for g, _, _, _ in high})
     left = {(b, g): defaultdict(Sum) for b in colors for g in colors}
     t3_sum = {z: Sum() for z in colors}
+    triples = {}  # sorted index multiset -> its correlator, for this call only
     for t in t3_sum.values():
         t.add(HbarSeries.zero(table.trunc))
 
@@ -133,7 +138,11 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
             halves = [(nu, cfac * m / 2) for nu, m in row]
             for z in colors:
                 for nu, k in halves:
-                    t3_sum[z].add(triple_omega(table, (z, 0), (mu, i), (nu, j)), k, shift=1)
+                    idx = tuple(sorted([(z, 0), (mu, i), (nu, j)]))
+                    t = triples.get(idx)
+                    if t is None:
+                        t = triples[idx] = triple_omega(table, *idx)
+                    t3_sum[z].add(t, k, shift=1)
             # block 9's products A_k[g,xi] delta_g (mu,i+1; unit,0), k >= 2
             grads = {g: o_mu_i1.var_deriv(g) for g in high_colors}
             b9 = [(xi, k, ac * grads[g]) for g, xi, k, ac in high if grads[g]]

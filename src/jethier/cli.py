@@ -290,7 +290,7 @@ def cmd_deform(args) -> int:
                         for b in range(1, table.dim + 1)
                         for x in range(1, table.dim + 1))
         homogeneity_ok = check_operator_homogeneity(dP).ok
-        entries.append({"operator": operator_to_obj(dP)})
+        entries.append({"operator": operator_to_obj(dP, leaf=lambda c: c)})
         residuals = defining_equation_residuals(table, pop, gen, dP, args.pmax)
     elapsed = time.monotonic() - started
     all_pass = (homogeneity_ok and skew_ok and order0_ok and symmetric_ok

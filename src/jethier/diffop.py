@@ -377,13 +377,16 @@ def conjugate_by_miura(p: DiffOperator, m: MiuraChange) -> DiffOperator:
 # serialization
 # ---------------------------------------------------------------------------
 
-def operator_to_obj(p: DiffOperator) -> dict:
+def operator_to_obj(p: DiffOperator, leaf=series_to_obj) -> dict:
+    """The operator's output tree, each coefficient given as `leaf(series)`:
+    plain JSON by default; the identity keeps the HbarSeries values as
+    leaves, which `to_json` writes straight from their numerators."""
     return {
         "rows": p.dim,
         "cols": p.dim,
         "trunc": p.trunc,
         "entries": [
-            {"row": row, "col": col, "order": k, "coeff": series_to_obj(c)}
+            {"row": row, "col": col, "order": k, "coeff": leaf(c)}
             for (row, col), k, c in p.entries()
         ],
     }

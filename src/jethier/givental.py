@@ -283,7 +283,12 @@ class UpperDeformation:
         quad[(g,n),(z,m)] sum_{d,mu,nu} (-1)^(d+1) M[mu][nu]
                               dx^(n+1) (g,0;mu,d) * dx^(m+1) (nu,l-1-d;z,0)
 
-    with the jet transport T_n of `lin`, which recurses in n.  These and the
+    with the jet transport T_n of `lin`, which recurses in n.  quad is
+    symmetric in its two pairs: substituting d -> l-1-d and swapping mu and
+    nu maps one order onto the other, since M[nu][mu] = (-1)^(l+1) M[mu][nu]
+    and the table is symmetric.  So the entry's quadratic block runs over
+    unordered pairs of its variables, with weight 1 off the diagonal and
+    1/2 on it, and builds quad in one order only.  These and the
     second factors contracted over nu (`right`, `unit_right`) are built on
     first use and kept, so one instance serves every entry of the table and
     the operator deformation.  `entry_deformation` hands out the one
@@ -384,7 +389,9 @@ class UpperDeformation:
 
         The product block is summed over the finite extension window
         d in [-p-1, l+q], where the linear terms of the unsimplified display
-        come from the boundary values of d.
+        come from the boundary values of d.  The quadratic block runs over
+        unordered pairs (g,n) <= (z,m) of the entry's variables, quad being
+        symmetric (see the class docstring).
         """
         table, ell = self.table, self.gen.level
         base = table.entry(a, p, b, q)
@@ -396,12 +403,13 @@ class UpperDeformation:
                     out.add_product(lead, self.right(mu, ell - 1 - d, b, q), _sgn(d + 1))
         self.transport(base, out, -1)
         base_vars = sorted(base.variables())
-        for (g, n) in base_vars:
+        for at, (g, n) in enumerate(base_vars):
             dbase = base.partial(g, n)  # nonzero: w[g,n] occurs in base
-            for (z, m) in base_vars:
+            for (z, m) in base_vars[at:]:
                 second = dbase.partial(z, m)
                 if second:
-                    out.add_product(second, self.quad(g, n, z, m), Fraction(1, 2), shift=1)
+                    weight = Fraction(1, 2) if (z, m) == (g, n) else 1
+                    out.add_product(second, self.quad(g, n, z, m), weight, shift=1)
         return out.value()
 
 

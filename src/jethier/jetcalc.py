@@ -30,8 +30,8 @@ each term k*x or k*a*b goes into numerators per hbar order over one running
 denominator, and `value()` reduces to canonical form once.  Every sum and
 product of values goes through it: `+`, `-` and `*` of JetPoly and
 HbarSeries alike (the one `_add` and the one `_mul`, an int or Fraction
-operand taken as a constant), substitution, `evolve`, the Euler operators
-and `formal_integrate`.  Negation is a sign flip, which keeps the form
+operand taken as a constant), substitution, `evolve` and
+`formal_integrate`.  Negation is a sign flip, which keeps the form
 canonical.  A term costs its part pairs i + j <= trunc and little else: the
 truncation is updated inline, a term with no such pair stops there, and an
 int factor over a denominator that divides the running one is scaled
@@ -45,8 +45,9 @@ first `partial()` sweeps f once for all its first partials (`_grad_num`)
 and keeps them; each is reduced when first read, and a repeated `partial`
 returns that object.  Both live exactly as long as f; equality and hashing
 ignore them.  The Euler operators run by Horner's rule from the top order
-down, acc = C(n,k) df/dw[xi,n] - dx(acc), so T[xi,k] of a value of top order
-N takes N-k derivatives.
+down (`_t_op`), so T[xi,k] of a value of top order N takes N-k derivatives;
+the loop adds the kept partials' numerators over f's denominator with
+`_dx_num` and `_add_into`, and reduces once.
 
 Beneath every derivative, each monomial's rule is derived once per process:
 `_dx_rule(mono)` gives dx(mono) as the pairs (mono', exp) of its factors,
@@ -284,22 +285,38 @@ def _t_op(f, alpha: int, k: int):
 
     By Horner's rule from the top order N of alpha in f down to k,
 
-        acc = C(n,k) df/dw[alpha,n] - dx(acc),
+        acc = (-1)^(n-k) C(n,k) df/dw[alpha,n] + dx(acc),
 
-    which takes N-k derivatives where the sum takes sum_n (n-k)."""
-    top = max((m for a, m in _gradient(f) if a == alpha), default=-1)
+    which takes N-k derivatives where the sum takes sum_n (n-k).  The loop
+    runs on numerators over f's denominator: the partials' numerator lists
+    that `_gradient` keeps, or, for a partial already read and kept reduced,
+    its numerators scaled back to that denominator.  The result is reduced
+    once, at the end."""
+    grad = _gradient(f)
+    top = max((m for a, m in grad if a == alpha), default=-1)
     if not 0 <= k <= top:
         out = Sum()
         out.add(f, 0)  # the zero of f's type and truncation
         return out.value()
+    jet = type(f) is JetPoly
+    den = f._den if jet else f.den
     acc = None
     for n in range(top, k - 1, -1):
-        step = Sum()
-        step.add(f.partial(alpha, n), math.comb(n, k))
+        c = -math.comb(n, k) if (n - k) % 2 else math.comb(n, k)
         if acc is not None:
-            step.add(acc.dx(), -1)
-        acc = step.value()
-    return acc
+            acc = [_dx_num(part) for part in acc]
+        got = grad.get((alpha, n))
+        if got is None:
+            continue
+        if type(got) is not list:  # a partial already read: back over den
+            c *= den // (got._den if jet else got.den)
+            got = (got._num,) if jet else got.parts
+        if acc is None:
+            acc = [{m: v * c for m, v in part.items()} for part in got]
+        else:
+            for dst, part in zip(acc, got):
+                _add_into(dst, part, c)
+    return JetPoly._reduced(acc[0], den) if jet else HbarSeries._reduced(f.trunc, tuple(acc), den)
 
 
 class JetPoly:

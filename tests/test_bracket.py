@@ -341,9 +341,10 @@ def test_rotated_table_defining_equation(rotated, kind, level, matrix):
                                     [[0, 0, 0], [0, 1, 2], [0, 2, 1]]])
 def test_upper_bracket_runs_once_per_generator_row(rotated, monkeypatch, matrix):
     # the blocks are linear in the factors that carry nu, so they run once per
-    # (i, mu) on the contracted row, and not at all for a zero row; each
-    # triple correlator with M[mu][nu] != 0 is still evaluated, and its three
-    # picks checked, once per z.  On a tensor power f_xi = (mu,i; xi,0) lives
+    # (i, mu) on the contracted row, and not at all for a zero row; the
+    # triple correlators (z,0; mu,i; nu,j) with M[mu][nu] != 0 are order-free,
+    # so each is evaluated, and its three picks checked, once per sorted
+    # index multiset.  On a tensor power f_xi = (mu,i; xi,0) lives
     # in color mu alone and is constant at i = -1, so with A = d the one
     # nonempty cell of blocks 3 and 6 makes one commutator per (i >= 0, mu).
     # Per (i, mu) an Euler cell is built only for the colors g of its
@@ -366,7 +367,11 @@ def test_upper_bracket_runs_once_per_generator_row(rotated, monkeypatch, matrix)
     splittings = 5  # i in [-1, 3]
     rows = sum(1 for row in matrix if any(row))
     nonzero = sum(1 for row in matrix for m in row if m)
-    assert calls == {"triple_omega": splittings * nonzero * 3,
+    triples = {tuple(sorted([(z, 0), (mu, i), (nu, 2 - i)]))
+               for i in range(-1, 4) for mu in range(1, 4) for nu in range(1, 4)
+               for z in range(1, 4) if matrix[mu - 1][nu - 1]}
+    assert len(triples) == {9: 63, 4: 31}[nonzero] < splittings * nonzero * 3
+    assert calls == {"triple_omega": len(triples),
                      "commutator": (splittings - 1) * rows,
                      "euler_cell": (splittings - 1) * (rows + nonzero)}
     assert is_skew(dP) and not dP.is_zero()

@@ -353,14 +353,18 @@ def test_residual_to_obj():
 
 
 # `--format text` writes a report's keys in the order they are built, which
-# JSON, with its sorted keys, does not show: pin the text of a passing and a
-# failing (zero operator deformation) `deform bracket`
+# JSON, with its sorted keys, does not show: pin the text of passing and
+# failing (zero operator deformation) `deform bracket` runs, one of them in
+# the benchmark's heaviest class (level 3, three colors, dense matrix)
 @pytest.mark.parametrize("zero_dP, level, matrix, flags, want_code, digest", [
     (False, 2, [["0", "1"], ["-1", "0"]], ("--tensor", "2", "--pmax", "1", "--hbar", "1"), 0,
      "b8aa0db04e37e23f959e6265291c67387822756f72e74a4243c4f86fd60b0aac"),
     (True, 1, [["1"]], ("--pmax", "1", "--hbar", "1"), 1,
      "ad31bf731310cafc4e575d53bdf866fd25cb93a018b625ee247af3a18f98ab3a"),
-], ids=["r2-t2-passing", "r1-t1-zero-dP"])
+    (False, 3, [["2", "-1", "1"], ["-1", "1/2", "3"], ["1", "3", "-2"]],
+     ("--tensor", "3", "--pmax", "1", "--hbar", "1"), 0,
+     "68c4736b6137d494bae5b2ce10f526317772ac2e6881775f77c85cd26686cefc"),
+], ids=["r2-t2-passing", "r1-t1-zero-dP", "r3-t3-dense-passing"])
 def test_deform_bracket_text_pinned(tmp_path, capsys, monkeypatch, zero_dP, level, matrix,
                                     flags, want_code, digest):
     if zero_dP:

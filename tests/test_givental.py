@@ -2,8 +2,9 @@
 
 import json
 import math
+import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -261,6 +262,9 @@ def test_triple_matches_every_pick_reference(dim, trunc):
         got = triple_omega(table, *idx)
         want = triple_omega_every_pick(table, *idx)
         assert got == want and got.trunc == want.trunc == trunc, idx
+        # order-free: `r_deform_bracket` evaluates one order per multiset
+        for order in permutations(idx):
+            assert triple_omega(table, *order) == want, order
         zero_picks += sum(not table.entry(*idx[(i + 1) % 3], *idx[(i + 2) % 3])
                           for i in range(3))
     # one color has no zero entry; more colors have mixed-color zeros
@@ -275,8 +279,9 @@ def test_triple_consistency_guard():
         bad_entries = dict(table._entries)
         bad_entries[(1, 1, 1, 1)] = bad_value
         bad = OmegaTable(1, 1, 1, 0, bad_entries)
-        with pytest.raises(InconsistentTable):
-            triple_omega(bad, (1, 1), (1, 1), (1, 0))
+        for order in set(permutations([(1, 1), (1, 1), (1, 0)])):
+            with pytest.raises(InconsistentTable):
+                triple_omega(bad, *order)
 
 
 def test_triple_degree_grading():
@@ -375,21 +380,45 @@ def test_r_deform_two_color_even_level():
         assert check_series_homogeneity(lhs, 0).ok
 
 
+def seeded_matrix(seed, colors, level):
+    """A dense matrix with the generator's parity: symmetric at odd levels,
+    skew at even ones, every entry the parity allows nonzero."""
+    rng = random.Random(seed)
+    sign = 1 if level % 2 else -1
+    m = [[Fraction(0)] * colors for _ in range(colors)]
+    for i in range(colors):
+        for j in range(i if sign == 1 else i + 1, colors):
+            v = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+            m[i][j], m[j][i] = v, sign * v
+    return m
+
+
 @pytest.mark.parametrize("colors, level, matrix, hbar", [
     (2, 1, [[1, 2], [2, -3]], 1),
     (2, 1, [[1, 2], [2, -3]], 2),
     (2, 2, [[0, "3/2"], ["-3/2", 0]], 1),
     (3, 1, [[1, 2, 0], [2, -1, "1/2"], [0, "1/2", 3]], 1),
     (3, 3, [[2, -1, 1], [-1, 0, 3], [1, 3, 1]], 1),
-], ids=["2c-level1-h1", "2c-level1-h2", "2c-level2-h1", "3c-level1-h1", "3c-level3-h1"])
+    (3, 2, seeded_matrix(1, 3, 2), 1),
+    (4, 2, seeded_matrix(2, 4, 2), 1),
+    (3, 4, seeded_matrix(3, 3, 4), 1),
+    (4, 4, seeded_matrix(4, 4, 4), 1),
+    (3, 1, seeded_matrix(5, 3, 1), 2),
+], ids=["2c-level1-h1", "2c-level1-h2", "2c-level2-h1", "3c-level1-h1", "3c-level3-h1",
+        "3c-level2-seeded", "4c-level2-seeded", "3c-level4-seeded", "4c-level4-seeded",
+        "3c-level1-h2-seeded"])
 def test_r_deform_dense_generators_match_long_form(colors, level, matrix, hbar):
     # off-diagonal entries of a dense matrix reach the contraction over nu in
     # every block: mixed-color entries (zero on a tensor power) see it in the
     # product block, diagonal ones in the transport factors too.  One
     # deformation serves every entry, so its kept factors are reused across
-    # entries; at hbar^2 they are reached at jet orders above 0
+    # entries; at hbar^2 they are reached at jet orders above 0.  The entry's
+    # quadratic block runs over unordered variable pairs, which needs every
+    # quad factor symmetric in its two pairs: checked on each one built.  Only
+    # the hbar^2 rows meet pairs off the diagonal: at hbar^1 the block reads
+    # the hbar^0 parts, which depend on w[.,0] alone
     if hbar == 1:
-        table = kdv_omega_table(5, 5, 1)
+        table = kdv_omega_table(max(5, 2 + level), max(5, 2 + level), 1)
         indices = [(1, 0, 2, 1), (2, 1, 1, 2), (1, 2, colors, 1), (colors, 2, 1, 2),
                    (1, 1, 1, 2), (2, 2, 2, 1), (colors, 0, colors, 2)]
     else:
@@ -400,6 +429,10 @@ def test_r_deform_dense_generators_match_long_form(colors, level, matrix, hbar):
     deform = UpperDeformation(table, g)
     for (a, p, b, q) in indices:
         assert deform(a, p, b, q) == r_deform_long(table, g, a, p, b, q), (a, p, b, q)
+    built = list(deform._quad)
+    assert built
+    for (g_, n, z, m) in built:
+        assert deform.quad(g_, n, z, m) == deform.quad(z, m, g_, n), (g_, n, z, m)
 
 
 def window_unskipped(deform, a, p, b, q):

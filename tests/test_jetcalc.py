@@ -31,6 +31,7 @@ from jethier.jetcalc import (
     substitute,
     to_json,
 )
+from jethier.kdvbase import kdv_omega_table
 from readers import hbar_shift, jetpoly_from_obj, series_from_obj
 
 W = JetPoly.var  # W(alpha, order[, exp])
@@ -1131,6 +1132,58 @@ def test_horner_t_op_matches_the_binomial_sum(k):
             assert type(got) is HbarSeries and got.trunc == s.trunc
             assert [model(c) for c in got.coeffs] == [
                 o_t_op(model(c), alpha, k) if k >= 0 else {} for c in s.coeffs]
+
+
+def t_op_by_sum(f, alpha, k):
+    """sum_n C(n,k) (-1)^(n-k) dx^(n-k) f.partial(alpha, n), term by term."""
+    out = Sum()
+    out.add(f, 0)
+    for (a, n) in sorted(f.variables()):
+        if a == alpha and n >= k:
+            out.add(f.partial(a, n).dx_pow(n - k), math.comb(n, k) * (-1) ** (n - k))
+    return out.value()
+
+
+def _t_op_cases():
+    """Factories of fresh values with a denominator and the Laurent factor
+    w[1,1]^-1: a JetPoly, an HbarSeries and KdV table entries times w[1,1]^-1."""
+    p = (w(0) ** 2 * w(2) / 3 + w(3) * W(2, 1) / 5 - Fraction(7, 2) * w(1) ** 3
+         + W(2, 0) * w(2) ** 2 / 6) * w(1, -1)
+    q = W(2, 2) * w(1, -1) / 4 + w(0) * w(4) / 9
+    s = HbarSeries(2, [p, q, w(2) ** 2 * w(1, -2) / 7 - W(2, 3) / 2])
+    table = kdv_omega_table(4, 4, 1)
+    entries = [table.entry(1, a, 1, b) * w(1, -1) for a in range(5) for b in range(a, 5)]
+    return ([lambda: JetPoly(dict(p.terms())), lambda: HbarSeries(s.trunc, s.coeffs)]
+            + [lambda e=e: HbarSeries(e.trunc, e.coeffs) for e in entries])
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["fresh", "partials-read"])
+def test_t_op_matches_the_direct_sum(read_first):
+    # the Horner loop reads each partial as the numerator list the gradient
+    # keeps (fresh) or as the reduced value kept once it has been read
+    # (scaled back to the value's denominator); both must give the sum
+    cases = _t_op_cases()
+    laurent = 0
+    for make in cases:
+        f, ref = make(), make()
+        if read_first:
+            for key in f.variables():
+                f.partial(*key)
+            assert all(type(v) is not list for v in f._grad.values())
+        laurent += any(e < 0 and (a, n) == (1, 1) for mono in
+                       (f.parts if isinstance(f, HbarSeries) else (f._num,))
+                       for m in mono for a, n, e in m)
+        for alpha in (1, 2, 3):
+            top = max((n for a, n in f.variables() if a == alpha), default=-1)
+            for k in range(top + 2):
+                got = f.t_op(alpha, k)
+                want = t_op_by_sum(ref, alpha, k)
+                assert type(got) is type(f) and got == want, (alpha, k)
+                if type(f) is HbarSeries:
+                    assert got.trunc == f.trunc
+        if not read_first:
+            assert all(type(v) is list for v in f._grad.values())
+    assert laurent == len(cases)
 
 
 def test_integrate_against_oracle():
