@@ -9,14 +9,14 @@ an upper-triangular generator and linearizing yields an inhomogeneous
 equation for the operator deformation; this module implements its explicit
 solution (the paper's twelve blocks, built from table entries, triple
 correlators and the undeformed operator; the right-hand blocks read the
-higher Euler operators only through one cell, E_g of `diffop.euler_cell`,
-and blocks 5 and 7, and 3 and 6, are one term each), the one-block
-solution for lower-triangular generators, the dispatch between them by
-generator kind (`bracket_deformation`), and the residual evaluator that
-certifies both against the defining equation; its undeformed case gives
-the genus-0 uniqueness residuals.  It also houses the weighted-degree
-homogeneity checker and the two operator-commutation identities used by
-the derivation, exposed as seeded property checks.
+higher Euler operators only through one composition, A o E_g, built in one
+pass by `diffop.euler_cell`, and blocks 5 and 7, and 3 and 6, are one term
+each), the one-block solution for lower-triangular generators, the dispatch
+between them by generator kind (`bracket_deformation`), and the residual
+evaluator that certifies both against the defining equation; its undeformed
+case gives the genus-0 uniqueness residuals.  It also houses the
+weighted-degree homogeneity checker and the two operator-commutation
+identities used by the derivation, exposed as seeded property checks.
 
 The block sum of the upper deformation runs over all integer splittings
 i + j = level - 1; the extension convention for negative descendant indices
@@ -89,15 +89,21 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     its indices, and the window meets one index multiset several times (at
     i and at l-1-i, and at i = 0 from z and from mu), so each is evaluated,
     with its three-pick check, once per sorted multiset through a dict
-    local to the call.  With f_xi = (mu,i; xi,0) and the higher-Euler cell
-    E_g of `diffop.euler_cell`: blocks 5 and 7 are one term, c (A[beta,g] o
-    E_g(o) without its order-0 term, every order lowered by one) o f_xi d;
+    local to the call, and only at 0 <= i <= l-1: at i = -1 and at i = l
+    an index is negative and the triple is zero.  Blocks 5 and 7 are
+    linear in o and in the row, so the row moves from o onto the factor
+    it multiplies, which the deformation keeps already: by M's parity,
+    sum_nu M[nu][mu] (nu,i; xi,0) = (-1)^(l+1) right(mu, i, xi, 0).  With
+    u = (mu,j; unit,0) the table's own unit sum they are one term,
+    c (-1)^(l+1) (A[beta,g] o E_g(u) without its order-0 term, every order
+    lowered by one) o right(mu, i, xi, 0) d; on a tensor power u has one
+    color where o has every color of its row.  With f_xi = (mu,i; xi,0),
     blocks 3 and 6 are one term, -c [A[beta,g] o E_g(f_xi), P] o d
-    (`diffop.commutator`), where E_g(f_xi) is built only for the colors g
-    of f_xi and skipped where empty; block 9 adds directly.  Blocks 1, 4
-    and 8 give left factors of the row A[g, .], summed per (beta, g) over
-    the window.  The blocks linear in t3 run once,
-    after the window: block 10 adds the left factor d o sum_n
+    (`diffop.commutator`).  Each A[beta,g] o E_g is built in one pass by
+    `diffop.euler_cell`, and only for the colors g of its argument; block
+    9 adds directly.  Blocks 1, 4 and 8 give left factors of the row
+    A[g, .], summed per (beta, g) over the window.  The blocks linear in
+    t3 run once, after the window: block 10 adds the left factor d o sum_n
     dt3[beta]/dw[g,n] d^n, and the left factors are composed with A once
     per (beta, g); block 11 is -A[beta,g] o E_g(t3[xi]) o d; blocks 2 and 12
     move A's coefficients along the linear transport field and dx t3.
@@ -111,6 +117,10 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     deform = entry_deformation(table, gen)  # the table's, shared with the entry deformations
     acc = {(b, x): defaultdict(Sum) for b in colors for x in colors}
     a_cells = {(b, x): A.entry(b, x) for b in colors for x in colors}
+    # the nonempty cells of A with either sign, for the blocks that read A[beta, g]
+    cells = {key: {1: cell, -1: {k: -a for k, a in cell.items()}}
+             for key, cell in a_cells.items() if cell}
+    parity = _sgn(ell + 1)   # M[nu][mu] = parity * M[mu][nu]
     # block 9 reads the cells of A of order >= 2 only
     high = [(g, xi, k, ac) for (g, xi), cell in a_cells.items()
             for k, ac in cell.items() if k >= 2]
@@ -131,12 +141,9 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
             o_mu_i = table.unit_ext(mu, i)            # (mu,i; unit,0)
             o_mu_i1 = table.unit_ext(mu, i + 1)       # (mu,i+1; unit,0)
             fs = {xi: table.ext(mu, i, xi, 0) for xi in colors}
-            # E_g(f_xi) is empty unless color g occurs in f_xi
-            e_f = {(g, xi): euler_cell(fs[xi], g) for xi in colors
-                   for g in {g for g, _ in fs[xi].variables()}}
             o = deform.unit_right(mu, j)
             halves = [(nu, cfac * m / 2) for nu, m in row]
-            for z in colors:
+            for z in colors if 0 <= i < ell else ():   # else an index is negative
                 for nu, k in halves:
                     idx = tuple(sorted([(z, 0), (mu, i), (nu, j)]))
                     t = triples.get(idx)
@@ -160,9 +167,9 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                 if pre:
                     for (g, m) in sorted(o_mu_i1.variables()):
                         dpart = o_mu_i1.partial(g, m)
-                        for u in range(m):
-                            left[(beta, g)][m - 1 - u].add_product(pre, dpart.dx_pow(u),
-                                                                   -cfac * _sgn(u))
+                        for r in range(m):
+                            left[(beta, g)][m - 1 - r].add_product(pre, dpart.dx_pow(r),
+                                                                   -cfac * _sgn(r))
                     # block 9: boundary transport with the shifted index
                     for xi, k, prod in b9:
                         for f in range(2, k + 1):
@@ -170,23 +177,21 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                                                                -cfac * _sgn(k - f))
 
             # blocks 3, 5, 6 and 7: right factors of the column A[., g]
-            o_colors = {g for g, _ in o.variables()}
-            for g in colors:
-                e_o = euler_cell(o, g) if g in o_colors else {}
-                for beta in colors:
-                    cell = {k: cfac * a for k, a in a_cells[(beta, g)].items()}
-                    if not cell:
-                        continue
-                    low = {k - 1: c for k, c in finish(leibniz(cell, e_o)).items() if k > 0}
-                    for xi in colors:
-                        out = acc[(beta, xi)]
-                        if fs[xi]:   # blocks 5 and 7
-                            leibniz(low, {1: fs[xi]}, out)
-                        e = e_f.get((g, xi))
-                        if e:   # blocks 3 and 6, before the final d
-                            right = commutator(finish(leibniz(cell, e)), o)
-                            for k, c in finish(right).items():
-                                out[k + 1].add(c, -1)
+            u = table.unit_ext(mu, j)                 # (mu,j; unit,0)
+            u_colors = {g for g, _ in u.variables()}
+            kept = [(xi, f) for xi in colors if (f := deform.right(mu, i, xi, 0))]
+            f_colors = {xi: {g for g, _ in fs[xi].variables()} for xi in colors}
+            for (beta, g), signed in cells.items():
+                if g in u_colors:   # blocks 5 and 7
+                    low = {k - 1: c for k, c in euler_cell(u, g, signed[cfac * parity]).items()
+                           if k > 0}
+                    for xi, f in kept:
+                        leibniz(low, {1: f}, acc[(beta, xi)])
+                for xi in colors:
+                    if g in f_colors[xi]:   # blocks 3 and 6, before the final d
+                        right = commutator(euler_cell(fs[xi], g, signed[cfac]), o)
+                        for k, c in finish(right).items():
+                            acc[(beta, xi)][k + 1].add(c, -1)
 
     t3 = {z: t.value() for z, t in t3_sum.items()}
     for beta in colors:   # block 10
@@ -198,14 +203,12 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
         for xi in colors:
             if lg and a_cells[(g, xi)]:
                 leibniz(lg, a_cells[(g, xi)], acc[(beta, xi)])
-    # E_g(t3[xi]) is empty unless color g occurs in t3[xi]
-    e_t = {(g, xi): euler_cell(t3[xi], g) for xi in colors
-           for g in {g for g, _ in t3[xi].variables()}}
-    for (beta, g), cell in a_cells.items():   # block 11, before the final d
+    # block 11, before the final d; E_g(t3[xi]) is empty unless color g occurs in t3[xi]
+    t3_colors = {xi: {g for g, _ in t3[xi].variables()} for xi in colors}
+    for (beta, g), signed in cells.items():
         for xi in colors:
-            e = e_t.get((g, xi))
-            if e:
-                for k, c in finish(leibniz(cell, e)).items():
+            if g in t3_colors[xi]:
+                for k, c in euler_cell(t3[xi], g, signed[1]).items():
                     acc[(beta, xi)][k + 1].add(c, -1)
 
     # blocks 2 and 12 on the window sums
@@ -250,16 +253,14 @@ def unit_sum_grads(table: OmegaTable, pop: PoissonOp, deformed: dict,
     """The two terms [(dP, {g: delta_g undeformed}), (A, {g: delta_g deformed})]
     of the linearized relation at (a, p), with the variational derivatives
     of the unit sums (a, p+1; unit, 0) for every color g whose column of
-    the operator has a nonzero cell.  `deformed` must supply (a, p+1, c, 0)
-    for every color c.  They do not depend on the color b of a residual, so
+    the operator has a nonzero cell.  `deformed` must supply the deformed
+    unit sum under the key (a, p+1), as `deformed_entries_for_residual`
+    does.  They do not depend on the color b of a residual, so
     `defining_equation_residuals` builds them once per (a, p).
     """
     colors = range(1, table.dim + 1)
     undeformed_u = table.unit_ext(a, p + 1)
-    deformed_u = Sum()
-    for c in colors:
-        deformed_u.add(deformed[(a, p + 1, c, 0)])
-    deformed_u = deformed_u.value()
+    deformed_u = deformed[(a, p + 1)]
 
     def used(op: DiffOperator, g: int) -> bool:
         return any(op.entry(b, g) for b in colors)
@@ -286,16 +287,36 @@ def def_a_residual(terms: list, entry: HbarSeries, b: int) -> HbarSeries:
 
 def deformed_entries_for_residual(table: OmegaTable, gen: GiventalGen,
                                   pmax: int) -> dict:
-    """Table deformations `def_a_residual` needs at every (a, p <= pmax).
+    """Table deformations `def_a_residual` and `unit_sum_grads` need at every
+    (a, p <= pmax): the entries under (a, p, b, 0), p <= pmax, and the unit
+    sums (a, p; unit, 0) under (a, p), 1 <= p <= pmax + 1.
 
-    Each entry (a, p', b, 0), p' <= pmax + 1, is computed once, by the entry
-    deformation the table keeps for `gen` (`givental.entry_deformation`),
-    which `r_deform_bracket` has usually built already.
+    Each entry is computed once, by the entry deformation the table keeps
+    for `gen` (`givental.entry_deformation`), which `r_deform_bracket` has
+    usually built already, and the unit sums up to pmax are summed from
+    them.  At pmax + 1 no entry is read alone, so for an upper generator
+    the unit sum is one `UpperDeformation.unit` pass per color a, in place
+    of one pass per entry.
     """
     deform = entry_deformation(table, gen)
     colors = range(1, table.dim + 1)
-    return {(a, p, b, 0): deform(a, p, b, 0)
-            for a in colors for p in range(pmax + 2) for b in colors}
+    top = pmax + 1
+    out = {(a, p, b, 0): deform(a, p, b, 0)
+           for a in colors for p in range(top) for b in colors}
+    for a in colors:
+        for p in range(1, top):
+            out[(a, p)] = _total(out[(a, p, b, 0)] for b in colors)
+        out[(a, top)] = (deform.unit(a, top) if gen.kind == "r"
+                         else _total(deform(a, top, b, 0) for b in colors))
+    return out
+
+
+def _total(values) -> HbarSeries:
+    """The sum of the values, reduced once."""
+    out = Sum()
+    for x in values:
+        out.add(x)
+    return out.value()
 
 
 def defining_equation_residuals(table: OmegaTable, pop: PoissonOp,

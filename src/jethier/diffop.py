@@ -7,14 +7,15 @@ expands d^k o f; the adjoint sends f d^k to (-d)^k o f and transposes the
 matrix.  A cell under construction accumulates one `jetcalc.Sum` per order
 and is finished once (`finish`).  Applying a cell to a function f is
 sum_k coeff_k dx^k(f) (`apply_entry`).  The bracket deformation reads two
-more cells: the higher-Euler cell E_g(f), the adjoint of f's linearization
-(`euler_cell`), and a commutator [X, P] known through o = dx P alone
-(`commutator`).  `leibniz` reads each coefficient's lowest nonzero hbar
-order once, and skips a pair of coefficients whose lowest orders sum past
-the pair's truncation before any jet is taken: dx keeps hbar order, so
-every product of the pair is zero.  Every coefficient of an operator is
-known to the operator's own hbar order.  Conjugation under a coordinate
-change, which must be the identity at hbar^0,
+more cells: the higher-Euler cell E_g(f), the adjoint of f's linearization,
+composed with a left cell in one pass (`euler_cell`), and a commutator
+[X, P] known through o = dx P alone (`commutator`).  `leibniz` reads each
+coefficient's lowest nonzero hbar order once, and skips a pair of
+coefficients whose lowest orders sum past the pair's truncation before any
+jet is taken: dx keeps hbar order, so every product of the pair is zero.
+Every coefficient of an operator is known to the operator's own hbar
+order.  Conjugation under a coordinate change, which must be the identity
+at hbar^0,
 
     w_a = m_a(v, v_1, ...),   m_a = v_a + O(hbar)
 
@@ -206,12 +207,24 @@ def apply_entry(cell: Entry, f):
     return out.value()
 
 
-def euler_cell(f, g: int) -> Entry:
-    """E_g(f) = sum_k (-1)^k T[g,k](f) d^k, the adjoint of f's linearization
-    sum_n (df/dw[g,n]) d^n, with T the higher Euler operators (`t_op`): each
-    partial is taken once, and `leibniz` reads its kept jets."""
-    lin = {n: f.partial(g, n) for n in sorted({m for gg, m in f.variables() if gg == g})}
-    return finish(_adjoint_cell(lin, defaultdict(Sum)))
+def euler_cell(f, g: int, left: Entry | None = None) -> Entry:
+    """left o E_g(f), left the identity cell {0: 1} by default.
+
+    E_g(f) = sum_k (-1)^k T[g,k](f) d^k, the adjoint sum_n (-d)^n o df/dw[g,n]
+    of f's linearization sum_n (df/dw[g,n]) d^n, with T the higher Euler
+    operators (`t_op`).  The composition is built in one pass, as
+    sum_n ((-1)^n left o d^n) o df/dw[g,n]: left o d^n is left raised n
+    orders, each partial is taken once, `leibniz` reads the jets it keeps,
+    and no E_g(f) is finished and differentiated again.
+    """
+    if left is None:
+        left = {0: 1}
+    signed = (left, {k: -c for k, c in left.items()})
+    out = defaultdict(Sum)
+    for n in sorted({m for gg, m in f.variables() if gg == g}):
+        raised = {k + n: c for k, c in signed[n % 2].items()}
+        leibniz(raised, {0: f.partial(g, n)}, out)
+    return finish(out)
 
 
 def commutator(x: Entry, o) -> dict:

@@ -273,7 +273,8 @@ def triple_omega(table: OmegaTable, i1, i2, i3) -> HbarSeries:
 class UpperDeformation:
     """First-order change of the table entries under one upper generator.
 
-    Calling it with (a, p, b, q) gives the change of that entry.  Of the
+    Calling it with (a, p, b, q) gives the change of that entry, and
+    `unit(a, p)` the change of the unit sum (a,p;unit,0).  Of the
     three blocks of the deformation only the product block depends on the
     entry; the other two weight the entry's first and second partials by
     transport factors that depend on the table and the generator alone:
@@ -385,7 +386,23 @@ class UpperDeformation:
         return got
 
     def __call__(self, a: int, p: int, b: int, q: int) -> HbarSeries:
-        """The change of the (a,p;b,q) entry.
+        """The change of the (a,p;b,q) entry."""
+        return self._deform(a, p, q, self.table.entry(a, p, b, q),
+                            lambda mu, j: self.right(mu, j, b, q))
+
+    def unit(self, a: int, p: int) -> HbarSeries:
+        """The change of the unit sum (a,p;unit,0) = sum_b (a,p;b,0), in one pass.
+
+        The deformation is linear in its (b, q) slot: the product block
+        through its second factor, the other two through the entry.  So the
+        sum over b is one pass on the table's `unit_ext(a, p)` and the
+        factors `unit_right`.
+        """
+        return self._deform(a, p, 0, self.table.unit_ext(a, p), self.unit_right)
+
+    def _deform(self, a: int, p: int, q: int, base: HbarSeries, tail) -> HbarSeries:
+        """The change of `base`, the (a,p;.,q) entry whose second factor
+        contracted over nu is tail(mu, j).
 
         The product block is summed over the finite extension window
         d in [-p-1, l+q], where the linear terms of the unsimplified display
@@ -394,13 +411,12 @@ class UpperDeformation:
         symmetric (see the class docstring).
         """
         table, ell = self.table, self.gen.level
-        base = table.entry(a, p, b, q)
         out = Sum()  # below d = 0 only ext(a, p, a, -p-1) is nonzero: it sets the truncation
         for d in range(-p - 1, ell + q + 1):
             for mu in range(1, table.dim + 1):
                 lead = table.ext(a, p, mu, d)
                 if lead:
-                    out.add_product(lead, self.right(mu, ell - 1 - d, b, q), _sgn(d + 1))
+                    out.add_product(lead, tail(mu, ell - 1 - d), _sgn(d + 1))
         self.transport(base, out, -1)
         base_vars = sorted(base.variables())
         for at, (g, n) in enumerate(base_vars):

@@ -913,9 +913,13 @@ class Sum:
     def _scale(self, d: int, k, top: int) -> int:
         """The integer factor of a term over d with factor k, once the kept term
         is spilled and the numerators reach order top over a multiple of d*k's denominator."""
-        if self._one is not None:
-            one, self._one, self._nums = self._one, None, [{}]
-            self.add(one)
+        if self._one is not None:  # spilled as copies of its numerators, over its denominator
+            one, h, self._one = self._one, self._trunc, None
+            if type(one) is JetPoly:
+                parts, self._den = (one._num,), one._den
+            else:
+                parts, self._den = one.parts, one.den
+            self._nums = [dict(part) for part in parts[: 1 if h is None else h + 1]]
         if type(k) is not int:
             d, k = d * k.denominator, k.numerator
         nums = self._nums

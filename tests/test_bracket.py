@@ -13,6 +13,7 @@ from jethier.givental import (
     GiventalGen,
     InconsistentTable,
     OmegaTable,
+    UpperDeformation,
     _sgn,
     entry_deformation,
     r_deform_omega,
@@ -126,6 +127,24 @@ def nonconstant_op():
     return SkewOp(DiffOperator(1, 1, {(1, 1): cell}))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_euler_cell_with_left_matches_the_composition(seed):
+    # left o E_g(f) in one pass, against E_g(f) finished and composed after;
+    # scalar cells and the series cell of nonconstant_op(), on polynomials,
+    # series and the table entries the bracket deformation reads
+    rng = random.Random(seed)
+    series_cell = nonconstant_op().op.entry(1, 1)
+    cells = [{0: 1}, {1: 1}, {2: -3, 0: Fraction(1, 2)}, {3: 2, 1: -1}, series_cell,
+             {k: c for k, c in series_cell.items() if k % 2}]
+    fs = [random_jetpoly(rng, colors=3, max_order=3, n_terms=4),
+          HbarSeries(1, [random_jetpoly(rng, colors=3, max_order=3) for _ in range(2)]),
+          kdv_omega_table(4, 4, 1).entry(1, 1 + seed, 1, 2)]
+    for f in fs:
+        for g in (1, 2, 3):
+            for left in cells:
+                assert euler_cell(f, g, left) == finish(leibniz(left, euler_cell(f, g))), (g, left)
+
+
 def test_nonconstant_operator_blocks_pinned():
     # blocks 2, 9 and 12 act only on operators with non-constant
     # coefficients; pin the full result on nonconstant_op()
@@ -188,27 +207,36 @@ def test_def_a_nonzero_without_operator_deformation():
 
 
 def test_deformed_entries_cover_every_p():
+    # the entries (a, p, b, 0) at p <= pmax, and the unit sums (a, p) at
+    # 1 <= p <= pmax + 1, the last by one unit deformation per a
     table = kdv_omega_table(4, 4, 1)
     g = r_gen(1, [[1]])
     ent = deformed_entries_for_residual(table, g, 2)
-    assert sorted(ent) == [(1, p, 1, 0) for p in range(4)]
-    for (a, p, b, q), series in ent.items():
-        assert series == r_deform_omega(table, g, a, p, b, q)
+    assert sorted(ent) == sorted([(1, p, 1, 0) for p in range(3)] + [(1, p) for p in range(1, 4)])
+    for key, series in ent.items():
+        assert series == deformed_by_entries(table, g, key), key
     # every color a, through one deformation of the table
     table2 = tensor_power(table, 2)
     g2 = r_gen(2, [[0, 1], [-1, 0]])
     ent = deformed_entries_for_residual(table2, g2, 1)
-    assert sorted(ent) == [(a, p, b, 0) for a in (1, 2) for p in range(3)
-                           for b in (1, 2)]
-    for (a, p, b, q), series in ent.items():
-        assert series == r_deform_omega(table2, g2, a, p, b, q)
+    assert sorted(ent) == sorted([(a, p, b, 0) for a in (1, 2) for p in range(2) for b in (1, 2)]
+                                 + [(a, p) for a in (1, 2) for p in (1, 2)])
+    for key, series in ent.items():
+        assert series == deformed_by_entries(table2, g2, key), key
+
+
+def deformed_by_entries(table, gen, key):
+    """The deformation of the entry (a, p, b, 0), or for the key (a, p) of
+    the unit sum over b, by one-shot `r_deform_omega` entries."""
+    a, p, *b = key
+    return sum((r_deform_omega(table, gen, a, p, c, 0) for c in b[:1] or range(1, table.dim + 1)),
+               HbarSeries.zero(table.trunc))
 
 
 def test_def_a_trivial_all_zero():
     table = kdv_omega_table(2, 2, 1)
     pop = PoissonOp.dx(1, 1)
-    zeros = {key: HbarSeries.zero(1) for key in
-             [(1, 0, 1, 0), (1, 1, 1, 0)]}
+    zeros = {key: HbarSeries.zero(1) for key in [(1, 0, 1, 0), (1, 1)]}
     dP = DiffOperator.zero(1, 1)
     terms = unit_sum_grads(table, pop, zeros, dP, 1, 0)
     res = def_a_residual(terms, zeros[(1, 0, 1, 0)], 1)
@@ -344,15 +372,15 @@ def test_upper_bracket_runs_once_per_generator_row(rotated, monkeypatch, matrix)
     # (i, mu) on the contracted row, and not at all for a zero row; the
     # triple correlators (z,0; mu,i; nu,j) with M[mu][nu] != 0 are order-free,
     # so each is evaluated, and its three picks checked, once per sorted
-    # index multiset.  On a tensor power f_xi = (mu,i; xi,0) lives
-    # in color mu alone and is constant at i = -1, so with A = d the one
-    # nonempty cell of blocks 3 and 6 makes one commutator per (i >= 0, mu).
-    # Per (i, mu) an Euler cell is built only for the colors g of its
-    # argument: E_g(f_xi) once at i >= 0 and not at i = -1, and E_g(o), with
-    # o = sum_nu M[mu][nu] (unit,0; nu,j), once per nonzero entry of the row,
-    # except at the one splitting where o has no jet variable.  Block 11
-    # builds E_g(t3[xi]) once per call on the window sums, which have no jet
-    # variable on this point, so it builds none
+    # index multiset, and only at 0 <= i <= l-1: at i = -1 and i = l an
+    # index is negative and the triple is zero.  On a tensor power
+    # f_xi = (mu,i; xi,0) lives in color mu alone and is constant at i = -1,
+    # so with A = d the one nonempty cell of blocks 3 and 6 makes one
+    # commutator and one Euler cell A o E_g(f_xi) per (i >= 0, mu).  Blocks
+    # 5 and 7 run on u = (mu,j; unit,0), which also lives in color mu alone:
+    # one Euler cell A o E_g(u) per (i, mu) whose u has a jet variable, that
+    # is at j >= 0.  Block 11 builds A o E_g(t3[xi]) once per call on the
+    # window sums, which have no jet variable on this point, so it builds none
     base, _ = rotated
     calls = {"triple_omega": 0, "commutator": 0, "euler_cell": 0}
     for name in calls:
@@ -368,12 +396,12 @@ def test_upper_bracket_runs_once_per_generator_row(rotated, monkeypatch, matrix)
     rows = sum(1 for row in matrix if any(row))
     nonzero = sum(1 for row in matrix for m in row if m)
     triples = {tuple(sorted([(z, 0), (mu, i), (nu, 2 - i)]))
-               for i in range(-1, 4) for mu in range(1, 4) for nu in range(1, 4)
+               for i in range(3) for mu in range(1, 4) for nu in range(1, 4)
                for z in range(1, 4) if matrix[mu - 1][nu - 1]}
-    assert len(triples) == {9: 63, 4: 31}[nonzero] < splittings * nonzero * 3
+    assert len(triples) == {9: 36, 4: 19}[nonzero] < (splittings - 2) * nonzero * 3
     assert calls == {"triple_omega": len(triples),
                      "commutator": (splittings - 1) * rows,
-                     "euler_cell": (splittings - 1) * (rows + nonzero)}
+                     "euler_cell": (splittings - 1) * 2 * rows}
     assert is_skew(dP) and not dP.is_zero()
 
 
@@ -481,10 +509,50 @@ def r_deform_bracket_per_window(table, pop, gen):
 
 
 @pytest.fixture(scope="module")
-def oracle_points(rotated):
+def wide():
+    """(tensor power, the same rotated), three colors, p, q <= 5, hbar^1:
+    wide enough for level-4 generators."""
+    base = tensor_power(kdv_omega_table(5, 5, 1), 3)
+    return base, rotate(base, ROT)
+
+
+@pytest.mark.parametrize("hbar, level, matrix", [
+    (1, 1, [[1, 2, 3], [2, -1, 5], [3, 5, 2]]),
+    (1, 2, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]),
+    (1, 3, [[2, -1, 1], [-1, 3, 2], [1, 2, -2]]),
+    (1, 4, [[0, 2, "1/2"], [-2, 0, -3], ["-1/2", 3, 0]]),
+    (2, 1, [[1, 2, 3], [2, -1, 5], [3, 5, 2]]),
+    (2, 2, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]),
+])
+def test_unit_deformation_is_the_sum_of_entry_deformations(wide, hbar, level, matrix):
+    # the deformation is linear in its (b, q) slot, so one pass on the unit
+    # sum gives sum_b (a,p;b,0) deformed, on a tensor power and on the same
+    # point rotated, where every entry is coupled; at hbar^2 the derivable
+    # range p, q <= 2 admits levels 1 and 2 only
+    if hbar == 1:
+        tables = wide
+    else:
+        base = tensor_power(kdv_omega_table(2, 2, 2), 3)
+        tables = (base, rotate(base, ROT))
+    g = r_gen(level, matrix)
+    for table in tables:
+        deform = UpperDeformation(table, g)
+        for a in range(1, 4):
+            for p in range(table.pmax - level + 1):
+                want = Sum()
+                for b in range(1, 4):
+                    want.add(deform(a, p, b, 0))
+                got = deform.unit(a, p)
+                assert got == want.value() and got.trunc == hbar, (a, p)
+
+
+@pytest.fixture(scope="module")
+def oracle_points(rotated, wide):
     """(table, operator, generator) points the per-window oracle must match:
     dense matrices on the coupled three-color table, the operator with
-    live blocks 2, 9 and 12, hbar^2, and a generator with a zero row."""
+    live blocks 2, 9 and 12, hbar^2, a generator with a zero row, and a
+    dense level-4 generator on the coupled table widened to p, q <= 5,
+    where u = (mu,j; unit,0) of blocks 5 and 7 has every color."""
     _, table = rotated
     dx3 = PoissonOp.dx(3, 1)
     cube = tensor_power(kdv_omega_table(4, 4, 1), 3)
@@ -494,10 +562,11 @@ def oracle_points(rotated):
             (kdv_omega_table(4, 4, 1), nonconstant_op(), r_gen(1, [[1]])),
             (kdv_omega_table(2, 2, 2), PoissonOp.dx(1, 2), r_gen(1, [[1]])),
             (cube, dx3, r_gen(3, [[1, 0, 2], [0, 0, 0], [2, 0, -1]])),
-            (table, dx3, r_gen(2, [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]))]
+            (table, dx3, r_gen(2, [[0, 0, 1], [0, 0, 0], [-1, 0, 0]])),
+            (wide[1], dx3, r_gen(4, [[0, 2, "1/2"], [-2, 0, -3], ["-1/2", 3, 0]]))]
 
 
-@pytest.mark.parametrize("point", range(7))
+@pytest.mark.parametrize("point", range(8))
 def test_window_hoisting_matches_per_window_blocks(oracle_points, point):
     # blocks 2, 10, 11 and 12 run once on the window sums, the left factors
     # are composed with A once per (beta, g), empty cells are skipped; the
