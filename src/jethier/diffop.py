@@ -13,21 +13,26 @@ composed with a left cell in one pass (`euler_cell`), and a commutator
 coefficient's lowest nonzero hbar order once, and skips a pair of
 coefficients whose lowest orders sum past the pair's truncation before any
 jet is taken: dx keeps hbar order, so every product of the pair is zero.
-Every coefficient of an operator is known to the operator's own hbar
-order.  Conjugation under a coordinate change, which must be the identity
-at hbar^0,
+A right coefficient that is a constant at hbar^0 alone enters as a scalar,
+so a product by the constant 1 keeps the left coefficient itself.
+Skewness is decided on the upper triangle of the self-adjoint
+p + adjoint(p), and on the even orders of its diagonal (`is_skew`).  Every
+coefficient of an operator is known to the operator's own hbar order.
+Conjugation under a coordinate change, which must be the identity at
+hbar^0,
 
     w_a = m_a(v, v_1, ...),   m_a = v_a + O(hbar)
 
 follows the standard transformation law  L o P o adjoint(L)  with
 L[a,mu] = sum_e (dm_a/dv[mu,e]) d^e, after which coefficients are
 re-expressed in the target jets through the inverse change.  A change keeps
-what it derives: its inverse images, solved once (and not solved at all for
-a change made by `inverse()`, whose inverse is the known forward map), and
-one `Substitution` by them that caches the powers of the prolonged jets
-across every coefficient it rewrites.  Those images are the identity modulo
-hbar, so the substitution passes the top hbar part of each coefficient
-through unchanged.  The x-derivatives the Leibniz rule reads are kept by
+what it derives: its inverse images, solved once from the first iterate of
+the fixed point (and not solved at all for a change made by `inverse()`,
+whose inverse is the known forward map), and one `Substitution` by them per
+truncation that caches the powers of the prolonged jets across every
+coefficient it rewrites.  Those images are the identity modulo hbar, so
+the substitution passes the top hbar part of each coefficient through
+unchanged.  The x-derivatives the Leibniz rule reads are kept by
 each coefficient series itself (`HbarSeries.dx`, one derivative of the
 series' numerator store, computed once), so every row of a composition
 reads the same ones.
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 from .jetcalc import (HbarSeries, JetPoly, Substitution, Sum, evolve, is_var_mod_hbar, rat,
                       series_to_obj)
@@ -102,13 +108,7 @@ class DiffOperator:
             for k in sorted(self._entries[(row, col)]):
                 yield (row, col), k, self._entries[(row, col)][k]
 
-    # -- negation and equality (for is_skew) --------------------------
-
-    def __neg__(self) -> "DiffOperator":
-        return DiffOperator(
-            self.dim, self.trunc,
-            {key: {k: -c for k, c in cell.items()} for key, cell in self._entries.items()},
-        )
+    # -- equality -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         """Equality within the smaller truncation; the constructor's cells are
@@ -157,6 +157,15 @@ def _past(ta, tb, low: int) -> bool:
     return t is not None and low > t
 
 
+def _constant(c):
+    """The value of a series whose only part is a constant at hbar^0, else None."""
+    if type(c) is HbarSeries and not any(c.parts[1:]):
+        num = c.parts[0].get(())
+        if num is not None and len(c.parts[0]) == 1:
+            return num if c.den == 1 else Fraction(num, c.den)
+    return None
+
+
 def leibniz(a: Entry, b: Entry, out: dict | None = None) -> dict:
     """Add the scalar composition a o b into the cell under construction
     `out`, a defaultdict(Sum), and return it; `finish` gives the cell.
@@ -170,8 +179,13 @@ def leibniz(a: Entry, b: Entry, out: dict | None = None) -> dict:
     Each coefficient's lowest hbar order is read once (`_screen`).  A pair
     whose lowest orders sum past the pair's truncation takes no jet: dx
     keeps hbar order, so every product it would add is zero.  It still adds
-    a zero term (k = 0) to each sum its nonzero jets would reach, all k1+1
-    unless f is constant, so every sum keeps the truncation it would have.
+    a zero term to each sum its nonzero jets would reach, all k1+1 unless f
+    is constant, so every sum keeps the truncation it would have; the term
+    is `Sum.add(lower, 0)`, with `lower` the factor of lower truncation.  A
+    series f that is a constant c at hbar^0 alone has no nonzero jet past
+    itself: the pair adds c times the left coefficient, after a zero term of
+    f when f's truncation is the lower one.  For c = 1 the sum keeps the
+    left coefficient itself.
     """
     if out is None:
         out = defaultdict(Sum)
@@ -180,13 +194,24 @@ def leibniz(a: Entry, b: Entry, out: dict | None = None) -> dict:
         if not cb:
             continue
         lb, tb = _screen(cb)
+        const = _constant(cb)
         moves = None
         for k1, ca, la, ta in sa:
             if _past(ta, tb, la + lb):
                 if moves is None:
                     moves = _moves(cb)
+                lower = ca if tb is None or (ta is not None and ta < tb) else cb
                 for i in range(k1 + 1 if moves else 1):
-                    out[k1 - i + k2].add_product(ca, cb, 0)
+                    out[k1 - i + k2].add(lower, 0)
+                continue
+            if const is not None:
+                s = out[k1 + k2]
+                if type(ca) is HbarSeries or type(ca) is JetPoly:
+                    if ta is None or tb < ta:
+                        s.add(cb, 0)
+                    s.add(ca, const)
+                else:  # an int or Fraction: the product is a constant too
+                    s.add(cb, ca)
                 continue
             jet = cb
             for i in range(k1 + 1):
@@ -284,8 +309,24 @@ def apply_op(p: DiffOperator, vec) -> list:
 
 
 def is_skew(p: DiffOperator) -> bool:
-    """True iff adjoint(p) == -p exactly within the truncation."""
-    return adjoint(p) == -p
+    """True iff adjoint(p) == -p exactly within the truncation.
+
+    Q = p + adjoint(p) is self-adjoint, so Q[c,r] is the adjoint of Q[r,c]
+    and only the cells r <= c are built, as p[r,c] plus the adjoint of
+    p[c,r].  A self-adjoint scalar cell vanishes iff its even orders do: at
+    its top order n, q_n = (-1)^n q_n.  So a diagonal cell is read only at
+    its even orders.
+    """
+    entries = p._entries
+    for r in range(1, p.dim + 1):
+        for c in range(r, p.dim + 1):
+            cell = defaultdict(Sum)
+            for k, coeff in entries.get((r, c), {}).items():
+                cell[k].add(coeff)
+            _adjoint_cell(entries.get((c, r), {}), cell)
+            if any(s.value() for k, s in cell.items() if r < c or not k % 2):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +343,9 @@ class MiuraChange:
     modulo hbar^(trunc+1) is unique, so `inverse()` hands its result the
     forward map as its inverse instead of solving for it again.
     `express_in_target` substitutes through one `Substitution` by the
-    inverse images, built on first use and kept.
+    inverse images per truncation, built on first use and kept: a series
+    known to a lower hbar order than the change is rewritten modulo its own
+    order, since the images are known further.
     """
 
     __slots__ = ("dim", "trunc", "forward", "_inverse", "_to_target")
@@ -320,18 +363,24 @@ class MiuraChange:
         self.trunc = h
         self.forward = fwd
         self._inverse = None
-        self._to_target = None
+        self._to_target = {}  # truncation -> Substitution by the inverse images
 
     def inverse_images(self) -> tuple:
-        """Components of the inverse change, expressed in the target jets."""
+        """Components of the inverse change, expressed in the target jets.
+
+        The fixed point of v_a = w_a - tail_a(v), with tail_a the hbar-positive
+        part of m_a.  The iterate after n substitutions is right modulo
+        hbar^(n+1), and the first one, w_a - tail_a(w), needs none: so h - 1
+        `Substitution` passes solve a change known to hbar^h, and none at
+        h <= 1.
+        """
         if self._inverse is not None:
             return self._inverse
         h = self.trunc
-        # v_a = w_a - tail_a(v), with tail_a the hbar-positive part of m_a
         tails = [f - JetPoly.var(a, 0) for a, f in enumerate(self.forward, start=1)]
         wvars = [HbarSeries.var(a, 0, h) for a in range(1, self.dim + 1)]
-        cur = wvars
-        for _ in range(h):
+        cur = [wvars[a] - tails[a] for a in range(self.dim)]
+        for _ in range(h - 1):
             sub = Substitution(dict(enumerate(cur, start=1)), h)
             cur = [wvars[a] - sub(tails[a]) for a in range(self.dim)]
         self._inverse = tuple(cur)
@@ -344,11 +393,14 @@ class MiuraChange:
         return inv
 
     def express_in_target(self, x):
-        """Rewrite a source-jet JetPoly or HbarSeries in the target jets."""
-        if self._to_target is None:
+        """Rewrite a source-jet JetPoly or HbarSeries in the target jets,
+        modulo the lower of x's and the change's hbar orders."""
+        h = min(x.trunc, self.trunc) if type(x) is HbarSeries else self.trunc
+        sub = self._to_target.get(h)
+        if sub is None:
             images = dict(enumerate(self.inverse_images(), start=1))
-            self._to_target = Substitution(images, self.trunc)
-        return self._to_target(x)
+            sub = self._to_target[h] = Substitution(images, h)
+        return sub(x)
 
     def jacobian(self) -> DiffOperator:
         """L[a,mu] = sum_e (dm_a/dv[mu,e]) d^e, in source jets."""
@@ -371,7 +423,8 @@ def conjugate_by_miura(p: DiffOperator, m: MiuraChange) -> DiffOperator:
     """Transform a Poisson-type operator under the change of coordinates m.
 
     Computes L o P o adjoint(L) in the source jets and then re-expresses all
-    coefficients in the target jets through the inverse change.
+    coefficients in the target jets through the inverse change, modulo the
+    lower of the hbar orders of p and m.
     """
     if p.dim != m.dim:
         raise ValueError("operator and coordinate change dimensions differ")

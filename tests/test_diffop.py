@@ -24,6 +24,7 @@ from jethier.diffop import (
     leibniz,
     operator_to_obj,
 )
+from jethier import diffop
 from jethier.kdvbase import quasi_miura
 from readers import hbar_shift, operator_from_obj
 
@@ -168,7 +169,7 @@ def test_compose_associative_random():
 
 def test_adjoint_examples():
     d = DiffOperator.dx_op(1, 2)
-    assert adjoint(d) == -d
+    assert adjoint(d) == DiffOperator.dx_op(1, 2, scale=-1)
     f = w(0)
     assert adjoint(sop(2, {1: f})) == sop(2, {1: -f, 0: -dx(f)})
 
@@ -322,15 +323,13 @@ def test_two_color_apply_consistent_with_compose():
         assert direct == staged
 
 
-def coupled_change():
+def coupled_change(trunc=2):
     """Two-color change w_a = v_a + hbar dx(g_a) with g_a coupling both colors."""
     rng = random.Random(14)
     g1 = random_jetpoly(rng, colors=2, max_order=1, n_terms=2)
     g2 = random_jetpoly(rng, colors=2, max_order=1, n_terms=2)
-    return MiuraChange([
-        HbarSeries(2, [W(1, 0), dx(g1), JetPoly.zero()]),
-        HbarSeries(2, [W(2, 0), dx(g2), JetPoly.zero()]),
-    ])
+    return MiuraChange([HbarSeries(trunc, [W(1, 0), dx(g1)]),
+                        HbarSeries(trunc, [W(2, 0), dx(g2)])])
 
 
 def test_compose_differentiates_each_right_coefficient_once(monkeypatch):
@@ -470,13 +469,13 @@ def same_sums(got, want):
     assert list(finish(got)) == list(finish(want))
 
 
-def late_coeff(rng, low, trunc, constant=False):
+def late_coeff(rng, low, trunc, constant=False, colors=2):
     """A coefficient known to hbar^trunc whose first nonzero part is hbar^low
     (a constant one has only vanishing jets)."""
     def part():
         if constant:
             return JetPoly.const(rng.choice([-2, 1, 3]))
-        return random_jetpoly(rng, colors=2, max_order=2, n_terms=2) or W(1, 1)
+        return random_jetpoly(rng, colors=colors, max_order=2, n_terms=2) or W(1, 1)
     return HbarSeries(trunc, [JetPoly.zero()] * low + [part() for _ in range(low, trunc + 1)])
 
 
@@ -592,3 +591,205 @@ def test_miura_conjugation_substitutes_no_monomial_modulo_hbar(monkeypatch):
     monkeypatch.undo()
     assert truncs and min(truncs) == 1
     assert conjugate_by_miura(conj, m.inverse()) == d
+
+
+# ---------------------------------------------------------------------------
+# the skew check on the upper triangle, against adjoint(p) == -p
+# ---------------------------------------------------------------------------
+
+def negated(p):
+    return DiffOperator(p.dim, p.trunc, {key: {k: -c for k, c in cell.items()}
+                                         for key, cell in p._entries.items()})
+
+
+def skew_oracle(p):
+    return adjoint(p) == negated(p)
+
+
+def with_terms(p, terms):
+    """p plus the terms ((row, col), k, coeff)."""
+    out = defaultdict(lambda: defaultdict(Sum))
+    for key, k, c in list(p.entries()) + list(terms):
+        out[key][k].add(c)
+    return DiffOperator(p.dim, p.trunc, {key: finish(cell) for key, cell in out.items()})
+
+
+def mixed_operator(rng, dim, trunc):
+    """A dim-color operator with some cells empty and coefficients of mixed
+    kinds, as `late_operator` draws them: late, constant, in every color."""
+    entries = {}
+    for row in range(1, dim + 1):
+        for col in range(1, dim + 1):
+            if rng.random() < 0.7:
+                entries[(row, col)] = {
+                    k: late_coeff(rng, rng.randint(0, trunc), trunc,
+                                  constant=rng.random() < 0.25, colors=dim)
+                    for k in rng.sample(range(4), rng.randint(1, 3))}
+    return DiffOperator(dim, trunc, entries)
+
+
+def skew_cases(rng, dim, trunc):
+    """(kind, operator): X - adjoint(X), and that with one defect placed
+    below the diagonal, at an odd order of a diagonal cell (a constant
+    there keeps the operator skew), or in the top hbar part only."""
+    x = mixed_operator(rng, dim, trunc)
+    skew = with_terms(x, [(key, k, -c) for key, k, c in adjoint(x).entries()])
+    yield "skew", skew
+    yield "raw", x
+
+    def defect(low, constant=False):
+        return late_coeff(rng, low, trunc, constant=constant, colors=dim)
+
+    if dim > 1:
+        row = rng.randint(2, dim)
+        yield "below", with_terms(skew, [((row, rng.randint(1, row - 1)),
+                                          rng.randrange(4), defect(rng.randint(0, trunc)))])
+    a = rng.randint(1, dim)
+    for constant in (False, True):
+        yield "odd-diagonal", with_terms(skew, [((a, a), rng.choice([1, 3]),
+                                                 defect(rng.randint(0, trunc), constant))])
+    key = (rng.randint(1, dim), rng.randint(1, dim))
+    yield "top-hbar", with_terms(skew, [(key, rng.randrange(4), defect(trunc))])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_is_skew_matches_the_oracle(dim):
+    rng = random.Random(340 + dim)
+    seen = defaultdict(set)
+    for trunc in (0, 1, 2):
+        for _ in range(4):
+            for kind, p in skew_cases(rng, dim, trunc):
+                want = skew_oracle(p)
+                assert is_skew(p) is want, (kind, trunc)
+                seen[kind].add(want)
+    assert seen["skew"] == {True} and False in seen["raw"]
+    assert seen["odd-diagonal"] == {True, False} and False in seen["top-hbar"]
+    assert dim == 1 or seen["below"] == {False}
+
+
+def test_is_skew_builds_the_upper_triangle_only(monkeypatch):
+    # s(s+1)/2 adjoint cells on a skew operator, where no cell ends the check
+    # early, and no adjoint operator
+    rng = random.Random(34)
+    built = []
+    adjoint_cell = diffop._adjoint_cell
+
+    def counted(cell, out):
+        built.append(cell)
+        return adjoint_cell(cell, out)
+
+    def refused(p):
+        raise AssertionError("is_skew built adjoint(p)")
+
+    for dim in (1, 2, 3, 4):
+        skew = next(skew_cases(rng, dim, 1))[1]
+        built.clear()
+        monkeypatch.setattr(diffop, "_adjoint_cell", counted)
+        monkeypatch.setattr(diffop, "adjoint", refused)
+        assert is_skew(skew)
+        monkeypatch.undo()
+        assert len(built) == dim * (dim + 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# the inverse solve from the first iterate, against h passes from v = w
+# ---------------------------------------------------------------------------
+
+def inverse_by_h_passes(m):
+    """The fixed point v_a = w_a - tail_a(v) by h substitution passes from v = w."""
+    h = m.trunc
+    tails = [f - W(a, 0) for a, f in enumerate(m.forward, start=1)]
+    wvars = [HbarSeries.var(a, 0, h) for a in range(1, m.dim + 1)]
+    cur = wvars
+    for _ in range(h):
+        sub = Substitution(dict(enumerate(cur, start=1)), h)
+        cur = [wvars[a] - sub(tails[a]) for a in range(m.dim)]
+    return tuple(cur)
+
+
+def one_color_change(trunc):
+    rng = random.Random(30 + trunc)
+    return MiuraChange([HbarSeries(trunc, [w(0)] + [
+        random_jetpoly(rng, colors=1, max_order=2, n_terms=2) for _ in range(trunc)])])
+
+
+SOLVED_CHANGES = ([pytest.param(lambda t=t: coupled_change(t), id=f"coupled-h{t}")
+                   for t in (1, 2, 3)]
+                  + [pytest.param(lambda t=t: one_color_change(t), id=f"one-color-h{t}")
+                     for t in (1, 2, 3)]
+                  + [pytest.param(lambda t=t: quasi_miura("forward", t), id=f"quasi-h{t}")
+                     for t in (0, 1, 2)])
+
+
+@pytest.mark.parametrize("change", SOLVED_CHANGES)
+def test_inverse_solve_matches_h_passes(change, monkeypatch):
+    m = change()
+    made = []
+
+    class Counted(Substitution):
+        def __init__(self, images, trunc):
+            made.append(trunc)
+            super().__init__(images, trunc)
+
+    monkeypatch.setattr(diffop, "Substitution", Counted)
+    got = m.inverse_images()
+    monkeypatch.undo()
+    assert len(made) == max(m.trunc - 1, 0)
+    want = inverse_by_h_passes(m)
+    assert len(got) == len(want) == m.dim
+    for g, v in zip(got, want):
+        same_value(g, v)
+
+
+# ---------------------------------------------------------------------------
+# inputs known to a lower hbar order than the change
+# ---------------------------------------------------------------------------
+
+def test_conjugation_below_the_change_order():
+    d = DiffOperator.dx_op(1, 1)
+    got = conjugate_by_miura(d, quasi_miura("forward", 2))
+    assert got.trunc == 1
+    assert got == d and got == conjugate_by_miura(d, quasi_miura("forward", 1))
+    m = coupled_change(3)
+    got = conjugate_by_miura(DiffOperator.dx_op(2, 1), m)
+    want = conjugate_by_miura(DiffOperator.dx_op(2, 1), coupled_change(1))
+    assert [(key, k, c.trunc) for key, k, c in got.entries()] == \
+        [(key, k, c.trunc) for key, k, c in want.entries()]
+    assert got == want
+
+
+def test_push_flow_below_the_change_order():
+    riemann = [HbarSeries.of(w(0) * w(1), 1)]
+    got = quasi_miura("forward", 2).push_flow(riemann)
+    want = quasi_miura("forward", 1).push_flow(riemann)
+    assert len(got) == len(want) == 1
+    same_value(got[0], want[0])
+
+
+# ---------------------------------------------------------------------------
+# constant right coefficients in leibniz, against the unscreened rules
+# ---------------------------------------------------------------------------
+
+def test_constant_right_coefficients_match_the_unscreened_rules():
+    # b holds constants known at hbar^0 only, at truncations below, equal to
+    # and above a's; with c = 1 the sum keeps a's coefficient itself, and
+    # where the constant's truncation is the lower one it lowers the sum's
+    rng = random.Random(341)
+    kept = lowered = 0
+    for c in (1, -2, Fraction(1, 3)):
+        for t in (1, 2, 3):
+            for _ in range(6):
+                a = screened_cells(rng, rng.randint(1, 3), (2,))
+                b = {k: HbarSeries.const(c, t) for k in rng.sample(range(3), rng.randint(1, 2))}
+                same_sums(leibniz(a, b), leibniz_unscreened(a, b))
+                x = {k: c for k, c in a.items() if not isinstance(c, (int, Fraction))}
+                got, want = leibniz(a, b), leibniz_unscreened(a, b)
+                same_sums(leibniz(b, x, got), leibniz_unscreened(b, x, want))
+                for k1, ca in a.items():
+                    if isinstance(ca, (int, Fraction)):
+                        continue
+                    value = leibniz({k1: ca}, {0: b[min(b)]})[k1].value()
+                    kept += value is ca
+                    lowered += bool(value) and value.trunc == t and (
+                        type(ca) is JetPoly or t < ca.trunc)
+    assert kept and lowered
