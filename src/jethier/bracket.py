@@ -31,7 +31,6 @@ blocks 1, 4, 8 and 10 are summed too and composed with A once per (beta, g).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .diffop import DiffOperator, apply_entry, commutator, euler_cell, finish, is_skew, leibniz
 from .givental import (
@@ -141,7 +140,7 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
             o_mu_i = table.unit_ext(mu, i)            # (mu,i; unit,0)
             o_mu_i1 = table.unit_ext(mu, i + 1)       # (mu,i+1; unit,0)
             fs = {xi: table.ext(mu, i, xi, 0) for xi in colors}
-            o = deform.unit_right(mu, j)
+            o = deform.right(mu, j)
             halves = [(nu, cfac * m / 2) for nu, m in row]
             for z in colors if 0 <= i < ell else ():   # else an index is negative
                 for nu, k in halves:
@@ -294,9 +293,9 @@ def deformed_entries_for_residual(table: OmegaTable, gen: GiventalGen,
     Each entry is computed once, by the entry deformation the table keeps
     for `gen` (`givental.entry_deformation`), which `r_deform_bracket` has
     usually built already, and the unit sums up to pmax are summed from
-    them.  At pmax + 1 no entry is read alone, so for an upper generator
-    the unit sum is one `UpperDeformation.unit` pass per color a, in place
-    of one pass per entry.
+    them.  At pmax + 1 no entry is read alone, so for either kind the unit
+    sum is one deformation pass per color a, `deform(a, pmax + 1)` with no
+    color b, in place of one pass per entry.
     """
     deform = entry_deformation(table, gen)
     colors = range(1, table.dim + 1)
@@ -306,8 +305,7 @@ def deformed_entries_for_residual(table: OmegaTable, gen: GiventalGen,
     for a in colors:
         for p in range(1, top):
             out[(a, p)] = _total(out[(a, p, b, 0)] for b in colors)
-        out[(a, top)] = (deform.unit(a, top) if gen.kind == "r"
-                         else _total(deform(a, top, b, 0) for b in colors))
+        out[(a, top)] = deform(a, top)
     return out
 
 
@@ -342,35 +340,29 @@ def defining_equation_residuals(table: OmegaTable, pop: PoissonOp,
 # homogeneity checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomogeneityVerdict:
-    ok: bool
-    failures: tuple
-
-
-def check_series_homogeneity(x: HbarSeries, offset: int) -> HomogeneityVerdict:
-    """Each hbar^g coefficient polynomial and homogeneous of degree 2g+offset."""
+def check_series_homogeneity(x: HbarSeries, offset: int) -> tuple:
+    """Empty, or (g, "laurent"/"degree", degrees) per hbar^g coefficient that
+    is not polynomial and homogeneous of degree 2g+offset."""
     failures = []
     for g, polynomial, degrees in x.gradings():
         if not polynomial:
             failures.append((g, "laurent", sorted(degrees)))
         elif degrees != {2 * g + offset}:
             failures.append((g, "degree", sorted(degrees)))
-    return HomogeneityVerdict(not failures, tuple(failures))
+    return tuple(failures)
 
 
-def check_operator_homogeneity(op: DiffOperator) -> HomogeneityVerdict:
-    """Order-k coefficient at hbar^g homogeneous of degree 2g - k + 1.
+def check_operator_homogeneity(op: DiffOperator) -> tuple:
+    """Empty, or a failure per order-k coefficient at hbar^g not of degree 2g - k + 1.
 
     This is the degree rule satisfied by conjugates of the constant operator
     d: constant coefficients sit exactly at orders k = 2g + 1 and need no
     special casing.  Each coefficient is checked by `check_series_homogeneity`
     at offset 1 - k; a failure reads ((row, col), k, g, "laurent"/"degree").
     """
-    failures = tuple(((row, col), k, g, why)
-                     for (row, col), k, coeff in op.entries()
-                     for g, why, _ in check_series_homogeneity(coeff, 1 - k).failures)
-    return HomogeneityVerdict(not failures, failures)
+    return tuple(((row, col), k, g, why)
+                 for (row, col), k, coeff in op.entries()
+                 for g, why, _ in check_series_homogeneity(coeff, 1 - k))
 
 
 # ---------------------------------------------------------------------------

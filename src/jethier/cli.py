@@ -191,7 +191,7 @@ def cmd_generate(args) -> int:
             table = tensor_power(table, args.tensor)
         checked = set()  # ids of the entry objects checked; symmetric entries share one
         for key, series in table.items():
-            if id(series) not in checked and not check_series_homogeneity(series, 0).ok:
+            if id(series) not in checked and check_series_homogeneity(series, 0):
                 print(f"internal verification failed at entry {key}",
                       file=sys.stderr)
                 return 1
@@ -272,14 +272,14 @@ def cmd_deform(args) -> int:
                 for p in range(args.pmax + 1):
                     for q in range(args.qmax + 1):
                         series = entry(a, p, b, q)
-                        hom = check_series_homogeneity(series, 0)
+                        hom = not check_series_homogeneity(series, 0)
                         sym = series == entry(b, q, a, p)
-                        homogeneity_ok &= hom.ok
+                        homogeneity_ok &= hom
                         symmetric_ok &= sym
                         entries.append({
                             "index": [a, p, b, q],
                             "value": series,
-                            "homogeneous": hom.ok,
+                            "homogeneous": hom,
                             "symmetric": sym,
                         })
     else:  # bracket: the parser admits no other target
@@ -289,7 +289,7 @@ def cmd_deform(args) -> int:
         order0_ok = all(dP.coeff(b, x, 0).is_zero()
                         for b in range(1, table.dim + 1)
                         for x in range(1, table.dim + 1))
-        homogeneity_ok = check_operator_homogeneity(dP).ok
+        homogeneity_ok = not check_operator_homogeneity(dP)
         entries.append({"operator": operator_to_obj(dP, leaf=lambda c: c)})
         residuals = defining_equation_residuals(table, pop, gen, dP, args.pmax)
     elapsed = time.monotonic() - started

@@ -177,8 +177,11 @@ class OmegaTable:
         """The entry (a,p;b,q) in bounds of a built table: (b,q;a,p) if q < p <= qmax."""
         return self.entry(b, q, a, p) if q < p <= self.qmax else self._build(self, a, p, b, q)
 
-    def ext(self, a: int, p: int, b: int, q: int) -> HbarSeries:
-        """Stored entry for p,q >= 0; the delta-constant extension otherwise."""
+    def ext(self, a: int, p: int, b: int | None = None, q: int = 0) -> HbarSeries:
+        """Stored entry for p,q >= 0; the delta-constant extension otherwise.
+        With no color b, the unit sum (a,p;unit,0) = `unit_ext(a, p)`."""
+        if b is None:
+            return self.unit_ext(a, p)
         if p >= 0 and q >= 0:
             return self.entry(a, p, b, q)
         if p >= 0:  # q < 0
@@ -273,8 +276,9 @@ def triple_omega(table: OmegaTable, i1, i2, i3) -> HbarSeries:
 class UpperDeformation:
     """First-order change of the table entries under one upper generator.
 
-    Calling it with (a, p, b, q) gives the change of that entry, and
-    `unit(a, p)` the change of the unit sum (a,p;unit,0).  Of the
+    Calling it with (a, p, b, q) gives the change of that entry, and with
+    (a, p), as it is linear in the (b, q) slot, the change of the unit sum
+    (a,p;unit,0) = sum_b (a,p;b,0) in one pass.  Of the
     three blocks of the deformation only the product block depends on the
     entry; the other two weight the entry's first and second partials by
     transport factors that depend on the table and the generator alone:
@@ -290,7 +294,7 @@ class UpperDeformation:
     and the table is symmetric.  So the entry's quadratic block runs over
     unordered pairs of its variables, with weight 1 off the diagonal and
     1/2 on it, and builds quad in one order only.  These and the
-    second factors contracted over nu (`right`, `unit_right`) are built on
+    second factors contracted over nu (`right`) are built on
     first use and kept, so one instance serves every entry of the table and
     the operator deformation.  `entry_deformation` hands out the one
     instance the table keeps per generator value.  The x-derivatives and
@@ -309,25 +313,15 @@ class UpperDeformation:
         self._lin: dict[tuple, HbarSeries] = {}
         self._quad: dict[tuple, HbarSeries] = {}
 
-    def right(self, mu: int, j: int, b: int, q: int) -> HbarSeries:
-        """sum_nu M[mu][nu] (nu,j;b,q): the second factor, contracted over nu."""
+    def right(self, mu: int, j: int, b: int | None = None, q: int = 0) -> HbarSeries:
+        """sum_nu M[mu][nu] (nu,j;b,q): the second factor, contracted over nu;
+        with no color b, over the unit sums (nu,j;unit,0)."""
         key = (mu, j, b, q)
         got = self._right.get(key)
         if got is None:
             out = Sum()
             for nu, c in enumerate(self.gen.matrix[mu - 1], 1):
                 out.add(self.table.ext(nu, j, b, q), c)
-            got = self._right[key] = out.value()
-        return got
-
-    def unit_right(self, mu: int, j: int) -> HbarSeries:
-        """sum_nu M[mu][nu] (nu,j;unit,0)."""
-        key = (mu, j)
-        got = self._right.get(key)
-        if got is None:
-            out = Sum()
-            for z in range(1, self.table.dim + 1):
-                out.add(self.right(mu, j, z, 0))
             got = self._right[key] = out.value()
         return got
 
@@ -358,7 +352,7 @@ class UpperDeformation:
             for d in range(-1, ell + 1):
                 for mu in range(1, table.dim + 1):
                     out.add_product(table.ext(g, 0, mu, d).dx_pow(n),
-                                    self.unit_right(mu, ell - 1 - d), _sgn(d + 1))
+                                    self.right(mu, ell - 1 - d), _sgn(d + 1))
             got = self._lin[key] = out.value()
         return got
 
@@ -385,24 +379,9 @@ class UpperDeformation:
             got = self._quad[key] = out.value()
         return got
 
-    def __call__(self, a: int, p: int, b: int, q: int) -> HbarSeries:
-        """The change of the (a,p;b,q) entry."""
-        return self._deform(a, p, q, self.table.entry(a, p, b, q),
-                            lambda mu, j: self.right(mu, j, b, q))
-
-    def unit(self, a: int, p: int) -> HbarSeries:
-        """The change of the unit sum (a,p;unit,0) = sum_b (a,p;b,0), in one pass.
-
-        The deformation is linear in its (b, q) slot: the product block
-        through its second factor, the other two through the entry.  So the
-        sum over b is one pass on the table's `unit_ext(a, p)` and the
-        factors `unit_right`.
-        """
-        return self._deform(a, p, 0, self.table.unit_ext(a, p), self.unit_right)
-
-    def _deform(self, a: int, p: int, q: int, base: HbarSeries, tail) -> HbarSeries:
-        """The change of `base`, the (a,p;.,q) entry whose second factor
-        contracted over nu is tail(mu, j).
+    def __call__(self, a: int, p: int, b: int | None = None, q: int = 0) -> HbarSeries:
+        """The change of the (a,p;b,q) entry, or with no color b of the unit
+        sum (a,p;unit,0).
 
         The product block is summed over the finite extension window
         d in [-p-1, l+q], where the linear terms of the unsimplified display
@@ -416,7 +395,8 @@ class UpperDeformation:
             for mu in range(1, table.dim + 1):
                 lead = table.ext(a, p, mu, d)
                 if lead:
-                    out.add_product(lead, tail(mu, ell - 1 - d), _sgn(d + 1))
+                    out.add_product(lead, self.right(mu, ell - 1 - d, b, q), _sgn(d + 1))
+        base = table.ext(a, p, b, q)
         self.transport(base, out, -1)
         base_vars = sorted(base.variables())
         for at, (g, n) in enumerate(base_vars):
@@ -440,7 +420,8 @@ def r_deform_omega(table: OmegaTable, gen: GiventalGen, a: int, p: int,
 
 
 def entry_deformation(table: OmegaTable, gen: GiventalGen):
-    """(a, p, b, q) -> the first-order change of that entry under `gen`.
+    """(a, p, b, q) -> the first-order change of that entry under `gen`;
+    (a, p) -> that of the unit sum (a,p;unit,0).
 
     For an upper generator that is the `UpperDeformation` the table keeps
     for the generator's value, built on the first call: the entry
@@ -461,14 +442,17 @@ def entry_deformation(table: OmegaTable, gen: GiventalGen):
 # ---------------------------------------------------------------------------
 
 def s_deform_omega(table: OmegaTable, gen: GiventalGen, a: int, p: int,
-                   b: int, q: int) -> HbarSeries:
-    """First-order change of the (a,p;b,q) entry under a lower generator.
+                   b: int | None = None, q: int = 0) -> HbarSeries:
+    """First-order change of the (a,p;b,q) entry under a lower generator, or
+    with no color b of the unit sum (a,p;unit,0), in one pass.
 
     Only four blocks contribute: index-lowering sums on both slots, weighted
     by M[mu][a] and M[mu][b], a constant term at level p+q+1, and (for
     level 1) the order-0 coordinate shift.  At even levels, where M is
     skew, the two-point string equation fixes the sign of the lowering
-    blocks against the constant.
+    blocks against the constant.  On the unit sum the first and last blocks
+    read unit sums, the second is empty and the constant reads the row sum
+    `gen.low_low_unit(a)`.
     """
     if gen.kind != "s":
         raise ValueError("lower-kind generator required")
@@ -479,12 +463,13 @@ def s_deform_omega(table: OmegaTable, gen: GiventalGen, a: int, p: int,
     out.add(HbarSeries.zero(H))
     if ell <= p:
         for mu in range(1, s + 1):
-            out.add(table.entry(mu, p - ell, b, q), gen.up_low(a, mu))
+            out.add(table.ext(mu, p - ell, b, q), gen.up_low(a, mu))
     if ell <= q:
         for mu in range(1, s + 1):
             out.add(table.entry(a, p, mu, q - ell), gen.up_low(b, mu))
     if ell == p + q + 1:
-        out.add(HbarSeries.const(_sgn(p) * gen.matrix[a - 1][b - 1], H))
+        m = gen.low_low_unit(a) if b is None else gen.matrix[a - 1][b - 1]
+        out.add(HbarSeries.const(_sgn(p) * m, H))
     if ell == 1:
-        out.add(evolve(table.entry(a, p, b, q), gen.unit_shift(H)), -1)
+        out.add(evolve(table.ext(a, p, b, q), gen.unit_shift(H)), -1)
     return out.value()

@@ -13,10 +13,10 @@ from jethier.givental import (
     GiventalGen,
     InconsistentTable,
     OmegaTable,
-    UpperDeformation,
     _sgn,
     entry_deformation,
     r_deform_omega,
+    s_deform_omega,
     triple_omega,
 )
 from jethier.kdvbase import kdv_omega_table, tensor_power
@@ -223,13 +223,24 @@ def test_deformed_entries_cover_every_p():
                                  + [(a, p) for a in (1, 2) for p in (1, 2)])
     for key, series in ent.items():
         assert series == deformed_by_entries(table2, g2, key), key
+    # a lower generator's unit sum at pmax + 1, through the shift block at
+    # level 1 and the constant block at level 3
+    for g3, pmax in [(s_gen(1, [[1, 2], [2, -1]]), 2), (s_gen(3, [[1, 2], [2, 3]]), 1)]:
+        ent = deformed_entries_for_residual(table2, g3, pmax)
+        assert sorted(ent) == sorted([(a, p, b, 0) for a in (1, 2) for p in range(pmax + 1)
+                                      for b in (1, 2)]
+                                     + [(a, p) for a in (1, 2) for p in range(1, pmax + 2)])
+        for key, series in ent.items():
+            assert series == deformed_by_entries(table2, g3, key), key
 
 
 def deformed_by_entries(table, gen, key):
     """The deformation of the entry (a, p, b, 0), or for the key (a, p) of
-    the unit sum over b, by one-shot `r_deform_omega` entries."""
+    the unit sum over b, by one-shot `r_deform_omega` or `s_deform_omega`
+    entries."""
     a, p, *b = key
-    return sum((r_deform_omega(table, gen, a, p, c, 0) for c in b[:1] or range(1, table.dim + 1)),
+    entry = r_deform_omega if gen.kind == "r" else s_deform_omega
+    return sum((entry(table, gen, a, p, c, 0) for c in b[:1] or range(1, table.dim + 1)),
                HbarSeries.zero(table.trunc))
 
 
@@ -282,7 +293,7 @@ def test_two_color_level2_residuals_and_structure():
     dP = r_deform_bracket(table, pop, g)
     assert not dP.is_zero()
     assert is_skew(dP)
-    assert check_operator_homogeneity(dP).ok
+    assert not check_operator_homogeneity(dP)
     residuals = defining_equation_residuals(table, pop, g, dP, 1)
     assert [index for index, _ in residuals] == [
         (a, p, b) for a in (1, 2) for p in range(2) for b in (1, 2)]
@@ -358,7 +369,7 @@ def test_rotated_table_defining_equation(rotated, kind, level, matrix):
     g = GiventalGen(kind, level, matrix)
     dP = r_deform_bracket(table, pop, g) if kind == "r" else s_deform_bracket(pop, g)
     assert is_skew(dP)
-    assert check_operator_homogeneity(dP).ok
+    assert not check_operator_homogeneity(dP)
     residuals = defining_equation_residuals(table, pop, g, dP, 1)
     assert len(residuals) == 18
     for index, res in residuals:
@@ -434,7 +445,7 @@ def r_deform_bracket_per_window(table, pop, gen):
             o_mu_i1 = table.unit_ext(mu, i + 1)       # (mu,i+1; unit,0)
             fs = {xi: table.ext(mu, i, xi, 0) for xi in colors}
             e_f = {(g, xi): euler_cell(fs[xi], g) for g in colors for xi in colors}
-            o = deform.unit_right(mu, j)
+            o = deform.right(mu, j)
             t3 = {}
             for z in colors:
                 t = Sum()
@@ -516,6 +527,30 @@ def wide():
     return base, rotate(base, ROT)
 
 
+def assert_unit_sum_is_entry_sum(table, gen, pmax):
+    """deform(a, p), the unit sum deformed in one pass, equals the sum over
+    b of the entry deformations (a, p, b, 0), for every a and p <= pmax."""
+    deform = entry_deformation(table, gen)
+    colors = range(1, table.dim + 1)
+    for a in colors:
+        for p in range(pmax + 1):
+            want = Sum()
+            for b in colors:
+                want.add(deform(a, p, b, 0))
+            got = deform(a, p)
+            assert got == want.value() and got.trunc == table.trunc, (a, p)
+    return deform
+
+
+def hbar_tables(wide, hbar):
+    """The three-color tensor power and its rotation, where every entry is
+    coupled: p, q <= 5 at hbar^1, and the derivable range p, q <= 2 at hbar^2."""
+    if hbar == 1:
+        return wide
+    base = tensor_power(kdv_omega_table(2, 2, 2), 3)
+    return base, rotate(base, ROT)
+
+
 @pytest.mark.parametrize("hbar, level, matrix", [
     (1, 1, [[1, 2, 3], [2, -1, 5], [3, 5, 2]]),
     (1, 2, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]),
@@ -526,24 +561,29 @@ def wide():
 ])
 def test_unit_deformation_is_the_sum_of_entry_deformations(wide, hbar, level, matrix):
     # the deformation is linear in its (b, q) slot, so one pass on the unit
-    # sum gives sum_b (a,p;b,0) deformed, on a tensor power and on the same
-    # point rotated, where every entry is coupled; at hbar^2 the derivable
-    # range p, q <= 2 admits levels 1 and 2 only
-    if hbar == 1:
-        tables = wide
-    else:
-        base = tensor_power(kdv_omega_table(2, 2, 2), 3)
-        tables = (base, rotate(base, ROT))
-    g = r_gen(level, matrix)
-    for table in tables:
-        deform = UpperDeformation(table, g)
-        for a in range(1, 4):
-            for p in range(table.pmax - level + 1):
+    # sum gives sum_b (a,p;b,0) deformed; at hbar^2 the derivable range
+    # admits levels 1 and 2 only.  With no color, the contracted second
+    # factor is the unit sum of the contracted factors
+    for table in hbar_tables(wide, hbar):
+        deform = assert_unit_sum_is_entry_sum(table, r_gen(level, matrix), table.pmax - level)
+        for mu in range(1, 4):
+            for j in range(-2, table.pmax + 1):
                 want = Sum()
-                for b in range(1, 4):
-                    want.add(deform(a, p, b, 0))
-                got = deform.unit(a, p)
-                assert got == want.value() and got.trunc == hbar, (a, p)
+                for z in range(1, 4):
+                    want.add(deform.right(mu, j, z, 0))
+                assert deform.right(mu, j) == want.value(), (mu, j)
+
+
+@pytest.mark.parametrize("level, matrix", [
+    (1, [[1, 2, 3], [2, -1, 5], [3, 5, 2]]),
+    (2, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]),
+    (3, [[2, -1, 1], [-1, 3, 2], [1, 2, -2]]),
+])
+def test_lower_unit_deformation_is_the_sum_of_entry_deformations(wide, level, matrix):
+    # p runs past level - 1, where the constant block runs; the shift block
+    # runs at level 1
+    for table in wide:
+        assert_unit_sum_is_entry_sum(table, s_gen(level, matrix), table.pmax)
 
 
 @pytest.fixture(scope="module")
@@ -621,22 +661,21 @@ def test_series_homogeneity_examples():
     good = HbarSeries(2, [w(0) ** 3 / 6,
                           w(1) ** 2 / 24 + w(0) * w(2) / 12,
                           w(4) / 240])
-    assert check_series_homogeneity(good, 0).ok
+    assert not check_series_homogeneity(good, 0)
     bad = HbarSeries(1, [w(1)])
-    v = check_series_homogeneity(bad, 0)
-    assert not v.ok and v.failures[0][1] == "degree"
+    assert check_series_homogeneity(bad, 0) == ((0, "degree", [1]),)
     laurent = HbarSeries(1, [JetPoly.zero(), w(3) * w(1, -1)])
-    assert not check_series_homogeneity(laurent, 0).ok
+    assert check_series_homogeneity(laurent, 0)[0][:2] == (1, "laurent")
     # triple correlators carry offset 1
-    assert check_series_homogeneity(HbarSeries(1, [w(1), w(3)]), 1).ok
+    assert not check_series_homogeneity(HbarSeries(1, [w(1), w(3)]), 1)
 
 
 def test_operator_homogeneity_examples():
-    assert check_operator_homogeneity(DiffOperator.dx_op(1, 2)).ok
+    assert not check_operator_homogeneity(DiffOperator.dx_op(1, 2))
     # -hbar d^3 sits at order 2g+1, the degree 2g-k+1 of a constant
-    assert check_operator_homogeneity(minus_hbar_d3(1)).ok
+    assert not check_operator_homogeneity(minus_hbar_d3(1))
     bad = DiffOperator(1, 1, {(1, 1): {1: HbarSeries.of(w(1), 1)}})
-    assert not check_operator_homogeneity(bad).ok
+    assert check_operator_homogeneity(bad) == (((1, 1), 1, 0, "degree"),)
 
 
 # ---------------------------------------------------------------------------

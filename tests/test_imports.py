@@ -5,13 +5,15 @@ No linter is a dependency of the project, so these are the unused-import and
 dead-definition checks: each `jethier` module is parsed with `ast`.  A name an
 import binds must be read somewhere in the module, or listed in its
 `__all__`; an import kept on purpose carries `# noqa: F401` on its line.  A
-top-level `def` or `class` must be read by package code outside its own
-body; code only the tests use belongs in the tests.  Each method the
+top-level `def` or `class`, and a method of a top-level class other than a
+dunder, must be read by package code outside its own body; code only the
+tests use belongs in the tests.  Each method the
 benchmark's tracer lists is defined by its own class and bound by no other.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -63,19 +65,34 @@ UNREAD_ON_PURPOSE = [("diffop", "apply_op"), ("givental", "r_deform_omega"),
                      ("jetcalc", "substitute")]
 
 
+def reads(node: ast.AST, attributes: bool) -> Counter:
+    """How often each name is read in `node`, and with `attributes` each
+    attribute name too."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if (isinstance(n, ast.Name) or attributes and isinstance(n, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load))
+
+
 def unread_definitions(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module, name) of each top-level def or class that no module reads
-    outside the definition's own body.  Names are matched by name alone;
-    an import or an `__all__` entry is not a read."""
-    tops = []  # (module, top-level node, the names it reads)
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            reads = {n.id for n in ast.walk(node)
-                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            tops.append((module, node, reads))
-    return [(module, node.name) for module, node, _ in tops
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not any(node.name in reads for _, other, reads in tops if other is not node)]
+    """(module, name) of each top-level def or class, and each method of a
+    top-level class other than a dunder, that no module reads outside the
+    definition's own body.  Names are matched by name alone: a method by a
+    read of that name or of an attribute of that name.  An import or an
+    `__all__` entry is not a read."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    trees = [(module, ast.parse(source)) for module, source in sources.items()]
+    defs = []  # (module, definition, whether attribute reads count)
+    for module, tree in trees:
+        for node in tree.body:
+            if isinstance(node, (*funcs, ast.ClassDef)):
+                defs.append((module, node, False))
+            if isinstance(node, ast.ClassDef):
+                defs += [(module, m, True) for m in node.body if isinstance(m, funcs)
+                         and not (m.name.startswith("__") and m.name.endswith("__"))]
+    total = {attributes: sum((reads(tree, attributes) for _, tree in trees), Counter())
+             for attributes in (False, True)}
+    return [(module, node.name) for module, node, attributes in defs
+            if total[attributes][node.name] == reads(node, attributes)[node.name]]
 
 
 def test_every_definition_is_read():
@@ -87,11 +104,17 @@ def test_guard_sees_an_unread_definition():
     sources = {"a": ("def used():\n    pass\n"
                      "def recursive(n):\n    return recursive(n - 1)\n"
                      "class Exported:\n    pass\n"
+                     "class Kept:\n"
+                     "    def __init__(self):\n        pass\n"
+                     "    def run(self):\n        return self.step()\n"
+                     "    def step(self):\n        return 1\n"
+                     "    def alone(self):\n        return self.alone()\n"
                      "__all__ = ['Exported']\n"),
-               "b": ("from .a import Exported, used\n"
-                     "def caller():\n    return used()\n"
+               "b": ("from .a import Exported, Kept, used\n"
+                     "def caller():\n    return used() + Kept().run()\n"
                      "caller()\n")}
-    assert unread_definitions(sources) == [("a", "recursive"), ("a", "Exported")]
+    assert unread_definitions(sources) == [("a", "recursive"), ("a", "Exported"),
+                                           ("a", "alone")]
 
 
 # perfbench/spans.py traces each `Class.method` it lists through the
