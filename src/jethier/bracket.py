@@ -99,9 +99,13 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     color where o has every color of its row.  With f_xi = (mu,i; xi,0),
     blocks 3 and 6 are one term, -c [A[beta,g] o E_g(f_xi), P] o d
     (`diffop.commutator`).  Each A[beta,g] o E_g is built in one pass by
-    `diffop.euler_cell`, and only for the colors g of its argument; block
-    9 adds directly.  Blocks 1, 4 and 8 give left factors of the row
-    A[g, .], summed per (beta, g) over the window.  The blocks linear in
+    `diffop.euler_cell`, and only for the colors g of its argument.  As
+    c (-1)^(l+1) = (-1)^(j+1), the cell of blocks 5 and 7 at (i, j) is, by
+    linearity in u, the sum over xi of the cells of blocks 3 and 6 at
+    (j, i), so each of these is built once, through a dict local to the
+    call, and read at both splittings.  Block 9 adds directly.  Blocks 1, 4
+    and 8 give left factors of the row A[g, .], summed per (beta, g) over
+    the window.  The blocks linear in
     t3 run once, after the window: block 10 adds the left factor d o sum_n
     dt3[beta]/dw[g,n] d^n, and the left factors are composed with A once
     per (beta, g); block 11 is -A[beta,g] o E_g(t3[xi]) o d; blocks 2 and 12
@@ -119,16 +123,29 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     # the nonempty cells of A with either sign, for the blocks that read A[beta, g]
     cells = {key: {1: cell, -1: {k: -a for k, a in cell.items()}}
              for key, cell in a_cells.items() if cell}
-    parity = _sgn(ell + 1)   # M[nu][mu] = parity * M[mu][nu]
     # block 9 reads the cells of A of order >= 2 only
     high = [(g, xi, k, ac) for (g, xi), cell in a_cells.items()
             for k, ac in cell.items() if k >= 2]
     high_colors = sorted({g for g, _, _, _ in high})
     left = {(b, g): defaultdict(Sum) for b in colors for g in colors}
     t3_sum = {z: Sum() for z in colors}
-    triples = {}  # sorted index multiset -> its correlator, for this call only
     for t in t3_sum.values():
         t.add(HbarSeries.zero(table.trunc))
+    triples = {}  # sorted index multiset -> its correlator, for this call only
+    eulers = {}   # (mu, i, beta, g) -> [(xi, Euler cell)], for this call only
+
+    def euler_cells(mu, i, beta, g):
+        """[(xi, c A[beta,g] o E_g((mu,i; xi,0)))], c = (-1)^(i+1), for each xi
+        whose entry holds color g; blocks 3 and 6 read them at (i, j), and
+        blocks 5 and 7 their sum over xi at (j, i)."""
+        got = eulers.get((mu, i, beta, g))
+        if got is None:
+            got = eulers[(mu, i, beta, g)] = []
+            for xi in colors:
+                f = table.ext(mu, i, xi, 0)
+                if g in {c for c, _ in f.variables()}:
+                    got.append((xi, euler_cell(f, g, cells[(beta, g)][_sgn(i + 1)])))
+        return got
 
     for i in range(-1, ell + 1):
         j = ell - 1 - i
@@ -139,7 +156,6 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                 continue
             o_mu_i = table.unit_ext(mu, i)            # (mu,i; unit,0)
             o_mu_i1 = table.unit_ext(mu, i + 1)       # (mu,i+1; unit,0)
-            fs = {xi: table.ext(mu, i, xi, 0) for xi in colors}
             o = deform.right(mu, j)
             halves = [(nu, cfac * m / 2) for nu, m in row]
             for z in colors if 0 <= i < ell else ():   # else an index is negative
@@ -155,7 +171,7 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
 
             for beta in colors:
                 # blocks 1, 4 and 8: left factors of the row A[g, .]
-                f1 = fs[beta]
+                f1 = table.ext(mu, i, beta, 0)
                 f4 = deform.right(mu, j, beta, 0)
                 pre = deform.right(mu, j - 1, beta, 0).dx()
                 for (g, n) in sorted(f1.variables()):
@@ -176,21 +192,20 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                                                                -cfac * _sgn(k - f))
 
             # blocks 3, 5, 6 and 7: right factors of the column A[., g]
-            u = table.unit_ext(mu, j)                 # (mu,j; unit,0)
-            u_colors = {g for g, _ in u.variables()}
             kept = [(xi, f) for xi in colors if (f := deform.right(mu, i, xi, 0))]
-            f_colors = {xi: {g for g, _ in fs[xi].variables()} for xi in colors}
-            for (beta, g), signed in cells.items():
-                if g in u_colors:   # blocks 5 and 7
-                    low = {k - 1: c for k, c in euler_cell(u, g, signed[cfac * parity]).items()
-                           if k > 0}
-                    for xi, f in kept:
-                        leibniz(low, {1: f}, acc[(beta, xi)])
-                for xi in colors:
-                    if g in f_colors[xi]:   # blocks 3 and 6, before the final d
-                        right = commutator(euler_cell(fs[xi], g, signed[cfac]), o)
-                        for k, c in finish(right).items():
-                            acc[(beta, xi)][k + 1].add(c, -1)
+            for beta, g in cells:
+                # blocks 5 and 7: the cells of u = sum_xi (mu,j; xi,0), summed
+                low = defaultdict(Sum)
+                for _, cell in euler_cells(mu, j, beta, g):
+                    for k, c in cell.items():
+                        if k > 0:
+                            low[k - 1].add(c)
+                low = finish(low)
+                for xi, f in kept if low else ():
+                    leibniz(low, {1: f}, acc[(beta, xi)])
+                for xi, cell in euler_cells(mu, i, beta, g):   # blocks 3 and 6, before the final d
+                    for k, c in finish(commutator(cell, o)).items():
+                        acc[(beta, xi)][k + 1].add(c, -1)
 
     t3 = {z: t.value() for z, t in t3_sum.items()}
     for beta in colors:   # block 10
@@ -363,6 +378,16 @@ def check_operator_homogeneity(op: DiffOperator) -> tuple:
     return tuple(((row, col), k, g, why)
                  for (row, col), k, coeff in op.entries()
                  for g, why, _ in check_series_homogeneity(coeff, 1 - k))
+
+
+def operator_verdicts(dP: DiffOperator) -> tuple:
+    """(homogeneous, skew, no order-0 term): the verdicts on an operator
+    deformation besides its defining-equation residuals, which read it only
+    on the variational derivatives of the unit sums and may miss a wrong
+    term that those annihilate."""
+    colors = range(1, dP.dim + 1)
+    return (not check_operator_homogeneity(dP), is_skew(dP),
+            all(dP.coeff(b, x, 0).is_zero() for b in colors for x in colors))
 
 
 # ---------------------------------------------------------------------------

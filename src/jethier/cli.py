@@ -7,6 +7,9 @@ writes them in their canonical JSON form.  A text tree holds series only,
 which the text walk expands to that form first.  The `deform` and
 `verify` reports are assembled here, as plain dicts in the key order the
 text walk writes; the library modules return values and verdicts only.
+A call builds the parser of its subcommand alone, and the full parser only
+to report a missing or unknown command or a leftover argument, so that
+help, errors and exit codes are the full parser's.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 malformed input.
 """
 
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
 import functools
 import json
 import math
@@ -27,11 +29,11 @@ import time
 from .bracket import (
     PoissonOp,
     bracket_deformation,
-    check_operator_homogeneity,
     check_series_homogeneity,
     defining_equation_residuals,
+    operator_verdicts,
 )
-from .diffop import is_skew, operator_to_obj
+from .diffop import operator_to_obj
 from .genus0 import Genus0Data, NotClosed, check_commutation, trr_extend
 from .givental import (
     GiventalGen,
@@ -285,11 +287,7 @@ def cmd_deform(args) -> int:
     else:  # bracket: the parser admits no other target
         pop = PoissonOp.dx(table.dim, trunc)
         dP = bracket_deformation(table, pop, gen)
-        skew_ok = is_skew(dP)
-        order0_ok = all(dP.coeff(b, x, 0).is_zero()
-                        for b in range(1, table.dim + 1)
-                        for x in range(1, table.dim + 1))
-        homogeneity_ok = not check_operator_homogeneity(dP)
+        homogeneity_ok, skew_ok, order0_ok = operator_verdicts(dP)
         entries.append({"operator": operator_to_obj(dP, leaf=lambda c: c)})
         residuals = defining_equation_residuals(table, pop, gen, dP, args.pmax)
     elapsed = time.monotonic() - started
@@ -324,7 +322,7 @@ def cmd_verify(args) -> int:
         "suite": args.suite,
         "seed": args.seed,
         "count": args.count,
-        "checks": [dataclasses.asdict(c) for c in checks],
+        "checks": [c._asdict() for c in checks],
         "passed": sum(1 for c in checks if c.ok),
         "failed": sum(1 for c in checks if not c.ok),
         "ok": all(c.ok for c in checks),
@@ -394,69 +392,6 @@ def _reject_unread(args) -> None:
             raise InputError(f"{args.command} {target} does not read --{name}")
 
 
-COMMANDS = ("generate", "deform", "verify", "dump")
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser.  Given one of COMMANDS, it adds only that
-    subcommand's subparser, which parses and fails byte for byte as in the
-    full parser; otherwise it adds all of them.  The terminal width, which
-    argparse's formatters would each look up, is read once."""
-    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = argparse.ArgumentParser(
-        prog="jethier", formatter_class=fmt,
-        description="Exact hierarchy tables, symmetry deformations, and "
-                    "identity verification at the KdV base point.")
-    lazy = command in COMMANDS
-    # the usage line lists every command either way
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(COMMANDS) + "}" if lazy else None)
-
-    kinds = {"pmax": _at_least(0), "qmax": _at_least(0), "hbar": _at_least(0),
-             "dim": _at_least(1), "tensor": _at_least(1), "count": _at_least(1),
-             "seed": int}
-
-    def flags(p, defaults):
-        """Add the flags one subcommand reads, with their defaults."""
-        for name, default in defaults.items():
-            p.add_argument(f"--{name}", type=kinds[name], default=default,
-                           action=_Given)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.set_defaults(given=frozenset())
-
-    if not lazy or command == "generate":
-        g = sub.add_parser("generate", formatter_class=fmt,
-                           help="build and verify hierarchy tables")
-        g.add_argument("what", choices=("kdv", "principal"))
-        g.add_argument("--hessian", action=_Given,
-                       help="JSON array of polynomial strings")
-        flags(g, {"dim": 1, "pmax": 2, "qmax": 2, "hbar": 2, "tensor": 1})
-        g.set_defaults(func=cmd_generate)
-
-    if not lazy or command == "deform":
-        d = sub.add_parser("deform", formatter_class=fmt, help="apply a symmetry generator")
-        d.add_argument("what", choices=("omega", "bracket"))
-        d.add_argument("--generator", required=True, help="generator JSON file")
-        flags(d, {"pmax": 1, "qmax": 0, "hbar": 1, "tensor": 1})
-        d.set_defaults(func=cmd_deform)
-
-    if not lazy or command == "verify":
-        v = sub.add_parser("verify", formatter_class=fmt, help="run a named verification suite")
-        v.add_argument("suite", choices=("lemmas", "commutation", "quasimiura",
-                                         "homogeneity", "uniqueness",
-                                         "defining-equation", "all"))
-        flags(v, {"pmax": 3, "hbar": 1, "seed": 7, "count": 100})
-        v.set_defaults(func=cmd_verify)
-
-    if not lazy or command == "dump":
-        du = sub.add_parser("dump", formatter_class=fmt, help="print built-in base-point data")
-        du.add_argument("what", choices=("kdv-table", "flows", "hamiltonians",
-                                         "quasi-miura"))
-        flags(du, {"pmax": 2, "qmax": 2, "hbar": 2})
-        du.set_defaults(func=cmd_dump)
-    return parser
-
-
 def _at_least(least: int):
     """argparse type: an integer no smaller than `least`."""
     def parse(text: str) -> int:
@@ -468,9 +403,68 @@ def _at_least(least: int):
     return parse
 
 
+COMMANDS = ("generate", "deform", "verify", "dump")
+_HELP = {"generate": "build and verify hierarchy tables",
+         "deform": "apply a symmetry generator",
+         "verify": "run a named verification suite",
+         "dump": "print built-in base-point data"}
+_KINDS = {"pmax": _at_least(0), "qmax": _at_least(0), "hbar": _at_least(0),
+          "dim": _at_least(1), "tensor": _at_least(1), "count": _at_least(1), "seed": int}
+
+
+def _fill(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """Add the target, flags and defaults of `command` to `p`: the
+    subcommand's own parser, or its subparser in the full parser."""
+    if command == "generate":
+        p.add_argument("what", choices=("kdv", "principal"))
+        p.add_argument("--hessian", action=_Given, help="JSON array of polynomial strings")
+        defaults, func = {"dim": 1, "pmax": 2, "qmax": 2, "hbar": 2, "tensor": 1}, cmd_generate
+    elif command == "deform":
+        p.add_argument("what", choices=("omega", "bracket"))
+        p.add_argument("--generator", required=True, help="generator JSON file")
+        defaults, func = {"pmax": 1, "qmax": 0, "hbar": 1, "tensor": 1}, cmd_deform
+    elif command == "verify":
+        p.add_argument("suite", choices=("lemmas", "commutation", "quasimiura", "homogeneity",
+                                         "uniqueness", "defining-equation", "all"))
+        defaults, func = {"pmax": 3, "hbar": 1, "seed": 7, "count": 100}, cmd_verify
+    else:  # dump
+        p.add_argument("what", choices=("kdv-table", "flows", "hamiltonians", "quasi-miura"))
+        defaults, func = {"pmax": 2, "qmax": 2, "hbar": 2}, cmd_dump
+    for name, default in defaults.items():
+        p.add_argument(f"--{name}", type=_KINDS[name], default=default, action=_Given)
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    p.set_defaults(command=command, func=func, given=frozenset())
+    return p
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Given one of COMMANDS, that subcommand's own parser of the arguments
+    after it, which parses, helps and fails byte for byte as its subparser
+    in the full parser; otherwise the full parser.  The terminal width,
+    which argparse's formatters would each look up, is read once."""
+    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    if command is not None:
+        return _fill(argparse.ArgumentParser(prog=f"jethier {command}", formatter_class=fmt),
+                     command)
+    parser = argparse.ArgumentParser(
+        prog="jethier", formatter_class=fmt,
+        description="Exact hierarchy tables, symmetry deformations, and "
+                    "identity verification at the KdV base point.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        _fill(sub.add_parser(name, formatter_class=fmt, help=_HELP[name]), name)
+    return parser
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if command is not None:
+        args, rest = build_parser(command).parse_known_args(argv[1:])
+    if command is None or rest:
+        # a missing or unknown command and a leftover argument are reported
+        # by the full parser, under its usage line
+        args = build_parser().parse_args(argv)
     try:
         _reject_unread(args)
         return args.func(args)

@@ -13,7 +13,7 @@ and the quasi-Miura change instead of each building its own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bracket import (
     PoissonOp,
@@ -23,6 +23,7 @@ from .bracket import (
     defining_equation_residuals,
     dx_commutator_residual,
     euler_commutator_residual,
+    operator_verdicts,
     r_deform_bracket,
     uniqueness_residuals,
 )
@@ -33,8 +34,7 @@ from .jetcalc import HbarSeries, JetPoly, random_jetpoly
 from .kdvbase import OutOfDerivableRange, kdv_omega_table, quasi_miura
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -197,10 +197,11 @@ def suite_uniqueness(base: BasePoint) -> list[CheckResult]:
 
 def _defining_equation_ok(table: OmegaTable, pop: PoissonOp, gen: GiventalGen,
                           pmax: int) -> bool:
-    """Whether every defining-equation residual of `gen`, p <= pmax, is zero."""
+    """Whether the operator deformation of `gen` is homogeneous, skew and free
+    of order-0 terms, and every defining-equation residual, p <= pmax, is zero."""
     dP = bracket_deformation(table, pop, gen)
-    return all(res.is_zero() for _, res in
-               defining_equation_residuals(table, pop, gen, dP, pmax))
+    return all(operator_verdicts(dP)) and all(
+        res.is_zero() for _, res in defining_equation_residuals(table, pop, gen, dP, pmax))
 
 
 def suite_defining_equation(base: BasePoint, trunc: int) -> list[CheckResult]:

@@ -388,10 +388,10 @@ def test_upper_bracket_runs_once_per_generator_row(rotated, monkeypatch, matrix)
     # f_xi = (mu,i; xi,0) lives in color mu alone and is constant at i = -1,
     # so with A = d the one nonempty cell of blocks 3 and 6 makes one
     # commutator and one Euler cell A o E_g(f_xi) per (i >= 0, mu).  Blocks
-    # 5 and 7 run on u = (mu,j; unit,0), which also lives in color mu alone:
-    # one Euler cell A o E_g(u) per (i, mu) whose u has a jet variable, that
-    # is at j >= 0.  Block 11 builds A o E_g(t3[xi]) once per call on the
-    # window sums, which have no jet variable on this point, so it builds none
+    # 5 and 7 run on u = (mu,j; unit,0) = sum_xi (mu,j; xi,0), whose cells
+    # with the same sign are those blocks 3 and 6 build at (j, i): they build
+    # none of their own.  Block 11 builds A o E_g(t3[xi]) once per call on
+    # the window sums, which have no jet variable on this point, so it builds none
     base, _ = rotated
     calls = {"triple_omega": 0, "commutator": 0, "euler_cell": 0}
     for name in calls:
@@ -412,7 +412,7 @@ def test_upper_bracket_runs_once_per_generator_row(rotated, monkeypatch, matrix)
     assert len(triples) == {9: 36, 4: 19}[nonzero] < (splittings - 2) * nonzero * 3
     assert calls == {"triple_omega": len(triples),
                      "commutator": (splittings - 1) * rows,
-                     "euler_cell": (splittings - 1) * 2 * rows}
+                     "euler_cell": (splittings - 1) * rows}
     assert is_skew(dP) and not dP.is_zero()
 
 

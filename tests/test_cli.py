@@ -18,11 +18,11 @@ import pytest
 
 from jethier import cli, suites
 from jethier.cli import InputError, main, parse_poly
-from jethier.bracket import PoissonOp, defining_equation_residuals
+from jethier.bracket import PoissonOp, defining_equation_residuals, operator_verdicts
 from jethier.diffop import DiffOperator, MiuraChange
 from jethier.givental import GiventalGen, OmegaTable, UpperDeformation, s_deform_omega
 from jethier.genus0 import Genus0Data, trr_extend
-from jethier.jetcalc import HbarSeries, JetPoly, random_jetpoly, render, to_json
+from jethier.jetcalc import HbarSeries, JetPoly, Sum, random_jetpoly, render, to_json
 from jethier.kdvbase import kdv_omega_table, tensor_power
 
 V = JetPoly.var
@@ -662,6 +662,39 @@ def test_verify_all_checks_equal_each_suite_alone(pmax, hbar):
     assert suites.run_suite("all", **args) == alone
 
 
+def test_defining_equation_line_fails_on_an_order0_term(monkeypatch):
+    # dP + hbar X, X = w d^3 + 3/2 w_1 d^2 - 3/2 w_2 d - w_3, is skew and
+    # homogeneous and leaves the p = 0 residuals zero through hbar^2: X
+    # annihilates delta (1,1; unit,0) = w.  Only its order-0 term -w_3 tells
+    # it from dP, so the suite line must check that too
+    w = [JetPoly.var(1, n) for n in range(4)]
+    extra = {3: w[0], 2: w[1] * Fraction(3, 2), 1: w[2] * Fraction(-3, 2), 0: -w[3]}
+    deform = suites.bracket_deformation
+
+    def wrong(table, pop, gen):
+        dP = deform(table, pop, gen)
+        if gen.kind != "r" or gen.level != 1:
+            return dP
+        cell = {}
+        for k in range(4):
+            total = Sum()
+            total.add(dP.coeff(1, 1, k))
+            total.add(extra[k], 1, shift=1)
+            cell[k] = total.value()
+        return DiffOperator(1, dP.trunc, {(1, 1): {**dP.entry(1, 1), **cell}})
+
+    table, pop, gen = kdv_omega_table(2, 2, 2), PoissonOp.dx(1, 2), GiventalGen("r", 1, [[1]])
+    bad = wrong(table, pop, gen)
+    assert bad != deform(table, pop, gen)
+    assert all(res.is_zero() for _, res in defining_equation_residuals(table, pop, gen, bad, 0))
+    assert operator_verdicts(bad) == (True, True, False)
+    args = {"seed": 7, "count": 1, "pmax": 0, "hbar": 2}
+    line = "upper-bracket-defining-equation-hbar2"
+    assert {c.name: c.ok for c in suites.run_suite("defining-equation", **args)}[line]
+    monkeypatch.setattr(suites, "bracket_deformation", wrong)
+    assert not {c.name: c.ok for c in suites.run_suite("defining-equation", **args)}[line]
+
+
 # ---------------------------------------------------------------------------
 # bad input: every case exits 2 without a traceback
 # ---------------------------------------------------------------------------
@@ -787,16 +820,16 @@ def test_no_flag_is_rejected_by_every_target():
         assert dead == [], (command, dead)
 
 
-def parse_outcome(parser, argv):
-    """(stdout, stderr, exit code) of parsing argv, as the process would see them."""
+def outcome(call):
+    """(stdout, stderr, exit code, namespace) of call(), which returns the
+    namespace it parsed, as the process would see them."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            parser.parse_args(list(argv))
-            code = 0
+            namespace, code = call(), 0
         except SystemExit as exc:
-            code = exc.code
-    return out.getvalue(), err.getvalue(), code
+            namespace, code = None, exc.code
+    return out.getvalue(), err.getvalue(), code, namespace
 
 
 def argparse_default(parser):
@@ -812,27 +845,47 @@ def argparse_default(parser):
 
 TARGETS = {"generate": ("kdv",), "deform": ("omega", "--generator", "g.json"),
            "verify": ("lemmas",), "dump": ("flows",), None: ()}
+# "target" stands for the command's target, "--hbar -1" is below its bound
+# and "--h" is ambiguous in each subcommand but means --help at the top
+TAILS = ("target", "--help", "--bogus", "x", "target --bogus", "target --hbar -1", "--h",
+         "-h --bogus", "-- target")
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS + (None,))
-@pytest.mark.parametrize("tail", ["--help", "--bogus", "x", "target --bogus"])
+@pytest.mark.parametrize("tail", TAILS)
 def test_subcommand_parser_fails_as_the_full_parser(monkeypatch, command, tail):
-    # main builds only the named subcommand's parser: its help, its errors
-    # and the top-level usage line an unknown flag prints are the full
-    # parser's bytes.  Each parser reads the terminal width once, and prints
-    # at every width as it would with argparse's default formatter
-    argv = ((command,) if command else ()) + (
-        TARGETS[command] + ("--bogus",) if tail == "target --bogus" else (tail,))
+    # main parses with the named subcommand's own parser and builds the full
+    # one only for a missing or unknown command or a leftover argument: its
+    # help, its errors, the top-level usage line an unknown flag prints and
+    # the namespace it hands on are the full parser's.  Each parser reads the
+    # terminal width once, and prints at every width as it would with
+    # argparse's default formatter
+    argv = ((command,) if command else ()) + tuple(
+        arg for word in tail.split()
+        for arg in (TARGETS[command] if word == "target" else (word,)))
+    parsed = []
+    for name in cli.COMMANDS:  # what main would run gets the namespace instead
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: parsed.append(args) or 0)
+    build_parser = cli.build_parser
+
+    def via_main():
+        assert main(list(argv)) == 0
+        return parsed.pop()
+
+    passes = ({"--help", "-h --bogus"} | ({"target", "-- target"} if command else {"--h"})
+              ) - ({"-- target"} if command == "deform" else set())
     for columns in (40, 80, 200):
         monkeypatch.setenv("COLUMNS", str(columns))
-        full = parse_outcome(cli.build_parser(), argv)
-        assert full[2] == (0 if tail == "--help" else 2)
-        assert full[0] if tail == "--help" else full[1]
-        assert parse_outcome(cli.build_parser(command), argv) == full
-        assert parse_outcome(argparse_default(cli.build_parser(command)), argv) == full
+        full = outcome(lambda: build_parser().parse_args(list(argv)))
+        assert full[2] == (0 if tail in passes else 2)
+        assert (full[3] is not None or full[0]) if full[2] == 0 else full[1]
+        for build in (build_parser, lambda command=None: argparse_default(build_parser(command))):
+            monkeypatch.setattr(cli, "build_parser", build)
+            assert outcome(via_main) == full
+            assert not parsed
 
 
-def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
+def test_main_builds_one_parser_for_a_valid_call(capsys, monkeypatch):
     built = []
     build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser",
@@ -840,8 +893,15 @@ def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
     code, _ = run(capsys, "dump", "flows", "--hbar", "1")
     assert code == 0 and built == ["dump"]
     parser = build_parser("dump")
-    assert list(parser._subparsers._group_actions[0].choices) == ["dump"]
+    assert parser.prog == "jethier dump" and parser._subparsers is None
     assert list(build_parser()._subparsers._group_actions[0].choices) == list(cli.COMMANDS)
+    # a leftover flag is reported by the full parser, built once more
+    for argv, want in ((["dump", "flows", "--bogus"], ["dump", None]), (["x"], [None])):
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and built == want
+        assert capsys.readouterr().err.startswith("usage: jethier [-h]")
 
 
 def test_python_m_jethier_runs_the_command_line():

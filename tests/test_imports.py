@@ -13,6 +13,9 @@ benchmark's tracer lists is defined by its own class and bound by no other.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -180,3 +183,16 @@ def test_guard_sees_a_misbound_method():
     assert misbound(listed, [Base, Own, Inherits, Shares]) == ["Own.mul", "Inherits.mul",
                                                                "Shares.add"]
     assert misbound(listed[:1], [Base, Own, Inherits]) == []
+
+
+def test_import_adds_neither_dataclasses_nor_inspect():
+    # every command-line run imports the package and its command line first;
+    # the modules a fresh interpreter had before that import do not count
+    code = ("import sys; before = set(sys.modules); import jethier, jethier.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(jethier.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    added = set(proc.stdout.split())
+    assert proc.returncode == 0 and "jethier.cli" in added, proc.stderr
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
