@@ -7,25 +7,20 @@ The defining property of the hierarchy's Hamiltonian operator A is
 for all (a, p, b).  Deforming both the table entries and the operator along
 an upper-triangular generator and linearizing yields an inhomogeneous
 equation for the operator deformation; this module implements its explicit
-solution (the paper's twelve blocks, built from table entries, triple
-correlators and the undeformed operator; the right-hand blocks read the
-higher Euler operators only through one composition, A o E_g, built in one
-pass by `diffop.euler_cell`, and blocks 5 and 7, and 3 and 6, are one term
-each), the one-block solution for lower-triangular generators, the dispatch
-between them by generator kind (`bracket_deformation`), and the residual
-evaluator that certifies both against the defining equation; its undeformed
-case gives the genus-0 uniqueness residuals.  It also houses the
-weighted-degree homogeneity checker and the two operator-commutation
-identities used by the derivation, exposed as seeded property checks.
+solution (the paper's twelve blocks, `r_deform_bracket`), the one-block
+solution for lower-triangular generators, the dispatch between them by
+generator kind (`bracket_deformation`), and the one loop over (a, p, b)
+that evaluates the relation's residuals (`relation_residuals`): linearized,
+it certifies both deformations; undeformed, it gives the genus-0
+uniqueness residuals.  It also houses the weighted-degree homogeneity
+checker and the two operator-commutation identities used by the
+derivation, exposed as seeded property checks.
 
 The block sum of the upper deformation runs over all integer splittings
 i + j = level - 1; the extension convention for negative descendant indices
 makes all but the window i in [-1, level] vanish, and the boundary
 splittings carry the linear terms of the table deformation.  This window is
 load-bearing: dropping the boundary terms breaks the defining equation.
-Blocks 2, 10, 11 and 12 are linear in the triple correlators, so they run
-once, on the correlators summed over the window, and the left factors of
-blocks 1, 4, 8 and 10 are summed too and composed with A once per (beta, g).
 """
 
 from __future__ import annotations
@@ -120,9 +115,7 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     deform = entry_deformation(table, gen)  # the table's, shared with the entry deformations
     acc = {(b, x): defaultdict(Sum) for b in colors for x in colors}
     a_cells = {(b, x): A.entry(b, x) for b in colors for x in colors}
-    # the nonempty cells of A with either sign, for the blocks that read A[beta, g]
-    cells = {key: {1: cell, -1: {k: -a for k, a in cell.items()}}
-             for key, cell in a_cells.items() if cell}
+    cells = {key: cell for key, cell in a_cells.items() if cell}  # the nonempty cells of A
     # block 9 reads the cells of A of order >= 2 only
     high = [(g, xi, k, ac) for (g, xi), cell in a_cells.items()
             for k, ac in cell.items() if k >= 2]
@@ -135,27 +128,27 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
     eulers = {}   # (mu, i, beta, g) -> [(xi, Euler cell)], for this call only
 
     def euler_cells(mu, i, beta, g):
-        """[(xi, c A[beta,g] o E_g((mu,i; xi,0)))], c = (-1)^(i+1), for each xi
-        whose entry holds color g; blocks 3 and 6 read them at (i, j), and
-        blocks 5 and 7 their sum over xi at (j, i)."""
+        """[(xi, A[beta,g] o E_g((mu,i; xi,0)))] for each xi whose entry holds
+        color g; blocks 3 and 6 read them at (i, j) with the factor -c, and
+        blocks 5 and 7 their sum over xi at (j, i) with (-1)^(j+1)."""
         got = eulers.get((mu, i, beta, g))
         if got is None:
             got = eulers[(mu, i, beta, g)] = []
             for xi in colors:
                 f = table.ext(mu, i, xi, 0)
                 if g in {c for c, _ in f.variables()}:
-                    got.append((xi, euler_cell(f, g, cells[(beta, g)][_sgn(i + 1)])))
+                    got.append((xi, euler_cell(f, g, cells[(beta, g)])))
         return got
 
     for i in range(-1, ell + 1):
         j = ell - 1 - i
-        cfac = _sgn(i + 1)
+        cfac, jfac = _sgn(i + 1), _sgn(j + 1)
         for mu in colors:
             row = [(nu, m) for nu, m in enumerate(gen.matrix[mu - 1], 1) if m]
             if not row:
                 continue
-            o_mu_i = table.unit_ext(mu, i)            # (mu,i; unit,0)
-            o_mu_i1 = table.unit_ext(mu, i + 1)       # (mu,i+1; unit,0)
+            o_mu_i = table.ext(mu, i)             # (mu,i; unit,0)
+            o_mu_i1 = table.ext(mu, i + 1)        # (mu,i+1; unit,0)
             o = deform.right(mu, j)
             halves = [(nu, cfac * m / 2) for nu, m in row]
             for z in colors if 0 <= i < ell else ():   # else an index is negative
@@ -199,13 +192,13 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                 for _, cell in euler_cells(mu, j, beta, g):
                     for k, c in cell.items():
                         if k > 0:
-                            low[k - 1].add(c)
+                            low[k - 1].add(c, jfac)
                 low = finish(low)
                 for xi, f in kept if low else ():
                     leibniz(low, {1: f}, acc[(beta, xi)])
                 for xi, cell in euler_cells(mu, i, beta, g):   # blocks 3 and 6, before the final d
                     for k, c in finish(commutator(cell, o)).items():
-                        acc[(beta, xi)][k + 1].add(c, -1)
+                        acc[(beta, xi)][k + 1].add(c, -cfac)
 
     t3 = {z: t.value() for z, t in t3_sum.items()}
     for beta in colors:   # block 10
@@ -219,10 +212,10 @@ def r_deform_bracket(table: OmegaTable, pop: PoissonOp, gen: GiventalGen) -> Dif
                 leibniz(lg, a_cells[(g, xi)], acc[(beta, xi)])
     # block 11, before the final d; E_g(t3[xi]) is empty unless color g occurs in t3[xi]
     t3_colors = {xi: {g for g, _ in t3[xi].variables()} for xi in colors}
-    for (beta, g), signed in cells.items():
+    for (beta, g), cell in cells.items():
         for xi in colors:
             if g in t3_colors[xi]:
-                for k, c in euler_cell(t3[xi], g, signed[1]).items():
+                for k, c in euler_cell(t3[xi], g, cell).items():
                     acc[(beta, xi)][k + 1].add(c, -1)
 
     # blocks 2 and 12 on the window sums
@@ -262,33 +255,34 @@ def bracket_deformation(table: OmegaTable, pop: PoissonOp,
 # defining-equation residual
 # ---------------------------------------------------------------------------
 
-def unit_sum_grads(table: OmegaTable, pop: PoissonOp, deformed: dict,
-                   dP: DiffOperator, a: int, p: int) -> list:
-    """The two terms [(dP, {g: delta_g undeformed}), (A, {g: delta_g deformed})]
-    of the linearized relation at (a, p), with the variational derivatives
-    of the unit sums (a, p+1; unit, 0) for every color g whose column of
-    the operator has a nonzero cell.  `deformed` must supply the deformed
-    unit sum under the key (a, p+1), as `deformed_entries_for_residual`
-    does.  They do not depend on the color b of a residual, so
-    `defining_equation_residuals` builds them once per (a, p).
+def relation_residuals(dim: int, pmax: int, entry, ops: list) -> list:
+    """[((a, p, b), residual)] of the defining relation, every color pair, p <= pmax:
+
+        dx entry(a, p, b) - sum_{(B, read) in ops} sum_{g,k} B_k[b,g] dx^k delta_g read(a, p+1)
+
+    `entry` and each `read` take the table's call form, where no color b
+    means the unit sum.  Per (a, p), each read's variational derivatives
+    are built once, and only in the colors g where B's column has a nonzero
+    cell; `def_a_residual` evaluates each residual.
     """
-    colors = range(1, table.dim + 1)
-    undeformed_u = table.unit_ext(a, p + 1)
-    deformed_u = deformed[(a, p + 1)]
-
-    def used(op: DiffOperator, g: int) -> bool:
-        return any(op.entry(b, g) for b in colors)
-
-    return [(dP, {g: undeformed_u.var_deriv(g) for g in colors if used(dP, g)}),
-            (pop.op, {g: deformed_u.var_deriv(g) for g in colors if used(pop.op, g)})]
+    colors = range(1, dim + 1)
+    used = [[g for g in colors if any(B.entry(b, g) for b in colors)] for B, _ in ops]
+    out = []
+    for a in colors:
+        for p in range(pmax + 1):
+            terms = []
+            for (B, read), gs in zip(ops, used):
+                u = read(a, p + 1)
+                terms.append((B, {g: u.var_deriv(g) for g in gs}))
+            out += [((a, p, b), def_a_residual(terms, entry(a, p, b), b)) for b in colors]
+    return out
 
 
 def def_a_residual(terms: list, entry: HbarSeries, b: int) -> HbarSeries:
     """Defining-relation residual at (a, p, b); zero certifies.
 
     It is dx entry - sum_{g,k} B_k[b,g] dx^k grads[g], summed over the
-    `terms` [(B, grads)].  Linearized, `entry` is the deformed table entry
-    (a, p, b, 0) and `terms` the `unit_sum_grads` at (a, p).
+    `terms` [(B, grads)] that `relation_residuals` builds at (a, p).
     """
     res = Sum()
     res.add(entry.dx())
@@ -301,7 +295,7 @@ def def_a_residual(terms: list, entry: HbarSeries, b: int) -> HbarSeries:
 
 def deformed_entries_for_residual(table: OmegaTable, gen: GiventalGen,
                                   pmax: int) -> dict:
-    """Table deformations `def_a_residual` and `unit_sum_grads` need at every
+    """Table deformations the linearized relation reads at every
     (a, p <= pmax): the entries under (a, p, b, 0), p <= pmax, and the unit
     sums (a, p; unit, 0) under (a, p), 1 <= p <= pmax + 1.
 
@@ -335,20 +329,19 @@ def _total(values) -> HbarSeries:
 def defining_equation_residuals(table: OmegaTable, pop: PoissonOp,
                                 gen: GiventalGen, dP: DiffOperator,
                                 pmax: int) -> list:
-    """[((a, p, b), residual)] of `def_a_residual` for every color pair, p <= pmax.
+    """The linearized relation's `relation_residuals`, read on the deformed
+    entries and unit sums, p <= pmax.
 
     All-zero residuals certify that dP and the table deformation of `gen`
     together satisfy the linearized defining equation.
     """
     ent = deformed_entries_for_residual(table, gen, pmax)
-    colors = range(1, table.dim + 1)
-    out = []
-    for a in colors:
-        for p in range(pmax + 1):
-            terms = unit_sum_grads(table, pop, ent, dP, a, p)
-            out += [((a, p, b), def_a_residual(terms, ent[(a, p, b, 0)], b))
-                    for b in colors]
-    return out
+
+    def deformed(a, p, b=None):
+        return ent[(a, p) if b is None else (a, p, b, 0)]
+
+    return relation_residuals(table.dim, pmax, deformed,
+                              [(dP, table.ext), (pop.op, deformed)])
 
 
 # ---------------------------------------------------------------------------
@@ -401,20 +394,14 @@ def uniqueness_residuals(table, B: DiffOperator, pmax: int) -> list:
 
         sum_{xi,k} B_k[b,xi] dx^k delta_xi (a,p+1; unit,0)  -  dx (a,p; b,0)
 
-    on a dispersionless table (`trr_extend`), `def_a_residual` negated.
+    on a table, usually dispersionless (`trr_extend`): the undeformed
+    `relation_residuals`, negated.
     All-zero residuals for B = d together with the nondegeneracy of the jet
     coordinates certify uniqueness; perturbed operators must produce nonzero
     residuals.
     """
-    colors = range(1, table.dim + 1)
-    out = []
-    for a in colors:
-        for p in range(pmax + 1):
-            target = table.unit_ext(a, p + 1)
-            terms = [(B, {xi: target.var_deriv(xi) for xi in colors})]
-            out += [((a, p, b), -def_a_residual(terms, table.entry(a, p, b, 0), b))
-                    for b in colors]
-    return out
+    return [(index, -res) for index, res in
+            relation_residuals(table.dim, pmax, table.ext, [(B, table.ext)])]
 
 
 # ---------------------------------------------------------------------------

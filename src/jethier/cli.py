@@ -16,7 +16,6 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 malformed input.
 from __future__ import annotations
 
 import argparse
-import ast
 import functools
 import json
 import math
@@ -51,7 +50,7 @@ from .kdvbase import (
     quasi_miura,
     tensor_power,
 )
-from .suites import run_suite
+from .suites import SUITES, run_suite
 
 
 class InputError(ValueError):
@@ -64,7 +63,8 @@ class InputError(ValueError):
 
 _CELL = re.compile(r"[0-9vw+\-*/^() \t]*")
 _VAR = re.compile(r"[vw]([1-9][0-9]*)?")
-_RING = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+# keyed by `ast` class name: `ast` is imported only where a cell is read
+_RING = {"Add": operator.add, "Sub": operator.sub, "Mult": operator.mul}
 _PAIRS = 400_000  # term pairs a cell may multiply in all: about a second, (v1+v2+v3)^64 fits
 
 
@@ -79,6 +79,8 @@ def parse_poly(text: str) -> JetPoly:
     pairs are counted, |a|*|b| for a*b and C(ceil(k/2)+t-1, t-1)^2 (the last
     squaring) for a^k with t >= 2 terms; a cell past _PAIRS in all is refused.
     """
+    import ast
+
     if not _CELL.fullmatch(text) or "**" in text:
         raise InputError(f"{text[:40]!r} is not made of integers, v, w, v<k>, w<k>, "
                          "+ - * / ^, parentheses and spaces")
@@ -97,6 +99,8 @@ def _spend(budget: list, pairs: int) -> None:
 
 
 def _poly(node, budget: list) -> JetPoly:
+    import ast
+
     # a chain such as a + b - c * d nests down its left operands: walk that
     # spine in a loop, stacking each step, so that only right operands recurse
     steps = []
@@ -113,10 +117,10 @@ def _poly(node, budget: list) -> JetPoly:
         op = type(step.op)
         if op is ast.USub or op is ast.UAdd:
             acc = -acc if op is ast.USub else acc
-        elif op in _RING:
+        elif op.__name__ in _RING:
             right = _poly(step.right, budget)
             _spend(budget, acc.num_terms() * right.num_terms() if op is ast.Mult else 0)
-            acc = _RING[op](acc, right)
+            acc = _RING[op.__name__](acc, right)
         elif op is ast.Div:
             div = _poly(step.right, budget)
             if div.variables() or not div:
@@ -343,7 +347,7 @@ def cmd_dump(args) -> int:
         rows = [(f"t{q}", f"dw/dt{q}", "w", table.entry(1, 0, 1, q).dx()) for q in range(3)]
     elif args.what == "hamiltonians":
         table = kdv_omega_table(2, 0, args.hbar)
-        rows = [(f"h{p}", f"h{p}", "w", table.unit_ext(1, p + 1)) for p in range(-1, 2)]
+        rows = [(f"h{p}", f"h{p}", "w", table.ext(1, p + 1)) for p in range(-1, 2)]
     else:  # quasi-miura: the parser admits no other target
         m = quasi_miura("forward", args.hbar)
         rows = [("forward", "forward", "v", m.forward[0]),
@@ -368,16 +372,13 @@ class _Given(argparse.Action):
         namespace.given = namespace.given | {self.dest}
 
 
-# Flags a subcommand takes that one of its targets does not read.
+# Flags a subcommand takes that one of its targets does not read; a suite
+# reads the flags `suites.SUITES` gives it.
 UNREAD = {
     ("generate", "kdv"): ("dim", "hessian"),
     ("generate", "principal"): ("tensor", "hbar"),
-    ("verify", "lemmas"): ("pmax", "hbar"),
-    ("verify", "commutation"): ("hbar", "seed", "count"),
-    ("verify", "quasimiura"): ("pmax", "hbar", "seed", "count"),
-    ("verify", "homogeneity"): ("pmax", "hbar", "seed", "count"),
-    ("verify", "uniqueness"): ("hbar", "seed", "count"),
-    ("verify", "defining-equation"): ("seed", "count"),
+    **{("verify", suite): tuple(f for f in ("pmax", "hbar", "seed", "count") if f not in reads)
+       for suite, (reads, _) in SUITES.items()},
     ("deform", "bracket"): ("qmax",),
     ("dump", "flows"): ("pmax", "qmax"),
     ("dump", "hamiltonians"): ("pmax", "qmax"),
@@ -424,8 +425,7 @@ def _fill(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
         p.add_argument("--generator", required=True, help="generator JSON file")
         defaults, func = {"pmax": 1, "qmax": 0, "hbar": 1, "tensor": 1}, cmd_deform
     elif command == "verify":
-        p.add_argument("suite", choices=("lemmas", "commutation", "quasimiura", "homogeneity",
-                                         "uniqueness", "defining-equation", "all"))
+        p.add_argument("suite", choices=(*SUITES, "all"))
         defaults, func = {"pmax": 3, "hbar": 1, "seed": 7, "count": 100}, cmd_verify
     else:  # dump
         p.add_argument("what", choices=("kdv-table", "flows", "hamiltonians", "quasi-miura"))

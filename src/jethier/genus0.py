@@ -19,7 +19,7 @@ sum_nu hessian[a][nu] = v_a.
 The recursion runs on JetPoly; the finished table is an OmegaTable whose
 entries are hbar-series truncated at hbar^0, the genus-0 part of the
 dispersive two-point functions.  The density of the (a,p) Hamiltonian is
-the unit-contracted entry `table.unit_ext(a, p + 1)`, for p >= -1.
+the unit sum `table.ext(a, p + 1)`, for p >= -1.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def check_commutation(table: OmegaTable, a: int, p: int, b: int, q: int) -> Hbar
     """
     lhs = Sum()
     lhs.add(HbarSeries.zero(table.trunc))
-    ha = table.unit_ext(a, p + 1)
-    hb = table.unit_ext(b, q + 1)
+    ha = table.ext(a, p + 1)
+    hb = table.ext(b, q + 1)
     for g in range(1, table.dim + 1):
         lhs.add_product(ha.var_deriv(g), hb.var_deriv(g).dx())
     lhs.add(table.entry(a, p + 1, b, q).dx(), -1)

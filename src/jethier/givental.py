@@ -140,7 +140,7 @@ class OmegaTable:
     its first read; it answers (a,p;b,q) with q < p <= qmax from (b,q;a,p),
     so it is symmetric by construction.  The table keeps each entry, and what
     it derives from its entries, for as long as it lives: the unit
-    contractions `unit_ext(a, p)`, the constant series of `ext`, and the one
+    sums `ext(a, p)`, the constant series of the extension, and the one
     `UpperDeformation` per upper generator value that `entry_deformation`
     hands out.  No entry changes once read, so what is kept stays valid.
     """
@@ -179,9 +179,15 @@ class OmegaTable:
 
     def ext(self, a: int, p: int, b: int | None = None, q: int = 0) -> HbarSeries:
         """Stored entry for p,q >= 0; the delta-constant extension otherwise.
-        With no color b, the unit sum (a,p;unit,0) = `unit_ext(a, p)`."""
+        With no color b, the unit sum (a,p;unit,0), built on first use and kept."""
         if b is None:
-            return self.unit_ext(a, p)
+            got = self._units.get((a, p))
+            if got is None:
+                out = Sum()
+                for nu in range(1, self.dim + 1):
+                    out.add(self.ext(a, p, nu, 0))
+                got = self._units[(a, p)] = out.value()
+            return got
         if p >= 0 and q >= 0:
             return self.entry(a, p, b, q)
         if p >= 0:  # q < 0
@@ -193,17 +199,6 @@ class OmegaTable:
         got = self._consts.get(val)
         if got is None:
             got = self._consts[val] = HbarSeries.const(val, self.trunc)
-        return got
-
-    def unit_ext(self, a: int, p: int) -> HbarSeries:
-        """Entry with the second pair contracted against the unit direction,
-        built on first use and kept."""
-        got = self._units.get((a, p))
-        if got is None:
-            out = Sum()
-            for nu in range(1, self.dim + 1):
-                out.add(self.ext(a, p, nu, 0))
-            got = self._units[(a, p)] = out.value()
         return got
 
     def items(self):

@@ -104,7 +104,7 @@ def test_criterion_01_kdv_flows():
 
 def test_criterion_02_hamiltonian_densities(kdv_h2):
     started = time.monotonic()
-    h = {p: kdv_h2.unit_ext(1, p + 1) for p in (-1, 0, 1)}
+    h = {p: kdv_h2.ext(1, p + 1) for p in (-1, 0, 1)}
     assert h[-1] == HbarSeries.of(w(0), 2)
     assert h[0] == HbarSeries(2, [w(0) ** 2 / 2, w(2) / 12])
     want_h1 = HbarSeries(2, [w(0) ** 3 / 6,

@@ -25,15 +25,14 @@ from jethier.bracket import (
     PoissonOp,
     check_operator_homogeneity,
     check_series_homogeneity,
-    def_a_residual,
     defining_equation_residuals,
     deformed_entries_for_residual,
     dx_commutator_residual,
     euler_commutator_residual,
     r_deform_bracket,
+    relation_residuals,
     s_deform_bracket,
     uniqueness_residuals,
-    unit_sum_grads,
 )
 
 W = JetPoly.var
@@ -244,20 +243,31 @@ def deformed_by_entries(table, gen, key):
                HbarSeries.zero(table.trunc))
 
 
-def test_def_a_trivial_all_zero():
+def test_def_a_trivial_all_zero(monkeypatch):
+    # a zero operator deformation on the undeformed unit sums, and d on zero
+    # deformed entries and unit sums; the zero operator has no nonzero
+    # column, so only d's term takes a variational derivative
     table = kdv_omega_table(2, 2, 1)
     pop = PoissonOp.dx(1, 1)
-    zeros = {key: HbarSeries.zero(1) for key in [(1, 0, 1, 0), (1, 1)]}
-    dP = DiffOperator.zero(1, 1)
-    terms = unit_sum_grads(table, pop, zeros, dP, 1, 0)
-    res = def_a_residual(terms, zeros[(1, 0, 1, 0)], 1)
+
+    def zeros(a, p, b=None):
+        return HbarSeries.zero(1)
+
+    calls = []
+    var_deriv = HbarSeries.var_deriv
+    monkeypatch.setattr(HbarSeries, "var_deriv",
+                        lambda self, alpha: calls.append(alpha) or var_deriv(self, alpha))
+    ops = [(DiffOperator.zero(1, 1), table.ext), (pop.op, zeros)]
+    [(index, res)] = relation_residuals(1, 0, zeros, ops)
+    assert index == (1, 0, 1)
     assert res.is_zero()
+    assert calls == [1]
 
 
 def test_unit_sum_grads_built_once_per_a_p(monkeypatch):
-    # the unit sums depend on (a, p) only: 3 colors x 3 values of p, each
-    # with one variational derivative per color of the undeformed and of the
-    # deformed sum, not one set per residual color b
+    # the residual loop reads the unit sums at (a, p) only: 3 colors x 3
+    # values of p, each with one variational derivative per color of the
+    # undeformed and of the deformed sum, not one set per residual color b
     table = tensor_power(kdv_omega_table(6, 6, 1), 3)
     pop = PoissonOp.dx(3, 1)
     g = r_gen(3, [[1, 2, 3], [2, 1, 1], [3, 1, 2]])
@@ -441,8 +451,8 @@ def r_deform_bracket_per_window(table, pop, gen):
             row = [(nu, m) for nu, m in enumerate(gen.matrix[mu - 1], 1) if m]
             if not row:
                 continue
-            o_mu_i = table.unit_ext(mu, i)            # (mu,i; unit,0)
-            o_mu_i1 = table.unit_ext(mu, i + 1)       # (mu,i+1; unit,0)
+            o_mu_i = table.ext(mu, i)             # (mu,i; unit,0)
+            o_mu_i1 = table.ext(mu, i + 1)        # (mu,i+1; unit,0)
             fs = {xi: table.ext(mu, i, xi, 0) for xi in colors}
             e_f = {(g, xi): euler_cell(fs[xi], g) for g in colors for xi in colors}
             o = deform.right(mu, j)
@@ -687,16 +697,37 @@ def table0():
     return trr_extend(Genus0Data(1, {(1, 1): w(0)}), 5, 5)
 
 
-def test_uniqueness_dx_passes(table0):
-    res = uniqueness_residuals(table0, DiffOperator.dx_op(1, 0), 3)
+@pytest.fixture(scope="module", params=[pytest.param(None, id="genus0")] + [
+    pytest.param((trunc, dim), id=f"kdv-hbar{trunc}-{dim}")
+    for trunc in range(3) for dim in (1, 2, 3)])
+def relation_point(request, table0):
+    """(table, pmax): the genus-0 cubic point through p = 3, or the KdV table
+    at hbar^0 or hbar^1 (bound 6) or at hbar^2 (bound 2, the edge of the
+    derivable set) on 1-3 colors, through p = bound - 1, as the residual at
+    p reads (a, p+1; unit,0)."""
+    if request.param is None:
+        return table0, 3
+    trunc, dim = request.param
+    bound = 2 if trunc == 2 else 6
+    table = kdv_omega_table(bound, bound, trunc)
+    return (tensor_power(table, dim) if dim > 1 else table), bound - 1
+
+
+def test_uniqueness_dx_passes(relation_point):
+    table, pmax = relation_point
+    res = uniqueness_residuals(table, DiffOperator.dx_op(table.dim, table.trunc), pmax)
+    assert [ix for ix, _ in res] == [(a, p, b) for a in range(1, table.dim + 1)
+                                     for p in range(pmax + 1) for b in range(1, table.dim + 1)]
     assert all(r.is_zero() for _, r in res)
 
 
-def test_uniqueness_scaled_fails(table0):
-    res = uniqueness_residuals(table0, DiffOperator.dx_op(1, 0, scale=2), 3)
-    assert any(not r.is_zero() for _, r in res)
-    first = dict((ix, r) for ix, r in res)[(1, 0, 1)]
-    assert first == HbarSeries.of(w(1), 0)  # factor-2 mismatch against v_x
+def test_uniqueness_scaled_fails(relation_point):
+    table, pmax = relation_point
+    res = uniqueness_residuals(table, DiffOperator.dx_op(table.dim, table.trunc, scale=2), pmax)
+    # the colors are decoupled, so every residual on the diagonal fails
+    assert all(not r.is_zero() for (a, _, b), r in res if a == b)
+    first = dict(res)[(1, 0, 1)]
+    assert first == HbarSeries.of(w(1), table.trunc)  # factor-2 mismatch against v_x
 
 
 def test_uniqueness_perturbed_fails(table0):

@@ -102,7 +102,7 @@ def test_principal_rhs_examples():
 
 def density(table, a, p):
     """Density of the (a,p) Hamiltonian: the unit-contracted (a,p+1) entry."""
-    return table.unit_ext(a, p + 1)
+    return table.ext(a, p + 1)
 
 
 def test_hamiltonian_densities():

@@ -80,7 +80,7 @@ def r_deform_long(table, gen, a, p, b, q):
         for mu in range(1, s + 1):
             cu = gen.up_low(mu, g)
             if cu != 0:
-                inner = inner + cu * table.unit_ext(mu, ell).dx_pow(n)
+                inner = inner + cu * table.ext(mu, ell).dx_pow(n)
             cl = sum(M[c][mu - 1] for c in range(s))
             if cl != 0:
                 inner = inner + (n + 1) * cl * table.entry(g, 0, mu, ell).dx_pow(n)
@@ -93,10 +93,10 @@ def r_deform_long(table, gen, a, p, b, q):
                     for k in range(n):
                         inner = inner + (c * si * math.comb(n, k)) * (
                             table.entry(g, 0, mu, i).dx_pow(k + 1)
-                            * table.unit_ext(nu, ell - 1 - i).dx_pow(n - k - 1))
+                            * table.ext(nu, ell - 1 - i).dx_pow(n - k - 1))
                     inner = inner + (c * si) * (
                         table.entry(g, 0, mu, i)
-                        * table.unit_ext(nu, ell - 1 - i)).dx_pow(n)
+                        * table.ext(nu, ell - 1 - i)).dx_pow(n)
         out = out - dbase * inner
     # second-derivative block, weighted by hbar/2
     hterm = HbarSeries.zero(H)
@@ -164,7 +164,7 @@ def test_extension_values():
     assert table.ext(1, 1, 1, -2) == -one
     assert table.ext(1, -1, 1, 5).is_zero()
     assert table.ext(1, -2, 1, -1).is_zero()
-    assert table.unit_ext(1, -1) == one
+    assert table.ext(1, -1) == one
     with pytest.raises(IndexError):
         table.ext(1, 5, 1, 0)
 
@@ -181,8 +181,8 @@ def test_table_keeps_what_it_derives():
     table = tensor_power(kdv_omega_table(3, 3, 1), 2)
     for a in (1, 2):
         for p in range(-2, 4):
-            got = table.unit_ext(a, p)
-            assert table.unit_ext(a, p) is got
+            got = table.ext(a, p)
+            assert table.ext(a, p) is got
             assert got == table.ext(a, p, 1, 0) + table.ext(a, p, 2, 0)
     assert table.ext(1, -1, 1, 0) is table.ext(2, 0, 2, -1)
     assert table.ext(1, -1, 2, 0) is table.ext(1, -3, 1, -2)
@@ -489,7 +489,7 @@ def transport_closed_form(table, gen, g, n):
     for d in range(-1, ell + 1):
         for mu in colors:
             lead = table.ext(g, 0, mu, d)
-            tail = sum((gen.matrix[mu - 1][nu - 1] * table.unit_ext(nu, ell - 1 - d)
+            tail = sum((gen.matrix[mu - 1][nu - 1] * table.ext(nu, ell - 1 - d)
                         for nu in colors), HbarSeries.zero(table.trunc))
             for k in range(n + 1):
                 out = out + (-1) ** (d + 1) * math.comb(n + 1, k) * (
@@ -762,7 +762,7 @@ def test_extension_window_scan_beyond_bounds():
             assert table.ext(1, 0, 1, d).is_zero()
         for d in (g.level + q + 1, g.level + q + 2):
             assert table.ext(1, g.level - 1 - d, 1, q).is_zero(), (p, q, d)
-            assert table.unit_ext(1, g.level - 1 - d).is_zero()
+            assert table.ext(1, g.level - 1 - d).is_zero()
 
 
 def test_table_is_graded():

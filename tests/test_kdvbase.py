@@ -283,7 +283,7 @@ def test_tensor_power_blocks():
     assert got.coeffs[0] == want_h0
     assert got.coeffs[1] == W(2, 2) / 12
     # unit contraction reduces to the per-color coordinate
-    assert t2.unit_ext(2, 0) == HbarSeries.of(W(2, 0), 1)
+    assert t2.ext(2, 0) == HbarSeries.of(W(2, 0), 1)
 
 
 @pytest.mark.parametrize("trunc", [0, 1, 2])
